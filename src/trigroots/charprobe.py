@@ -31,6 +31,8 @@ TWO_PI = 2.0 * math.pi
 
 
 class FeasibilityError(RuntimeError):
+    """Monte Carlo parameters cannot resolve the requested quantity."""
+
     def __init__(self, message, required_trials=None):
         super().__init__(message)
         self.required_trials = required_trials
@@ -50,18 +52,10 @@ def _projections(n: int, t: float, x: np.ndarray, s: float | None):
 
 
 def log_abs_charfn(n: int, t: float, dist: DistributionSpec, x,
-                   s: float | None = None, angular_convention: str = "radians") -> float:
-    """log of the absolute characteristic-function product at frequency x.
-
-    ``angular_convention="turns"`` rescales the phase to exp(2 pi i y) for
-    sensitivity checks; the default matches exp(i y).
-    """
+                   s: float | None = None) -> float:
+    """log of the absolute characteristic-function product at frequency x."""
     x = np.asarray(x, dtype=float)
     pu, pup = _projections(n, t, x, s)
-    if angular_convention == "turns":
-        pu, pup = TWO_PI * pu, TWO_PI * pup
-    elif angular_convention != "radians":
-        raise ValueError("angular_convention must be 'radians' or 'turns'")
     return float(np.sum(log_abs_charfn_scalar(dist, pu))
                  + np.sum(log_abs_charfn_scalar(dist, pup)))
 
@@ -207,47 +201,6 @@ def gaussian_ball_probability(V: np.ndarray, center, delta: float,
     dens = np.exp(-0.5 * q) / (TWO_PI * math.sqrt(np.linalg.det(V)))
     inner = dens.sum(axis=1) * (TWO_PI / n_angular)
     return float(np.sum(wr * r * inner))
-
-
-@dataclass(frozen=True)
-class InfSmallBallResult:
-    probability: float
-    threshold: float
-    trials: int
-    good_grid_fraction: float
-
-
-def inf_smallball_mc(n: int, theta: float, eps: float, dist: DistributionSpec,
-                     trials: int, seed: int = 0, tau: float = 0.05,
-                     M: int | None = None) -> InfSmallBallResult:
-    """Frequency of inf over non-resonant grid points of |S_n/sqrt(n)|
-    dropping below n^{-theta + eps/2}."""
-    from trigroots.polyeval import FULL, eval_grid_batch
-
-    if M is None:
-        M = 16 * n
-    h = FULL.length(n) / M
-    ts = FULL.start(n) + h * np.arange(M)
-    ratio = ts / (math.pi * n)
-    _, l_max = (float(n) ** (-1 + 8 * tau), int(math.floor(float(n) ** tau)))
-    good = np.ones(M, dtype=bool)
-    thr = float(n) ** (-1 + 8 * tau)
-    for l in range(1, max(l_max, 1) + 1):
-        good &= np.abs(l * ratio - np.round(l * ratio)) > thr
-    threshold = float(n) ** (-theta + eps / 2.0)
-    rng = ensemble._rng_for_trial(seed, 0)
-    below = 0
-    chunk = max(1, int(2e6 // M))
-    done = 0
-    while done < trials:
-        b = min(chunk, trials - done)
-        y = ensemble._draw(dist, rng, (b, n, 2))
-        P, Q = eval_grid_batch(y, n, FULL, M)
-        norms = np.sqrt(P**2 + Q**2)[:, good]
-        below += int(np.sum(norms.min(axis=1) <= threshold))
-        done += b
-    return InfSmallBallResult(probability=below / trials, threshold=threshold,
-                              trials=trials, good_grid_fraction=float(good.mean()))
 
 
 @dataclass(frozen=True)

@@ -36,21 +36,14 @@ from itertools import product
 import numpy as np
 from scipy.integrate import quad
 
-from trigroots.ensemble import (
-    DistributionSpec,
-    gaussian as gaussian_spec,
-    moments,
-)
+from trigroots.charprobe import FeasibilityError
+from trigroots.ensemble import DistributionSpec, moments
 from trigroots.polyeval import coefficient_matrices, basis_matrices
 
 DEFAULT_LAMBDA_2 = (1.0, 1.0 / 3.0)
 DEFAULT_LAMBDA_4 = (1.0, 1.0 / 3.0, 1.0, 1.0 / 3.0)
 
 _GAUSSIAN_MOMENTS = {0: 1.0, 1: 0.0, 2: 1.0, 3: 0.0, 4: 3.0}
-
-
-class FeasibilityError(RuntimeError):
-    """Monte Carlo parameters cannot resolve the requested quantity."""
 
 
 def _scalar_moments(dist: DistributionSpec) -> dict[int, float]:
@@ -118,18 +111,6 @@ def _moment_stack(C: np.ndarray, mom: dict[int, float], alpha) -> np.ndarray:
             c1 += l
         total += prod * (mom[m - c1] * mom[c1])
     return total
-
-
-@dataclass(frozen=True)
-class CumulantDelta:
-    alpha: tuple[int, ...]
-    value: float
-
-
-def delta_alpha(C: np.ndarray, dist: DistributionSpec, alpha) -> CumulantDelta:
-    """E X^alpha minus its Gaussian counterpart for one increment."""
-    v = moment_EXalpha(C, dist, alpha) - moment_EXalpha(C, gaussian_spec(), alpha)
-    return CumulantDelta(tuple(int(a) for a in alpha), v)
 
 
 def _scaled_matrices(n: int, t: float, s: float | None, lambdas) -> np.ndarray:

@@ -26,9 +26,6 @@ DEFAULT_CHUNK = 256
 #: kurtosis-excess coefficients of the variance slope per window
 SLOPE_COEFF = {"full": 2.0 / 15.0, "half": 1.0 / 30.0}
 
-#: quadrature value of the Gaussian full-window slope (see cganalytic)
-GAUSSIAN_SLOPE_FULL = 0.55826
-
 
 @dataclass
 class MomentAccumulator:
@@ -160,8 +157,11 @@ def run_experiment(dist: DistributionSpec, n: int, window: WindowSpec = FULL,
 
     Counts come from the grid scan with the stationary-point audit (root
     positions are not refined; the count is unaffected).  The result is
-    bit-identical for any ``parallelism``.
+    bit-identical for any ``parallelism``.  A grid below the root-capture
+    bound raises ``GridError``.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if trials < 2:
         raise ValueError("need at least 2 trials")
     if M is None:

@@ -168,45 +168,32 @@ def _packed_spectrum(y: np.ndarray, n: int, M: int, start_over_pi_n: float) -> n
     return spec
 
 
-def eval_grid(sample: CoefficientSample, window: WindowSpec, M: int | None = None,
-              oversample: int = DEFAULT_OVERSAMPLE) -> EvaluationGrid:
-    """P and P' on the window's equispaced grid via one complex FFT.
-
-    Refuses M below 2n * oversample: the sign-change root capture relies on
-    several grid points per root of a degree-n trigonometric polynomial.
-    """
+def eval_grid(sample: CoefficientSample, window: WindowSpec,
+              M: int | None = None) -> EvaluationGrid:
+    """P and P' on the window's equispaced grid: ``eval_grid_batch`` on a
+    batch of one, M defaulting to the root-capture bound."""
     n = sample.n
     if M is None:
-        M = 2 * n * oversample
-    if M < 2 * n * oversample:
-        raise GridError(f"M={M} below root-capture bound {2 * n * oversample}")
-    start_ratio = window.start(n) / (math.pi * n)  # -1 (full) or 0 (half)
-    if window.kind == "full":
-        spec = _packed_spectrum(sample.y, n, M, start_ratio)
-        F = np.fft.ifft(spec) * M
-        scale = 1.0 / (2.0 * math.sqrt(n))
-        P = F.real * scale
-        Q = F.imag * scale
-    else:
-        # half window spans half a period: evaluate on the 2M-point full
-        # grid and keep the first M points
-        spec = _packed_spectrum(sample.y, n, 2 * M, start_ratio)
-        F = np.fft.ifft(spec) * (2 * M)
-        scale = 1.0 / (2.0 * math.sqrt(n))
-        P = F.real[:M] * scale
-        Q = F.imag[:M] * scale
+        M = 2 * n * DEFAULT_OVERSAMPLE
+    P, Q = eval_grid_batch(sample.y[None], n, window, M)
+    P, Q = P[0], Q[0]
     P.setflags(write=False)
     Q.setflags(write=False)
     return EvaluationGrid(window=window, n=n, M=M, P=P, Pprime=Q)
 
 
 def eval_grid_batch(ys: np.ndarray, n: int, window: WindowSpec, M: int):
-    """(P, P') grids for a batch of coefficient arrays, shape (B, n, 2).
+    """(P, P') grids for a batch of coefficient arrays, shape (B, n, 2), via
+    one batched complex FFT (both at once by Hermitian packing).
 
-    Same contract as ``eval_grid``; one batched FFT.  Internal fast path for
-    Monte Carlo loops.
+    Refuses M below 2n * DEFAULT_OVERSAMPLE: the sign-change root capture
+    relies on several grid points per root of a degree-n trigonometric
+    polynomial.  The half window spans half a period, so it is evaluated on
+    the 2M-point full grid and keeps the first M points.
     """
-    start_ratio = window.start(n) / (math.pi * n)
+    if M < 2 * n * DEFAULT_OVERSAMPLE:
+        raise GridError(f"M={M} below root-capture bound {2 * n * DEFAULT_OVERSAMPLE}")
+    start_ratio = window.start(n) / (math.pi * n)  # -1 (full) or 0 (half)
     Mfft = M if window.kind == "full" else 2 * M
     spec = _packed_spectrum(ys, n, Mfft, start_ratio)
     F = np.fft.ifft(spec, axis=-1) * Mfft

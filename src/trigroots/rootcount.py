@@ -1,21 +1,27 @@
 """Root counting: sign-scan + bisection, and the delta-integral cross-check.
 
 Counting proceeds on the oversampled FFT grid: every sign change brackets a
-root (simple roots are a.s. the only kind), every bracket is refined by
-bisection plus a short guarded Newton polish.  Cells whose |P| dips near
-zero without a sign change are audited through the stationary point of P:
-they hide either nothing, a tangency, or a pair of roots missed by the scan.
+root (simple roots are a.s. the only kind).  Cells whose |P| dips near zero
+without a sign change are audited through the stationary point of P: they
+hide either nothing, a tangency, or a pair of roots missed by the scan.
+One engine, ``_scan_and_audit``, does the scan and the audit on a batch of
+grids; ``count_batch`` runs it on Monte Carlo batches and ``count_roots``
+on a batch of one, then refines each bracket by bisection plus a short
+guarded Newton polish.
 
 ``count_kacrice`` evaluates (1/2 delta) * int |P'| 1_{|P| < delta} dt by
 locating the two |P| = delta crossings around each root and integrating
-|P'| with 15-node Gauss-Legendre in between; it must reproduce the integer
-count whenever delta is below the sample's safe threshold.
+|P'| with 15-node Gauss-Legendre in between.  It reproduces the integer
+count unless the sample is flagged: delta above the grid's safe estimate
+(min of |P| + |P'| over the grid and |P| at the window ends), an uncertain
+count, or overlapping delta-intervals of neighbouring roots.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +32,6 @@ from trigroots.polyeval import (
     WindowSpec,
     eval_grid,
     eval_grid_batch,
-    eval_point,
     eval_points,
 )
 
@@ -53,14 +58,13 @@ _AUDIT_CLEAN, _AUDIT_DOUBLE, _AUDIT_TANGENT = 0, 1, 2
 class RootCountResult:
     count: int
     roots: np.ndarray
-    residuals: np.ndarray | None
-    derivatives: np.ndarray | None
+    residuals: np.ndarray
+    derivatives: np.ndarray
     tangency_cells: tuple[int, ...]   # all audited dip cells
     unresolved_cells: tuple[int, ...]  # audited cells stuck at a tangency
     uncertain: bool
-    n: int
-    window: WindowSpec
-    M: int
+    grid: EvaluationGrid
+    end_value: float  # P at the window's closing point
     tol: float
 
 
@@ -90,19 +94,6 @@ def gaussian_expectation_exact(n: int, window: WindowSpec = FULL) -> float:
         raise ValueError("n must be >= 1")
     full = 2.0 * math.sqrt((2 * n + 1) * (n + 1) / 6.0)
     return full if window.kind == "full" else 0.5 * full
-
-
-def _cell_arrays(grid: EvaluationGrid, sample: CoefficientSample):
-    """Left/right values per scan cell, closing the window as needed."""
-    P, Q = grid.P, grid.Pprime
-    if grid.window.circular:
-        Pl, Pr = P, np.roll(P, -1)
-        Ql, Qr = Q, np.roll(Q, -1)
-    else:
-        p_end, q_end = eval_point(sample, grid.window.end(grid.n))
-        Pl, Pr = P, np.append(P[1:], p_end)
-        Ql, Qr = Q, np.append(Q[1:], q_end)
-    return Pl, Pr, Ql, Qr
 
 
 def _signs(x: np.ndarray) -> np.ndarray:
@@ -153,16 +144,37 @@ def _hermite_extremum(p0, p1, q0, q1, h):
     return x, val
 
 
-def _resolve_audits(p0, p1, q0, q1, h, t_left, scale, pq_fn):
+def _row_evaluator(y: np.ndarray):
+    """(P, P') of coefficient row k at the point ts[k]; y has shape (K, n, 2).
+
+    The rows and their frequency-weighted copies are built once, so each
+    bisection step costs one cos/sin table and four row sums.
+    """
+    n = y.shape[1]
+    i = np.arange(1, n + 1, dtype=float)
+    w = i / n
+    inv = 1.0 / math.sqrt(n)
+    y1, y2 = y[:, :, 0], y[:, :, 1]
+    wy1, wy2 = w * y1, w * y2
+
+    def pq(ts):
+        th = np.multiply.outer(ts / n, i)
+        c, s = np.cos(th), np.sin(th)
+        p = (np.sum(c * y1, axis=1) + np.sum(s * y2, axis=1)) * inv
+        q = (np.sum(c * wy2, axis=1) - np.sum(s * wy1, axis=1)) * inv
+        return p, q
+    return pq
+
+
+def _resolve_audits(p0, p1, q0, q1, h, t_left, scale, y):
     """Classify audited cells: clean, a hidden root pair, or tangency.
 
     The cubic-Hermite extremum screens out clear cases; only cells whose
     interpolated extremum is within the screen margin of zero (or has no
     clean quadratic root) are resolved by bisection on the derivative sign
-    change, with extra refinement for near-zero stationary values.
-    Returns (status, t_star) per cell.
+    change, with extra refinement for near-zero stationary values.  ``y``
+    holds each cell's coefficient row.  Returns (status, t_star) per cell.
     """
-    scale = np.broadcast_to(np.asarray(scale, dtype=float), p0.shape)
     x, val = _hermite_extremum(p0, p1, q0, q1, h)
     needs = np.isnan(x) | (np.abs(val) <= _SCREEN_MARGIN * scale)
     status = np.where((~needs) & (_signs(val) != _signs(p0)),
@@ -171,30 +183,32 @@ def _resolve_audits(p0, p1, q0, q1, h, t_left, scale, pq_fn):
 
     if needs.any():
         idx = np.nonzero(needs)[0]
+        pq = _row_evaluator(y[idx])
         lo = t_left[idx].astype(float)
         hi = lo + h
-        _, q_lo = pq_fn(lo, idx)
+        _, q_lo = pq(lo)
         s_lo = _signs(q_lo)
         for _ in range(_AUDIT_BISECT_STAGE1):
             mid = 0.5 * (lo + hi)
-            _, q_mid = pq_fn(mid, idx)
+            _, q_mid = pq(mid)
             left = _signs(q_mid) == s_lo
             lo = np.where(left, mid, lo)
             hi = np.where(left, hi, mid)
         ts = 0.5 * (lo + hi)
-        ps, _ = pq_fn(ts, idx)
+        ps, _ = pq(ts)
         tiny = np.abs(ps) <= 1e-6 * scale[idx]
         if tiny.any():
             sub = np.nonzero(tiny)[0]
+            pq2 = _row_evaluator(y[idx[sub]])
             lo2, hi2, s2 = lo[sub], hi[sub], s_lo[sub]
             for _ in range(_AUDIT_BISECT_STAGE2):
                 mid = 0.5 * (lo2 + hi2)
-                _, q_mid = pq_fn(mid, idx[sub])
+                _, q_mid = pq2(mid)
                 left = _signs(q_mid) == s2
                 lo2 = np.where(left, mid, lo2)
                 hi2 = np.where(left, hi2, mid)
             ts2 = 0.5 * (lo2 + hi2)
-            ps2, _ = pq_fn(ts2, idx[sub])
+            ps2, _ = pq2(ts2)
             ts[sub] = ts2
             ps[sub] = ps2
         tangent = np.abs(ps) <= _TANGENCY_EPS * scale[idx]
@@ -205,14 +219,59 @@ def _resolve_audits(p0, p1, q0, q1, h, t_left, scale, pq_fn):
     return status, t_star
 
 
-def count_roots(sample: CoefficientSample, window: WindowSpec = FULL,
-                M: int | None = None, tol: float | None = None,
-                refine: bool = True) -> RootCountResult:
-    """Count (and optionally refine) the real roots in the window.
+class _Scan(NamedTuple):
+    crossing: np.ndarray   # (B, M): the cell's end values differ in sign
+    cells: np.ndarray      # cell index of each audited cell, row by row
+    status: np.ndarray     # audit verdict per audited cell
+    t_star: np.ndarray     # stationary point per audited cell
+    end: np.ndarray        # (B,) P at the window's closing point
+    counts: np.ndarray     # (B,) sign changes plus two per hidden pair
+    uncertain: np.ndarray  # (B,) tangency, zero polynomial or over 2n roots
 
-    With ``refine=False`` the count is identical but root locations are
-    linear-interpolation estimates and residuals are not evaluated.
+
+def _scan_and_audit(ys: np.ndarray, P: np.ndarray, Q: np.ndarray,
+                    window: WindowSpec) -> _Scan:
+    """Sign scan and stationary-point audit of (B, M) grids of P and P'.
+
+    The last cell closes on the first node for the full window (P is
+    periodic) and on the value at n*pi for the half window, summed with the
+    exact (-1)^i phases.  ``ys`` holds the (B, n, 2) coefficients.
     """
+    n, M = ys.shape[1], P.shape[1]
+    h = window.length(n) / M
+    if window.circular:
+        Pr, Qr = np.roll(P, -1, axis=1), np.roll(Q, -1, axis=1)
+    else:
+        i = np.arange(1, n + 1)
+        end_c = np.cos(i * math.pi)  # exact (-1)^i pattern at t = n*pi
+        end_s = np.sin(i * math.pi)
+        w = i / n
+        p_end = (ys[:, :, 0] @ end_c + ys[:, :, 1] @ end_s) / math.sqrt(n)
+        q_end = (ys[:, :, 0] @ (-w * end_s) + ys[:, :, 1] @ (w * end_c)) / math.sqrt(n)
+        Pr = np.concatenate([P[:, 1:], p_end[:, None]], axis=1)
+        Qr = np.concatenate([Q[:, 1:], q_end[:, None]], axis=1)
+    crossing, audit = _audit_candidates(P, Pr, Q, Qr, h)
+    counts = crossing.sum(axis=1).astype(int)
+    scale = np.max(np.abs(P), axis=1)
+    uncertain = scale == 0.0
+
+    rows, cells = np.nonzero(audit)
+    status, t_star = np.empty(0, dtype=int), np.empty(0)
+    if rows.size:
+        t_left = window.start(n) + h * np.arange(M)
+        status, t_star = _resolve_audits(
+            P[rows, cells], Pr[rows, cells], Q[rows, cells], Qr[rows, cells],
+            h, t_left[cells], np.maximum(scale, 1e-300)[rows], ys[rows])
+        np.add.at(counts, rows[status == _AUDIT_DOUBLE], 2)
+        uncertain[rows[status == _AUDIT_TANGENT]] = True
+    uncertain |= counts > 2 * n
+    return _Scan(crossing, cells, status, t_star, Pr[:, -1], counts, uncertain)
+
+
+def count_roots(sample: CoefficientSample, window: WindowSpec = FULL,
+                M: int | None = None, tol: float | None = None) -> RootCountResult:
+    """Count and refine the real roots in the window: the batch engine on
+    one sample, then bisection plus Newton polish of every bracket."""
     n = sample.n
     if tol is None:
         tol = default_tol(n)
@@ -220,67 +279,30 @@ def count_roots(sample: CoefficientSample, window: WindowSpec = FULL,
     h = grid.spacing
     if not 0.0 < tol < h:
         raise ValueError(f"tol={tol} outside (0, grid spacing {h})")
-    scale = float(np.max(np.abs(grid.P)))
-    if scale == 0.0:
-        return RootCountResult(0, np.empty(0), None, None, (), (), True,
-                               n, window, grid.M, tol)
-    Pl, Pr, Ql, Qr = _cell_arrays(grid, sample)
-    crossing, audit = _audit_candidates(Pl, Pr, Ql, Qr, h)
+    scan = _scan_and_audit(sample.y[None], grid.P[None], grid.Pprime[None], window)
     t_left = grid.t_values()
-
+    crossing = scan.crossing[0]
     lo = t_left[crossing]
     hi = lo + h
-    s_lo = _signs(Pl[crossing])
+    s_lo = _signs(grid.P[crossing])
+    double = scan.status == _AUDIT_DOUBLE
+    if double.any():
+        tl = t_left[scan.cells[double]]
+        ts = scan.t_star[double]
+        sl = _signs(grid.P[scan.cells[double]])
+        lo = np.concatenate([lo, tl, ts])
+        hi = np.concatenate([hi, ts, tl + h])
+        s_lo = np.concatenate([s_lo, sl, -sl])
 
-    uncertain = False
-    unresolved: tuple[int, ...] = ()
-    audit_cells = np.flatnonzero(audit)
-    if audit_cells.size:
-        def pq_fn(ts, which):
-            return eval_points(sample, ts)
-
-        status, t_star = _resolve_audits(
-            Pl[audit_cells], Pr[audit_cells], Ql[audit_cells], Qr[audit_cells],
-            h, t_left[audit_cells], scale, pq_fn)
-        tangent = status == _AUDIT_TANGENT
-        uncertain = bool(tangent.any())
-        unresolved = tuple(audit_cells[tangent].tolist())
-        double = status == _AUDIT_DOUBLE
-        if double.any():
-            tl = t_left[audit_cells[double]]
-            ts = t_star[double]
-            sl = _signs(Pl[audit_cells[double]])
-            lo = np.concatenate([lo, tl, ts])
-            hi = np.concatenate([hi, ts, tl + h])
-            s_lo = np.concatenate([s_lo, sl, -sl])
-
-    if lo.size == 0:
-        return RootCountResult(0, np.empty(0), np.empty(0) if refine else None,
-                               np.empty(0) if refine else None,
-                               tuple(audit_cells.tolist()), unresolved, uncertain,
-                               n, window, grid.M, tol)
-
-    if refine:
+    roots = resid = deriv = np.empty(0)
+    if lo.size:
         roots, resid, deriv = _refine_brackets(sample, lo, hi, s_lo, tol)
-    else:
-        # linear interpolation of the crossing inside each bracket
-        p_lo, _ = eval_points(sample, lo)
-        p_hi, _ = eval_points(sample, hi)
-        denom = np.where(p_lo - p_hi == 0.0, 1.0, p_lo - p_hi)
-        roots = lo + (hi - lo) * p_lo / denom
-        resid = deriv = None
-
-    order = np.argsort(roots)
-    roots = roots[order]
-    if resid is not None:
-        resid = resid[order]
-        deriv = deriv[order]
-    count = int(roots.size)
-    if count > 2 * n:
-        uncertain = True  # exceeds the degree bound: grid artifact
-    return RootCountResult(count, roots, resid, deriv,
-                           tuple(audit_cells.tolist()), unresolved, uncertain,
-                           n, window, grid.M, tol)
+        order = np.argsort(roots)
+        roots, resid, deriv = roots[order], resid[order], deriv[order]
+    unresolved = scan.cells[scan.status == _AUDIT_TANGENT]
+    return RootCountResult(int(scan.counts[0]), roots, resid, deriv,
+                           tuple(scan.cells.tolist()), tuple(unresolved.tolist()),
+                           bool(scan.uncertain[0]), grid, float(scan.end[0]), tol)
 
 
 def _refine_brackets(sample, lo, hi, s_lo, tol):
@@ -307,69 +329,12 @@ def _refine_brackets(sample, lo, hi, s_lo, tol):
 def count_batch(ys: np.ndarray, n: int, window: WindowSpec, M: int):
     """Root counts for a batch of coefficient arrays (B, n, 2).
 
-    Fast path for Monte Carlo loops: counts agree with ``count_roots``
-    (sign scan plus the same stationary-point audit), only the root
-    positions are skipped.  Returns (counts, uncertain) arrays.
+    Fast path for Monte Carlo loops: the engine of ``count_roots`` without
+    the root refinement.  Returns (counts, uncertain) arrays.
     """
-    B = ys.shape[0]
     P, Q = eval_grid_batch(ys, n, window, M)
-    h = window.length(n) / M
-    if window.circular:
-        Pl, Pr = P, np.roll(P, -1, axis=1)
-        Ql, Qr = Q, np.roll(Q, -1, axis=1)
-        t_left = window.start(n) + h * np.arange(M)
-    else:
-        i = np.arange(1, n + 1)
-        end_c = np.cos(i * math.pi)  # exact (-1)^i pattern at t = n*pi
-        end_s = np.sin(i * math.pi)
-        w = i / n
-        p_end = (ys[:, :, 0] @ end_c + ys[:, :, 1] @ end_s) / math.sqrt(n)
-        q_end = (ys[:, :, 0] @ (-w * end_s) + ys[:, :, 1] @ (w * end_c)) / math.sqrt(n)
-        Pl, Pr = P, np.concatenate([P[:, 1:], p_end[:, None]], axis=1)
-        Ql, Qr = Q, np.concatenate([Q[:, 1:], q_end[:, None]], axis=1)
-        t_left = h * np.arange(M)
-    crossing, audit = _audit_candidates(Pl, Pr, Ql, Qr, h)
-    counts = crossing.sum(axis=1).astype(int)
-    uncertain = np.zeros(B, dtype=bool)
-
-    rows, cells = np.nonzero(audit)
-    if rows.size:
-        scale = np.maximum(np.max(np.abs(P), axis=1), 1e-300)
-        i = np.arange(1, n + 1, dtype=float)
-        w = i / n
-        y1 = ys[rows, :, 0]
-        y2 = ys[rows, :, 1]
-        inv = 1.0 / math.sqrt(n)
-
-        def pq_fn(ts, which):
-            th = np.multiply.outer(ts / n, i)
-            c, s = np.cos(th), np.sin(th)
-            p = (np.sum(c * y1[which], axis=1) + np.sum(s * y2[which], axis=1)) * inv
-            q = (np.sum(c * (w * y2[which]), axis=1)
-                 - np.sum(s * (w * y1[which]), axis=1)) * inv
-            return p, q
-
-        status, _ = _resolve_audits(Pl[rows, cells], Pr[rows, cells],
-                                    Ql[rows, cells], Qr[rows, cells],
-                                    h, t_left[cells], scale[rows], pq_fn)
-        np.add.at(counts, rows[status == _AUDIT_DOUBLE], 2)
-        uncertain[rows[status == _AUDIT_TANGENT]] = True
-    dead = np.max(np.abs(P), axis=1) == 0.0
-    uncertain |= dead
-    uncertain |= counts > 2 * n
-    return counts, uncertain
-
-
-def safe_delta_estimate(grid: EvaluationGrid,
-                        sample: CoefficientSample | None = None) -> float:
-    """Grid estimate of the largest delta for which the delta-integral is
-    exact: min over the window of |P| + |P'| and the endpoint |P|."""
-    m = float(np.min(np.abs(grid.P) + np.abs(grid.Pprime)))
-    m = min(m, float(abs(grid.P[0])))
-    if sample is not None and not grid.window.circular:
-        p_end, _ = eval_point(sample, grid.window.end(grid.n))
-        m = min(m, abs(p_end))
-    return m
+    scan = _scan_and_audit(ys, P, Q, window)
+    return scan.counts, scan.uncertain
 
 
 def count_kacrice(sample: CoefficientSample, window: WindowSpec = FULL,
@@ -379,13 +344,17 @@ def count_kacrice(sample: CoefficientSample, window: WindowSpec = FULL,
     Around each refined root the two |P| = delta crossings are located by
     bisection and |P'| is integrated with 15-node Gauss-Legendre between
     them; audited near-tangent cells are integrated on a local fine grid.
-    A warning flag is raised when delta exceeds the sample's safe estimate.
+    The sample is flagged when delta exceeds the grid's safe estimate (min
+    of |P| + |P'| on the grid and |P| at the window ends), when the count
+    is uncertain, or when the delta-intervals of two roots overlap: then
+    the |P| < delta set joins them and the integral cannot equal the count.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    rr = count_roots(sample, window, M=M, refine=True)
-    grid = eval_grid(sample, window, M)
-    safe = safe_delta_estimate(grid, sample)
+    rr = count_roots(sample, window, M=M)
+    grid = rr.grid
+    safe = min(float(np.min(np.abs(grid.P) + np.abs(grid.Pprime))),
+               abs(float(grid.P[0])), abs(rr.end_value))
     flagged = bool(delta > safe or rr.uncertain)
 
     total = 0.0
@@ -393,7 +362,10 @@ def count_kacrice(sample: CoefficientSample, window: WindowSpec = FULL,
         roots, deriv = rr.roots, rr.derivatives
         t_lo = _find_level_crossing(sample, roots, deriv, delta, grid.spacing, side=-1.0)
         t_hi = _find_level_crossing(sample, roots, deriv, delta, grid.spacing, side=+1.0)
-        if window.kind == "half":
+        flagged |= bool(np.any(t_lo[1:] <= t_hi[:-1]))
+        if window.circular:
+            flagged |= bool(t_lo[0] + window.length(sample.n) <= t_hi[-1])
+        else:
             t_lo = np.maximum(t_lo, 0.0)
             t_hi = np.minimum(t_hi, window.end(sample.n))
         mid = 0.5 * (t_hi + t_lo)
@@ -469,5 +441,5 @@ def _find_level_crossing(sample, roots, deriv, delta, h, side):
 
 def roots_csv_rows(result: RootCountResult, trial_index: int):
     """(trial_index, root, residual) rows for the optional per-sample dump."""
-    resid = result.residuals if result.residuals is not None else np.full(result.count, np.nan)
-    return [(trial_index, float(r), float(e)) for r, e in zip(result.roots, resid)]
+    return [(trial_index, float(r), float(e))
+            for r, e in zip(result.roots, result.residuals)]

@@ -1,0 +1,36 @@
+"""The benchmark's tracer wraps program attributes by name; they must exist."""
+
+import importlib.util
+from pathlib import Path
+
+import trigroots
+from trigroots import mcstats, rootcount
+from trigroots.ensemble import gaussian, sample
+
+_TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", _TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_layer_spans_install_and_record():
+    tracing = _load_tracing()
+    tracer = tracing.Tracer("gaussian", "hooks")
+    tracing.install_layer_spans(tracer, trigroots)
+    try:
+        s = sample(gaussian(), 16, seed=1)
+        rootcount.count_roots(s)
+        rootcount.count_kacrice(s, delta=1e-6)
+        mcstats.run_experiment(gaussian(), 16, trials=16, seed=2)
+    finally:
+        tracer.restore()
+    names = {span["name"] for span in tracer.spans}
+    assert {"polyeval.eval_grid", "polyeval.eval_points", "polyeval.eval_grid_batch",
+            "rootcount.count_roots", "rootcount.count_batch",
+            "mcstats.merge"} <= names
+    assert mcstats.MomentAccumulator.__name__ == "MomentAccumulator"
+    assert not hasattr(rootcount.count_roots, "__wrapped__")

@@ -8,7 +8,6 @@ from trigroots.charprobe import (
     decay_scan,
     exponent_bound,
     gaussian_ball_probability,
-    inf_smallball_mc,
     log_abs_charfn,
     normal_interval_probability,
     small_ball_mc,
@@ -61,12 +60,6 @@ class TestLogAbsCharfn:
         for dist in ALL_DISTS:
             assert log_abs_charfn(n, t, dist, x4, s=s) == \
                 log_abs_charfn(n, t, dist, x2)
-
-    def test_turns_convention(self):
-        x = np.array([0.25, 0.0])
-        a = log_abs_charfn(4, 1.0, rademacher(), x, angular_convention="turns")
-        b = log_abs_charfn(4, 1.0, rademacher(), 2 * math.pi * x)
-        assert a == pytest.approx(b)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -192,31 +185,6 @@ class TestSmallBall:
         est = small_ball_mc(n, t, rademacher(), np.zeros(4), 0.2,
                             trials=100000, seed=5, s=s, force=True)
         assert est.probability / 0.2**4 <= 500.0
-
-
-class TestInfSmallBall:
-    def test_huge_theta_never_hit(self):
-        r = inf_smallball_mc(50, theta=50.0, eps=0.1, dist=gaussian(),
-                             trials=100, seed=0)
-        assert r.probability == 0.0
-        # the resonance threshold is generous at small n, but most grid
-        # points must survive
-        assert r.good_grid_fraction > 0.5
-
-    def test_frequency_decreases_in_n(self):
-        r1 = inf_smallball_mc(50, theta=1.2, eps=0.1, dist=gaussian(),
-                              trials=800, seed=1)
-        r2 = inf_smallball_mc(200, theta=1.2, eps=0.1, dist=gaussian(),
-                              trials=800, seed=1)
-        assert r2.probability <= r1.probability
-        assert r1.probability > 0  # the scale is actually exercised
-
-    def test_ensembles_same_order(self):
-        rg = inf_smallball_mc(100, theta=1.2, eps=0.1, dist=gaussian(),
-                              trials=600, seed=2)
-        rr = inf_smallball_mc(100, theta=1.2, eps=0.1, dist=rademacher(),
-                              trials=600, seed=2)
-        assert abs(rg.probability - rr.probability) <= 0.1
 
 
 class TestOneDScan:

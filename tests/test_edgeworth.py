@@ -288,6 +288,9 @@ class TestVnMc:
     def test_infeasible_delta_refused(self):
         with pytest.raises(FeasibilityError):
             v_n_mc(64, 10.0, 20.0, gaussian(), delta=1e-9, trials=1000, seed=0)
+        # one class for every probe: callers catch the charprobe name
+        from trigroots import charprobe
+        assert FeasibilityError is charprobe.FeasibilityError
 
     def test_ensemble_comparison_smoke(self):
         n = 512

@@ -13,7 +13,7 @@ from trigroots.mcstats import (
     slope_series,
     theoretical_slope,
 )
-from trigroots.polyeval import FULL, HALF
+from trigroots.polyeval import FULL, HALF, GridError
 
 
 class TestAccumulator:
@@ -46,6 +46,19 @@ class TestRunExperiment:
     def test_needs_two_trials(self):
         with pytest.raises(ValueError):
             run_experiment(gaussian(), 4, FULL, trials=1, seed=0)
+
+    def test_refuses_grid_at_2n(self):
+        # M = 2n misses roots silently: 2,000 trials read 29 se low, unflagged
+        with pytest.raises(GridError):
+            run_experiment(gaussian(), 256, FULL, trials=16, seed=0, M=2 * 256)
+
+    def test_refuses_grid_at_n(self):
+        with pytest.raises(GridError):
+            run_experiment(gaussian(), 16, FULL, trials=16, seed=0, M=16)
+
+    def test_refuses_degree_zero(self):
+        with pytest.raises(ValueError, match="n must be"):
+            run_experiment(gaussian(), 0, FULL, trials=16, seed=0)
 
     def test_parallel_determinism(self):
         recs = [run_experiment(rademacher(), 32, FULL, trials=600, seed=5,

@@ -55,7 +55,7 @@ class TestCountRoots:
         counts = []
         for trial in range(trials):
             counts.append(count_roots(sample(gaussian(), n, seed=31, trial_index=trial),
-                                      FULL, refine=False).count)
+                                      FULL).count)
         counts = np.array(counts, dtype=float)
         se = counts.std(ddof=1) / math.sqrt(trials)
         assert abs(counts.mean() - gaussian_expectation_exact(n)) <= 3 * se
@@ -96,12 +96,6 @@ class TestCountRoots:
         r = count_roots(_manual(np.zeros((3, 2))), FULL)
         assert r.count == 0 and r.uncertain
 
-    def test_unrefined_count_matches_refined(self, rng):
-        for _ in range(20):
-            s = sample(gaussian(), 12, seed=int(rng.integers(2**31)))
-            assert count_roots(s, FULL, refine=True).count == \
-                count_roots(s, FULL, refine=False).count
-
     def test_batch_matches_single(self, rng):
         from trigroots.ensemble import _draw
         ys = _draw(gaussian(), rng, (60, 18, 2))
@@ -109,6 +103,13 @@ class TestCountRoots:
         for j in range(60):
             y = ys[j].copy()
             assert count_roots(_manual(y), FULL).count == counts[j]
+        # half window, Rademacher: P(0) or P(n pi) can be exactly 0, so the
+        # window closure must be the same in both paths
+        ss = [sample(rademacher(), 32, seed=5, trial_index=t) for t in range(100)]
+        counts, uncertain = count_batch(np.stack([s.y for s in ss]), 32, HALF, 16 * 32)
+        for s, c, u in zip(ss, counts, uncertain):
+            r = count_roots(s, HALF)
+            assert (r.count, r.uncertain) == (c, u), s.trial_index
 
     def test_csv_rows(self):
         s = sample(gaussian(), 4, seed=5)
@@ -176,6 +177,18 @@ class TestKacRice:
     def test_delta_must_be_positive(self):
         with pytest.raises(ValueError):
             count_kacrice(sample(gaussian(), 4, seed=0), FULL, delta=0.0)
+
+    def test_joined_delta_intervals_are_flagged(self):
+        # root pairs 0.0042, 0.00041 and 0.0029 apart whose |P| < delta sets
+        # join: the integral cannot equal the count, so the flag must be up
+        for law, n, seed, trial, count in ((gaussian(), 64, 1733000000, 84, 72),
+                                           (rademacher(), 64, 1669000000, 77, 74),
+                                           (gaussian(), 256, 4822000000, 13, 274)):
+            kr = count_kacrice(sample(law, n, seed=seed, trial_index=trial), FULL,
+                               delta=1e-6)
+            assert kr.root_count == count
+            assert abs(kr.value - count) > 1e-3
+            assert kr.flagged
 
     def test_float_conversion(self):
         kr = count_kacrice(_manual([[1.0, 0.0]]), FULL, delta=1e-6)
