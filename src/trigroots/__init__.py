@@ -13,54 +13,4 @@ non-resonance (Diophantine) conditions, characteristic-function decay and
 small-ball probabilities.
 """
 
-from trigroots.ensemble import (
-    DistributionSpec,
-    MomentProfile,
-    CoefficientSample,
-    gaussian,
-    rademacher,
-    uniform,
-    discrete,
-    parse_distribution,
-    moments,
-    sample,
-    charfn_scalar,
-    xi_norm_sq,
-)
-from trigroots.polyeval import (
-    WindowSpec,
-    EvaluationGrid,
-    CovarianceMatrix,
-    eval_point,
-    eval_grid,
-    basis_vectors,
-    covariance_V,
-)
-from trigroots.rootcount import (
-    RootCountResult,
-    KacRiceResult,
-    count_roots,
-    count_kacrice,
-    gaussian_expectation_exact,
-)
-from trigroots.mcstats import (
-    VarianceEstimate,
-    ExperimentRecord,
-    run_experiment,
-    slope_series,
-    theoretical_slope,
-    scaling_check,
-)
-from trigroots.cganalytic import (
-    CgQuadratureConfig,
-    CgResult,
-    SpectralFunctions,
-    g_funcs,
-    rstar,
-    cg_integrand,
-    compute_cg,
-    ystar,
-    ystar_iid,
-)
-
 __version__ = "0.1.0"

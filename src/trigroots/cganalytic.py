@@ -81,6 +81,9 @@ _WG = np.array([
     0.129484966168870])
 _IG = [1, 3, 5, 7, 9, 11, 13]
 
+#: the tail residual after the envelope fit is O(T^-_TAIL_ORDER)
+_TAIL_ORDER = 2
+
 
 class CgConvergenceError(RuntimeError):
     def __init__(self, message, partial):
@@ -97,7 +100,6 @@ class CgQuadratureConfig:
     t0: float = 0.05
     tail_start: float = 1e4
     abs_tol: float = 1e-8
-    tail_order: int = 2  # residual after the envelope fit is O(T^-tail_order)
     max_refinements: int = 200
 
     def __post_init__(self):
@@ -286,7 +288,7 @@ def compute_cg(config: CgQuadratureConfig = CgQuadratureConfig()) -> CgResult:
     tail = (A / T
             + B * (-math.sin(2 * T) / (2 * T * T))
             + C * (math.cos(2 * T) / (2 * T * T)))
-    tail_err = (abs(A) + abs(B) + abs(C) + resid) / T**config.tail_order
+    tail_err = (abs(A) + abs(B) + abs(C) + resid) / T**_TAIL_ORDER
 
     value = 4.0 / (3.0 * math.pi) * (integral + tail) + 2.0 / SQRT3
     err = 4.0 / (3.0 * math.pi) * (quad_err + tail_err)

@@ -29,6 +29,10 @@ from trigroots.polyeval import basis_matrices, covariance_V
 
 TWO_PI = 2.0 * math.pi
 
+#: radial Gauss-Legendre and angular trapezoid nodes of the planar oracle
+_ORACLE_RADIAL_NODES = 32
+_ORACLE_ANGULAR_NODES = 128
+
 
 class FeasibilityError(RuntimeError):
     """Monte Carlo parameters cannot resolve the requested quantity."""
@@ -145,6 +149,11 @@ def _walk_values(n, t, dist, s, trials, seed, chunk=20000):
     return out
 
 
+def _check_delta(delta: float) -> None:
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be finite and > 0, got {delta}")
+
+
 def _gaussian_ball_feasibility(n, t, s, center, delta, trials):
     """Expected hit count under the Gaussian proxy density."""
     center = np.asarray(center, dtype=float)
@@ -169,6 +178,7 @@ def small_ball_mc(n: int, t: float, dist: DistributionSpec, center, delta: float
                   trials: int, seed: int = 0, s: float | None = None,
                   force: bool = False) -> SmallBallEstimate:
     """Monte Carlo P(S_n/sqrt(n) in B(center, delta)) with binomial se."""
+    _check_delta(delta)
     center = np.asarray(center, dtype=float)
     expect, p_est = _gaussian_ball_feasibility(n, t, s, center, delta, trials)
     if expect < 10 and not force:
@@ -183,23 +193,22 @@ def small_ball_mc(n: int, t: float, dist: DistributionSpec, center, delta: float
     return SmallBallEstimate(probability=p, se=se, hits=hits, trials=trials)
 
 
-def gaussian_ball_probability(V: np.ndarray, center, delta: float,
-                              n_radial: int = 32, n_angular: int = 128) -> float:
+def gaussian_ball_probability(V: np.ndarray, center, delta: float) -> float:
     """P(Z in B(center, delta)) for Z ~ N(0, V) in the plane, by polar
     Gauss-Legendre x trapezoid quadrature of the density."""
     if V.shape != (2, 2):
         raise ValueError("oracle implemented for dimension 2")
     center = np.asarray(center, dtype=float)
-    r_nodes, r_weights = np.polynomial.legendre.leggauss(n_radial)
+    r_nodes, r_weights = np.polynomial.legendre.leggauss(_ORACLE_RADIAL_NODES)
     r = 0.5 * delta * (r_nodes + 1.0)
     wr = 0.5 * delta * r_weights
-    ang = np.linspace(0.0, TWO_PI, n_angular, endpoint=False)
+    ang = np.linspace(0.0, TWO_PI, _ORACLE_ANGULAR_NODES, endpoint=False)
     pts = center[None, None, :] + r[:, None, None] * np.stack(
         [np.cos(ang), np.sin(ang)], axis=-1)[None, :, :]
     Vi = np.linalg.inv(V)
     q = np.einsum("rad,de,rae->ra", pts, Vi, pts)
     dens = np.exp(-0.5 * q) / (TWO_PI * math.sqrt(np.linalg.det(V)))
-    inner = dens.sum(axis=1) * (TWO_PI / n_angular)
+    inner = dens.sum(axis=1) * (TWO_PI / _ORACLE_ANGULAR_NODES)
     return float(np.sum(wr * r * inner))
 
 
@@ -215,6 +224,7 @@ class OneDScanResult:
 def smallball_1d_scan(n: int, t: float, dist: DistributionSpec, delta: float,
                       trials: int, seed: int = 0, centers=None) -> OneDScanResult:
     """Max over centers of P(|P_n(t) - a| < delta), Monte Carlo at fixed t."""
+    _check_delta(delta)
     if centers is None:
         centers = np.linspace(-2.0, 2.0, 20)
     centers = np.asarray(centers, dtype=float)
@@ -228,11 +238,3 @@ def smallball_1d_scan(n: int, t: float, dist: DistributionSpec, delta: float,
     ses = np.sqrt(np.maximum(probs * (1 - probs), 1e-300) / trials)
     return OneDScanResult(centers=centers, probabilities=probs, ses=ses,
                           max_probability=float(probs.max()), delta=delta)
-
-
-def normal_interval_probability(variance: float, center: float, delta: float) -> float:
-    """P(|Z - center| < delta) for Z ~ N(0, variance); 1-D scan oracle."""
-    sd = math.sqrt(variance)
-    a = (center - delta) / sd
-    b = (center + delta) / sd
-    return 0.5 * (math.erf(b / math.sqrt(2)) - math.erf(a / math.sqrt(2)))

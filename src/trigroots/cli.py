@@ -5,9 +5,11 @@ Commands mirror the package layout: ``cg`` (slope quadrature), ``simulate``
 output), ``scaling`` (variance growth table), ``kacrice-audit`` (scan vs
 delta-integral agreement), ``conditions`` (non-resonance reports and the
 bad-pair sweep), ``charfn`` (decay scan), ``smallball`` (ball-probability
-scan), ``edgeworth`` (corrector limit tables), ``verify`` (the acceptance
-suite).  Every artifact embeds the package version, the seed, and a hash
-of the resolved configuration; records are JSON, tables are CSV.
+scan), ``verify`` (the acceptance suite; ``--only 6,7`` gives the Edgeworth
+corrector limits).  Every artifact embeds the package version, the seed,
+and a hash of the resolved configuration; records are JSON, tables are
+CSV.  Bad input, including a bad ``--config`` file or thread count, ends
+in one JSON error line on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import csv
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -29,7 +30,6 @@ from trigroots import acceptance, ensemble
 from trigroots.cganalytic import CgQuadratureConfig, compute_cg
 from trigroots.charprobe import decay_scan, small_ball_mc, smallball_1d_scan
 from trigroots.diophantine import build_D, check_condition_st, check_condition_t
-from trigroots.edgeworth import c_n_alpha, gauss_expect_psi_H, gamma_terms
 from trigroots.ensemble import parse_distribution
 from trigroots.mcstats import (
     run_experiment,
@@ -38,7 +38,7 @@ from trigroots.mcstats import (
     slope_series,
 )
 from trigroots.polyeval import FULL, WindowSpec
-from trigroots.rootcount import count_kacrice, count_roots
+from trigroots.rootcount import count_kacrice, count_roots, roots_csv_rows
 
 ENV_THREADS = "TRIGROOTS_THREADS"
 
@@ -215,13 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--one-d", action="store_true", help="scan P_n(t) alone")
     _add_common(p)
 
-    p = sub.add_parser("edgeworth", help="corrector limit tables")
-    p.add_argument("--check", choices=["cn-limits", "psi-limits", "q-normalization"],
-                   default="cn-limits")
-    p.add_argument("--dist", type=str, default="rademacher")
-    p.add_argument("--n", type=int, default=100000)
-    _add_common(p)
-
     p = sub.add_parser("verify", help="run the acceptance suite")
     p.add_argument("--only", type=str, default=None,
                    help="comma-separated criterion ids")
@@ -304,7 +297,6 @@ def _cmd_kacrice_audit(cfg):
         if kr.flagged:
             flagged += 1
         if cfg.get("roots_csv"):
-            from trigroots.rootcount import roots_csv_rows
             rr = count_roots(s, FULL)
             root_rows.extend({"trial_index": a, "root": b, "residual": c}
                              for a, b, c in roots_csv_rows(rr, trial))
@@ -379,42 +371,6 @@ def _cmd_smallball(cfg):
     return 0
 
 
-def _cmd_edgeworth(cfg):
-    dist = parse_distribution(cfg["dist"])
-    n = cfg["n"]
-    check = cfg["check"]
-    rows = []
-    if check == "cn-limits":
-        m4 = ensemble.moments(dist).m4
-        t_arg = math.pi * (math.sqrt(2) - 1.0) * n
-        s_arg = math.pi * (math.sqrt(3) - 1.0) * n
-        for (i, j), coeff in acceptance.CN_CLASS_TARGET.items():
-            target = coeff * (m4 - 3.0)
-            v = c_n_alpha(n, t_arg, dist, (i, i, j, j), s=s_arg)
-            rows.append({"alpha": f"({i},{i},{j},{j})", "computed": v,
-                         "target": target, "error": abs(v - target)})
-    elif check == "psi-limits":
-        for (i, j) in ((1, 3), (1, 4), (2, 3), (2, 4)):
-            target = (1 / (3 * math.pi**2)) * (-1) ** (i + j)
-            v = gauss_expect_psi_H((i, i, j, j), delta=None)
-            rows.append({"alpha": f"({i},{i},{j},{j})", "computed": v,
-                         "target": target, "error": abs(v - target)})
-    else:  # q-normalization: E Q = 1 since every corrector is mean-zero
-        t_arg = math.pi * (math.sqrt(2) - 1.0) * n
-        terms = gamma_terms(min(n, 2000), t_arg, dist, np.zeros(2))
-        nodes, weights = np.polynomial.hermite.hermgauss(64)
-        w = nodes * math.sqrt(2.0)
-        mean_q = 0.0
-        for wi, xi in zip(weights, w):
-            for wj, xj in zip(weights, w):
-                mean_q += wi * wj * terms.q_n2_at(np.array([xi, xj]))
-        mean_q /= math.pi
-        rows.append({"alpha": "E[Q_2]", "computed": mean_q, "target": 1.0,
-                     "error": abs(mean_q - 1.0)})
-    _emit_json({"meta": _meta(cfg), "check": check, "table": rows}, cfg.get("out"))
-    return 0
-
-
 def _cmd_verify(cfg):
     only = None
     if cfg.get("only"):
@@ -439,7 +395,6 @@ _COMMANDS = {
     "conditions": _cmd_conditions,
     "charfn": _cmd_charfn,
     "smallball": _cmd_smallball,
-    "edgeworth": _cmd_edgeworth,
     "verify": _cmd_verify,
 }
 
@@ -448,10 +403,10 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser().parse_args(argv)
-    cfg = _resolve(args, list(argv))
     try:
+        cfg = _resolve(args, list(argv))
         return _COMMANDS[args.command](cfg)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(json.dumps({"error": str(exc), "command": args.command}),
               file=sys.stderr)
         return 2

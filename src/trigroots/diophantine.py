@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from trigroots.polyeval import basis_matrices
-
 #: conservative interval inflation against rounding in the box images
 _FP_SLACK = 1e-12
 
@@ -118,15 +116,8 @@ class DRegion:
         return m * (m - 1) // 2
 
     @property
-    def good_pairs(self) -> int:
-        return self.total_pairs - self.bad_pairs
-
-    @property
     def bad_fraction(self) -> float:
         return self.bad_pairs / self.total_pairs if self.total_pairs else 0.0
-
-    def interval_bounds(self, k: int) -> tuple[float, float]:
-        return k * self.epsilon, (k + 1) * self.epsilon
 
     def _row_ranges(self, k: int):
         r = k - self.k_min
@@ -139,32 +130,6 @@ class DRegion:
         los, his = self._row_ranges(k)
         j = bisect_right(los, p) - 1
         return not (j >= 0 and p <= his[j])
-
-    def iter_good_pairs(self):
-        for k in range(self.k_min, self.k_max + 1):
-            los, his = self._row_ranges(k)
-            p = k + 1
-            for lo, hi in zip(los, his):
-                yield from ((k, q) for q in range(p, min(lo, self.k_max + 1)))
-                p = max(p, hi + 1)
-            yield from ((k, q) for q in range(p, self.k_max + 1))
-
-    def sample_good_pairs(self, count: int, rng: np.random.Generator,
-                          max_tries: int = 100000):
-        """Uniform-ish rejection sample of good pairs."""
-        if self.good_pairs == 0:
-            raise ValueError("region has no good pairs")
-        out = []
-        tries = 0
-        while len(out) < count:
-            tries += 1
-            if tries > max_tries:
-                raise RuntimeError("rejection sampling stalled")
-            k = int(rng.integers(self.k_min, self.k_max))
-            p = int(rng.integers(k + 1, self.k_max + 1))
-            if self.is_good(k, p):
-                out.append((k, p))
-        return out
 
 
 def build_D(n: int, epsilon: float, tau: float = 0.05) -> DRegion:
@@ -264,32 +229,3 @@ def _merge_sorted_ranges(rows, los, his):
     # within a merged segment the union is contiguous, so hi = max over it
     out_hi = np.maximum.reduceat(his, np.nonzero(starts)[0])
     return out_rows, out_lo, out_hi
-
-
-def directional_energy(n: int, s: float | None, t: float, e,
-                       indices=None, derivative_family: bool = False) -> float:
-    """sum_{i in I} <e, v_i>^2 (or v_i' with ``derivative_family``).
-
-    ``e`` is 2-dimensional when s is None (single-point basis) and
-    4-dimensional otherwise; the energy lower bound n^{1-tau} holds for
-    index sets of positive density at non-resonant (s, t).
-    """
-    e = np.asarray(e, dtype=float)
-    if abs(np.linalg.norm(e) - 1.0) > 1e-9:
-        raise ValueError("e must be a unit vector")
-    U, Up = basis_matrices(n, t)
-    fam_t = Up if derivative_family else U
-    if s is None:
-        if e.shape != (2,):
-            raise ValueError("expected a 2-vector without s")
-        proj = fam_t @ e
-    else:
-        if e.shape != (4,):
-            raise ValueError("expected a 4-vector with s")
-        Us, Ups = basis_matrices(n, s)
-        fam_s = Ups if derivative_family else Us
-        proj = fam_t @ e[:2] + fam_s @ e[2:]
-    if indices is not None:
-        idx = np.asarray(indices, dtype=int) - 1  # 1-based index set
-        proj = proj[idx]
-    return float(np.sum(proj * proj))

@@ -21,8 +21,8 @@ tuples in {1..d}^m (H is permutation invariant, so each unordered class is
 weighted by its number of orderings); the double sum in Gamma_2'' counts
 (beta, rho) and (rho, beta) separately.
 
-By default X is rescaled by diag(lambda)^{-1/2} with lambda = (1, 1/3)
-respectively (1, 1/3, 1, 1/3), the limit of the walk's average covariance;
+X is rescaled by diag(lambda)^{-1/2} with lambda = (1, 1/3) respectively
+(1, 1/3, 1, 1/3), the limit of the walk's average covariance;
 ``gauss_expect_psi_H`` computes the matching Gaussian functionals
 E[Psi_delta(diag(lambda)^{1/2} W) H_alpha(W)] by coordinate factorization.
 """
@@ -36,12 +36,14 @@ from itertools import product
 import numpy as np
 from scipy.integrate import quad
 
-from trigroots.charprobe import FeasibilityError
 from trigroots.ensemble import DistributionSpec, moments
-from trigroots.polyeval import coefficient_matrices, basis_matrices
+from trigroots.polyeval import coefficient_matrices
 
-DEFAULT_LAMBDA_2 = (1.0, 1.0 / 3.0)
-DEFAULT_LAMBDA_4 = (1.0, 1.0 / 3.0, 1.0, 1.0 / 3.0)
+LAMBDA_2 = (1.0, 1.0 / 3.0)
+LAMBDA_4 = (1.0, 1.0 / 3.0, 1.0, 1.0 / 3.0)
+
+#: absolute tolerance of the 1-D quadratures behind ``gauss_expect_psi_H``
+_QUAD_TOL = 1e-10
 
 _GAUSSIAN_MOMENTS = {0: 1.0, 1: 0.0, 2: 1.0, 3: 0.0, 4: 3.0}
 
@@ -84,17 +86,6 @@ def H_alpha(alpha, x) -> float:
     return out if np.ndim(out) else float(out)
 
 
-def moment_EXalpha(C: np.ndarray, dist: DistributionSpec, alpha) -> float:
-    """E prod_j (C Y)_{alpha_j} for Y with iid coordinates from ``dist``.
-
-    Expands over the 2^|alpha| coordinate assignments; the Y-expectation
-    factorizes into the scalar moments of each coordinate.
-    """
-    C = np.asarray(C, dtype=float)
-    mom = _scalar_moments(dist)
-    return float(_moment_stack(C[None, :, :], mom, alpha)[0])
-
-
 def _moment_stack(C: np.ndarray, mom: dict[int, float], alpha) -> np.ndarray:
     """Vectorized moment expansion over a stack of matrices (n, d, 2)."""
     alpha = tuple(int(a) - 1 for a in alpha)
@@ -113,37 +104,32 @@ def _moment_stack(C: np.ndarray, mom: dict[int, float], alpha) -> np.ndarray:
     return total
 
 
-def _scaled_matrices(n: int, t: float, s: float | None, lambdas) -> np.ndarray:
+def _scaled_matrices(n: int, t: float, s: float | None) -> np.ndarray:
     C = coefficient_matrices(n, t, s)
-    d = C.shape[1]
-    if lambdas is None:
-        lambdas = DEFAULT_LAMBDA_2 if d == 2 else DEFAULT_LAMBDA_4
-    lam = np.asarray(lambdas, dtype=float)
-    if lam.shape != (d,) or np.any(lam <= 0):
-        raise ValueError("lambdas must be positive and match the dimension")
+    lam = np.asarray(LAMBDA_2 if s is None else LAMBDA_4, dtype=float)
     return C / np.sqrt(lam)[None, :, None]
 
 
 def c_n_alpha(n: int, t: float, dist: DistributionSpec, alpha,
-              s: float | None = None, lambdas=None) -> float:
+              s: float | None = None) -> float:
     """Average moment deviation (1/n) sum_k Delta_alpha of the scaled walk."""
     order = len(tuple(alpha))
     if order not in (3, 4):
         raise ValueError("corrector multi-indices have order 3 or 4")
-    C = _scaled_matrices(n, t, s, lambdas)
+    C = _scaled_matrices(n, t, s)
     mom = _scalar_moments(dist)
     dy = _moment_stack(C, mom, alpha)
     dg = _moment_stack(C, _GAUSSIAN_MOMENTS, alpha)
     return float(np.mean(dy - dg))
 
 
-def _c_n_table(n, t, dist, s, lambdas, order):
+def _c_n_table(n, t, dist, s, order):
     """c_n over all ordered tuples of the given order, keyed by tuple.
 
     Permutation invariance cuts the distinct evaluations to the sorted
     tuples.
     """
-    C = _scaled_matrices(n, t, s, lambdas)
+    C = _scaled_matrices(n, t, s)
     d = C.shape[1]
     mom = _scalar_moments(dist)
     cache: dict[tuple, float] = {}
@@ -202,14 +188,14 @@ class CorrectorTerms:
 
 
 def gamma_terms(n: int, t: float, dist: DistributionSpec, x,
-                s: float | None = None, lambdas=None) -> CorrectorTerms:
+                s: float | None = None) -> CorrectorTerms:
     """All corrector values at the point x, plus the c_n tables behind them."""
     x = np.asarray(x, dtype=float)
     d = 2 if s is None else 4
     if x.shape != (d,):
         raise ValueError(f"x must have dimension {d}")
-    c3 = _c_n_table(n, t, dist, s, lambdas, 3)
-    c4 = _c_n_table(n, t, dist, s, lambdas, 4)
+    c3 = _c_n_table(n, t, dist, s, 3)
+    c4 = _c_n_table(n, t, dist, s, 4)
     g1 = sum(c * H_alpha(a, x) for a, c in c3.items()) / 6.0
     g2p = sum(c * H_alpha(a, x) for a, c in c4.items()) / 24.0
     g2pp = _gamma2_doubleprime(c3, x)
@@ -222,8 +208,7 @@ def _phi(w):
     return math.exp(-0.5 * w * w) / math.sqrt(2.0 * math.pi)
 
 
-def _indicator_factor(k: int, delta: float | None, lam: float,
-                      quad_tol: float) -> float:
+def _indicator_factor(k: int, delta: float | None, lam: float) -> float:
     """E[F_delta(sqrt(lam) W) h_k(W)]; the delta -> 0 limit is pointwise."""
     if k % 2 == 1:
         return 0.0
@@ -231,21 +216,20 @@ def _indicator_factor(k: int, delta: float | None, lam: float,
         return float(hermite(k, 0.0)) * _phi(0.0) / math.sqrt(lam)
     c = delta / math.sqrt(lam)
     val, _ = quad(lambda w: hermite(k, w) * _phi(w), -c, c,
-                  epsabs=quad_tol, epsrel=0.0, limit=200)
+                  epsabs=_QUAD_TOL, epsrel=0.0, limit=200)
     return val / (2.0 * delta)
 
 
-def _abs_factor(k: int, lam: float, quad_tol: float) -> float:
+def _abs_factor(k: int, lam: float) -> float:
     """E[|sqrt(lam) W| h_k(W)]."""
     if k % 2 == 1:
         return 0.0
     val, _ = quad(lambda w: w * hermite(k, w) * _phi(w), 0.0, 40.0,
-                  epsabs=quad_tol, epsrel=0.0, limit=200)
+                  epsabs=_QUAD_TOL, epsrel=0.0, limit=200)
     return 2.0 * val * math.sqrt(lam)
 
 
-def gauss_expect_psi_H(alpha, delta: float | None = None,
-                       lambdas=DEFAULT_LAMBDA_4, quad_tol: float = 1e-10) -> float:
+def gauss_expect_psi_H(alpha, delta: float | None = None) -> float:
     """E[Psi_delta(diag(lambda)^{1/2} W) H_alpha(W)] for standard Gaussian W.
 
     Psi pairs an indicator kernel on coordinates 1, 3 with |.| weights on
@@ -253,65 +237,13 @@ def gauss_expect_psi_H(alpha, delta: float | None = None,
     ``delta=None`` takes the kernel's point-evaluation limit.  Odd
     multiplicity in any coordinate gives 0 exactly by parity.
     """
-    lam = tuple(float(l) for l in lambdas)
-    if len(lam) != 4 or any(l <= 0 for l in lam):
-        raise ValueError("need four positive lambda entries")
     mult = multiplicities(alpha, 4)
     if any(m % 2 for m in mult):
         return 0.0
     out = 1.0
     for j, m in enumerate(mult):
         if j in (0, 2):
-            out *= _indicator_factor(m, delta, lam[j], quad_tol)
+            out *= _indicator_factor(m, delta, LAMBDA_4[j])
         else:
-            out *= _abs_factor(m, lam[j], quad_tol)
+            out *= _abs_factor(m, LAMBDA_4[j])
     return out
-
-
-@dataclass(frozen=True)
-class VnMcResult:
-    value: float
-    se: float
-    trials: int
-    hits_s: int
-    hits_t: int
-    joint_hits: int
-
-
-def v_n_mc(n: int, s: float, t: float, dist: DistributionSpec, delta: float,
-           trials: int, seed: int, chunk: int = 4096) -> VnMcResult:
-    """Monte Carlo covariance of the two kernel-weighted derivatives,
-
-        cov(|P'(s)| F_delta(P(s)), |P'(t)| F_delta(P(t))).
-
-    Refuses when the expected number of |P| < delta hits cannot support an
-    estimate (the indicator concentration makes smaller deltas hopeless).
-    """
-    expected_hits = trials * 2.0 * delta * _phi(0.0)
-    if expected_hits < 10:
-        need = int(math.ceil(10.0 / (2.0 * delta * _phi(0.0))))
-        raise FeasibilityError(
-            f"expected only {expected_hits:.2f} indicator hits; "
-            f"need >= 10 (about {need} trials at this delta)")
-    from trigroots.ensemble import _draw, _rng_for_trial
-
-    Us, Ups = basis_matrices(n, s)
-    Ut, Upt = basis_matrices(n, t)
-    inv = 1.0 / math.sqrt(n)
-    rng = _rng_for_trial(seed, 0)
-    phis = np.empty(trials)
-    phit = np.empty(trials)
-    for lo in range(0, trials, chunk):
-        hi = min(lo + chunk, trials)
-        y = _draw(dist, rng, (hi - lo, n, 2))
-        for (U, Up, out) in ((Us, Ups, phis), (Ut, Upt, phit)):
-            p = (y[:, :, 0] @ U[:, 0] + y[:, :, 1] @ Up[:, 0]) * inv
-            q = (y[:, :, 0] @ U[:, 1] + y[:, :, 1] @ Up[:, 1]) * inv
-            out[lo:hi] = np.abs(q) * (np.abs(p) < delta) / (2.0 * delta)
-    ms, mt = phis.mean(), phit.mean()
-    cov = float(np.mean(phis * phit) - ms * mt)
-    influence = (phis - ms) * (phit - mt) - cov
-    se = float(np.std(influence) / math.sqrt(trials))
-    return VnMcResult(value=cov, se=se, trials=trials,
-                      hits_s=int(np.sum(phis > 0)), hits_t=int(np.sum(phit > 0)),
-                      joint_hits=int(np.sum((phis > 0) & (phit > 0))))

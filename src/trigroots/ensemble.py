@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 SQRT3 = math.sqrt(3.0)
 
@@ -247,8 +246,8 @@ def xi_norm_sq(dist: DistributionSpec, w):
         ||x||^2 = 1/12 + sum_m (-1)^m cos(2 pi m x) / (pi m)^2,
 
     whose expectation only needs |charfn(2 pi m w)|^2; truncation is kept
-    below 1e-12.  ``xi_norm_sq_quadrature`` is the slower density-based
-    cross-check.  Accepts scalars or arrays of w.
+    below 1e-12.  The test suite cross-checks it against a slower
+    density-based quadrature.  Accepts scalars or arrays of w.
     """
     w = np.asarray(w, dtype=float)
     scalar = w.ndim == 0
@@ -295,48 +294,3 @@ def _xi_norm_sq_uniform(w: np.ndarray) -> np.ndarray:
         signs = np.where(m % 2 == 0, 1.0, -1.0) / (math.pi**2 * m**2)
         out[~small] = 1.0 / 12.0 + signs @ phi2
     return out
-
-
-def xi_norm_sq_quadrature(dist: DistributionSpec, w: float, abs_tol: float = 1e-10) -> float:
-    """Density-route evaluation of ``xi_norm_sq`` for the continuous laws.
-
-    Integrates ||w z||^2 against the closed-form density of xi1 - xi2
-    piecewise between the half-integer kinks of ||.||; used as an oracle.
-    """
-    w = float(w)
-    if dist.is_discrete:
-        return float(xi_norm_sq(dist, w))
-    if dist.kind == "gaussian":
-        half_width = 16.0  # N(0,2): mass beyond is ~1e-29
-
-        def density(z):
-            return math.exp(-z * z / 4.0) / (2.0 * math.sqrt(math.pi))
-    elif dist.kind == "uniform":
-        half_width = 2.0 * SQRT3
-
-        def density(z):
-            return max(0.0, (2.0 * SQRT3 - abs(z)) / 12.0)
-    else:  # pragma: no cover
-        raise DistributionError(f"no difference density for {dist.kind}")
-
-    def integrand(z):
-        d = abs(w * z)
-        d = abs(d - round(d))
-        return d * d * density(z)
-
-    if w == 0.0:
-        return 0.0
-    # split at the kinks z = (j + 1/2)/|w| inside the support
-    kinks = []
-    j = 0
-    while (j + 0.5) / abs(w) < half_width:
-        kinks.append((j + 0.5) / abs(w))
-        j += 1
-        if j > 10**6:
-            raise ValueError("w too large for quadrature path; use xi_norm_sq")
-    edges = np.unique(np.concatenate([[0.0], kinks, [half_width]]))
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        val, _ = quad(integrand, a, b, epsabs=abs_tol / (2 * len(edges)), limit=200)
-        total += val
-    return 2.0 * total  # even integrand

@@ -18,10 +18,10 @@ import numpy as np
 
 from trigroots import ensemble
 from trigroots.ensemble import DistributionSpec, moments, parse_distribution
-from trigroots.polyeval import FULL, WindowSpec
+from trigroots.polyeval import FULL, WindowSpec, grid_size
 from trigroots.rootcount import count_batch, default_tol
 
-DEFAULT_CHUNK = 256
+CHUNK_SIZE = 256
 
 #: kurtosis-excess coefficients of the variance slope per window
 SLOPE_COEFF = {"full": 2.0 / 15.0, "half": 1.0 / 30.0}
@@ -151,8 +151,7 @@ def _chunk_counts(dist_label: str, n: int, window_kind: str, M: int,
 
 def run_experiment(dist: DistributionSpec, n: int, window: WindowSpec = FULL,
                    trials: int = 1000, seed: int = 0, parallelism: int = 1,
-                   M: int | None = None, chunk_size: int = DEFAULT_CHUNK,
-                   cg: float | None = None) -> ExperimentRecord:
+                   M: int | None = None, cg: float | None = None) -> ExperimentRecord:
     """Estimate mean and variance of the root count over seeded trials.
 
     Counts come from the grid scan with the stationary-point audit (root
@@ -165,9 +164,9 @@ def run_experiment(dist: DistributionSpec, n: int, window: WindowSpec = FULL,
     if trials < 2:
         raise ValueError("need at least 2 trials")
     if M is None:
-        M = 16 * n
+        M = grid_size(n)
     t0 = time.perf_counter()
-    edges = list(range(0, trials, chunk_size)) + [trials]
+    edges = list(range(0, trials, CHUNK_SIZE)) + [trials]
     jobs = [(dist.label(), n, window.kind, M, seed, lo, hi)
             for lo, hi in zip(edges[:-1], edges[1:])]
     if parallelism > 1 and len(jobs) > 1:
@@ -188,7 +187,7 @@ def run_experiment(dist: DistributionSpec, n: int, window: WindowSpec = FULL,
     return ExperimentRecord(
         distribution=dist.label(), window=window.kind, n=n, M=M,
         tol=default_tol(n), seed=int(seed), trials=trials,
-        chunk_size=chunk_size, estimate=est, theoretical_slope=slope,
+        chunk_size=CHUNK_SIZE, estimate=est, theoretical_slope=slope,
         flagged_trial_count=flagged,
         unreliable=flagged > 0.001 * trials,
         wall_time=wall,

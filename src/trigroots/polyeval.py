@@ -1,4 +1,4 @@
-"""Polynomial evaluation: points, FFT grids, basis vectors, covariances.
+"""Polynomial evaluation: points, FFT grids, basis matrices, covariances.
 
 The degree-n polynomial and its derivative are the coordinates of the
 normalized walk S_n(t)/sqrt(n) built from the basis vectors
@@ -16,16 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import fsum
 
 import numpy as np
 
 from trigroots.ensemble import CoefficientSample
 
 DEFAULT_OVERSAMPLE = 8
-
-_TWO_PI = 2.0 * math.pi
-_LONG_TWO_PI = np.longdouble("6.283185307179586476925286766559005768")
 
 
 class GridError(ValueError):
@@ -99,36 +95,13 @@ class CovarianceMatrix:
             raise ValueError("covariance not positive semidefinite")
 
 
-def _phases(n: int, t: float) -> np.ndarray:
-    """i*t/n mod 2pi for i=1..n, accumulated in extended precision.
-
-    At |t| ~ n*pi with n ~ 1e5 a plain double product already carries an
-    absolute phase error ~1e-11; the 80-bit path keeps it near 1e-14.
-    """
-    ratio = np.longdouble(t) / np.longdouble(n)
-    phases = np.arange(1, n + 1, dtype=np.longdouble) * ratio
-    return np.asarray(np.mod(phases, _LONG_TWO_PI), dtype=float)
+def grid_size(n: int) -> int:
+    """The root-capture bound: the fewest grid points per window at degree n."""
+    return 2 * n * DEFAULT_OVERSAMPLE
 
 
-def eval_point(sample: CoefficientSample, t: float) -> tuple[float, float]:
-    """(P(t), P'(t)) by compensated direct summation."""
-    n = sample.n
-    th = _phases(n, t)
-    c, s = np.cos(th), np.sin(th)
-    y1, y2 = sample.y[:, 0], sample.y[:, 1]
-    w = np.arange(1, n + 1) / n
-    inv = 1.0 / math.sqrt(n)
-    p = fsum((y1 * c).tolist()) + fsum((y2 * s).tolist())
-    q = fsum((w * (y2 * c - y1 * s)).tolist())
-    return p * inv, q * inv
-
-
-def eval_points(sample: CoefficientSample, ts: np.ndarray, order: int = 1) -> tuple:
-    """Vectorized (P, P', [P'']) at arbitrary points; chunked in memory.
-
-    Used by root refinement loops; ``eval_point`` is the slower compensated
-    single-point variant.
-    """
+def eval_points(sample: CoefficientSample, ts: np.ndarray) -> tuple:
+    """Vectorized (P, P') at arbitrary points; chunked in memory."""
     n = sample.n
     ts = np.asarray(ts, dtype=float)
     y1, y2 = sample.y[:, 0], sample.y[:, 1]
@@ -136,7 +109,6 @@ def eval_points(sample: CoefficientSample, ts: np.ndarray, order: int = 1) -> tu
     inv = 1.0 / math.sqrt(n)
     P = np.empty_like(ts)
     Q = np.empty_like(ts)
-    R = np.empty_like(ts) if order >= 2 else None
     chunk = max(1, int(4e6 // max(n, 1)))
     for lo in range(0, ts.size, chunk):
         sl = slice(lo, min(lo + chunk, ts.size))
@@ -144,11 +116,6 @@ def eval_points(sample: CoefficientSample, ts: np.ndarray, order: int = 1) -> tu
         c, s = np.cos(th), np.sin(th)
         P[sl] = (c @ y1 + s @ y2) * inv
         Q[sl] = (c @ (w * y2) - s @ (w * y1)) * inv
-        if order >= 2:
-            w2 = w * w
-            R[sl] = -(c @ (w2 * y1) + s @ (w2 * y2)) * inv
-    if order >= 2:
-        return P, Q, R
     return P, Q
 
 
@@ -174,7 +141,7 @@ def eval_grid(sample: CoefficientSample, window: WindowSpec,
     batch of one, M defaulting to the root-capture bound."""
     n = sample.n
     if M is None:
-        M = 2 * n * DEFAULT_OVERSAMPLE
+        M = grid_size(n)
     P, Q = eval_grid_batch(sample.y[None], n, window, M)
     P, Q = P[0], Q[0]
     P.setflags(write=False)
@@ -186,43 +153,19 @@ def eval_grid_batch(ys: np.ndarray, n: int, window: WindowSpec, M: int):
     """(P, P') grids for a batch of coefficient arrays, shape (B, n, 2), via
     one batched complex FFT (both at once by Hermitian packing).
 
-    Refuses M below 2n * DEFAULT_OVERSAMPLE: the sign-change root capture
-    relies on several grid points per root of a degree-n trigonometric
-    polynomial.  The half window spans half a period, so it is evaluated on
-    the 2M-point full grid and keeps the first M points.
+    Refuses M below ``grid_size(n)``: the sign-change root capture relies
+    on several grid points per root of a degree-n trigonometric polynomial.
+    The half window spans half a period, so it is evaluated on the 2M-point
+    full grid and keeps the first M points.
     """
-    if M < 2 * n * DEFAULT_OVERSAMPLE:
-        raise GridError(f"M={M} below root-capture bound {2 * n * DEFAULT_OVERSAMPLE}")
+    if M < grid_size(n):
+        raise GridError(f"M={M} below root-capture bound {grid_size(n)}")
     start_ratio = window.start(n) / (math.pi * n)  # -1 (full) or 0 (half)
     Mfft = M if window.kind == "full" else 2 * M
     spec = _packed_spectrum(ys, n, Mfft, start_ratio)
     F = np.fft.ifft(spec, axis=-1) * Mfft
     scale = 1.0 / (2.0 * math.sqrt(n))
     return F.real[..., :M] * scale, F.imag[..., :M] * scale
-
-
-@dataclass(frozen=True)
-class BasisVectors:
-    u: np.ndarray
-    uprime: np.ndarray
-    v: np.ndarray | None = None
-    vprime: np.ndarray | None = None
-
-
-def basis_vectors(n: int, i: int, t: float, s: float | None = None) -> BasisVectors:
-    """u_i(t), u_i'(t); with s also the concatenated v_i, v_i' (t-block first)."""
-    if not 1 <= i <= n:
-        raise ValueError(f"index i={i} outside 1..{n}")
-    th = i * t / n
-    w = i / n
-    u = np.array([math.cos(th), -w * math.sin(th)])
-    up = np.array([math.sin(th), w * math.cos(th)])
-    if s is None:
-        return BasisVectors(u=u, uprime=up)
-    us = basis_vectors(n, i, s)
-    return BasisVectors(u=u, uprime=up,
-                        v=np.concatenate([u, us.u]),
-                        vprime=np.concatenate([up, us.uprime]))
 
 
 def basis_matrices(n: int, t: float) -> tuple[np.ndarray, np.ndarray]:

@@ -144,6 +144,18 @@ def _hermite_extremum(p0, p1, q0, q1, h):
     return x, val
 
 
+def _bisect(keep_lo, lo, hi, steps):
+    """Halve the brackets [lo, hi] ``steps`` times.  Where ``keep_lo(mid)``
+    holds, mid is on lo's side of the sought point and replaces lo;
+    elsewhere it replaces hi."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        left = keep_lo(mid)
+        lo = np.where(left, mid, lo)
+        hi = np.where(left, hi, mid)
+    return lo, hi
+
+
 def _row_evaluator(y: np.ndarray):
     """(P, P') of coefficient row k at the point ts[k]; y has shape (K, n, 2).
 
@@ -186,27 +198,18 @@ def _resolve_audits(p0, p1, q0, q1, h, t_left, scale, y):
         pq = _row_evaluator(y[idx])
         lo = t_left[idx].astype(float)
         hi = lo + h
-        _, q_lo = pq(lo)
-        s_lo = _signs(q_lo)
-        for _ in range(_AUDIT_BISECT_STAGE1):
-            mid = 0.5 * (lo + hi)
-            _, q_mid = pq(mid)
-            left = _signs(q_mid) == s_lo
-            lo = np.where(left, mid, lo)
-            hi = np.where(left, hi, mid)
+        s_lo = _signs(pq(lo)[1])
+        lo, hi = _bisect(lambda mid: _signs(pq(mid)[1]) == s_lo,
+                         lo, hi, _AUDIT_BISECT_STAGE1)
         ts = 0.5 * (lo + hi)
         ps, _ = pq(ts)
         tiny = np.abs(ps) <= 1e-6 * scale[idx]
         if tiny.any():
             sub = np.nonzero(tiny)[0]
             pq2 = _row_evaluator(y[idx[sub]])
-            lo2, hi2, s2 = lo[sub], hi[sub], s_lo[sub]
-            for _ in range(_AUDIT_BISECT_STAGE2):
-                mid = 0.5 * (lo2 + hi2)
-                _, q_mid = pq2(mid)
-                left = _signs(q_mid) == s2
-                lo2 = np.where(left, mid, lo2)
-                hi2 = np.where(left, hi2, mid)
+            s2 = s_lo[sub]
+            lo2, hi2 = _bisect(lambda mid: _signs(pq2(mid)[1]) == s2,
+                               lo[sub], hi[sub], _AUDIT_BISECT_STAGE2)
             ts2 = 0.5 * (lo2 + hi2)
             ps2, _ = pq2(ts2)
             ts[sub] = ts2
@@ -269,13 +272,13 @@ def _scan_and_audit(ys: np.ndarray, P: np.ndarray, Q: np.ndarray,
 
 
 def count_roots(sample: CoefficientSample, window: WindowSpec = FULL,
-                M: int | None = None, tol: float | None = None) -> RootCountResult:
+                tol: float | None = None) -> RootCountResult:
     """Count and refine the real roots in the window: the batch engine on
     one sample, then bisection plus Newton polish of every bracket."""
     n = sample.n
     if tol is None:
         tol = default_tol(n)
-    grid = eval_grid(sample, window, M)
+    grid = eval_grid(sample, window)
     h = grid.spacing
     if not 0.0 < tol < h:
         raise ValueError(f"tol={tol} outside (0, grid spacing {h})")
@@ -309,12 +312,8 @@ def _refine_brackets(sample, lo, hi, s_lo, tol):
     """Vectorized bisection to width tol, then a guarded Newton polish."""
     width = float(np.max(hi - lo))
     steps = max(1, int(math.ceil(math.log2(width / tol))))
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        p_mid, _ = eval_points(sample, mid)
-        take_left = _signs(p_mid) == s_lo
-        lo = np.where(take_left, mid, lo)
-        hi = np.where(take_left, hi, mid)
+    lo, hi = _bisect(lambda mid: _signs(eval_points(sample, mid)[0]) == s_lo,
+                     lo, hi, steps)
     x = 0.5 * (lo + hi)
     for _ in range(_NEWTON_POLISH_STEPS):
         p, q = eval_points(sample, x)
@@ -338,7 +337,7 @@ def count_batch(ys: np.ndarray, n: int, window: WindowSpec, M: int):
 
 
 def count_kacrice(sample: CoefficientSample, window: WindowSpec = FULL,
-                  delta: float = 1e-6, M: int | None = None) -> KacRiceResult:
+                  delta: float = 1e-6) -> KacRiceResult:
     """Approximate-integral root count (1/2 delta) int |P'| 1_{|P|<delta}.
 
     Around each refined root the two |P| = delta crossings are located by
@@ -349,9 +348,9 @@ def count_kacrice(sample: CoefficientSample, window: WindowSpec = FULL,
     is uncertain, or when the delta-intervals of two roots overlap: then
     the |P| < delta set joins them and the integral cannot equal the count.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    rr = count_roots(sample, window, M=M)
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be finite and > 0, got {delta}")
+    rr = count_roots(sample, window)
     grid = rr.grid
     safe = min(float(np.min(np.abs(grid.P) + np.abs(grid.Pprime))),
                abs(float(grid.P[0])), abs(rr.end_value))
@@ -392,14 +391,9 @@ def _tangency_mass(sample, grid, cell, delta):
     t0 = grid.t_values()[cell]
     h = grid.spacing
     lo, hi = np.array([t0]), np.array([t0 + h])
-    _, q_lo = eval_points(sample, lo)
-    s_lo = _signs(q_lo)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        _, q_mid = eval_points(sample, mid)
-        left = _signs(q_mid) == s_lo
-        lo = np.where(left, mid, lo)
-        hi = np.where(left, hi, mid)
+    s_lo = _signs(eval_points(sample, lo)[1])
+    lo, hi = _bisect(lambda mid: _signs(eval_points(sample, mid)[1]) == s_lo,
+                     lo, hi, 60)
     t_star = float((0.5 * (lo + hi))[0])
     p_star, _ = eval_points(sample, np.array([t_star]))
     if abs(p_star[0]) >= delta:
@@ -428,14 +422,9 @@ def _find_level_crossing(sample, roots, deriv, delta, h, side):
         w = np.where(inside, 2.0 * w, w)
         t_out = roots + side * w
         p_out, _ = eval_points(sample, t_out)
-    lo = roots.copy()      # |P| < delta here
-    hi = t_out             # |P| >= delta here
-    for _ in range(_CROSSING_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        p_mid, _ = eval_points(sample, mid)
-        inside = np.abs(p_mid) < delta
-        lo = np.where(inside, mid, lo)
-        hi = np.where(inside, hi, mid)
+    # lo = roots has |P| < delta, hi = t_out has |P| >= delta
+    lo, hi = _bisect(lambda mid: np.abs(eval_points(sample, mid)[0]) < delta,
+                     roots, t_out, _CROSSING_BISECT_STEPS)
     return 0.5 * (lo + hi)
 
 

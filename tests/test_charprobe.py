@@ -9,10 +9,10 @@ from trigroots.charprobe import (
     exponent_bound,
     gaussian_ball_probability,
     log_abs_charfn,
-    normal_interval_probability,
     small_ball_mc,
     smallball_1d_scan,
 )
+from oracles import normal_interval_probability
 from trigroots.diophantine import check_condition_t
 from trigroots.ensemble import discrete, gaussian, rademacher, uniform
 from trigroots.polyeval import basis_matrices, covariance_V
@@ -178,6 +178,14 @@ class TestSmallBall:
                           trials=100, seed=0)
         assert err.value.required_trials > 100
 
+    def test_rejects_delta_not_finite_and_positive(self):
+        # a NaN expected-hit count would pass the feasibility gate
+        for delta in (math.nan, math.inf, 0.0):
+            for force in (False, True):
+                with pytest.raises(ValueError):
+                    small_ball_mc(50, 3.0, gaussian(), np.zeros(2), delta,
+                                  trials=1000, seed=0, force=force)
+
     def test_r4_probe(self):
         n = 100
         s = math.pi * n * (math.sqrt(2) - 1)
@@ -213,3 +221,8 @@ class TestOneDScan:
     def test_infeasible_refused(self):
         with pytest.raises(FeasibilityError):
             smallball_1d_scan(50, 3.0, gaussian(), delta=1e-6, trials=100, seed=0)
+
+    def test_rejects_delta_not_finite_and_positive(self):
+        for delta in (math.nan, math.inf, 0.0):
+            with pytest.raises(ValueError):
+                smallball_1d_scan(50, 3.0, gaussian(), delta, trials=1000, seed=0)

@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from trigroots.cli import main
 
 
@@ -115,25 +117,37 @@ class TestOtherCommands:
                         "--one-d", "--out", str(out)]) == 0
         assert out.exists()
 
-    def test_edgeworth_tables(self, tmp_path):
-        out = tmp_path / "edge.json"
-        assert run_cli(["edgeworth", "--check", "psi-limits",
-                        "--out", str(out)]) == 0
-        table = json.loads(out.read_text())["table"]
-        assert len(table) == 4
-        assert all(r["error"] < 1e-3 for r in table)
-        assert run_cli(["edgeworth", "--check", "cn-limits",
-                        "--out", str(out)]) == 0
-        table = json.loads(out.read_text())["table"]
-        assert len(table) == 4
-        assert all(r["error"] < 1e-2 for r in table)
 
-    def test_edgeworth_q_normalization(self, tmp_path):
-        out = tmp_path / "q.json"
-        assert run_cli(["edgeworth", "--check", "q-normalization",
-                        "--n", "500", "--out", str(out)]) == 0
-        table = json.loads(out.read_text())["table"]
-        assert table[0]["error"] < 1e-9
+class TestErrors:
+    """Bad input ends in one JSON error line on stderr and exit code 2."""
+
+    @staticmethod
+    def _error(capsys, command):
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["command"] == command
+        return err["error"]
+
+    @pytest.mark.parametrize("delta", ["nan", "inf", "0"])
+    def test_kacrice_audit_bad_delta(self, capsys, delta):
+        assert run_cli(["kacrice-audit", "--n", "8", "--trials", "2",
+                        "--delta", delta]) == 2
+        assert "delta" in self._error(capsys, "kacrice-audit")
+
+    def test_bad_thread_count_in_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("TRIGROOTS_THREADS", "abc")
+        assert run_cli(["simulate", "--n", "4", "--trials", "10"]) == 2
+        assert "abc" in self._error(capsys, "simulate")
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        assert run_cli(["simulate", "--config", str(missing)]) == 2
+        assert "absent.json" in self._error(capsys, "simulate")
+
+    def test_malformed_config_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{trials: 10")
+        assert run_cli(["simulate", "--config", str(bad)]) == 2
+        self._error(capsys, "simulate")
 
 
 class TestVerify:

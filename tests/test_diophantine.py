@@ -7,7 +7,6 @@ from trigroots.diophantine import (
     build_D,
     check_condition_st,
     check_condition_t,
-    directional_energy,
 )
 
 
@@ -172,13 +171,17 @@ class TestBuildD:
     def test_sampled_good_pairs_pass_condition(self, rng):
         n = 1000
         D = build_D(n, 1.0, 0.05)
-        pairs = D.sample_good_pairs(100, rng)
+        pairs = []
+        while len(pairs) < 100:
+            k = int(rng.integers(D.k_min, D.k_max))
+            p = int(rng.integers(k + 1, D.k_max + 1))
+            if D.is_good(k, p):
+                pairs.append((k, p))
         for k, p in pairs:
-            t_lo, t_hi = D.interval_bounds(k)
-            s_lo, s_hi = D.interval_bounds(p)
+            # interval I_k = [k eps, (k+1) eps]
             for _ in range(10):
-                s = float(rng.uniform(s_lo, s_hi))
-                t = float(rng.uniform(t_lo, t_hi))
+                s = float(rng.uniform(p * D.epsilon, (p + 1) * D.epsilon))
+                t = float(rng.uniform(k * D.epsilon, (k + 1) * D.epsilon))
                 assert check_condition_st(n, s, t, 0.05).satisfied
 
     def test_fraction_decreases_with_n(self):
@@ -190,64 +193,3 @@ class TestBuildD:
         assert D.total_pairs == 0
         assert D.bad_fraction == 0.0
 
-    def test_iterator_consistent_with_counts(self):
-        D = build_D(20, 2.0, 0.05)
-        good = list(D.iter_good_pairs())
-        assert len(good) == D.good_pairs
-        assert all(D.is_good(k, p) for k, p in good)
-
-
-class TestDirectionalEnergy:
-    def test_first_coordinate_half_n(self):
-        n = 10000
-        t = math.pi * n * (math.sqrt(2) - 1)
-        s = math.pi * n * (math.sqrt(3) - 1)
-        v = directional_energy(n, s, t, np.array([1.0, 0, 0, 0]))
-        assert v == pytest.approx(n / 2, rel=0.01)
-
-    def test_derivative_family_power_sum(self):
-        # second coordinate of the derivative basis at t = 0 is i/n
-        n = 3000
-        v = directional_energy(n, None, 0.0, np.array([0.0, 1.0]),
-                               derivative_family=True)
-        assert v == pytest.approx(n / 3, rel=0.01)
-
-    def test_random_directions_meet_energy_floor(self, rng):
-        # equidistribution gives energy ~ n [(e1^2+e3^2)/2 + (e2^2+e4^2)/6],
-        # so the sharp finite-n floor is n/6 (derivative-aligned directions);
-        # the cruder n^{1-tau} floor only dominates once n^tau > 6
-        n = 10000
-        t = math.pi * n * (math.sqrt(2) - 1)
-        s = math.pi * n * (math.sqrt(3) - 1)
-        for _ in range(100):
-            e = rng.standard_normal(4)
-            e /= np.linalg.norm(e)
-            pred = n * ((e[0]**2 + e[2]**2) / 2 + (e[1]**2 + e[3]**2) / 6)
-            assert directional_energy(n, s, t, e) >= 0.9 * pred
-            assert directional_energy(n, s, t, e) >= n / 6 * 0.9
-            assert directional_energy(n, s, t, e, derivative_family=True) \
-                >= n / 6 * 0.9
-
-    def test_power_law_floor_at_asymptotic_scale(self, rng):
-        # n^{1-tau} <= n/6 needs n^tau >= 6: first reachable near n = 6^8
-        n = 10_000_000
-        tau = 0.125
-        t = math.pi * n * (math.sqrt(2) - 1)
-        s = math.pi * n * (math.sqrt(3) - 1)
-        floor = n ** (1 - tau)
-        for _ in range(5):
-            e = rng.standard_normal(4)
-            e /= np.linalg.norm(e)
-            assert directional_energy(n, s, t, e) >= floor
-
-    def test_index_subset(self):
-        n = 1000
-        t = math.pi * n * 0.37
-        full = directional_energy(n, None, t, np.array([1.0, 0.0]))
-        half = directional_energy(n, None, t, np.array([1.0, 0.0]),
-                                  indices=np.arange(1, n // 2 + 1))
-        assert 0 < half < full
-
-    def test_non_unit_vector_rejected(self):
-        with pytest.raises(ValueError):
-            directional_energy(10, None, 1.0, np.array([2.0, 0.0]))

@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 from numpy.polynomial.hermite_e import hermeval
 
 from trigroots.edgeworth import (
-    FeasibilityError,
     H_alpha,
+    _moment_stack,
+    _scalar_moments,
     c_n_alpha,
     gamma_terms,
     gauss_expect_psi_H,
     hermite,
-    moment_EXalpha,
-    v_n_mc,
 )
 from trigroots.ensemble import discrete, gaussian, rademacher, uniform
 
@@ -75,6 +74,13 @@ class TestHAlpha:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             H_alpha((0, 1), np.zeros(2))
+
+
+def moment_EXalpha(C, dist, alpha):
+    """E prod_j (C Y)_{alpha_j} for one matrix C, through the stacked
+    expansion that ``c_n_alpha`` averages."""
+    return float(_moment_stack(np.asarray(C, dtype=float)[None], _scalar_moments(dist),
+                               alpha)[0])
 
 
 class TestMomentExpansion:
@@ -248,10 +254,6 @@ class TestGaussExpectPsiH:
         exact = gauss_expect_psi_H(alpha, delta=delta)
         assert abs(vals.mean() - exact) <= 5 * se
 
-    def test_bad_lambda_raises(self):
-        with pytest.raises(ValueError):
-            gauss_expect_psi_H((1, 1, 3, 3), delta=0.1, lambdas=(1, -1, 1, 1))
-
 
 class TestAggregate:
     def test_aggregate_kurtosis_coefficient(self):
@@ -271,33 +273,3 @@ class TestAggregate:
             aggregate = 2 * math.pi**2 * total / 24.0
             assert aggregate == pytest.approx((m4 - 3.0) / 15.0, abs=2e-4)
 
-
-class TestVnMc:
-    def test_self_covariance_nonnegative(self):
-        t = 50.0
-        r = v_n_mc(64, t, t, gaussian(), delta=0.05, trials=40000, seed=3)
-        assert r.value >= -3 * r.se
-
-    def test_distant_points_decorrelate(self):
-        n = 128
-        s = math.pi * n * (math.sqrt(2) - 1)
-        t = math.pi * n * (math.sqrt(3) - 1)
-        r = v_n_mc(n, s, t, gaussian(), delta=0.05, trials=60000, seed=4)
-        assert abs(r.value) <= 3 * r.se + 1e-4
-
-    def test_infeasible_delta_refused(self):
-        with pytest.raises(FeasibilityError):
-            v_n_mc(64, 10.0, 20.0, gaussian(), delta=1e-9, trials=1000, seed=0)
-        # one class for every probe: callers catch the charprobe name
-        from trigroots import charprobe
-        assert FeasibilityError is charprobe.FeasibilityError
-
-    def test_ensemble_comparison_smoke(self):
-        n = 512
-        s = math.pi * n * (math.sqrt(2) - 1)
-        t = math.pi * n * (math.sqrt(3) - 1)
-        rg = v_n_mc(n, s, t, gaussian(), delta=0.1, trials=20000, seed=5)
-        rr = v_n_mc(n, s, t, rademacher(), delta=0.1, trials=20000, seed=5)
-        for r in (rg, rr):
-            assert math.isfinite(r.value) and r.se > 0
-            assert r.hits_s >= 10 and r.hits_t >= 10

@@ -17,8 +17,8 @@ from trigroots.ensemble import (
     uniform,
     charfn_scalar,
     xi_norm_sq,
-    xi_norm_sq_quadrature,
 )
+from oracles import xi_norm_sq_quadrature
 
 ALL_DISTS = [gaussian(), rademacher(), uniform(),
              discrete([(-2.0, 0.125), (0.0, 0.75), (2.0, 0.125)])]

@@ -113,7 +113,7 @@ class TestRunExperiment:
         rec = run_experiment(rademacher(), 24, FULL, trials=300, seed=33)
         replay = run_experiment(parse_distribution(rec.distribution), rec.n,
                                 WindowSpec(rec.window), rec.trials, rec.seed,
-                                M=rec.M, chunk_size=rec.chunk_size)
+                                M=rec.M)
         assert json.dumps(replay.canonical_dict(), sort_keys=True) == \
             json.dumps(rec.canonical_dict(), sort_keys=True)
 

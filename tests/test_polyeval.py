@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import eval_point
 from trigroots.ensemble import CoefficientSample, gaussian, rademacher, sample
 from trigroots.polyeval import (
     FULL,
     HALF,
     GridError,
-    basis_vectors,
+    basis_matrices,
+    coefficient_matrices,
     covariance_V,
     eval_grid,
-    eval_point,
     eval_points,
 )
 
@@ -136,30 +137,28 @@ class TestEvalGrid:
 
 
 class TestBasisVectors:
+    # rows of basis_matrices are u_i(t), u_i'(t); coefficient_matrices
+    # stacks them as the columns of C_n(i)
     def test_phases_vanish_at_zero(self):
-        b = basis_vectors(5, 5, 0.0)
-        np.testing.assert_allclose(b.u, [1.0, 0.0])
-        np.testing.assert_allclose(b.uprime, [0.0, 1.0])
+        U, Up = basis_matrices(5, 0.0)
+        np.testing.assert_allclose(U, np.column_stack([np.ones(5), np.zeros(5)]))
+        np.testing.assert_allclose(Up, np.column_stack([np.zeros(5), np.arange(1, 6) / 5]))
 
-    @given(n=st.integers(1, 200), frac=st.floats(0.0, 1.0),
-           tt=st.floats(-100.0, 100.0))
+    @given(n=st.integers(1, 200), tt=st.floats(-100.0, 100.0))
     @settings(max_examples=100, deadline=None)
-    def test_pythagorean_identity(self, n, frac, tt):
-        i = 1 + int(frac * (n - 1))
-        b = basis_vectors(n, i, tt)
-        total = b.u @ b.u + b.uprime @ b.uprime
-        assert total == pytest.approx(1.0 + (i / n) ** 2, rel=1e-12)
+    def test_pythagorean_identity(self, n, tt):
+        U, Up = basis_matrices(n, tt)
+        total = np.sum(U * U, axis=1) + np.sum(Up * Up, axis=1)
+        w = np.arange(1, n + 1) / n
+        np.testing.assert_allclose(total, 1.0 + w * w, rtol=1e-12)
 
     def test_concatenation_order_t_block_first(self):
-        b = basis_vectors(7, 3, 1.1, s=2.2)
-        np.testing.assert_allclose(b.v[:2], b.u)
-        np.testing.assert_allclose(b.vprime[:2], b.uprime)
-        bs = basis_vectors(7, 3, 2.2)
-        np.testing.assert_allclose(b.v[2:], bs.u)
-
-    def test_index_range_enforced(self):
-        with pytest.raises(ValueError):
-            basis_vectors(5, 6, 0.0)
+        C = coefficient_matrices(7, 1.1, s=2.2)
+        np.testing.assert_allclose(C[:, :2, :], coefficient_matrices(7, 1.1))
+        np.testing.assert_allclose(C[:, 2:, :], coefficient_matrices(7, 2.2))
+        U, Up = basis_matrices(7, 2.2)
+        np.testing.assert_allclose(C[:, 2:, 0], U)
+        np.testing.assert_allclose(C[:, 2:, 1], Up)
 
 
 class TestCovariance:

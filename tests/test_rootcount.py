@@ -143,6 +143,12 @@ class TestKacRice:
         assert r.value == pytest.approx(2.0, rel=1e-6)
         assert not r.flagged
 
+    def test_rejects_delta_not_finite_and_positive(self):
+        s = sample(gaussian(), 32, seed=1)
+        for delta in (math.nan, math.inf, 0.0, -1e-6):
+            with pytest.raises(ValueError):
+                count_kacrice(s, FULL, delta=delta)
+
     def test_agreement_study(self):
         agree = 0
         unflagged_bad = 0
@@ -229,7 +235,7 @@ class TestEngineeredTangency:
         assert kr.value == pytest.approx(3.0, abs=1e-6)
 
     def test_perturbed_tangency_resolves_to_a_pair(self):
-        from trigroots.polyeval import eval_point
+        from oracles import eval_point
         base = _tangent_sample()
         side = np.sign(eval_point(base, 0.95)[0])
         split = _tangent_sample(offset=-side * 1e-4)
