@@ -19,6 +19,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -38,7 +39,7 @@ from trigroots.mcstats import (
     slope_series,
 )
 from trigroots.polyeval import FULL, WindowSpec
-from trigroots.rootcount import count_kacrice, count_roots, roots_csv_rows
+from trigroots.rootcount import count_kacrice, roots_csv_rows
 
 ENV_THREADS = "TRIGROOTS_THREADS"
 
@@ -229,7 +230,7 @@ def _resolve(args, argv) -> dict:
         explicit = set()
         for k in cfg:
             flag = "--" + k.replace("_", "-")
-            if flag in argv:
+            if any(a == flag or a.startswith(flag + "=") for a in argv):
                 explicit.add(k)
         for k, v in json.loads(Path(args.config).read_text()).items():
             if k not in explicit:
@@ -287,6 +288,10 @@ def _cmd_scaling(cfg):
 
 def _cmd_kacrice_audit(cfg):
     dist = parse_distribution(cfg["dist"])
+    if not 0.0 < cfg["delta"] < math.inf:
+        raise ValueError(f"delta must be finite and > 0, got {cfg['delta']}")
+    if cfg["trials"] < 1:
+        raise ValueError(f"trials must be >= 1, got {cfg['trials']}")
     agree = flagged = 0
     root_rows = []
     for trial in range(cfg["trials"]):
@@ -297,9 +302,8 @@ def _cmd_kacrice_audit(cfg):
         if kr.flagged:
             flagged += 1
         if cfg.get("roots_csv"):
-            rr = count_roots(s, FULL)
             root_rows.extend({"trial_index": a, "root": b, "residual": c}
-                             for a, b, c in roots_csv_rows(rr, trial))
+                             for a, b, c in roots_csv_rows(kr.root_result, trial))
     if cfg.get("roots_csv"):
         _emit_csv(root_rows, cfg["roots_csv"], cfg)
     _emit_json({"meta": _meta(cfg), "trials": cfg["trials"], "agree": agree,

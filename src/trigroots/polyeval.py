@@ -10,6 +10,12 @@ so P_n(t) = n^{-1/2} sum_i y_i1 u_i[0] + y_i2 u_i'[0] and P_n' likewise
 from the second components.  On an equispaced grid the phases i*t_k/n are
 equispaced in k, which turns grid evaluation into a single complex inverse
 FFT (both P and P' at once via Hermitian packing).
+
+A single-sample grid also carries the derivatives P^(0) .. P^(K+1) over one
+full period, two orders to each FFT of the spectrum times (i j/n)^k.  Its
+``eval_local`` method reads (P, P') at any t from the Taylor series at the
+nearest node, in O(K) per point; ``eval_points`` costs O(n) per point and
+stays the exact evaluator.
 """
 
 from __future__ import annotations
@@ -22,6 +28,13 @@ import numpy as np
 from trigroots.ensemble import CoefficientSample
 
 DEFAULT_OVERSAMPLE = 8
+
+#: Taylor degree K of ``EvaluationGrid.eval_local``.  All frequencies j/n
+#: are <= 1, so Bernstein's inequality gives sup|P^(k)| <= sup|P| and the
+#: remainder of the degree-K series of P or P' at distance <= h/2 from a
+#: node is <= sup|P| (h/2)^(K+1)/(K+1)!: 4e-16 sup|P| at the widest grid
+#: spacing that ``grid_size`` admits, h/2 = pi/16.
+TAYLOR_ORDER = 10
 
 
 class GridError(ValueError):
@@ -58,13 +71,18 @@ HALF = WindowSpec("half")
 
 @dataclass(frozen=True)
 class EvaluationGrid:
-    """P and P' sampled on the equispaced abscissae t_k = start + k*spacing."""
+    """P and P' sampled on the equispaced abscissae t_k = start + k*spacing.
+
+    ``derivs[k, m]`` is P^(m)(t_k) for m = 0 .. TAYLOR_ORDER + 1 and k over
+    one full period of nodes (M for the full window, 2M for the half).
+    """
 
     window: WindowSpec
     n: int
     M: int
     P: np.ndarray
     Pprime: np.ndarray
+    derivs: np.ndarray
 
     @property
     def spacing(self) -> float:
@@ -76,6 +94,23 @@ class EvaluationGrid:
 
     def t_values(self) -> np.ndarray:
         return self.start + self.spacing * np.arange(self.M)
+
+    def eval_local(self, ts) -> tuple:
+        """(P, P') at arbitrary t by Horner on the Taylor series at the
+        nearest node; nodes are taken modulo the period, so t outside the
+        window is evaluated too.  Error bound: see ``TAYLOR_ORDER``."""
+        ts = np.asarray(ts, dtype=float)
+        h = self.spacing
+        k = np.rint((ts - self.start) / h)
+        x = ts - (self.start + k * h)
+        d = self.derivs[k.astype(np.int64) % self.derivs.shape[0]]
+        K = TAYLOR_ORDER
+        p, q = d[..., K], d[..., K + 1]
+        for m in range(K - 1, -1, -1):
+            f = x / (m + 1)
+            p = d[..., m] + f * p
+            q = d[..., m + 1] + f * q
+        return p, q
 
 
 @dataclass(frozen=True)
@@ -100,6 +135,14 @@ def grid_size(n: int) -> int:
     return 2 * n * DEFAULT_OVERSAMPLE
 
 
+def _period_size(n: int, window: WindowSpec, M: int) -> int:
+    """Nodes in one full period of an M-point grid of the window; refuses M
+    below ``grid_size(n)``."""
+    if M < grid_size(n):
+        raise GridError(f"M={M} below root-capture bound {grid_size(n)}")
+    return M if window.kind == "full" else 2 * M
+
+
 def eval_points(sample: CoefficientSample, ts: np.ndarray) -> tuple:
     """Vectorized (P, P') at arbitrary points; chunked in memory."""
     n = sample.n
@@ -119,16 +162,21 @@ def eval_points(sample: CoefficientSample, ts: np.ndarray) -> tuple:
     return P, Q
 
 
-def _packed_spectrum(y: np.ndarray, n: int, M: int, start_over_pi_n: float) -> np.ndarray:
-    """Hermitian-packed spectrum whose length-M inverse FFT carries P in the
-    real part and P' in the imaginary part (after scaling by M/(2 sqrt n))."""
+def _packed_spectrum(y: np.ndarray, n: int, M: int, start_over_pi_n: float,
+                     order: int = 0) -> np.ndarray:
+    """Hermitian-packed spectrum whose length-M inverse FFT carries P^(order)
+    in the real part and P^(order+1) in the imaginary part (after scaling by
+    M/(2 sqrt n))."""
     i = np.arange(1, n + 1)
     z = y[..., 0] - 1j * y[..., 1]  # Re(z e^{i theta}) = y1 cos + y2 sin
     # phase offset of the window start folded into the coefficients;
     # for the full window start_over_pi_n = -1 this is the exact (-1)^i
     rot = np.exp(1j * math.pi * start_over_pi_n * i)
     base = z * rot
-    dbase = base * (1j * (i / n))  # d/dt of e^{i i t / n} term
+    d = 1j * (i / n)  # d/dt of the e^{i i t / n} term
+    for _ in range(order):
+        base = base * d
+    dbase = base * d
     spec = np.zeros(y.shape[:-2] + (M,), dtype=complex)
     spec[..., i] = base + 1j * dbase
     spec[..., M - i] += np.conj(base) + 1j * np.conj(dbase)
@@ -137,16 +185,28 @@ def _packed_spectrum(y: np.ndarray, n: int, M: int, start_over_pi_n: float) -> n
 
 def eval_grid(sample: CoefficientSample, window: WindowSpec,
               M: int | None = None) -> EvaluationGrid:
-    """P and P' on the window's equispaced grid: ``eval_grid_batch`` on a
-    batch of one, M defaulting to the root-capture bound."""
+    """P and P' on the window's equispaced grid, M defaulting to the
+    root-capture bound, with the derivative stack over one full period.
+
+    P and P' are those of ``eval_grid_batch`` on a batch of one; each pair
+    of orders (m, m+1) takes one FFT of one period, Mfft points.
+    """
     n = sample.n
     if M is None:
         M = grid_size(n)
-    P, Q = eval_grid_batch(sample.y[None], n, window, M)
-    P, Q = P[0], Q[0]
-    P.setflags(write=False)
-    Q.setflags(write=False)
-    return EvaluationGrid(window=window, n=n, M=M, P=P, Pprime=Q)
+    Mfft = _period_size(n, window, M)
+    start_ratio = window.start(n) / (math.pi * n)
+    scale = 1.0 / (2.0 * math.sqrt(n))
+    orders = range(0, TAYLOR_ORDER + 2, 2)
+    derivs = np.empty((Mfft, 2 * len(orders)))
+    for m in orders:
+        F = np.fft.ifft(_packed_spectrum(sample.y, n, Mfft, start_ratio, m)) * Mfft
+        derivs[:, m] = F.real * scale
+        derivs[:, m + 1] = F.imag * scale
+    P, Q = derivs[:M, 0].copy(), derivs[:M, 1].copy()
+    for a in (P, Q, derivs):
+        a.setflags(write=False)
+    return EvaluationGrid(window=window, n=n, M=M, P=P, Pprime=Q, derivs=derivs)
 
 
 def eval_grid_batch(ys: np.ndarray, n: int, window: WindowSpec, M: int):
@@ -158,10 +218,8 @@ def eval_grid_batch(ys: np.ndarray, n: int, window: WindowSpec, M: int):
     The half window spans half a period, so it is evaluated on the 2M-point
     full grid and keeps the first M points.
     """
-    if M < grid_size(n):
-        raise GridError(f"M={M} below root-capture bound {grid_size(n)}")
+    Mfft = _period_size(n, window, M)
     start_ratio = window.start(n) / (math.pi * n)  # -1 (full) or 0 (half)
-    Mfft = M if window.kind == "full" else 2 * M
     spec = _packed_spectrum(ys, n, Mfft, start_ratio)
     F = np.fft.ifft(spec, axis=-1) * Mfft
     scale = 1.0 / (2.0 * math.sqrt(n))

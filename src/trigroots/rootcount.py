@@ -7,14 +7,18 @@ hide either nothing, a tangency, or a pair of roots missed by the scan.
 One engine, ``_scan_and_audit``, does the scan and the audit on a batch of
 grids; ``count_batch`` runs it on Monte Carlo batches and ``count_roots``
 on a batch of one, then refines each bracket by bisection plus a short
-guarded Newton polish.
+guarded Newton polish.  The single-sample steps read P and P' through the
+grid's local Taylor evaluator (``EvaluationGrid.eval_local``, O(1) in n per
+point); one exact ``eval_points`` call at the polished roots gives the
+reported residuals and derivatives, an independent check on every root.
 
 ``count_kacrice`` evaluates (1/2 delta) * int |P'| 1_{|P| < delta} dt by
 locating the two |P| = delta crossings around each root and integrating
-|P'| with 15-node Gauss-Legendre in between.  It reproduces the integer
-count unless the sample is flagged: delta above the grid's safe estimate
-(min of |P| + |P'| over the grid and |P| at the window ends), an uncertain
-count, or overlapping delta-intervals of neighbouring roots.
+|P'| with 15-node Gauss-Legendre in between, all on the local evaluator.
+It reproduces the integer count unless the sample is flagged: delta above
+the grid's safe estimate (min of |P| + |P'| over the grid and |P| at the
+window ends), an uncertain count, or overlapping delta-intervals of
+neighbouring roots.
 """
 
 from __future__ import annotations
@@ -74,7 +78,11 @@ class KacRiceResult:
     flagged: bool
     safe_delta_estimate: float
     delta: float
-    root_count: int
+    root_result: RootCountResult  # the count and refined roots integrated
+
+    @property
+    def root_count(self) -> int:
+        return self.root_result.count
 
     def __float__(self):
         return self.value
@@ -299,7 +307,7 @@ def count_roots(sample: CoefficientSample, window: WindowSpec = FULL,
 
     roots = resid = deriv = np.empty(0)
     if lo.size:
-        roots, resid, deriv = _refine_brackets(sample, lo, hi, s_lo, tol)
+        roots, resid, deriv = _refine_brackets(sample, grid, lo, hi, s_lo, tol)
         order = np.argsort(roots)
         roots, resid, deriv = roots[order], resid[order], deriv[order]
     unresolved = scan.cells[scan.status == _AUDIT_TANGENT]
@@ -308,15 +316,16 @@ def count_roots(sample: CoefficientSample, window: WindowSpec = FULL,
                            bool(scan.uncertain[0]), grid, float(scan.end[0]), tol)
 
 
-def _refine_brackets(sample, lo, hi, s_lo, tol):
-    """Vectorized bisection to width tol, then a guarded Newton polish."""
+def _refine_brackets(sample, grid, lo, hi, s_lo, tol):
+    """Vectorized bisection to width tol, then a guarded Newton polish, on
+    the grid's local evaluator; residuals and derivatives are exact."""
     width = float(np.max(hi - lo))
     steps = max(1, int(math.ceil(math.log2(width / tol))))
-    lo, hi = _bisect(lambda mid: _signs(eval_points(sample, mid)[0]) == s_lo,
+    lo, hi = _bisect(lambda mid: _signs(grid.eval_local(mid)[0]) == s_lo,
                      lo, hi, steps)
     x = 0.5 * (lo + hi)
     for _ in range(_NEWTON_POLISH_STEPS):
-        p, q = eval_points(sample, x)
+        p, q = grid.eval_local(x)
         step = np.where(q != 0.0, p / np.where(q == 0.0, 1.0, q), 0.0)
         x_new = x - step
         inside = (x_new >= lo) & (x_new <= hi)
@@ -359,8 +368,8 @@ def count_kacrice(sample: CoefficientSample, window: WindowSpec = FULL,
     total = 0.0
     if rr.count:
         roots, deriv = rr.roots, rr.derivatives
-        t_lo = _find_level_crossing(sample, roots, deriv, delta, grid.spacing, side=-1.0)
-        t_hi = _find_level_crossing(sample, roots, deriv, delta, grid.spacing, side=+1.0)
+        t_lo = _find_level_crossing(grid, roots, deriv, delta, side=-1.0)
+        t_hi = _find_level_crossing(grid, roots, deriv, delta, side=+1.0)
         flagged |= bool(np.any(t_lo[1:] <= t_hi[:-1]))
         if window.circular:
             flagged |= bool(t_lo[0] + window.length(sample.n) <= t_hi[-1])
@@ -370,7 +379,7 @@ def count_kacrice(sample: CoefficientSample, window: WindowSpec = FULL,
         mid = 0.5 * (t_hi + t_lo)
         half = 0.5 * (t_hi - t_lo)
         nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-        _, qv = eval_points(sample, nodes.ravel())
+        _, qv = grid.eval_local(nodes.ravel())
         qv = np.abs(qv).reshape(nodes.shape)
         total += float(np.sum((qv @ _GL_WEIGHTS) * half))
 
@@ -379,51 +388,48 @@ def count_kacrice(sample: CoefficientSample, window: WindowSpec = FULL,
     # clean cells stay above the tangency scale, double cells' roots are
     # already in the root list)
     for cell in rr.unresolved_cells:
-        total += _tangency_mass(sample, grid, cell, delta)
+        total += _tangency_mass(grid, cell, delta)
 
     return KacRiceResult(value=total / (2.0 * delta), flagged=flagged,
-                         safe_delta_estimate=safe, delta=delta,
-                         root_count=rr.count)
+                         safe_delta_estimate=safe, delta=delta, root_result=rr)
 
 
-def _tangency_mass(sample, grid, cell, delta):
+def _tangency_mass(grid, cell, delta):
     """int |P'| over the |P| < delta dip of an unresolved tangency cell."""
     t0 = grid.t_values()[cell]
-    h = grid.spacing
-    lo, hi = np.array([t0]), np.array([t0 + h])
-    s_lo = _signs(eval_points(sample, lo)[1])
-    lo, hi = _bisect(lambda mid: _signs(eval_points(sample, mid)[1]) == s_lo,
+    lo, hi = np.array([t0]), np.array([t0 + grid.spacing])
+    s_lo = _signs(grid.eval_local(lo)[1])
+    lo, hi = _bisect(lambda mid: _signs(grid.eval_local(mid)[1]) == s_lo,
                      lo, hi, 60)
     t_star = float((0.5 * (lo + hi))[0])
-    p_star, _ = eval_points(sample, np.array([t_star]))
+    p_star, _ = grid.eval_local(np.array([t_star]))
     if abs(p_star[0]) >= delta:
         return 0.0
     # |P| is unimodal on each side of the dip: the |P'| integral telescopes
     # to (delta - |P(t*)|) per side once the delta crossings are bracketed
     unit = np.array([1.0])
-    left = _find_level_crossing(sample, np.array([t_star]), unit, delta, h,
-                                side=-1.0)
-    right = _find_level_crossing(sample, np.array([t_star]), unit, delta, h,
-                                 side=+1.0)
-    p_l, _ = eval_points(sample, left)
-    p_r, _ = eval_points(sample, right)
+    left = _find_level_crossing(grid, np.array([t_star]), unit, delta, side=-1.0)
+    right = _find_level_crossing(grid, np.array([t_star]), unit, delta, side=+1.0)
+    p_l, _ = grid.eval_local(left)
+    p_r, _ = grid.eval_local(right)
     return float((abs(p_l[0]) - abs(p_star[0])) + (abs(p_r[0]) - abs(p_star[0])))
 
 
-def _find_level_crossing(sample, roots, deriv, delta, h, side):
+def _find_level_crossing(grid, roots, deriv, delta, side):
     """Nearest t on the given side of each root with |P(t)| = delta."""
-    w = np.minimum(0.5 * h, 2.0 * delta / np.maximum(np.abs(deriv), 1e-300))
+    w = np.minimum(0.5 * grid.spacing,
+                   2.0 * delta / np.maximum(np.abs(deriv), 1e-300))
     t_out = roots + side * w
-    p_out, _ = eval_points(sample, t_out)
+    p_out, _ = grid.eval_local(t_out)
     for _ in range(64):
         inside = np.abs(p_out) < delta
         if not inside.any():
             break
         w = np.where(inside, 2.0 * w, w)
         t_out = roots + side * w
-        p_out, _ = eval_points(sample, t_out)
+        p_out, _ = grid.eval_local(t_out)
     # lo = roots has |P| < delta, hi = t_out has |P| >= delta
-    lo, hi = _bisect(lambda mid: np.abs(eval_points(sample, mid)[0]) < delta,
+    lo, hi = _bisect(lambda mid: np.abs(grid.eval_local(mid)[0]) < delta,
                      roots, t_out, _CROSSING_BISECT_STEPS)
     return 0.5 * (lo + hi)
 

@@ -1,9 +1,13 @@
+import csv
 import json
 import math
 
 import pytest
 
 from trigroots.cli import main
+from trigroots.ensemble import gaussian, sample
+from trigroots.polyeval import FULL
+from trigroots.rootcount import count_roots, roots_csv_rows
 
 
 def run_cli(args):
@@ -67,6 +71,22 @@ class TestSweep:
         assert len(body) == 2  # header + one row
 
 
+class TestConfig:
+    def test_equals_form_flags_win_over_config(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"n": 8, "trials": 10}))
+        out = tmp_path / "kr.json"
+        code = run_cli(["kacrice-audit", "--config", str(cfgfile), "--n=16",
+                        "--trials=3", "--out", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["trials"] == 3
+        out = tmp_path / "rec.json"
+        assert run_cli(["simulate", "--config", str(cfgfile), "--n=16",
+                        "--out", str(out)]) == 0
+        rec = json.loads(out.read_text())["record"]
+        assert (rec["n"], rec["trials"]) == (16, 10)
+
+
 class TestConditions:
     def test_point_and_pair(self, tmp_path):
         out = tmp_path / "cond.json"
@@ -102,6 +122,20 @@ class TestOtherCommands:
         payload = json.loads(out.read_text())
         assert payload["agree"] >= 19
 
+    def test_kacrice_audit_roots_csv_is_the_count(self, tmp_path):
+        # the CSV comes from the roots count_kacrice refined, which are
+        # those of a separate count_roots call on the same sample
+        roots = tmp_path / "roots.csv"
+        assert run_cli(["kacrice-audit", "--n", "16", "--trials", "4",
+                        "--seed", "5", "--roots-csv", str(roots)]) == 0
+        lines = [l for l in roots.read_text().splitlines() if not l.startswith("#")]
+        rows = list(csv.DictReader(lines))
+        expected = [row for trial in range(4)
+                    for row in roots_csv_rows(
+                        count_roots(sample(gaussian(), 16, 5, trial), FULL), trial)]
+        assert [(int(r["trial_index"]), float(r["root"]), float(r["residual"]))
+                for r in rows] == expected
+
     def test_charfn_scan(self, tmp_path):
         out = tmp_path / "decay.csv"
         assert run_cli(["charfn", "--dist", "rademacher", "--n", "100",
@@ -132,6 +166,15 @@ class TestErrors:
         assert run_cli(["kacrice-audit", "--n", "8", "--trials", "2",
                         "--delta", delta]) == 2
         assert "delta" in self._error(capsys, "kacrice-audit")
+
+    def test_kacrice_audit_bad_delta_without_trials(self, capsys):
+        assert run_cli(["kacrice-audit", "--trials", "0", "--delta", "nan"]) == 2
+        assert "delta" in self._error(capsys, "kacrice-audit")
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_kacrice_audit_needs_a_trial(self, capsys, trials):
+        assert run_cli(["kacrice-audit", "--trials", trials]) == 2
+        assert "trials" in self._error(capsys, "kacrice-audit")
 
     def test_bad_thread_count_in_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("TRIGROOTS_THREADS", "abc")

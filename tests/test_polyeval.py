@@ -15,6 +15,7 @@ from trigroots.polyeval import (
     coefficient_matrices,
     covariance_V,
     eval_grid,
+    eval_grid_batch,
     eval_points,
 )
 
@@ -134,6 +135,47 @@ class TestEvalGrid:
             e2 = abs(fd(5e-4) - q)
             # second-order error: quartering plus rounding slack
             assert e2 <= e1 / 3.0 + 1e-9
+
+
+class TestLocalEvaluator:
+    """``EvaluationGrid.eval_local`` (Taylor series at the nearest node)
+    against the exact ``eval_points`` and the compensated oracle."""
+
+    @staticmethod
+    def _points(g):
+        n, h = g.n, g.spacing
+        nodes = g.start + h * np.array([0, 1, g.M // 3, g.M - 1])
+        mids = g.start + h * np.array([0.5, g.M // 2 + 0.5, g.M - 0.5])
+        far = np.array([n * math.pi, -n * math.pi, n * math.pi - 1e-9 * n,
+                        -n * math.pi + 0.49 * h])
+        outside = np.array([g.start - 0.3 * h, g.start - 2.5 * h,
+                            g.window.end(n) + 0.4 * h, g.window.end(n) + 3.5 * h])
+        return np.concatenate([nodes, mids, far, outside])
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 64, 1024, 10_000])
+    @pytest.mark.parametrize("window", [FULL, HALF], ids=["full", "half"])
+    @pytest.mark.parametrize("oversample", [1, 2])
+    def test_matches_exact_evaluators(self, n, window, oversample):
+        s = sample(gaussian(), n, seed=n + 7)
+        g = eval_grid(s, window, M=16 * n * oversample)
+        ts = self._points(g)
+        p, q = g.eval_local(ts)
+        p_ref, q_ref = eval_points(s, ts)
+        oracle = np.array([eval_point(s, t) for t in ts])
+        bound = max(1e-14, 1e-15 * n) * float(np.max(np.abs(g.derivs[:, 0])))
+        for ref in ((p_ref, q_ref), (oracle[:, 0], oracle[:, 1])):
+            assert np.max(np.abs(p - ref[0])) <= bound
+            assert np.max(np.abs(q - ref[1])) <= bound
+
+    @pytest.mark.parametrize("window", [FULL, HALF], ids=["full", "half"])
+    def test_grid_is_the_batch_of_one(self, window):
+        for n in (1, 3, 16, 50, 256):
+            s = sample(gaussian(), n, seed=n)
+            for M in (16 * n, 32 * n):
+                g = eval_grid(s, window, M=M)
+                P, Q = eval_grid_batch(s.y[None], n, window, M)
+                assert P[0].tobytes() == g.P.tobytes()
+                assert Q[0].tobytes() == g.Pprime.tobytes()
 
 
 class TestBasisVectors:
