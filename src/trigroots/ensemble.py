@@ -158,6 +158,8 @@ class CoefficientSample:
     def __post_init__(self):
         if self.y.shape != (self.n, 2):
             raise ValueError(f"coefficient array shape {self.y.shape} != ({self.n}, 2)")
+        if not np.isfinite(self.y).all():
+            raise ValueError("coefficients must be finite")
 
 
 def _rng_for_trial(seed: int, trial_index: int) -> np.random.Generator:

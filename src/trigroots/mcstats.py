@@ -163,6 +163,8 @@ def run_experiment(dist: DistributionSpec, n: int, window: WindowSpec = FULL,
         raise ValueError("n must be >= 1")
     if trials < 2:
         raise ValueError("need at least 2 trials")
+    if parallelism < 1:
+        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     if M is None:
         M = grid_size(n)
     t0 = time.perf_counter()

@@ -11,11 +11,17 @@ from the second components.  On an equispaced grid the phases i*t_k/n are
 equispaced in k, which turns grid evaluation into a single complex inverse
 FFT (both P and P' at once via Hermitian packing).
 
+The FFT's scale M/(2 sqrt n) is folded into the packed spectrum, so the
+batch grids P and P' are views of the FFT output, with no full-grid copy.
+
 A single-sample grid also carries the derivatives P^(0) .. P^(K+1) over one
 full period, two orders to each FFT of the spectrum times (i j/n)^k.  Its
 ``eval_local`` method reads (P, P') at any t from the Taylor series at the
 nearest node, in O(K) per point; ``eval_points`` costs O(n) per point and
-stays the exact evaluator.
+stays the exact evaluator.  ``cell_expansions`` builds the same series at
+the midpoints of arbitrary cells (the batch audit's), in O(n K) per cell
+from one cos/sin table, and ``taylor_eval`` is the one Horner loop that
+reads both.
 """
 
 from __future__ import annotations
@@ -103,14 +109,50 @@ class EvaluationGrid:
         h = self.spacing
         k = np.rint((ts - self.start) / h)
         x = ts - (self.start + k * h)
-        d = self.derivs[k.astype(np.int64) % self.derivs.shape[0]]
-        K = TAYLOR_ORDER
-        p, q = d[..., K], d[..., K + 1]
-        for m in range(K - 1, -1, -1):
-            f = x / (m + 1)
-            p = d[..., m] + f * p
-            q = d[..., m + 1] + f * q
-        return p, q
+        return taylor_eval(self.derivs[k.astype(np.int64) % self.derivs.shape[0]], x)
+
+
+def taylor_eval(d: np.ndarray, x) -> tuple:
+    """(P, P') at offset x from the point where d[..., m] = P^(m), for
+    m = 0 .. TAYLOR_ORDER + 1, by Horner on the degree-K Taylor series."""
+    K = TAYLOR_ORDER
+    p, q = d[..., K], d[..., K + 1]
+    for m in range(K - 1, -1, -1):
+        f = x / (m + 1)
+        p = d[..., m] + f * p
+        q = d[..., m + 1] + f * q
+    return p, q
+
+
+def cell_expansions(ys: np.ndarray, t_left: np.ndarray, h: float) -> tuple:
+    """Per cell k of width h from t_left[k], with the coefficients ys[k]
+    (shape (B, n, 2)): P' at t_left[k] by direct row sums, and the Taylor
+    coefficients P^(0) .. P^(TAYLOR_ORDER + 1) at the midpoint, for
+    ``taylor_eval``.  One cos/sin table at t_left serves both: turned by
+    the fixed phases i h/(2n) it becomes the midpoint table, and K + 2
+    weighted sums give the coefficients.  Chunked in memory like
+    ``eval_points``."""
+    n = ys.shape[1]
+    i = np.arange(1, n + 1, dtype=float)
+    w = i / n
+    inv = 1.0 / math.sqrt(n)
+    orders = np.arange(TAYLOR_ORDER + 2)
+    # the m-th derivative of cos, sin(i t/n) is (i/n)^m cos, sin(i t/n + m pi/2)
+    weights = w[:, None] ** orders * np.array([1.0, 1.0, -1.0, -1.0])[orders % 4] * inv
+    ch, sh = np.cos(i * (0.5 * h / n)), np.sin(i * (0.5 * h / n))
+    slope = np.empty(len(t_left))
+    coef = np.empty((len(t_left), orders.size))
+    chunk = max(1, int(4e6 // n))
+    for lo in range(0, len(t_left), chunk):
+        sl = slice(lo, lo + chunk)
+        th = np.multiply.outer(t_left[sl] / n, i)
+        c, s = np.cos(th), np.sin(th)
+        y1, y2 = ys[sl, :, 0], ys[sl, :, 1]
+        slope[sl] = (np.sum(c * (w * y2), axis=1) - np.sum(s * (w * y1), axis=1)) * inv
+        c, s = c * ch - s * sh, s * ch + c * sh
+        coef[sl, 0::2] = (c * y1 + s * y2) @ weights[:, 0::2]
+        coef[sl, 1::2] = (c * y2 - s * y1) @ weights[:, 1::2]
+    return slope, coef
 
 
 @dataclass(frozen=True)
@@ -165,13 +207,15 @@ def eval_points(sample: CoefficientSample, ts: np.ndarray) -> tuple:
 def _packed_spectrum(y: np.ndarray, n: int, M: int, start_over_pi_n: float,
                      order: int = 0) -> np.ndarray:
     """Hermitian-packed spectrum whose length-M inverse FFT carries P^(order)
-    in the real part and P^(order+1) in the imaginary part (after scaling by
-    M/(2 sqrt n))."""
+    in the real part and P^(order+1) in the imaginary part."""
     i = np.arange(1, n + 1)
     z = y[..., 0] - 1j * y[..., 1]  # Re(z e^{i theta}) = y1 cos + y2 sin
     # phase offset of the window start folded into the coefficients;
-    # for the full window start_over_pi_n = -1 this is the exact (-1)^i
-    rot = np.exp(1j * math.pi * start_over_pi_n * i)
+    # for the full window start_over_pi_n = -1 this is the exact (-1)^i.
+    # So is the factor M/(2 sqrt n): it undoes the FFT's 1/M and the 2 of
+    # each Hermitian pair and puts in P's 1/sqrt n (a power of two, so
+    # exact, when n is a power of four).
+    rot = np.exp(1j * math.pi * start_over_pi_n * i) * (M / (2.0 * math.sqrt(n)))
     base = z * rot
     d = 1j * (i / n)  # d/dt of the e^{i i t / n} term
     for _ in range(order):
@@ -196,13 +240,12 @@ def eval_grid(sample: CoefficientSample, window: WindowSpec,
         M = grid_size(n)
     Mfft = _period_size(n, window, M)
     start_ratio = window.start(n) / (math.pi * n)
-    scale = 1.0 / (2.0 * math.sqrt(n))
     orders = range(0, TAYLOR_ORDER + 2, 2)
     derivs = np.empty((Mfft, 2 * len(orders)))
     for m in orders:
-        F = np.fft.ifft(_packed_spectrum(sample.y, n, Mfft, start_ratio, m)) * Mfft
-        derivs[:, m] = F.real * scale
-        derivs[:, m + 1] = F.imag * scale
+        F = np.fft.ifft(_packed_spectrum(sample.y, n, Mfft, start_ratio, m))
+        derivs[:, m] = F.real
+        derivs[:, m + 1] = F.imag
     P, Q = derivs[:M, 0].copy(), derivs[:M, 1].copy()
     for a in (P, Q, derivs):
         a.setflags(write=False)
@@ -211,7 +254,8 @@ def eval_grid(sample: CoefficientSample, window: WindowSpec,
 
 def eval_grid_batch(ys: np.ndarray, n: int, window: WindowSpec, M: int):
     """(P, P') grids for a batch of coefficient arrays, shape (B, n, 2), via
-    one batched complex FFT (both at once by Hermitian packing).
+    one batched complex FFT (both at once by Hermitian packing).  P and P'
+    are views of the real and imaginary parts of its output.
 
     Refuses M below ``grid_size(n)``: the sign-change root capture relies
     on several grid points per root of a degree-n trigonometric polynomial.
@@ -220,10 +264,8 @@ def eval_grid_batch(ys: np.ndarray, n: int, window: WindowSpec, M: int):
     """
     Mfft = _period_size(n, window, M)
     start_ratio = window.start(n) / (math.pi * n)  # -1 (full) or 0 (half)
-    spec = _packed_spectrum(ys, n, Mfft, start_ratio)
-    F = np.fft.ifft(spec, axis=-1) * Mfft
-    scale = 1.0 / (2.0 * math.sqrt(n))
-    return F.real[..., :M] * scale, F.imag[..., :M] * scale
+    F = np.fft.ifft(_packed_spectrum(ys, n, Mfft, start_ratio), axis=-1)
+    return F.real[..., :M], F.imag[..., :M]
 
 
 def basis_matrices(n: int, t: float) -> tuple[np.ndarray, np.ndarray]:

@@ -7,7 +7,12 @@ hide either nothing, a tangency, or a pair of roots missed by the scan.
 One engine, ``_scan_and_audit``, does the scan and the audit on a batch of
 grids; ``count_batch`` runs it on Monte Carlo batches and ``count_roots``
 on a batch of one, then refines each bracket by bisection plus a short
-guarded Newton polish.  The single-sample steps read P and P' through the
+guarded Newton polish.  The engine pays for the grid and the audited cells
+only: the scan compares boolean sign grids, the dip test runs on the cells
+where P' changes sign and P does not, and each cell that needs bisection
+gets its Taylor coefficients once (``polyeval.cell_expansions``), so a
+bisection step costs O(K), not O(n).  A row with a non-finite coefficient
+is flagged.  The single-sample steps read P and P' through the
 grid's local Taylor evaluator (``EvaluationGrid.eval_local``, O(1) in n per
 point); one exact ``eval_points`` call at the polished roots gives the
 reported residuals and derivatives, an independent check on every root.
@@ -34,9 +39,11 @@ from trigroots.polyeval import (
     FULL,
     EvaluationGrid,
     WindowSpec,
+    cell_expansions,
     eval_grid,
     eval_grid_batch,
     eval_points,
+    taylor_eval,
 )
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
@@ -108,14 +115,6 @@ def _signs(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, 1.0, -1.0)
 
 
-def _audit_candidates(Pl, Pr, Ql, Qr, h):
-    """Cells with no sign change, a stationary point, and a suspicious dip."""
-    crossing = _signs(Pl) * _signs(Pr) < 0
-    dip = np.minimum(np.abs(Pl), np.abs(Pr)) < 0.5 * h * np.maximum(np.abs(Ql), np.abs(Qr))
-    stationary = _signs(Ql) * _signs(Qr) < 0
-    return crossing, (~crossing) & stationary & dip
-
-
 def _hermite_extremum(p0, p1, q0, q1, h):
     """Interior stationary point of the cubic Hermite interpolant per cell.
 
@@ -164,36 +163,17 @@ def _bisect(keep_lo, lo, hi, steps):
     return lo, hi
 
 
-def _row_evaluator(y: np.ndarray):
-    """(P, P') of coefficient row k at the point ts[k]; y has shape (K, n, 2).
-
-    The rows and their frequency-weighted copies are built once, so each
-    bisection step costs one cos/sin table and four row sums.
-    """
-    n = y.shape[1]
-    i = np.arange(1, n + 1, dtype=float)
-    w = i / n
-    inv = 1.0 / math.sqrt(n)
-    y1, y2 = y[:, :, 0], y[:, :, 1]
-    wy1, wy2 = w * y1, w * y2
-
-    def pq(ts):
-        th = np.multiply.outer(ts / n, i)
-        c, s = np.cos(th), np.sin(th)
-        p = (np.sum(c * y1, axis=1) + np.sum(s * y2, axis=1)) * inv
-        q = (np.sum(c * wy2, axis=1) - np.sum(s * wy1, axis=1)) * inv
-        return p, q
-    return pq
-
-
-def _resolve_audits(p0, p1, q0, q1, h, t_left, scale, y):
+def _resolve_audits(p0, p1, q0, q1, h, t_left, scale, ys, rows):
     """Classify audited cells: clean, a hidden root pair, or tangency.
 
     The cubic-Hermite extremum screens out clear cases; only cells whose
     interpolated extremum is within the screen margin of zero (or has no
     clean quadratic root) are resolved by bisection on the derivative sign
-    change, with extra refinement for near-zero stationary values.  ``y``
-    holds each cell's coefficient row.  Returns (status, t_star) per cell.
+    change, with extra refinement for near-zero stationary values.  The
+    bisection reads the Taylor series at the cell midpoint, built once per
+    cell; its starting sign is that of the exact P' at the left node.  Row
+    ``rows[k]`` of ``ys`` holds cell k's coefficients.  Returns (status,
+    t_star) per cell.
     """
     x, val = _hermite_extremum(p0, p1, q0, q1, h)
     needs = np.isnan(x) | (np.abs(val) <= _SCREEN_MARGIN * scale)
@@ -203,25 +183,23 @@ def _resolve_audits(p0, p1, q0, q1, h, t_left, scale, y):
 
     if needs.any():
         idx = np.nonzero(needs)[0]
-        pq = _row_evaluator(y[idx])
         lo = t_left[idx].astype(float)
         hi = lo + h
-        s_lo = _signs(pq(lo)[1])
-        lo, hi = _bisect(lambda mid: _signs(pq(mid)[1]) == s_lo,
+        mid = lo + 0.5 * h
+        slope, d = cell_expansions(ys[rows[idx]], lo, h)
+        up = slope >= 0.0
+        lo, hi = _bisect(lambda t: (taylor_eval(d, t - mid)[1] >= 0.0) == up,
                          lo, hi, _AUDIT_BISECT_STAGE1)
         ts = 0.5 * (lo + hi)
-        ps, _ = pq(ts)
+        ps = taylor_eval(d, ts - mid)[0]
         tiny = np.abs(ps) <= 1e-6 * scale[idx]
         if tiny.any():
             sub = np.nonzero(tiny)[0]
-            pq2 = _row_evaluator(y[idx[sub]])
-            s2 = s_lo[sub]
-            lo2, hi2 = _bisect(lambda mid: _signs(pq2(mid)[1]) == s2,
+            d2, mid2, up2 = d[sub], mid[sub], up[sub]
+            lo2, hi2 = _bisect(lambda t: (taylor_eval(d2, t - mid2)[1] >= 0.0) == up2,
                                lo[sub], hi[sub], _AUDIT_BISECT_STAGE2)
-            ts2 = 0.5 * (lo2 + hi2)
-            ps2, _ = pq2(ts2)
-            ts[sub] = ts2
-            ps[sub] = ps2
+            ts[sub] = 0.5 * (lo2 + hi2)
+            ps[sub] = taylor_eval(d2, ts[sub] - mid2)[0]
         tangent = np.abs(ps) <= _TANGENCY_EPS * scale[idx]
         double = (~tangent) & (_signs(ps) != _signs(p0[idx]))
         status[idx] = np.select([tangent, double], [_AUDIT_TANGENT, _AUDIT_DOUBLE],
@@ -232,12 +210,23 @@ def _resolve_audits(p0, p1, q0, q1, h, t_left, scale, y):
 
 class _Scan(NamedTuple):
     crossing: np.ndarray   # (B, M): the cell's end values differ in sign
+    rows: np.ndarray       # row of each audited cell
     cells: np.ndarray      # cell index of each audited cell, row by row
     status: np.ndarray     # audit verdict per audited cell
     t_star: np.ndarray     # stationary point per audited cell
     end: np.ndarray        # (B,) P at the window's closing point
     counts: np.ndarray     # (B,) sign changes plus two per hidden pair
-    uncertain: np.ndarray  # (B,) tangency, zero polynomial or over 2n roots
+    uncertain: np.ndarray  # (B,) tangency, zero or non-finite coefficients,
+    #                        or over 2n roots
+
+
+def _changes(nonneg: np.ndarray, closing: np.ndarray) -> np.ndarray:
+    """Cells whose two end signs differ, from (B, M) signs and the (B,)
+    sign at the closing point."""
+    out = np.empty_like(nonneg)
+    np.not_equal(nonneg[:, :-1], nonneg[:, 1:], out=out[:, :-1])
+    np.not_equal(nonneg[:, -1], closing, out=out[:, -1])
+    return out
 
 
 def _scan_and_audit(ys: np.ndarray, P: np.ndarray, Q: np.ndarray,
@@ -246,12 +235,15 @@ def _scan_and_audit(ys: np.ndarray, P: np.ndarray, Q: np.ndarray,
 
     The last cell closes on the first node for the full window (P is
     periodic) and on the value at n*pi for the half window, summed with the
-    exact (-1)^i phases.  ``ys`` holds the (B, n, 2) coefficients.
+    exact (-1)^i phases.  ``ys`` holds the (B, n, 2) coefficients.  The
+    scan compares signs (x >= 0, so an exact zero joins the + side); only
+    cells where P' changes sign and P does not are gathered for the dip
+    test, and only the rows of the audited cells get a scale max|P|.
     """
     n, M = ys.shape[1], P.shape[1]
     h = window.length(n) / M
     if window.circular:
-        Pr, Qr = np.roll(P, -1, axis=1), np.roll(Q, -1, axis=1)
+        p_end, q_end = P[:, 0], Q[:, 0]
     else:
         i = np.arange(1, n + 1)
         end_c = np.cos(i * math.pi)  # exact (-1)^i pattern at t = n*pi
@@ -259,24 +251,37 @@ def _scan_and_audit(ys: np.ndarray, P: np.ndarray, Q: np.ndarray,
         w = i / n
         p_end = (ys[:, :, 0] @ end_c + ys[:, :, 1] @ end_s) / math.sqrt(n)
         q_end = (ys[:, :, 0] @ (-w * end_s) + ys[:, :, 1] @ (w * end_c)) / math.sqrt(n)
-        Pr = np.concatenate([P[:, 1:], p_end[:, None]], axis=1)
-        Qr = np.concatenate([Q[:, 1:], q_end[:, None]], axis=1)
-    crossing, audit = _audit_candidates(P, Pr, Q, Qr, h)
-    counts = crossing.sum(axis=1).astype(int)
-    scale = np.max(np.abs(P), axis=1)
-    uncertain = scale == 0.0
+    crossing = _changes(P >= 0.0, p_end >= 0.0)
+    counts = np.count_nonzero(crossing, axis=1)
+    finite = np.isfinite(ys).all(axis=(1, 2))
+    uncertain = ~finite | ~ys.any(axis=(1, 2))
 
-    rows, cells = np.nonzero(audit)
+    stationary = _changes(Q >= 0.0, q_end >= 0.0)
+    stationary &= ~crossing
+    rows, cells = np.divmod(np.flatnonzero(stationary), M)
+    right = cells + 1
+    last = right == M
+    right[last] = 0
+    pl, pr = P[rows, cells], P[rows, right]
+    ql, qr = Q[rows, cells], Q[rows, right]
+    if not window.circular:
+        pr[last], qr[last] = p_end[rows[last]], q_end[rows[last]]
+    dip = np.minimum(np.abs(pl), np.abs(pr)) < 0.5 * h * np.maximum(np.abs(ql), np.abs(qr))
+    audit = dip & finite[rows]
+    rows, cells = rows[audit], cells[audit]
+
     status, t_star = np.empty(0, dtype=int), np.empty(0)
     if rows.size:
-        t_left = window.start(n) + h * np.arange(M)
+        scaled, at = np.unique(rows, return_inverse=True)
+        Ps = P[scaled]
+        scale = np.maximum(Ps.max(axis=1), -Ps.min(axis=1))
         status, t_star = _resolve_audits(
-            P[rows, cells], Pr[rows, cells], Q[rows, cells], Qr[rows, cells],
-            h, t_left[cells], np.maximum(scale, 1e-300)[rows], ys[rows])
+            pl[audit], pr[audit], ql[audit], qr[audit], h,
+            window.start(n) + h * cells, np.maximum(scale, 1e-300)[at], ys, rows)
         np.add.at(counts, rows[status == _AUDIT_DOUBLE], 2)
         uncertain[rows[status == _AUDIT_TANGENT]] = True
     uncertain |= counts > 2 * n
-    return _Scan(crossing, cells, status, t_star, Pr[:, -1], counts, uncertain)
+    return _Scan(crossing, rows, cells, status, t_star, p_end, counts, uncertain)
 
 
 def count_roots(sample: CoefficientSample, window: WindowSpec = FULL,

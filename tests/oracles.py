@@ -2,8 +2,10 @@
 
 Each one takes a different route to a quantity the program computes fast:
 compensated extended-precision point sums for the FFT grid and the
-vectorized evaluator, density quadrature for the xi-norm series, and the
-normal CDF for the one-dimensional small-ball scan.
+vectorized evaluator, the roots of an algebraic polynomial for the root
+count, the dense all-cells formula for the engine's sign scan and audit
+selection, density quadrature for the xi-norm series, and the normal CDF
+for the one-dimensional small-ball scan.
 """
 
 import math
@@ -19,6 +21,7 @@ from trigroots.ensemble import (
     DistributionSpec,
     xi_norm_sq,
 )
+from trigroots.polyeval import WindowSpec
 
 _LONG_TWO_PI = np.longdouble("6.283185307179586476925286766559005768")
 
@@ -45,6 +48,56 @@ def eval_point(sample: CoefficientSample, t: float) -> tuple[float, float]:
     p = fsum((y1 * c).tolist()) + fsum((y2 * s).tolist())
     q = fsum((w * (y2 * c - y1 * s)).tolist())
     return p * inv, q * inv
+
+
+def laurent_roots(sample: CoefficientSample, tol: float = 1e-6) -> np.ndarray:
+    """Sorted real roots of P in (-n pi, n pi], with multiplicity.
+
+    With w = exp(i t/n), w^n P is a degree-2n algebraic polynomial whose
+    unit-circle roots are the real roots of P in one period (Boyd 2007);
+    ``np.roots`` finds them from the companion matrix, and a root is kept
+    when ||w| - 1| < tol.
+    """
+    n = sample.n
+    y1, y2 = sample.y[:, 0], sample.y[:, 1]
+    a = np.zeros(2 * n + 1, dtype=complex)  # a[k] multiplies w^k
+    a[n + 1:] = (y1 - 1j * y2) / 2
+    a[n - 1::-1] = (y1 + 1j * y2) / 2
+    w = np.roots(a[::-1])
+    w = w[np.abs(np.abs(w) - 1.0) < tol]
+    return np.sort(n * np.angle(w))
+
+
+def dense_scan(ys: np.ndarray, P: np.ndarray, Q: np.ndarray,
+               window: WindowSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(crossing, audit) masks of (B, M) grids of P and P' over all cells.
+
+    The right-hand end values of every cell are built as whole shifted
+    grids (the closing value at n pi summed with exact (-1)^i phases for
+    the half window), and the dip test is evaluated everywhere: a cell is
+    audited when P keeps its sign, P' changes sign, and
+    min |P| < (h/2) max |P'| over its two ends.  Exact zeros join the +
+    side.
+    """
+    n, M = ys.shape[1], P.shape[1]
+    h = window.length(n) / M
+    if window.circular:
+        Pr, Qr = np.roll(P, -1, axis=1), np.roll(Q, -1, axis=1)
+    else:
+        i = np.arange(1, n + 1)
+        end_c, end_s, w = np.cos(i * math.pi), np.sin(i * math.pi), i / n
+        p_end = (ys[:, :, 0] @ end_c + ys[:, :, 1] @ end_s) / math.sqrt(n)
+        q_end = (ys[:, :, 0] @ (-w * end_s) + ys[:, :, 1] @ (w * end_c)) / math.sqrt(n)
+        Pr = np.concatenate([P[:, 1:], p_end[:, None]], axis=1)
+        Qr = np.concatenate([Q[:, 1:], q_end[:, None]], axis=1)
+
+    def signs(x):
+        return np.where(x >= 0.0, 1.0, -1.0)
+
+    crossing = signs(P) * signs(Pr) < 0
+    dip = np.minimum(np.abs(P), np.abs(Pr)) < 0.5 * h * np.maximum(np.abs(Q), np.abs(Qr))
+    stationary = signs(Q) * signs(Qr) < 0
+    return crossing, (~crossing) & stationary & dip
 
 
 def xi_norm_sq_quadrature(dist: DistributionSpec, w: float, abs_tol: float = 1e-10) -> float:

@@ -181,6 +181,12 @@ class TestErrors:
         assert run_cli(["simulate", "--n", "4", "--trials", "10"]) == 2
         assert "abc" in self._error(capsys, "simulate")
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_bad_thread_count(self, capsys, threads):
+        assert run_cli(["simulate", "--n", "4", "--trials", "10",
+                        "--threads", threads]) == 2
+        assert "parallelism" in self._error(capsys, "simulate")
+
     def test_missing_config_file(self, tmp_path, capsys):
         missing = tmp_path / "absent.json"
         assert run_cli(["simulate", "--config", str(missing)]) == 2

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from trigroots.ensemble import (
+    CoefficientSample,
     DistributionError,
     discrete,
     gaussian,
@@ -113,6 +114,13 @@ class TestSampling:
     def test_n_must_be_positive(self):
         with pytest.raises(ValueError):
             sample(gaussian(), 0, seed=1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_coefficients_must_be_finite(self, bad):
+        y = np.ones((3, 2))
+        y[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            CoefficientSample(n=3, y=y, seed=0, trial_index=0)
 
 
 class TestCharfn:

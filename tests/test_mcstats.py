@@ -60,6 +60,12 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="n must be"):
             run_experiment(gaussian(), 0, FULL, trials=16, seed=0)
 
+    @pytest.mark.parametrize("parallelism", [0, -3])
+    def test_refuses_worker_count_below_one(self, parallelism):
+        with pytest.raises(ValueError, match="parallelism"):
+            run_experiment(gaussian(), 4, FULL, trials=16, seed=0,
+                           parallelism=parallelism)
+
     def test_parallel_determinism(self):
         recs = [run_experiment(rademacher(), 32, FULL, trials=600, seed=5,
                                parallelism=p) for p in (1, 4, 16)]

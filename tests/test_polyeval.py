@@ -12,12 +12,15 @@ from trigroots.polyeval import (
     HALF,
     GridError,
     basis_matrices,
+    cell_expansions,
     coefficient_matrices,
     covariance_V,
     eval_grid,
     eval_grid_batch,
     eval_points,
+    taylor_eval,
 )
+from trigroots.rootcount import _scan_and_audit
 
 
 def _manual_sample(y):
@@ -176,6 +179,32 @@ class TestLocalEvaluator:
                 P, Q = eval_grid_batch(s.y[None], n, window, M)
                 assert P[0].tobytes() == g.P.tobytes()
                 assert Q[0].tobytes() == g.Pprime.tobytes()
+
+
+class TestCellExpansions:
+    """``cell_expansions`` on the cells the engine audits: P' at the left
+    node and the midpoint Taylor series at interior points, against the
+    compensated oracle, within the bound of ``TestLocalEvaluator``."""
+
+    @pytest.mark.parametrize("n", [16, 1024, 10_000])
+    def test_matches_oracle_in_audited_cells(self, n):
+        samples = [sample(gaussian(), n, seed=n, trial_index=t) for t in range(4)]
+        ys = np.stack([s.y for s in samples])
+        P, Q = eval_grid_batch(ys, n, FULL, 16 * n)
+        scan = _scan_and_audit(ys, P, Q, FULL)
+        rows, cells = scan.rows[:16], scan.cells[:16]
+        assert rows.size
+        h = FULL.length(n) / P.shape[1]
+        t_left = FULL.start(n) + h * cells
+        slope, coef = cell_expansions(ys[rows], t_left, h)
+        bound = max(1e-14, 1e-15 * n) * float(np.max(np.abs(P)))
+        for k, (r, t) in enumerate(zip(rows, t_left)):
+            assert abs(slope[k] - eval_point(samples[r], t)[1]) <= bound
+            for x in (-0.5, -0.17, 0.0, 0.29, 0.5):
+                p, q = taylor_eval(coef[k], x * h)
+                p_ref, q_ref = eval_point(samples[r], t + (0.5 + x) * h)
+                assert abs(p - p_ref) <= bound
+                assert abs(q - q_ref) <= bound
 
 
 class TestBasisVectors:

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from oracles import dense_scan, laurent_roots
 from trigroots.ensemble import CoefficientSample, gaussian, rademacher, sample
-from trigroots.polyeval import FULL, HALF, eval_points
+from trigroots.polyeval import FULL, HALF, eval_grid_batch, eval_points
 from trigroots.rootcount import (
+    _scan_and_audit,
     count_batch,
     count_kacrice,
     count_roots,
@@ -111,12 +113,65 @@ class TestCountRoots:
             r = count_roots(s, HALF)
             assert (r.count, r.uncertain) == (c, u), s.trial_index
 
+    def test_double_root_on_a_node_stays_flagged(self):
+        # the oracle counts 80 roots with multiplicity, two of them a double
+        # root on the node t = -32 pi; the scan sees 78 and must say so
+        s = sample(rademacher(), 64, seed=903, trial_index=83)
+        roots = laurent_roots(s)
+        assert roots.size == 80
+        k = int(np.argmin(np.diff(roots)))
+        assert roots[k + 1] - roots[k] < 1e-6
+        assert abs(roots[k] + 32 * math.pi) < 1e-6
+        r = count_roots(s, FULL)
+        counts, uncertain = count_batch(s.y[None], 64, FULL, 16 * 64)
+        assert (r.count, r.uncertain) == (78, True)
+        assert (counts[0], uncertain[0]) == (78, True)
+
     def test_csv_rows(self):
         s = sample(gaussian(), 4, seed=5)
         r = count_roots(s, FULL)
         rows = roots_csv_rows(r, 17)
         assert len(rows) == r.count
         assert all(row[0] == 17 for row in rows)
+
+
+class TestLeanScan:
+    """The engine's crossing mask and audited cells against the dense
+    all-cells formula of ``oracles.dense_scan``."""
+
+    @pytest.mark.parametrize("law", [gaussian(), rademacher()], ids=str)
+    @pytest.mark.parametrize("window", [FULL, HALF], ids=["full", "half"])
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_matches_dense_formula(self, law, window, n):
+        seed = {16: 32, 64: 33}[n]  # Rademacher zeros on nodes in both windows
+        ys = np.stack([sample(law, n, seed=seed, trial_index=t).y for t in range(128)])
+        P, Q = eval_grid_batch(ys, n, window, 16 * n)
+        if law.kind == "rademacher":  # the +-1 sums vanish exactly at some nodes
+            assert np.any(P == 0.0)
+        scan = _scan_and_audit(ys, P, Q, window)
+        crossing, audit = dense_scan(ys, P, Q, window)
+        rows, cells = np.nonzero(audit)
+        assert rows.size
+        assert np.array_equal(scan.crossing, crossing)
+        assert np.array_equal(scan.rows, rows)
+        assert np.array_equal(scan.cells, cells)
+
+
+class TestNonFinite:
+    def test_all_nan_batch_is_flagged(self):
+        counts, uncertain = count_batch(np.full((1, 8, 2), np.nan), 8, FULL, 128)
+        assert uncertain.tolist() == [True]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("window", [FULL, HALF], ids=["full", "half"])
+    def test_only_the_bad_row_is_flagged(self, bad, window):
+        ys = np.stack([sample(gaussian(), 8, seed=3, trial_index=t).y for t in range(3)])
+        good_counts, good_uncertain = count_batch(ys, 8, window, 128)
+        ys[1, 4, 0] = bad
+        with np.errstate(invalid="ignore"):
+            counts, uncertain = count_batch(ys, 8, window, 128)
+        assert uncertain.tolist() == [bool(good_uncertain[0]), True, bool(good_uncertain[2])]
+        assert counts[[0, 2]].tolist() == good_counts[[0, 2]].tolist()
 
 
 class TestExactExpectation:
