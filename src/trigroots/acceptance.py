@@ -87,7 +87,6 @@ def _heavy_discrete():
 
 
 def criterion_1_cg(ctx) -> CriterionResult:
-    t0 = time.perf_counter()
     res = compute_cg(CgQuadratureConfig())
     ctx["cg"] = res
     err = abs(res.value - GAUSSIAN_SLOPE)
@@ -95,12 +94,10 @@ def criterion_1_cg(ctx) -> CriterionResult:
         1, "Gaussian slope quadrature within 5e-4", err <= 5e-4,
         f"|cg - {GAUSSIAN_SLOPE}| <= 5e-4",
         {"cg": res.value, "abs_error_vs_target": err,
-         "error_estimate": res.error_estimate},
-        time.perf_counter() - t0)
+         "error_estimate": res.error_estimate})
 
 
 def criterion_2_expectation(ctx) -> CriterionResult:
-    t0 = time.perf_counter()
     seed = ctx["seed"]
     rec = run_experiment(gaussian(), 50, FULL, trials=2000, seed=seed + 2,
                          parallelism=ctx["parallelism"])
@@ -114,12 +111,10 @@ def criterion_2_expectation(ctx) -> CriterionResult:
         "|mean - exact| <= 3 se at n=50; n=1 gives 2 on 100/100 trials",
         {"mean": rec.estimate.mean, "exact": exact, "dev": dev,
          "se_mean": rec.estimate.se_mean, "n1_mean": rec1.estimate.mean,
-         "n1_variance": rec1.estimate.variance},
-        time.perf_counter() - t0)
+         "n1_variance": rec1.estimate.variance})
 
 
 def criterion_3_gaussian_slope(ctx) -> CriterionResult:
-    t0 = time.perf_counter()
     rec = run_experiment(gaussian(), 256, FULL, trials=20000,
                          seed=ctx["seed"] + 3, parallelism=ctx["parallelism"])
     ctx["gaussian_256"] = rec
@@ -129,12 +124,10 @@ def criterion_3_gaussian_slope(ctx) -> CriterionResult:
         f"var/n within 10% of {GAUSSIAN_SLOPE} at n=256, 2e4 trials",
         {"var_over_n": rec.estimate.var_over_n, "relative_error": rel,
          "se": rec.estimate.se_variance / rec.n,
-         "flagged_trials": rec.flagged_trial_count},
-        time.perf_counter() - t0)
+         "flagged_trials": rec.flagged_trial_count})
 
 
 def criterion_4_rademacher_slope(ctx) -> CriterionResult:
-    t0 = time.perf_counter()
     rec = run_experiment(rademacher(), 256, FULL, trials=20000,
                          seed=ctx["seed"] + 4, parallelism=ctx["parallelism"])
     grec = ctx.get("gaussian_256") or run_experiment(
@@ -150,12 +143,10 @@ def criterion_4_rademacher_slope(ctx) -> CriterionResult:
         f"var/n within 10% of {RADEMACHER_SLOPE}; >= 3 combined se below Gaussian",
         {"var_over_n": rec.estimate.var_over_n, "relative_error": rel,
          "separation": sep, "combined_se": combined_se,
-         "flagged_trials": rec.flagged_trial_count},
-        time.perf_counter() - t0)
+         "flagged_trials": rec.flagged_trial_count})
 
 
 def criterion_5_kacrice(ctx) -> CriterionResult:
-    t0 = time.perf_counter()
     seed = ctx["seed"] + 5
     samples = 1000
     agree = flagged_disagree = unflagged_disagree = 0
@@ -175,12 +166,10 @@ def criterion_5_kacrice(ctx) -> CriterionResult:
         ">= 99% agreement at n=64, delta=1e-6; disagreements only on flagged samples",
         {"agree": agree, "samples": samples,
          "flagged_disagreements": flagged_disagree,
-         "unflagged_disagreements": unflagged_disagree},
-        time.perf_counter() - t0)
+         "unflagged_disagreements": unflagged_disagree})
 
 
 def criterion_6_cn_limits(ctx) -> CriterionResult:
-    t0 = time.perf_counter()
     n = 100000
     t_arg = math.pi * (math.sqrt(2) - 1.0) * n
     s_arg = math.pi * (math.sqrt(3) - 1.0) * n
@@ -200,12 +189,10 @@ def criterion_6_cn_limits(ctx) -> CriterionResult:
         6, "moment-delta averages match the derived class limits", ok,
         "|c_n(alpha) - (m4-3)*3^{a+b}/(2(2(a+b)+1))| <= 1e-2, a=i-1, b=j-3, "
         "all classes",
-        {"worst_error": worst, "classes": rows},
-        time.perf_counter() - t0)
+        {"worst_error": worst, "classes": rows})
 
 
 def criterion_7_psi_limits(ctx) -> CriterionResult:
-    t0 = time.perf_counter()
     worst = 0.0
     rows = []
     for (i, j) in _MIXED_CLASSES:
@@ -217,12 +204,10 @@ def criterion_7_psi_limits(ctx) -> CriterionResult:
     return CriterionResult(
         7, "Gaussian kernel functional limits", worst <= 1e-3,
         "|E[Psi H_alpha] - (1/3 pi^2)(-1)^{i+j}| <= 1e-3",
-        {"worst_error": worst, "classes": rows},
-        time.perf_counter() - t0)
+        {"worst_error": worst, "classes": rows})
 
 
 def criterion_8_covariance(ctx) -> CriterionResult:
-    t0 = time.perf_counter()
     n = 100000
     t = _good_t(n)
     s, t2 = _good_pair(n)
@@ -233,12 +218,10 @@ def criterion_8_covariance(ctx) -> CriterionResult:
     return CriterionResult(
         8, "covariance limits at n=1e5", d2 <= 1e-2 and d4 <= 2e-2,
         "||V2 - diag(1,1/3)|| <= 1e-2 and ||V4 - diag|| <= 2e-2",
-        {"dist2": d2, "dist4": d4},
-        time.perf_counter() - t0)
+        {"dist2": d2, "dist4": d4})
 
 
 def criterion_9_charfn_bound(ctx) -> CriterionResult:
-    t0 = time.perf_counter()
     rng = np.random.default_rng(ctx["seed"] + 9)
     dists = [gaussian(), rademacher(), uniform(), _heavy_discrete()]
     worst_slack = np.inf
@@ -262,12 +245,10 @@ def criterion_9_charfn_bound(ctx) -> CriterionResult:
         9, "characteristic-function bound dominance", violations == 0,
         "log|prod phi| <= exponent bound + 1e-9 on 1000 random cases",
         {"violations": violations, "worst_slack": float(worst_slack),
-         "cases": cases},
-        time.perf_counter() - t0)
+         "cases": cases})
 
 
 def criterion_10_smallball(ctx) -> CriterionResult:
-    t0 = time.perf_counter()
     seed = ctx["seed"] + 10
     n = 200
     t = _good_t(n, anchor=math.sqrt(5) * 0.5 - 0.8)
@@ -306,12 +287,10 @@ def criterion_10_smallball(ctx) -> CriterionResult:
         10, "small-ball probabilities at Monte Carlo scale", ok,
         "max p/d^2 <= 50 (R2), p/d^4 <= 500 (R4), Gaussian oracle within 3 se",
         {"worst_p_over_delta2": worst2, "worst_p_over_delta4": worst4,
-         "oracle": oracle_rows},
-        time.perf_counter() - t0)
+         "oracle": oracle_rows})
 
 
 def criterion_11_badset(ctx) -> CriterionResult:
-    t0 = time.perf_counter()
     fracs = {}
     for n in (100, 1000, 10000):
         fracs[n] = build_D(n, 1.0, 0.05).bad_fraction
@@ -322,12 +301,10 @@ def criterion_11_badset(ctx) -> CriterionResult:
         11, "bad-pair fraction scaling", ok,
         "decade ratios within a factor 3 of 1e-1 at tau=0.05",
         {"fractions": {str(k): v for k, v in fracs.items()},
-         "ratios": [r1, r2]},
-        time.perf_counter() - t0)
+         "ratios": [r1, r2]})
 
 
 def criterion_12_scaling(ctx) -> CriterionResult:
-    t0 = time.perf_counter()
     ok = True
     tables = {}
     for dist in (gaussian(), rademacher()):
@@ -342,12 +319,10 @@ def criterion_12_scaling(ctx) -> CriterionResult:
     return CriterionResult(
         12, "variance growth is linear, not quadratic", bool(ok),
         "var/n^2 halves per 4x n step; var/n within a 1.5x band",
-        {"tables": tables},
-        time.perf_counter() - t0)
+        {"tables": tables})
 
 
 def criterion_13_determinism(ctx) -> CriterionResult:
-    t0 = time.perf_counter()
     seed = ctx["seed"] + 13
     recs = [run_experiment(gaussian(), 64, FULL, trials=1000, seed=seed,
                            parallelism=p) for p in (1, 8, 1)]
@@ -356,8 +331,7 @@ def criterion_13_determinism(ctx) -> CriterionResult:
     return CriterionResult(
         13, "byte-identical reports across parallelism", ok,
         "canonical record bytes equal at parallelism 1 and 8",
-        {"identical": ok, "mean": recs[0].estimate.mean},
-        time.perf_counter() - t0)
+        {"identical": ok, "mean": recs[0].estimate.mean})
 
 
 ALL_CRITERIA = [
@@ -386,18 +360,13 @@ class AcceptanceReport:
     def all_passed(self) -> bool:
         return all(r.passed for r in self.results)
 
-    def to_json(self, include_runtimes: bool = False) -> str:
-        payload = {
-            "seed": self.seed,
-            "all_passed": self.all_passed,
-            "criteria": [],
-        }
-        for r in self.results:
-            d = asdict(r)
-            if not include_runtimes:
-                d.pop("runtime")
-            payload["criteria"].append(d)
-        return json.dumps(payload, indent=2, sort_keys=True)
+    def to_json(self) -> str:
+        """The report without runtimes, so that reruns give identical bytes."""
+        criteria = [asdict(r) for r in self.results]
+        for d in criteria:
+            d.pop("runtime")
+        return json.dumps({"seed": self.seed, "all_passed": self.all_passed,
+                           "criteria": criteria}, indent=2, sort_keys=True)
 
 
 def run_all(seed: int = 2026, parallelism: int = 1, only=None,
@@ -408,7 +377,9 @@ def run_all(seed: int = 2026, parallelism: int = 1, only=None,
         cid = int(fn.__name__.split("_")[1])
         if only and cid not in only:
             continue
+        t0 = time.perf_counter()
         result = fn(ctx)
+        result.runtime = time.perf_counter() - t0
         report.results.append(result)
         if progress:
             progress(result.line())

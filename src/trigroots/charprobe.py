@@ -26,6 +26,7 @@ from trigroots import ensemble
 from trigroots.diophantine import check_condition_t, check_condition_st
 from trigroots.ensemble import DistributionSpec, log_abs_charfn_scalar, xi_norm_sq
 from trigroots.polyeval import basis_matrices, covariance_V
+from trigroots.rootcount import check_delta
 
 TWO_PI = 2.0 * math.pi
 
@@ -149,11 +150,6 @@ def _walk_values(n, t, dist, s, trials, seed, chunk=20000):
     return out
 
 
-def _check_delta(delta: float) -> None:
-    if not 0.0 < delta < math.inf:
-        raise ValueError(f"delta must be finite and > 0, got {delta}")
-
-
 def _gaussian_ball_feasibility(n, t, s, center, delta, trials):
     """Expected hit count under the Gaussian proxy density."""
     center = np.asarray(center, dtype=float)
@@ -178,7 +174,7 @@ def small_ball_mc(n: int, t: float, dist: DistributionSpec, center, delta: float
                   trials: int, seed: int = 0, s: float | None = None,
                   force: bool = False) -> SmallBallEstimate:
     """Monte Carlo P(S_n/sqrt(n) in B(center, delta)) with binomial se."""
-    _check_delta(delta)
+    check_delta(delta)
     center = np.asarray(center, dtype=float)
     expect, p_est = _gaussian_ball_feasibility(n, t, s, center, delta, trials)
     if expect < 10 and not force:
@@ -224,7 +220,7 @@ class OneDScanResult:
 def smallball_1d_scan(n: int, t: float, dist: DistributionSpec, delta: float,
                       trials: int, seed: int = 0, centers=None) -> OneDScanResult:
     """Max over centers of P(|P_n(t) - a| < delta), Monte Carlo at fixed t."""
-    _check_delta(delta)
+    check_delta(delta)
     if centers is None:
         centers = np.linspace(-2.0, 2.0, 20)
     centers = np.asarray(centers, dtype=float)

@@ -19,7 +19,6 @@ import csv
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -39,7 +38,7 @@ from trigroots.mcstats import (
     slope_series,
 )
 from trigroots.polyeval import FULL, WindowSpec
-from trigroots.rootcount import count_kacrice, roots_csv_rows
+from trigroots.rootcount import check_delta, count_kacrice, roots_csv_rows
 
 ENV_THREADS = "TRIGROOTS_THREADS"
 
@@ -288,8 +287,7 @@ def _cmd_scaling(cfg):
 
 def _cmd_kacrice_audit(cfg):
     dist = parse_distribution(cfg["dist"])
-    if not 0.0 < cfg["delta"] < math.inf:
-        raise ValueError(f"delta must be finite and > 0, got {cfg['delta']}")
+    check_delta(cfg["delta"])
     if cfg["trials"] < 1:
         raise ValueError(f"trials must be >= 1, got {cfg['trials']}")
     agree = flagged = 0
@@ -381,12 +379,9 @@ def _cmd_verify(cfg):
         only = {int(x) for x in str(cfg["only"]).split(",")}
     report = acceptance.run_all(seed=cfg["seed"], parallelism=cfg["threads"],
                                 only=only, progress=print)
-    payload = json.loads(report.to_json(include_runtimes=False))
+    payload = json.loads(report.to_json())
     payload["meta"] = _meta(cfg)
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if cfg.get("out"):
-        Path(cfg["out"]).write_text(text + "\n")
-    print(text)
+    _emit_json(payload, cfg.get("out"))
     return 0 if report.all_passed else 1
 
 

@@ -34,6 +34,12 @@ class DistributionError(ValueError):
     """Invalid distribution specification."""
 
 
+def _atom_arrays(atoms) -> tuple[np.ndarray, np.ndarray]:
+    """(values, probabilities) of a discrete law's atom pairs."""
+    return (np.array([v for v, _ in atoms], dtype=float),
+            np.array([p for _, p in atoms], dtype=float))
+
+
 @dataclass(frozen=True)
 class DistributionSpec:
     """A mean-zero unit-variance coefficient law.
@@ -51,8 +57,7 @@ class DistributionSpec:
         if self.kind == "discrete":
             if not self.atoms:
                 raise DistributionError("discrete law needs at least one atom")
-            values = np.array([v for v, _ in self.atoms], dtype=float)
-            probs = np.array([p for _, p in self.atoms], dtype=float)
+            values, probs = _atom_arrays(self.atoms)
             if np.any(probs < 0):
                 raise DistributionError("negative atom probability")
             if abs(probs.sum() - 1.0) > _NORMALIZATION_TOL:
@@ -141,8 +146,7 @@ def moments(dist: DistributionSpec) -> MomentProfile:
     if dist.kind == "uniform":
         # int x^4 / (2 sqrt 3) over [-sqrt3, sqrt3] = 9/5
         return MomentProfile(0.0, 9.0 / 5.0)
-    values = np.array([v for v, _ in dist.atoms])
-    probs = np.array([p for _, p in dist.atoms])
+    values, probs = _atom_arrays(dist.atoms)
     return MomentProfile(float(probs @ values**3), float(probs @ values**4))
 
 
@@ -186,8 +190,7 @@ def _draw(dist: DistributionSpec, rng: np.random.Generator, shape) -> np.ndarray
         return rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
     if dist.kind == "uniform":
         return rng.uniform(-SQRT3, SQRT3, size=shape)
-    values = np.array([v for v, _ in dist.atoms])
-    probs = np.array([p for _, p in dist.atoms])
+    values, probs = _atom_arrays(dist.atoms)
     probs = probs / probs.sum()  # remove the <=1e-12 normalization slack
     idx = rng.choice(len(values), size=shape, p=probs)
     return values[idx]
@@ -204,8 +207,7 @@ def charfn_scalar(dist: DistributionSpec, theta):
         # sin(sqrt3 t)/(sqrt3 t), continuous at 0
         out = np.sinc(SQRT3 * theta / np.pi).astype(complex)
     else:
-        values = np.array([v for v, _ in dist.atoms])
-        probs = np.array([p for _, p in dist.atoms])
+        values, probs = _atom_arrays(dist.atoms)
         out = np.exp(1j * np.multiply.outer(theta, values)) @ probs
     if out.ndim == 0:
         return complex(out)
@@ -227,8 +229,7 @@ def _difference_atoms(dist: DistributionSpec):
         values = np.array([-1.0, 1.0])
         probs = np.array([0.5, 0.5])
     else:
-        values = np.array([v for v, _ in dist.atoms])
-        probs = np.array([p for _, p in dist.atoms])
+        values, probs = _atom_arrays(dist.atoms)
     dv = (values[:, None] - values[None, :]).ravel()
     dp = (probs[:, None] * probs[None, :]).ravel()
     return dv, dp

@@ -116,11 +116,12 @@ def taylor_eval(d: np.ndarray, x) -> tuple:
     """(P, P') at offset x from the point where d[..., m] = P^(m), for
     m = 0 .. TAYLOR_ORDER + 1, by Horner on the degree-K Taylor series."""
     K = TAYLOR_ORDER
+    x = np.asarray(x, dtype=float)
+    f = x / np.arange(1.0, K + 1).reshape((K,) + (1,) * x.ndim)  # f[m] = x/(m+1)
     p, q = d[..., K], d[..., K + 1]
     for m in range(K - 1, -1, -1):
-        f = x / (m + 1)
-        p = d[..., m] + f * p
-        q = d[..., m + 1] + f * q
+        p = d[..., m] + f[m] * p
+        q = d[..., m + 1] + f[m] * q
     return p, q
 
 

@@ -17,13 +17,21 @@ grid's local Taylor evaluator (``EvaluationGrid.eval_local``, O(1) in n per
 point); one exact ``eval_points`` call at the polished roots gives the
 reported residuals and derivatives, an independent check on every root.
 
+The audit screens a cell with the cubic Hermite interpolant of its end
+values and slopes.  Since P' changes sign across an audited cell, the
+interpolant's quadratic derivative has one root in the cell: one candidate
+extremum, whose value decides clear cases.  The rest take one 40-step
+bisection on the sign of P', which brackets the stationary point to
+2^-40 of the cell width.
+
 ``count_kacrice`` evaluates (1/2 delta) * int |P'| 1_{|P| < delta} dt by
-locating the two |P| = delta crossings around each root and integrating
-|P'| with 15-node Gauss-Legendre in between, all on the local evaluator.
-It reproduces the integer count unless the sample is flagged: delta above
-the grid's safe estimate (min of |P| + |P'| over the grid and |P| at the
-window ends), an uncertain count, or overlapping delta-intervals of
-neighbouring roots.
+locating the two |P| = delta crossings around each root (both sides in one
+search) and integrating |P'| with 15-node Gauss-Legendre in between, all on
+the local evaluator; the dips at the audit's unresolved tangencies add the
+mass of their own crossings.  It reproduces the integer count unless the
+sample is flagged: delta above the grid's safe estimate (min of |P| + |P'|
+over the grid and |P| at the window ends), an uncertain count, or
+overlapping delta-intervals of neighbouring roots.
 """
 
 from __future__ import annotations
@@ -58,8 +66,7 @@ _TANGENCY_EPS = 1e-9
 _SCREEN_MARGIN = 1e-3
 
 _NEWTON_POLISH_STEPS = 3
-_AUDIT_BISECT_STAGE1 = 14
-_AUDIT_BISECT_STAGE2 = 26
+_AUDIT_BISECT_STEPS = 40
 _CROSSING_BISECT_STEPS = 45
 
 _AUDIT_CLEAN, _AUDIT_DOUBLE, _AUDIT_TANGENT = 0, 1, 2
@@ -71,8 +78,8 @@ class RootCountResult:
     roots: np.ndarray
     residuals: np.ndarray
     derivatives: np.ndarray
-    tangency_cells: tuple[int, ...]   # all audited dip cells
-    unresolved_cells: tuple[int, ...]  # audited cells stuck at a tangency
+    tangency_cells: tuple[int, ...]  # all audited dip cells
+    tangencies: np.ndarray           # audit's t* of the cells stuck at a tangency
     uncertain: bool
     grid: EvaluationGrid
     end_value: float  # P at the window's closing point
@@ -111,43 +118,29 @@ def gaussian_expectation_exact(n: int, window: WindowSpec = FULL) -> float:
     return full if window.kind == "full" else 0.5 * full
 
 
-def _signs(x: np.ndarray) -> np.ndarray:
-    return np.where(x >= 0.0, 1.0, -1.0)
-
-
 def _hermite_extremum(p0, p1, q0, q1, h):
     """Interior stationary point of the cubic Hermite interpolant per cell.
 
-    Returns (x, value) with x in (0, 1) cell coordinates; x is NaN when the
-    quadratic derivative has no clean interior root (sent to bisection).
+    The end values of the interpolant's quadratic derivative are the end
+    slopes h*q0 and h*q1, which differ in sign in an audited cell, so the
+    derivative has exactly one root in (0, 1) when neither slope is 0.
+    Returns (x, value) with x in (0, 1) cell coordinates; x is NaN when no
+    root is strictly inside (sent to bisection).
     """
     m0, m1 = h * q0, h * q1
     a = 6.0 * (p0 - p1) + 3.0 * (m0 + m1)
     b = -6.0 * (p0 - p1) - 4.0 * m0 - 2.0 * m1
-    c = m0
-
-    def cubic(x):
-        x2, x3 = x * x, x * x * x
-        return (p0 * (2 * x3 - 3 * x2 + 1) + m0 * (x3 - 2 * x2 + x)
-                + p1 * (-2 * x3 + 3 * x2) + m1 * (x3 - x2))
-
     lin = np.abs(a) <= 1e-14 * np.maximum(np.abs(b), 1.0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        xl = np.where(lin, -c / np.where(b == 0.0, np.nan, b), np.nan)
-        disc = b * b - 4.0 * a * c
-        sq = np.sqrt(np.maximum(disc, 0.0))
+        sq = np.sqrt(b * b - 4.0 * a * m0)
         qq = -0.5 * (b + np.where(b >= 0, sq, -sq))
-        x1 = np.where(~lin & (disc >= 0.0), qq / np.where(a == 0.0, np.nan, a), np.nan)
-        x2 = np.where(~lin & (disc >= 0.0) & (qq != 0.0), c / np.where(qq == 0.0, np.nan, qq), np.nan)
-    x = np.full_like(p0, np.nan)
-    best = np.full_like(p0, np.inf)
-    for cand in (xl, x1, x2):
-        ok = np.isfinite(cand) & (cand > 0.0) & (cand < 1.0)
-        v = np.where(ok, np.abs(cubic(np.where(ok, cand, 0.5))), np.inf)
-        better = ok & (v < best)
-        x = np.where(better, cand, x)
-        best = np.where(better, v, best)
-    val = cubic(np.where(np.isnan(x), 0.5, x))
+        x = qq / a
+        x = np.where(lin, -m0 / b, np.where((x > 0.0) & (x < 1.0), x, m0 / qq))
+    x = np.where((x > 0.0) & (x < 1.0), x, np.nan)
+    xs = np.where(np.isnan(x), 0.5, x)
+    x2, x3 = xs * xs, xs * xs * xs
+    val = (p0 * (2 * x3 - 3 * x2 + 1) + m0 * (x3 - 2 * x2 + xs)
+           + p1 * (-2 * x3 + 3 * x2) + m1 * (x3 - x2))
     return x, val
 
 
@@ -168,40 +161,30 @@ def _resolve_audits(p0, p1, q0, q1, h, t_left, scale, ys, rows):
 
     The cubic-Hermite extremum screens out clear cases; only cells whose
     interpolated extremum is within the screen margin of zero (or has no
-    clean quadratic root) are resolved by bisection on the derivative sign
-    change, with extra refinement for near-zero stationary values.  The
-    bisection reads the Taylor series at the cell midpoint, built once per
-    cell; its starting sign is that of the exact P' at the left node.  Row
-    ``rows[k]`` of ``ys`` holds cell k's coefficients.  Returns (status,
-    t_star) per cell.
+    interior root) are resolved by bisection on the derivative sign
+    change.  The bisection reads the Taylor series at the cell midpoint,
+    built once per cell; its starting sign is that of the exact P' at the
+    left node.  Row ``rows[k]`` of ``ys`` holds cell k's coefficients.
+    Returns (status, t_star) per cell.
     """
     x, val = _hermite_extremum(p0, p1, q0, q1, h)
     needs = np.isnan(x) | (np.abs(val) <= _SCREEN_MARGIN * scale)
-    status = np.where((~needs) & (_signs(val) != _signs(p0)),
+    status = np.where((~needs) & ((val >= 0.0) != (p0 >= 0.0)),
                       _AUDIT_DOUBLE, _AUDIT_CLEAN)
     t_star = t_left + np.where(np.isnan(x), 0.5, x) * h
 
     if needs.any():
         idx = np.nonzero(needs)[0]
         lo = t_left[idx].astype(float)
-        hi = lo + h
         mid = lo + 0.5 * h
         slope, d = cell_expansions(ys[rows[idx]], lo, h)
         up = slope >= 0.0
         lo, hi = _bisect(lambda t: (taylor_eval(d, t - mid)[1] >= 0.0) == up,
-                         lo, hi, _AUDIT_BISECT_STAGE1)
+                         lo, lo + h, _AUDIT_BISECT_STEPS)
         ts = 0.5 * (lo + hi)
         ps = taylor_eval(d, ts - mid)[0]
-        tiny = np.abs(ps) <= 1e-6 * scale[idx]
-        if tiny.any():
-            sub = np.nonzero(tiny)[0]
-            d2, mid2, up2 = d[sub], mid[sub], up[sub]
-            lo2, hi2 = _bisect(lambda t: (taylor_eval(d2, t - mid2)[1] >= 0.0) == up2,
-                               lo[sub], hi[sub], _AUDIT_BISECT_STAGE2)
-            ts[sub] = 0.5 * (lo2 + hi2)
-            ps[sub] = taylor_eval(d2, ts[sub] - mid2)[0]
         tangent = np.abs(ps) <= _TANGENCY_EPS * scale[idx]
-        double = (~tangent) & (_signs(ps) != _signs(p0[idx]))
+        double = (~tangent) & ((ps >= 0.0) != (p0[idx] >= 0.0))
         status[idx] = np.select([tangent, double], [_AUDIT_TANGENT, _AUDIT_DOUBLE],
                                 default=_AUDIT_CLEAN)
         t_star[idx] = ts
@@ -245,12 +228,11 @@ def _scan_and_audit(ys: np.ndarray, P: np.ndarray, Q: np.ndarray,
     if window.circular:
         p_end, q_end = P[:, 0], Q[:, 0]
     else:
+        # at t = n*pi the phases are i*pi: cos = (-1)^i and sin = 0 exactly
         i = np.arange(1, n + 1)
-        end_c = np.cos(i * math.pi)  # exact (-1)^i pattern at t = n*pi
-        end_s = np.sin(i * math.pi)
-        w = i / n
-        p_end = (ys[:, :, 0] @ end_c + ys[:, :, 1] @ end_s) / math.sqrt(n)
-        q_end = (ys[:, :, 0] @ (-w * end_s) + ys[:, :, 1] @ (w * end_c)) / math.sqrt(n)
+        alt = np.where(i % 2 == 0, 1.0, -1.0)
+        p_end = ys[:, :, 0] @ alt / math.sqrt(n)
+        q_end = ys[:, :, 1] @ (alt * i / n) / math.sqrt(n)
     crossing = _changes(P >= 0.0, p_end >= 0.0)
     counts = np.count_nonzero(crossing, axis=1)
     finite = np.isfinite(ys).all(axis=(1, 2))
@@ -300,33 +282,34 @@ def count_roots(sample: CoefficientSample, window: WindowSpec = FULL,
     crossing = scan.crossing[0]
     lo = t_left[crossing]
     hi = lo + h
-    s_lo = _signs(grid.P[crossing])
+    up = grid.P[crossing] >= 0.0
     double = scan.status == _AUDIT_DOUBLE
     if double.any():
         tl = t_left[scan.cells[double]]
         ts = scan.t_star[double]
-        sl = _signs(grid.P[scan.cells[double]])
+        ul = grid.P[scan.cells[double]] >= 0.0
         lo = np.concatenate([lo, tl, ts])
         hi = np.concatenate([hi, ts, tl + h])
-        s_lo = np.concatenate([s_lo, sl, -sl])
+        up = np.concatenate([up, ul, ~ul])
 
     roots = resid = deriv = np.empty(0)
     if lo.size:
-        roots, resid, deriv = _refine_brackets(sample, grid, lo, hi, s_lo, tol)
+        roots, resid, deriv = _refine_brackets(sample, grid, lo, hi, up, tol)
         order = np.argsort(roots)
         roots, resid, deriv = roots[order], resid[order], deriv[order]
-    unresolved = scan.cells[scan.status == _AUDIT_TANGENT]
     return RootCountResult(int(scan.counts[0]), roots, resid, deriv,
-                           tuple(scan.cells.tolist()), tuple(unresolved.tolist()),
+                           tuple(scan.cells.tolist()),
+                           scan.t_star[scan.status == _AUDIT_TANGENT],
                            bool(scan.uncertain[0]), grid, float(scan.end[0]), tol)
 
 
-def _refine_brackets(sample, grid, lo, hi, s_lo, tol):
+def _refine_brackets(sample, grid, lo, hi, up, tol):
     """Vectorized bisection to width tol, then a guarded Newton polish, on
-    the grid's local evaluator; residuals and derivatives are exact."""
+    the grid's local evaluator; ``up`` says where P(lo) >= 0.  Residuals
+    and derivatives are exact."""
     width = float(np.max(hi - lo))
     steps = max(1, int(math.ceil(math.log2(width / tol))))
-    lo, hi = _bisect(lambda mid: _signs(grid.eval_local(mid)[0]) == s_lo,
+    lo, hi = _bisect(lambda mid: (grid.eval_local(mid)[0] >= 0.0) == up,
                      lo, hi, steps)
     x = 0.5 * (lo + hi)
     for _ in range(_NEWTON_POLISH_STEPS):
@@ -345,9 +328,17 @@ def count_batch(ys: np.ndarray, n: int, window: WindowSpec, M: int):
     Fast path for Monte Carlo loops: the engine of ``count_roots`` without
     the root refinement.  Returns (counts, uncertain) arrays.
     """
-    P, Q = eval_grid_batch(ys, n, window, M)
+    # a row with an infinite coefficient gets NaN grids, then a flag
+    with np.errstate(invalid="ignore"):
+        P, Q = eval_grid_batch(ys, n, window, M)
     scan = _scan_and_audit(ys, P, Q, window)
     return scan.counts, scan.uncertain
+
+
+def check_delta(delta: float) -> None:
+    """Refuse a delta that is not finite and > 0."""
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be finite and > 0, got {delta}")
 
 
 def count_kacrice(sample: CoefficientSample, window: WindowSpec = FULL,
@@ -356,14 +347,14 @@ def count_kacrice(sample: CoefficientSample, window: WindowSpec = FULL,
 
     Around each refined root the two |P| = delta crossings are located by
     bisection and |P'| is integrated with 15-node Gauss-Legendre between
-    them; audited near-tangent cells are integrated on a local fine grid.
-    The sample is flagged when delta exceeds the grid's safe estimate (min
-    of |P| + |P'| on the grid and |P| at the window ends), when the count
-    is uncertain, or when the delta-intervals of two roots overlap: then
-    the |P| < delta set joins them and the integral cannot equal the count.
+    them; the |P| < delta dips at the audit's unresolved tangencies add
+    their own mass.  The sample is flagged when delta exceeds the grid's
+    safe estimate (min of |P| + |P'| on the grid and |P| at the window
+    ends), when the count is uncertain, or when the delta-intervals of two
+    roots overlap: then the |P| < delta set joins them and the integral
+    cannot equal the count.
     """
-    if not 0.0 < delta < math.inf:
-        raise ValueError(f"delta must be finite and > 0, got {delta}")
+    check_delta(delta)
     rr = count_roots(sample, window)
     grid = rr.grid
     safe = min(float(np.min(np.abs(grid.P) + np.abs(grid.Pprime))),
@@ -372,9 +363,7 @@ def count_kacrice(sample: CoefficientSample, window: WindowSpec = FULL,
 
     total = 0.0
     if rr.count:
-        roots, deriv = rr.roots, rr.derivatives
-        t_lo = _find_level_crossing(grid, roots, deriv, delta, side=-1.0)
-        t_hi = _find_level_crossing(grid, roots, deriv, delta, side=+1.0)
+        t_lo, t_hi = _find_level_crossing(grid, rr.roots, rr.derivatives, delta)
         flagged |= bool(np.any(t_lo[1:] <= t_hi[:-1]))
         if window.circular:
             flagged |= bool(t_lo[0] + window.length(sample.n) <= t_hi[-1])
@@ -388,42 +377,34 @@ def count_kacrice(sample: CoefficientSample, window: WindowSpec = FULL,
         qv = np.abs(qv).reshape(nodes.shape)
         total += float(np.sum((qv @ _GL_WEIGHTS) * half))
 
-    # unresolved tangency cells can still carry |P| < delta mass that is
-    # not attached to any counted root (resolved cells contribute nothing:
+    # unresolved tangencies can still carry |P| < delta mass that is not
+    # attached to any counted root (resolved cells contribute nothing:
     # clean cells stay above the tangency scale, double cells' roots are
     # already in the root list)
-    for cell in rr.unresolved_cells:
-        total += _tangency_mass(grid, cell, delta)
+    if rr.tangencies.size:
+        total += _tangency_mass(grid, rr.tangencies, delta)
 
     return KacRiceResult(value=total / (2.0 * delta), flagged=flagged,
                          safe_delta_estimate=safe, delta=delta, root_result=rr)
 
 
-def _tangency_mass(grid, cell, delta):
-    """int |P'| over the |P| < delta dip of an unresolved tangency cell."""
-    t0 = grid.t_values()[cell]
-    lo, hi = np.array([t0]), np.array([t0 + grid.spacing])
-    s_lo = _signs(grid.eval_local(lo)[1])
-    lo, hi = _bisect(lambda mid: _signs(grid.eval_local(mid)[1]) == s_lo,
-                     lo, hi, 60)
-    t_star = float((0.5 * (lo + hi))[0])
-    p_star, _ = grid.eval_local(np.array([t_star]))
-    if abs(p_star[0]) >= delta:
-        return 0.0
-    # |P| is unimodal on each side of the dip: the |P'| integral telescopes
-    # to (delta - |P(t*)|) per side once the delta crossings are bracketed
-    unit = np.array([1.0])
-    left = _find_level_crossing(grid, np.array([t_star]), unit, delta, side=-1.0)
-    right = _find_level_crossing(grid, np.array([t_star]), unit, delta, side=+1.0)
-    p_l, _ = grid.eval_local(left)
-    p_r, _ = grid.eval_local(right)
-    return float((abs(p_l[0]) - abs(p_star[0])) + (abs(p_r[0]) - abs(p_star[0])))
+def _tangency_mass(grid, t_star, delta):
+    """int |P'| over the |P| < delta dips at the stationary points t_star.
+
+    |P| is unimodal on each side of a dip: the |P'| integral telescopes to
+    (delta - |P(t*)|) per side once the delta crossings are bracketed.
+    """
+    p_star = np.abs(grid.eval_local(t_star)[0])
+    t_star, p_star = t_star[p_star < delta], p_star[p_star < delta]
+    ends = _find_level_crossing(grid, t_star, np.ones_like(t_star), delta)
+    return float(np.sum(np.abs(grid.eval_local(ends)[0]) - p_star))
 
 
-def _find_level_crossing(grid, roots, deriv, delta, side):
-    """Nearest t on the given side of each root with |P(t)| = delta."""
-    w = np.minimum(0.5 * grid.spacing,
-                   2.0 * delta / np.maximum(np.abs(deriv), 1e-300))
+def _find_level_crossing(grid, roots, deriv, delta):
+    """Nearest t on either side of each root with |P(t)| = delta: rows 0
+    and 1 of the result are the left and right crossings."""
+    side = np.array([[-1.0], [1.0]])
+    w = np.minimum(0.5 * grid.spacing, 2.0 * delta / np.maximum(np.abs(deriv), 1e-300))
     t_out = roots + side * w
     p_out, _ = grid.eval_local(t_out)
     for _ in range(64):

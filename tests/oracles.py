@@ -73,10 +73,10 @@ def dense_scan(ys: np.ndarray, P: np.ndarray, Q: np.ndarray,
     """(crossing, audit) masks of (B, M) grids of P and P' over all cells.
 
     The right-hand end values of every cell are built as whole shifted
-    grids (the closing value at n pi summed with exact (-1)^i phases for
-    the half window), and the dip test is evaluated everywhere: a cell is
-    audited when P keeps its sign, P' changes sign, and
-    min |P| < (h/2) max |P'| over its two ends.  Exact zeros join the +
+    grids (the closing value at n pi summed exactly, with the exact (-1)^i
+    phases, for the half window), and the dip test is evaluated
+    everywhere: a cell is audited when P keeps its sign, P' changes sign,
+    and min |P| < (h/2) max |P'| over its two ends.  Exact zeros join the +
     side.
     """
     n, M = ys.shape[1], P.shape[1]
@@ -85,9 +85,9 @@ def dense_scan(ys: np.ndarray, P: np.ndarray, Q: np.ndarray,
         Pr, Qr = np.roll(P, -1, axis=1), np.roll(Q, -1, axis=1)
     else:
         i = np.arange(1, n + 1)
-        end_c, end_s, w = np.cos(i * math.pi), np.sin(i * math.pi), i / n
-        p_end = (ys[:, :, 0] @ end_c + ys[:, :, 1] @ end_s) / math.sqrt(n)
-        q_end = (ys[:, :, 0] @ (-w * end_s) + ys[:, :, 1] @ (w * end_c)) / math.sqrt(n)
+        alt = (-1.0) ** i  # cos(i pi); sin(i pi) = 0
+        p_end = np.array([fsum(r) for r in ys[:, :, 0] * alt]) / math.sqrt(n)
+        q_end = np.array([fsum(r) for r in ys[:, :, 1] * (alt * i / n)]) / math.sqrt(n)
         Pr = np.concatenate([P[:, 1:], p_end[:, None]], axis=1)
         Qr = np.concatenate([Q[:, 1:], q_end[:, None]], axis=1)
 
