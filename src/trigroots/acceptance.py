@@ -25,15 +25,20 @@ from trigroots.charprobe import (
     log_abs_charfn,
     small_ball_mc,
 )
-from trigroots.diophantine import build_D, check_condition_t, check_condition_st
+from trigroots.diophantine import build_D, good_pair, good_t
 from trigroots.edgeworth import c_n_alpha, gauss_expect_psi_H
 from trigroots.ensemble import discrete, gaussian, rademacher, uniform
-from trigroots.mcstats import run_experiment, scaling_check
+from trigroots.mcstats import (
+    GAUSSIAN_SLOPE,
+    run_experiment,
+    scaling_check,
+    theoretical_slope,
+)
 from trigroots.polyeval import FULL, covariance_V
 from trigroots.rootcount import count_kacrice, gaussian_expectation_exact
 
-GAUSSIAN_SLOPE = 0.55826
-RADEMACHER_SLOPE = 0.29159  # GAUSSIAN_SLOPE - 4/15
+#: the law GAUSSIAN_SLOPE - 4/15, to the five digits of GAUSSIAN_SLOPE
+RADEMACHER_SLOPE = round(theoretical_slope(rademacher(), FULL), 5)
 
 #: limits of c_n(i,i,j,j) / (m4 - 3) at non-resonant t, s, with a = i-1,
 #: b = j-3: of the fourth moment of iid mean-zero linear forms only the
@@ -61,26 +66,6 @@ class CriterionResult:
         return f"[{status}] criterion {self.cid:2d}: {self.name} ({self.runtime:.1f}s)"
 
 
-def _good_t(n: int, tau: float = 0.05, anchor: float = math.sqrt(2) - 1.0) -> float:
-    """A window point passing the single-point condition, near anchor*pi*n."""
-    for shift in np.linspace(0.0, 0.1, 41):
-        t = (anchor + shift) * math.pi * n
-        if check_condition_t(n, t, tau).satisfied:
-            return t
-    raise RuntimeError("no non-resonant point found")
-
-
-def _good_pair(n: int, tau: float = 0.05) -> tuple[float, float]:
-    anchors = [(math.sqrt(2) - 1.0, math.sqrt(3) - 1.0),
-               (math.sqrt(5) - 2.0, math.sqrt(7) - 2.0),
-               (math.pi / 8.0, math.e / 4.0)]
-    for a, b in anchors:
-        s, t = a * math.pi * n, b * math.pi * n
-        if check_condition_st(n, s, t, tau).satisfied:
-            return s, t
-    raise RuntimeError("no non-resonant pair found")
-
-
 def _heavy_discrete():
     # three-point law with positive excess kurtosis, for ensemble diversity
     return discrete([(-2.0, 0.125), (0.0, 0.75), (2.0, 0.125)])
@@ -88,7 +73,6 @@ def _heavy_discrete():
 
 def criterion_1_cg(ctx) -> CriterionResult:
     res = compute_cg(CgQuadratureConfig())
-    ctx["cg"] = res
     err = abs(res.value - GAUSSIAN_SLOPE)
     return CriterionResult(
         1, "Gaussian slope quadrature within 5e-4", err <= 5e-4,
@@ -209,8 +193,8 @@ def criterion_7_psi_limits(ctx) -> CriterionResult:
 
 def criterion_8_covariance(ctx) -> CriterionResult:
     n = 100000
-    t = _good_t(n)
-    s, t2 = _good_pair(n)
+    t = good_t(n)
+    s, t2 = good_pair(n)
     V2 = covariance_V(n, t).entries
     d2 = float(np.linalg.norm(V2 - np.diag([1.0, 1.0 / 3.0]), 2))
     V4 = covariance_V(n, t2, s).entries
@@ -251,7 +235,7 @@ def criterion_9_charfn_bound(ctx) -> CriterionResult:
 def criterion_10_smallball(ctx) -> CriterionResult:
     seed = ctx["seed"] + 10
     n = 200
-    t = _good_t(n, anchor=math.sqrt(5) * 0.5 - 0.8)
+    t = good_t(n, anchor=math.sqrt(5) * 0.5 - 0.8)
     delta2, delta4 = 0.05, 0.15
     trials = 200000
     centers2 = [np.array([a, b])
@@ -262,7 +246,7 @@ def criterion_10_smallball(ctx) -> CriterionResult:
         est = small_ball_mc(n, t, rademacher(), c, delta2, trials,
                             seed=seed + k, force=True)
         worst2 = max(worst2, est.probability / delta2**2)
-    s_pt, t_pt = _good_pair(n)
+    s_pt, t_pt = good_pair(n)
     rng = np.random.default_rng(seed)
     centers4 = [rng.uniform(-0.5, 0.5, 4) for _ in range(20)]
     worst4 = 0.0

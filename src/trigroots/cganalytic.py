@@ -1,6 +1,8 @@
-"""Gaussian variance slope by quadrature, and the fourth-moment correctors.
+"""The Gaussian variance slope cg by quadrature.
 
-The slope constant is
+cg is the Gaussian part of the limit Var(N_n)/n -> cg + (2/15)(m4 - 3);
+``mcstats.theoretical_slope`` assembles that law from the rounded constant
+``GAUSSIAN_SLOPE``.  The slope constant is
 
     cg = (4 / 3 pi) * int_0^inf f(t) dt + 2 / sqrt(3),
 
@@ -91,10 +93,6 @@ class CgConvergenceError(RuntimeError):
         self.partial = partial
 
 
-class RStarDomainError(ValueError):
-    """|R*| exceeded 1 beyond the allowed clamping slack."""
-
-
 @dataclass(frozen=True)
 class CgQuadratureConfig:
     t0: float = 0.05
@@ -108,13 +106,6 @@ class CgQuadratureConfig:
 
 
 @dataclass(frozen=True)
-class SpectralFunctions:
-    g: float
-    gprime: float
-    gdoubleprime: float
-
-
-@dataclass(frozen=True)
 class CgResult:
     value: float
     error_estimate: float
@@ -123,9 +114,6 @@ class CgResult:
     panels: int
     evaluations: int
     envelope: tuple[float, float, float]
-
-    def __float__(self):
-        return self.value
 
 
 def _poly_even(coeffs, t2):
@@ -153,15 +141,6 @@ def _g_arrays(t: np.ndarray, t0: float):
     return g, gp, gpp
 
 
-def g_funcs(t: float, t0: float = 0.05) -> SpectralFunctions:
-    """g, g', g'' at a point (series below t0, closed forms above)."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    arr = np.array([float(t)])
-    g, gp, gpp = _g_arrays(arr, t0)
-    return SpectralFunctions(float(g[0]), float(gp[0]), float(gpp[0]))
-
-
 def _rstar_parts(t: np.ndarray, t0: float):
     """(R*, 1 - R*) with the difference formed cancellation-free."""
     small = t < t0
@@ -180,23 +159,6 @@ def _rstar_parts(t: np.ndarray, t0: float):
     r[~small] = nn / dd
     omr[~small] = (dd - nn) / dd
     return r, omr
-
-
-def rstar(t, t0: float = 0.05, clamp_slack: float = 1e-9):
-    """The correlation-ratio function of the slope integrand.
-
-    Values are clamped to [-1, 1] when within ``clamp_slack``; a larger
-    excursion means the series and closed forms disagree and raises.
-    """
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(arr <= 0):
-        raise ValueError("rstar needs t > 0")
-    r, _ = _rstar_parts(arr, t0)
-    over = np.maximum(np.abs(r) - 1.0, 0.0)
-    if np.any(over > clamp_slack):
-        raise RStarDomainError(f"|R*| - 1 = {over.max():.3e} exceeds slack")
-    r = np.clip(r, -1.0, 1.0)
-    return float(r[0]) if np.ndim(t) == 0 else r
 
 
 def cg_integrand(t, t0: float = 0.05):
@@ -296,19 +258,3 @@ def compute_cg(config: CgQuadratureConfig = CgQuadratureConfig()) -> CgResult:
                     tail=tail, panels=a.size, evaluations=neval,
                     envelope=(A, B, C))
 
-
-def ystar(y4) -> float:
-    """Fourth-moment corrector from the limiting coefficient moments.
-
-    ``y4`` maps the index tuples (1,1,2,2), (2,2,1,1), (1,1,1,1), (2,2,2,2)
-    to the limits of E[y_1^a y_2^b]; the combination measures the total
-    deviation from Gaussian fourth moments.
-    """
-    return ((y4[(1, 1, 2, 2)] - 1.0) + (y4[(2, 2, 1, 1)] - 1.0)
-            + (y4[(1, 1, 1, 1)] - 3.0) + (y4[(2, 2, 2, 2)] - 3.0))
-
-
-def ystar_iid(m4: float) -> float:
-    """iid specialization: mixed moments are exactly 1, pure ones are m4."""
-    return ystar({(1, 1, 2, 2): 1.0, (2, 2, 1, 1): 1.0,
-                  (1, 1, 1, 1): m4, (2, 2, 2, 2): m4})

@@ -93,6 +93,9 @@ def decay_scan(n: int, t: float, dist: DistributionSpec, tau: float = 0.05,
     Points failing the non-resonance condition are scanned anyway but the
     report carries ``condition_ok=False`` (decay is not guaranteed there).
     """
+    if radii_count < 1 or directions_per_radius < 1:
+        raise ValueError("decay scan needs at least one radius and one "
+                         f"direction, got {radii_count} and {directions_per_radius}")
     if s is None:
         condition_ok = bool(check_condition_t(n, t, tau).satisfied)
         dim = 2
@@ -175,6 +178,8 @@ def small_ball_mc(n: int, t: float, dist: DistributionSpec, center, delta: float
                   force: bool = False) -> SmallBallEstimate:
     """Monte Carlo P(S_n/sqrt(n) in B(center, delta)) with binomial se."""
     check_delta(delta)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     center = np.asarray(center, dtype=float)
     expect, p_est = _gaussian_ball_feasibility(n, t, s, center, delta, trials)
     if expect < 10 and not force:
@@ -221,6 +226,8 @@ def smallball_1d_scan(n: int, t: float, dist: DistributionSpec, delta: float,
                       trials: int, seed: int = 0, centers=None) -> OneDScanResult:
     """Max over centers of P(|P_n(t) - a| < delta), Monte Carlo at fixed t."""
     check_delta(delta)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     if centers is None:
         centers = np.linspace(-2.0, 2.0, 20)
     centers = np.asarray(centers, dtype=float)

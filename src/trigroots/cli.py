@@ -29,7 +29,12 @@ import trigroots
 from trigroots import acceptance, ensemble
 from trigroots.cganalytic import CgQuadratureConfig, compute_cg
 from trigroots.charprobe import decay_scan, small_ball_mc, smallball_1d_scan
-from trigroots.diophantine import build_D, check_condition_st, check_condition_t
+from trigroots.diophantine import (
+    build_D,
+    check_condition_st,
+    check_condition_t,
+    good_t,
+)
 from trigroots.ensemble import parse_distribution
 from trigroots.mcstats import (
     run_experiment,
@@ -253,9 +258,8 @@ def _cmd_cg(cfg):
 def _cmd_simulate(cfg):
     dist = parse_distribution(cfg["dist"])
     window = WindowSpec(cfg["window"])
-    cg = acceptance.GAUSSIAN_SLOPE if window.kind == "full" else None
     rec = run_experiment(dist, cfg["n"], window, cfg["trials"], cfg["seed"],
-                         parallelism=cfg["threads"], cg=cg)
+                         parallelism=cfg["threads"])
     _emit_json({"meta": _meta(cfg), "record": rec.to_dict()}, cfg.get("out"))
     return 0
 
@@ -266,9 +270,8 @@ def _cmd_sweep(cfg):
     for name in cfg["dist"].split(","):
         dist = parse_distribution(name.strip())
         window = WindowSpec(cfg["window"])
-        cg = acceptance.GAUSSIAN_SLOPE if window.kind == "full" else None
         recs = slope_series(dist, n_list, cfg["trials"], cfg["seed"], window,
-                            parallelism=cfg["threads"], cg=cg)
+                            parallelism=cfg["threads"])
         rows.extend(slope_rows(recs))
     _emit_csv(rows, cfg.get("out"), cfg)
     if cfg.get("svg"):
@@ -340,7 +343,7 @@ def _cmd_conditions(cfg):
 def _cmd_charfn(cfg):
     dist = parse_distribution(cfg["dist"])
     n = cfg["n"]
-    t = cfg["t"] if cfg.get("t") is not None else acceptance._good_t(n, cfg["tau"])
+    t = cfg["t"] if cfg.get("t") is not None else good_t(n, cfg["tau"])
     rep = decay_scan(n, t, dist, tau=cfg["tau"], c_star=cfg["cstar"],
                      radii_count=cfg["radii"],
                      directions_per_radius=cfg["directions"],
@@ -356,7 +359,7 @@ def _cmd_charfn(cfg):
 def _cmd_smallball(cfg):
     dist = parse_distribution(cfg["dist"])
     n = cfg["n"]
-    t = cfg["t"] if cfg.get("t") is not None else acceptance._good_t(n)
+    t = cfg["t"] if cfg.get("t") is not None else good_t(n)
     if cfg.get("one_d"):
         res = smallball_1d_scan(n, t, dist, cfg["delta"], cfg["trials"], cfg["seed"])
         rows = [{"center": float(c), "probability": float(p), "se": float(s)}

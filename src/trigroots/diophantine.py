@@ -31,11 +31,10 @@ class ConditionReport:
     l_max: int
     vacuous: bool = False
 
-    def __bool__(self):
-        return self.satisfied
-
 
 def _params(n: int, tau: float) -> tuple[float, int]:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if not 0.0 < tau < 0.125:
         raise ValueError("tau must lie in (0, 1/8)")
     return float(n) ** (-1.0 + 8.0 * tau), int(math.floor(float(n) ** tau))
@@ -88,6 +87,27 @@ def check_condition_st(n: int, s: float, t: float, tau: float = 0.05) -> Conditi
     if best is not None and best[2] <= threshold:
         return ConditionReport(False, best, tau, threshold, l_max)
     return ConditionReport(True, None, tau, threshold, l_max)
+
+
+def good_t(n: int, tau: float = 0.05, anchor: float = math.sqrt(2) - 1.0) -> float:
+    """A window point passing the single-point condition, near anchor*pi*n."""
+    for shift in np.linspace(0.0, 0.1, 41):
+        t = (anchor + shift) * math.pi * n
+        if check_condition_t(n, t, tau).satisfied:
+            return t
+    raise RuntimeError("no non-resonant point found")
+
+
+def good_pair(n: int, tau: float = 0.05) -> tuple[float, float]:
+    """A pair passing the pair condition, from three irrational anchors."""
+    anchors = [(math.sqrt(2) - 1.0, math.sqrt(3) - 1.0),
+               (math.sqrt(5) - 2.0, math.sqrt(7) - 2.0),
+               (math.pi / 8.0, math.e / 4.0)]
+    for a, b in anchors:
+        s, t = a * math.pi * n, b * math.pi * n
+        if check_condition_st(n, s, t, tau).satisfied:
+            return s, t
+    raise RuntimeError("no non-resonant pair found")
 
 
 @dataclass(frozen=True)
@@ -174,14 +194,12 @@ def build_D(n: int, epsilon: float, tau: float = 0.05) -> DRegion:
             continue
         span = abs(k1) + abs(l1) + 1
         for mm in range(-span, span + 1):
-            # solve for p: k1*[p eps, (p+1) eps] + [c_lo, c_hi] near npi*mm
+            # solve for p: k1*[p eps, (p+1) eps] + [c_lo, c_hi] near npi*mm;
+            # canonical pairs have k1 > 0 here
             lo_p = (npi * (mm - thr) - c_hi) / epsilon
             hi_p = (npi * (mm + thr) - c_lo) / epsilon
-            if k1 > 0:
-                p_lo = np.ceil(lo_p / k1 - 1.0).astype(np.int64)
-                p_hi = np.floor(hi_p / k1).astype(np.int64)
-            else:  # canonical pairs have k1 >= 0; kept for clarity
-                continue
+            p_lo = np.ceil(lo_p / k1 - 1.0).astype(np.int64)
+            p_hi = np.floor(hi_p / k1).astype(np.int64)
             p_lo = np.maximum(p_lo, rows_k + 1)
             p_hi = np.minimum(p_hi, k_max)
             idx = np.nonzero(p_lo <= p_hi)[0]

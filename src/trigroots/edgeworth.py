@@ -7,31 +7,20 @@ here averages those deviations,
     Delta_alpha(X_k) = E X_k^alpha - E G_k^alpha,
     c_n(alpha)       = (1/n) sum_k Delta_alpha(X_k),
 
-and assembles the correction factors
-
-    Gamma_1  = (1/6)  sum_{|alpha|=3} c_n(alpha) H_alpha(x),
-    Gamma_2' = (1/24) sum_{|beta|=4}  c_n(beta)  H_beta(x),
-    Gamma_2''= (1/72) sum_{|rho|=3} sum_{|beta|=3}
-               c_n(beta) c_n(rho) H_{beta,rho}(x),
-    Q_2      = 1 + Gamma_1 / sqrt(n) + (Gamma_2' + Gamma_2'') / n,
-
-where H_alpha is the product of probabilists' Hermite polynomials with the
-coordinate multiplicities of alpha.  Multi-index sums run over ordered
-tuples in {1..d}^m (H is permutation invariant, so each unordered class is
-weighted by its number of orderings); the double sum in Gamma_2'' counts
-(beta, rho) and (rho, beta) separately.
+the weight of alpha's Hermite product in the paper's Edgeworth factor
+Q_2 (the test suite's oracles assemble Q_2 from ``c_n_alpha``).
 
 X is rescaled by diag(lambda)^{-1/2} with lambda = (1, 1/3) respectively
 (1, 1/3, 1, 1/3), the limit of the walk's average covariance;
 ``gauss_expect_psi_H`` computes the matching Gaussian functionals
-E[Psi_delta(diag(lambda)^{1/2} W) H_alpha(W)] by coordinate factorization.
+E[Psi_delta(diag(lambda)^{1/2} W) prod_j h_{n_j(alpha)}(W_j)], with h_m the
+probabilists' Hermite polynomials and n_j(alpha) the coordinate
+multiplicities, by coordinate factorization.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 from scipy.integrate import quad
@@ -75,17 +64,6 @@ def multiplicities(alpha, d: int) -> tuple[int, ...]:
     return tuple(sum(1 for a in alpha if a == j) for j in range(1, d + 1))
 
 
-def H_alpha(alpha, x) -> float:
-    """Product of Hermite polynomials with alpha's coordinate multiplicities."""
-    x = np.asarray(x, dtype=float)
-    d = x.shape[-1]
-    out = 1.0
-    for j, m in enumerate(multiplicities(alpha, d)):
-        if m:
-            out = out * hermite(m, x[..., j])
-    return out if np.ndim(out) else float(out)
-
-
 def _moment_stack(C: np.ndarray, mom: dict[int, float], alpha) -> np.ndarray:
     """Vectorized moment expansion over a stack of matrices (n, d, 2)."""
     alpha = tuple(int(a) - 1 for a in alpha)
@@ -123,87 +101,6 @@ def c_n_alpha(n: int, t: float, dist: DistributionSpec, alpha,
     return float(np.mean(dy - dg))
 
 
-def _c_n_table(n, t, dist, s, order):
-    """c_n over all ordered tuples of the given order, keyed by tuple.
-
-    Permutation invariance cuts the distinct evaluations to the sorted
-    tuples.
-    """
-    C = _scaled_matrices(n, t, s)
-    d = C.shape[1]
-    mom = _scalar_moments(dist)
-    cache: dict[tuple, float] = {}
-    table: dict[tuple, float] = {}
-    for alpha in product(range(1, d + 1), repeat=order):
-        key = tuple(sorted(alpha))
-        if key not in cache:
-            dy = _moment_stack(C, mom, key)
-            dg = _moment_stack(C, _GAUSSIAN_MOMENTS, key)
-            cache[key] = float(np.mean(dy - dg))
-        table[alpha] = cache[key]
-    return table
-
-
-def _gamma2_doubleprime(c3: dict, x) -> float:
-    # both (beta, rho) and (rho, beta) orders are summed, matching the
-    # 1/72 normalization of the tuple double sum
-    tot = 0.0
-    for beta, cb in c3.items():
-        if cb == 0.0:
-            continue
-        for rho, cr in c3.items():
-            if cr == 0.0:
-                continue
-            tot += cb * cr * H_alpha(beta + rho, x)
-    return tot / 72.0
-
-
-@dataclass(frozen=True)
-class CorrectorTerms:
-    n: int
-    dim: int
-    c3: dict
-    c4: dict
-    gamma1: float
-    gamma2_prime: float
-    gamma2_doubleprime: float
-    q_n2: float
-
-    @property
-    def gamma2(self) -> float:
-        return self.gamma2_prime + self.gamma2_doubleprime
-
-    def gamma1_at(self, x) -> float:
-        return sum(c * H_alpha(a, x) for a, c in self.c3.items()) / 6.0
-
-    def gamma2_prime_at(self, x) -> float:
-        return sum(c * H_alpha(a, x) for a, c in self.c4.items()) / 24.0
-
-    def gamma2_doubleprime_at(self, x) -> float:
-        return _gamma2_doubleprime(self.c3, x)
-
-    def q_n2_at(self, x) -> float:
-        g2 = self.gamma2_prime_at(x) + self.gamma2_doubleprime_at(x)
-        return 1.0 + self.gamma1_at(x) / math.sqrt(self.n) + g2 / self.n
-
-
-def gamma_terms(n: int, t: float, dist: DistributionSpec, x,
-                s: float | None = None) -> CorrectorTerms:
-    """All corrector values at the point x, plus the c_n tables behind them."""
-    x = np.asarray(x, dtype=float)
-    d = 2 if s is None else 4
-    if x.shape != (d,):
-        raise ValueError(f"x must have dimension {d}")
-    c3 = _c_n_table(n, t, dist, s, 3)
-    c4 = _c_n_table(n, t, dist, s, 4)
-    g1 = sum(c * H_alpha(a, x) for a, c in c3.items()) / 6.0
-    g2p = sum(c * H_alpha(a, x) for a, c in c4.items()) / 24.0
-    g2pp = _gamma2_doubleprime(c3, x)
-    q = 1.0 + g1 / math.sqrt(n) + (g2p + g2pp) / n
-    return CorrectorTerms(n=n, dim=d, c3=c3, c4=c4, gamma1=g1,
-                          gamma2_prime=g2p, gamma2_doubleprime=g2pp, q_n2=q)
-
-
 def _phi(w):
     return math.exp(-0.5 * w * w) / math.sqrt(2.0 * math.pi)
 
@@ -230,7 +127,8 @@ def _abs_factor(k: int, lam: float) -> float:
 
 
 def gauss_expect_psi_H(alpha, delta: float | None = None) -> float:
-    """E[Psi_delta(diag(lambda)^{1/2} W) H_alpha(W)] for standard Gaussian W.
+    """E[Psi_delta(diag(lambda)^{1/2} W) prod_j h_{n_j(alpha)}(W_j)] for
+    standard Gaussian W.
 
     Psi pairs an indicator kernel on coordinates 1, 3 with |.| weights on
     coordinates 2, 4; the expectation factorizes into four 1-D integrals.

@@ -24,10 +24,8 @@ SQRT3 = math.sqrt(3.0)
 
 _NORMALIZATION_TOL = 1e-12
 
-#: series cutoffs for the continuous xi-norm (see ``xi_norm_sq``)
+#: series cutoff for the Gaussian xi-norm (see ``xi_norm_sq``)
 _GAUSS_SMALL_W = 0.02
-_UNIFORM_SMALL_W = 1.0 / (4.0 * SQRT3)
-_UNIFORM_SERIES_TERMS = 2500
 
 
 class DistributionError(ValueError):
@@ -242,15 +240,16 @@ def _dist_to_nearest_int(x: np.ndarray) -> np.ndarray:
 def xi_norm_sq(dist: DistributionSpec, w):
     """E || w (xi1 - xi2) ||^2 with ||.|| the distance to the nearest integer.
 
-    Exact atom sums for discrete laws.  For the continuous built-ins the
-    value is computed from the absolutely convergent cosine series of the
-    1-periodic function ||x||^2,
+    Exact atom sums for discrete laws, and a closed form for the uniform
+    law (see ``_xi_norm_sq_uniform``).  The Gaussian value is computed from
+    the absolutely convergent cosine series of the 1-periodic function
+    ||x||^2,
 
         ||x||^2 = 1/12 + sum_m (-1)^m cos(2 pi m x) / (pi m)^2,
 
     whose expectation only needs |charfn(2 pi m w)|^2; truncation is kept
-    below 1e-12.  The test suite cross-checks it against a slower
-    density-based quadrature.  Accepts scalars or arrays of w.
+    below 1e-12.  The test suite cross-checks both continuous laws against
+    a slower density-based quadrature.  Accepts scalars or arrays of w.
     """
     w = np.asarray(w, dtype=float)
     scalar = w.ndim == 0
@@ -284,16 +283,20 @@ def _xi_norm_sq_gaussian(w: np.ndarray) -> np.ndarray:
 
 
 def _xi_norm_sq_uniform(w: np.ndarray) -> np.ndarray:
-    out = np.empty_like(w)
-    aw = np.abs(w)
-    small = aw < _UNIFORM_SMALL_W
-    # support of xi1-xi2 is [-2 sqrt3, 2 sqrt3]: |w z| < 1/2 exactly
-    out[small] = 2.0 * w[small] ** 2
-    wl = aw[~small]
-    if wl.size:
-        m = np.arange(1.0, _UNIFORM_SERIES_TERMS + 1.0)
-        theta = 2.0 * math.pi * np.multiply.outer(m, wl)
-        phi2 = np.sinc(SQRT3 * theta / np.pi) ** 2
-        signs = np.where(m % 2 == 0, 1.0, -1.0) / (math.pi**2 * m**2)
-        out[~small] = 1.0 / 12.0 + signs @ phi2
-    return out
+    """Closed form for xi uniform on [-sqrt3, sqrt3].
+
+    w (xi1 - xi2) has the triangular density (a - |x|)/a^2 on [-a, a], with
+    a = 2 sqrt3 |w|, so E||.||^2 = (2/a^2) int_0^a F(x) dx with
+    F(x) = int_0^x ||s||^2 ds = x/12 + u^3/3 - u/12 and u = x - round(x).
+    The periodic part integrates to u^4/12 - u^2/24 at x = a, which gives
+
+        E||.||^2 = (r (a + u)/12 + u^4/6) / a^2,   r = round(a), u = a - r,
+
+    written below without the cancellation of a^2 - u^2 = r (a + u), and
+    with 0 at w = 0.
+    """
+    a = 2.0 * SQRT3 * np.abs(w)
+    r = np.round(a)
+    u = a - r
+    safe = np.where(a > 0.0, a, 1.0)
+    return (r / safe) * ((a + u) / safe) / 12.0 + ((u / safe) * u) ** 2 / 6.0

@@ -17,14 +17,17 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from trigroots import ensemble
-from trigroots.ensemble import DistributionSpec, moments, parse_distribution
+from trigroots.ensemble import DistributionSpec, moments
 from trigroots.polyeval import FULL, WindowSpec, grid_size
 from trigroots.rootcount import count_batch, default_tol
 
 CHUNK_SIZE = 256
 
-#: kurtosis-excess coefficients of the variance slope per window
-SLOPE_COEFF = {"full": 2.0 / 15.0, "half": 1.0 / 30.0}
+#: the full-window limit of Var(count)/n is GAUSSIAN_SLOPE + KURTOSIS_COEFF *
+#: (m4 - 3): the quadrature constant cg (criterion 1 checks ``compute_cg``
+#: against it) plus the coefficient law's excess kurtosis term
+GAUSSIAN_SLOPE = 0.55826
+KURTOSIS_COEFF = 2.0 / 15.0
 
 
 @dataclass
@@ -136,11 +139,9 @@ class ExperimentRecord:
         return self.to_dict(include_timing=False)
 
 
-def _chunk_counts(dist_label: str, n: int, window_kind: str, M: int,
+def _chunk_counts(dist: DistributionSpec, n: int, window: WindowSpec, M: int,
                   seed: int, lo: int, hi: int):
     """Counts and uncertainty flags for trials [lo, hi)."""
-    dist = parse_distribution(dist_label)
-    window = WindowSpec(window_kind)
     ys = np.empty((hi - lo, n, 2))
     for j, trial in enumerate(range(lo, hi)):
         rng = ensemble._rng_for_trial(seed, trial)
@@ -151,13 +152,13 @@ def _chunk_counts(dist_label: str, n: int, window_kind: str, M: int,
 
 def run_experiment(dist: DistributionSpec, n: int, window: WindowSpec = FULL,
                    trials: int = 1000, seed: int = 0, parallelism: int = 1,
-                   M: int | None = None, cg: float | None = None) -> ExperimentRecord:
+                   M: int | None = None) -> ExperimentRecord:
     """Estimate mean and variance of the root count over seeded trials.
 
     Counts come from the grid scan with the stationary-point audit (root
     positions are not refined; the count is unaffected).  The result is
     bit-identical for any ``parallelism``.  A grid below the root-capture
-    bound raises ``GridError``.
+    bound raises ``GridError``.  The record carries ``theoretical_slope``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -169,13 +170,13 @@ def run_experiment(dist: DistributionSpec, n: int, window: WindowSpec = FULL,
         M = grid_size(n)
     t0 = time.perf_counter()
     edges = list(range(0, trials, CHUNK_SIZE)) + [trials]
-    jobs = [(dist.label(), n, window.kind, M, seed, lo, hi)
+    jobs = [(dist, n, window, M, seed, lo, hi)
             for lo, hi in zip(edges[:-1], edges[1:])]
     if parallelism > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(_chunk_counts_star, jobs, chunksize=1))
+            results = list(pool.map(_chunk_counts, *zip(*jobs), chunksize=1))
     else:
-        results = [_chunk_counts_star(j) for j in jobs]
+        results = list(map(_chunk_counts, *zip(*jobs)))
 
     acc = MomentAccumulator()
     flagged = 0
@@ -184,41 +185,36 @@ def run_experiment(dist: DistributionSpec, n: int, window: WindowSpec = FULL,
         flagged += int(uncertain.sum())
 
     est = VarianceEstimate.from_accumulator(acc, n)
-    slope = theoretical_slope(dist, window, cg) if cg is not None else None
     wall = time.perf_counter() - t0
     return ExperimentRecord(
         distribution=dist.label(), window=window.kind, n=n, M=M,
         tol=default_tol(n), seed=int(seed), trials=trials,
-        chunk_size=CHUNK_SIZE, estimate=est, theoretical_slope=slope,
+        chunk_size=CHUNK_SIZE, estimate=est,
+        theoretical_slope=theoretical_slope(dist, window),
         flagged_trial_count=flagged,
         unreliable=flagged > 0.001 * trials,
         wall_time=wall,
     )
 
 
-def _chunk_counts_star(args):
-    return _chunk_counts(*args)
-
-
-def theoretical_slope(dist: DistributionSpec, window: WindowSpec, cg: float) -> float:
-    """Limit of Var(count)/n: the Gaussian slope plus the kurtosis term.
-
-    ``cg`` is the window's Gaussian baseline: the quadrature constant for
-    the full window, a Monte Carlo calibration for the half window.
-    """
-    prof = moments(dist)
-    return cg + SLOPE_COEFF[window.kind] * prof.excess_kurtosis
+def theoretical_slope(dist: DistributionSpec, window: WindowSpec) -> float | None:
+    """Limit of Var(count)/n on the full window: the Gaussian slope plus the
+    kurtosis term.  None on the half window, which has no Gaussian baseline
+    here."""
+    if not window.circular:
+        return None
+    return GAUSSIAN_SLOPE + KURTOSIS_COEFF * moments(dist).excess_kurtosis
 
 
 def slope_series(dist: DistributionSpec, n_list, trials_per_n: int, seed: int,
-                 window: WindowSpec = FULL, parallelism: int = 1,
-                 cg: float | None = None) -> list[ExperimentRecord]:
+                 window: WindowSpec = FULL,
+                 parallelism: int = 1) -> list[ExperimentRecord]:
     """One experiment per n; n_list must be increasing."""
     n_list = list(n_list)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
     return [run_experiment(dist, n, window, trials_per_n, seed,
-                           parallelism=parallelism, cg=cg)
+                           parallelism=parallelism)
             for n in n_list]
 
 

@@ -78,7 +78,6 @@ class RootCountResult:
     roots: np.ndarray
     residuals: np.ndarray
     derivatives: np.ndarray
-    tangency_cells: tuple[int, ...]  # all audited dip cells
     tangencies: np.ndarray           # audit's t* of the cells stuck at a tangency
     uncertain: bool
     grid: EvaluationGrid
@@ -97,9 +96,6 @@ class KacRiceResult:
     @property
     def root_count(self) -> int:
         return self.root_result.count
-
-    def __float__(self):
-        return self.value
 
 
 def default_tol(n: int) -> float:
@@ -298,7 +294,6 @@ def count_roots(sample: CoefficientSample, window: WindowSpec = FULL,
         order = np.argsort(roots)
         roots, resid, deriv = roots[order], resid[order], deriv[order]
     return RootCountResult(int(scan.counts[0]), roots, resid, deriv,
-                           tuple(scan.cells.tolist()),
                            scan.t_star[scan.status == _AUDIT_TANGENT],
                            bool(scan.uncertain[0]), grid, float(scan.end[0]), tol)
 

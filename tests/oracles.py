@@ -4,16 +4,20 @@ Each one takes a different route to a quantity the program computes fast:
 compensated extended-precision point sums for the FFT grid and the
 vectorized evaluator, the roots of an algebraic polynomial for the root
 count, the dense all-cells formula for the engine's sign scan and audit
-selection, density quadrature for the xi-norm series, and the normal CDF
-for the one-dimensional small-ball scan.
+selection, density quadrature for the xi-norm, and the normal CDF for the
+one-dimensional small-ball scan.  ``edgeworth_q2`` assembles the paper's
+Edgeworth factor from the program's c_n values.
 """
 
 import math
+from itertools import product
 from math import fsum
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
 
+from trigroots.edgeworth import c_n_alpha, hermite, multiplicities
 from trigroots.ensemble import (
     SQRT3,
     CoefficientSample,
@@ -151,3 +155,47 @@ def normal_interval_probability(variance: float, center: float, delta: float) ->
     a = (center - delta) / sd
     b = (center + delta) / sd
     return 0.5 * (math.erf(b / math.sqrt(2)) - math.erf(a / math.sqrt(2)))
+
+
+def H_alpha(alpha, x):
+    """Product of probabilists' Hermite polynomials over alpha's coordinate
+    multiplicities, at points x of shape (..., d)."""
+    x = np.asarray(x, dtype=float)
+    out = 1.0
+    for j, m in enumerate(multiplicities(alpha, x.shape[-1])):
+        if m:
+            out = out * hermite(m, x[..., j])
+    return out
+
+
+class EdgeworthQ2(NamedTuple):
+    gamma1: np.ndarray
+    gamma2_prime: np.ndarray
+    gamma2_doubleprime: np.ndarray
+    q2: np.ndarray
+
+
+def edgeworth_q2(n: int, t: float, dist: DistributionSpec, x,
+                 s: float | None = None) -> EdgeworthQ2:
+    """The paper's second-order Edgeworth factor at points x of shape (..., d),
+
+        Gamma_1   = (1/6)  sum_{|alpha|=3} c_n(alpha) H_alpha(x),
+        Gamma_2'  = (1/24) sum_{|beta|=4}  c_n(beta)  H_beta(x),
+        Gamma_2'' = (1/72) sum_{|rho|=3} sum_{|beta|=3} c_n(beta) c_n(rho) H_{beta,rho}(x),
+        Q_2       = 1 + Gamma_1 / sqrt(n) + (Gamma_2' + Gamma_2'') / n,
+
+    with every c_n from ``edgeworth.c_n_alpha``.  The sums run over ordered
+    tuples in {1..d}^m, so (beta, rho) and (rho, beta) both count.
+    """
+    d = 2 if s is None else 4
+
+    def c_table(order):
+        return {a: c_n_alpha(n, t, dist, a, s=s)
+                for a in product(range(1, d + 1), repeat=order)}
+
+    c3, c4 = c_table(3), c_table(4)
+    g1 = sum(c * H_alpha(a, x) for a, c in c3.items()) / 6.0
+    g2p = sum(c * H_alpha(a, x) for a, c in c4.items()) / 24.0
+    g2pp = sum(cb * cr * H_alpha(b + r, x)
+               for b, cb in c3.items() for r, cr in c3.items()) / 72.0
+    return EdgeworthQ2(g1, g2p, g2pp, 1.0 + g1 / math.sqrt(n) + (g2p + g2pp) / n)

@@ -176,6 +176,23 @@ class TestErrors:
         assert run_cli(["kacrice-audit", "--trials", trials]) == 2
         assert "trials" in self._error(capsys, "kacrice-audit")
 
+    @pytest.mark.parametrize("args", [["--trials", "0"], ["--trials", "-5"],
+                                      ["--one-d", "--trials", "0"]],
+                             ids=["zero", "negative", "one-d"])
+    def test_smallball_needs_a_trial(self, capsys, args):
+        assert run_cli(["smallball"] + args) == 2
+        assert "trials must be >= 1" in self._error(capsys, "smallball")
+
+    @pytest.mark.parametrize("command", ["conditions", "charfn", "smallball"])
+    def test_degree_zero(self, capsys, command):
+        assert run_cli([command, "--n", "0"]) == 2
+        assert "n must be >= 1" in self._error(capsys, command)
+
+    @pytest.mark.parametrize("flag", ["--radii", "--directions"])
+    def test_charfn_needs_a_radius_and_a_direction(self, capsys, flag):
+        assert run_cli(["charfn", "--n", "50", flag, "0"]) == 2
+        assert "at least one radius" in self._error(capsys, "charfn")
+
     def test_bad_thread_count_in_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("TRIGROOTS_THREADS", "abc")
         assert run_cli(["simulate", "--n", "4", "--trials", "10"]) == 2

@@ -7,6 +7,8 @@ from trigroots.diophantine import (
     build_D,
     check_condition_st,
     check_condition_t,
+    good_pair,
+    good_t,
 )
 
 
@@ -93,6 +95,13 @@ class TestConditionSt:
         t = math.pi * n * (math.sqrt(3) - 1)
         assert check_condition_st(n, s, t, 0.05).satisfied
         assert _brute_force_pair(n, s, t, 0.05)
+
+    @pytest.mark.parametrize("n", [200, 1000, 100000])
+    def test_point_search_passes_brute_force(self, n):
+        t = good_t(n)
+        s, t2 = good_pair(n)
+        assert _brute_force_point(n, t, 0.05)
+        assert _brute_force_pair(n, s, t2, 0.05)
 
     def test_agrees_with_brute_force(self, rng):
         for _ in range(50):

@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.hermite_e import hermeval
 
+from oracles import H_alpha, edgeworth_q2
 from trigroots.edgeworth import (
-    H_alpha,
     _moment_stack,
     _scalar_moments,
     c_n_alpha,
-    gamma_terms,
     gauss_expect_psi_H,
     hermite,
 )
@@ -186,38 +185,43 @@ class TestCnAlpha:
 
 
 class TestGammaTerms:
+    """The paper's Q_2 factor, assembled in the oracles from c_n_alpha."""
+
     def test_gaussian_correctors_vanish(self):
-        terms = gamma_terms(100, 13.0, gaussian(), np.array([0.3, -0.2]))
+        terms = edgeworth_q2(100, 13.0, gaussian(), np.array([0.3, -0.2]))
         assert terms.gamma1 == pytest.approx(0.0, abs=1e-13)
-        assert terms.gamma2 == pytest.approx(0.0, abs=1e-13)
-        assert terms.q_n2 == pytest.approx(1.0, abs=1e-13)
+        assert terms.gamma2_prime + terms.gamma2_doubleprime == \
+            pytest.approx(0.0, abs=1e-13)
+        assert terms.q2 == pytest.approx(1.0, abs=1e-13)
 
     def test_symmetric_law_kills_gamma1_and_double_prime(self, rng):
         x = rng.standard_normal(2)
-        terms = gamma_terms(150, 23.0, rademacher(), x)
+        terms = edgeworth_q2(150, 23.0, rademacher(), x)
         assert terms.gamma1 == pytest.approx(0.0, abs=1e-13)
         assert terms.gamma2_doubleprime == pytest.approx(0.0, abs=1e-13)
-        assert terms.gamma2 == pytest.approx(terms.gamma2_prime, abs=1e-13)
+        assert terms.gamma2_prime != 0.0
 
     def test_q_assembly_identity(self, rng):
+        # a stack of points gives the pointwise values, and Q_2 is
+        # 1 + Gamma_1/sqrt(n) + Gamma_2/n at each of them
         n = 120
-        x = rng.standard_normal(2)
-        terms = gamma_terms(n, 9.0, rademacher(), x)
-        expected = 1.0 + terms.gamma1 / math.sqrt(n) + terms.gamma2 / n
-        assert terms.q_n2 == pytest.approx(expected, rel=1e-14)
-        assert terms.q_n2_at(x) == pytest.approx(terms.q_n2, rel=1e-12)
+        x = rng.standard_normal((5, 2))
+        stack = edgeworth_q2(n, 9.0, rademacher(), x)
+        for k in range(5):
+            one = edgeworth_q2(n, 9.0, rademacher(), x[k])
+            assert one.q2 == pytest.approx(stack.q2[k], rel=1e-12)
+            expected = (1.0 + one.gamma1 / math.sqrt(n)
+                        + (one.gamma2_prime + one.gamma2_doubleprime) / n)
+            assert one.q2 == pytest.approx(expected, rel=1e-14)
 
     def test_q_integrates_to_one(self):
         # E H_alpha(W) = 0 for |alpha| >= 1, so the Gaussian mean of Q is 1;
         # checked through 64-node Gauss-Hermite product quadrature
-        terms = gamma_terms(80, 11.0, rademacher(), np.zeros(2))
         nodes, weights = np.polynomial.hermite.hermgauss(64)
         x = nodes * math.sqrt(2.0)
-        total = 0.0
-        for wi, xi in zip(weights, x):
-            for wj, xj in zip(weights, x):
-                total += wi * wj * terms.q_n2_at(np.array([xi, xj]))
-        total /= math.pi
+        grid = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1)
+        q = edgeworth_q2(80, 11.0, rademacher(), grid).q2
+        total = float(weights @ q @ weights) / math.pi
         assert total == pytest.approx(1.0, abs=1e-10)
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from trigroots.ensemble import (
+    SQRT3,
     CoefficientSample,
     DistributionError,
     discrete,
@@ -171,7 +172,11 @@ class TestXiNorm:
 
     @pytest.mark.parametrize("dist", [gaussian(), uniform()],
                              ids=["gaussian", "uniform"])
-    @pytest.mark.parametrize("w", [0.01, 0.13, 0.37, 1.0, 2.7, 11.0])
+    # the last four are w = 0 and the kinks of the uniform closed form,
+    # where 2 sqrt3 w crosses 1/2, 1 and 3/2
+    @pytest.mark.parametrize("w", [0.01, 0.13, 0.37, 1.0, 2.7, 11.0, 0.0,
+                                   0.5 / (2 * SQRT3), 1.0 / (2 * SQRT3),
+                                   1.5 / (2 * SQRT3)])
     def test_continuous_matches_quadrature_oracle(self, dist, w):
         fast = xi_norm_sq(dist, w)
         slow = xi_norm_sq_quadrature(dist, w)

@@ -6,6 +6,8 @@ import pytest
 
 from trigroots.ensemble import discrete, gaussian, rademacher, uniform
 from trigroots.mcstats import (
+    GAUSSIAN_SLOPE,
+    KURTOSIS_COEFF,
     MomentAccumulator,
     run_experiment,
     scaling_check,
@@ -126,26 +128,38 @@ class TestRunExperiment:
 
 class TestSlopes:
     def test_gaussian_full_is_cg(self):
-        assert theoretical_slope(gaussian(), FULL, 0.55826) == 0.55826
+        assert GAUSSIAN_SLOPE == 0.55826
+        assert theoretical_slope(gaussian(), FULL) == GAUSSIAN_SLOPE
 
     def test_rademacher_full(self):
-        v = theoretical_slope(rademacher(), FULL, 0.55826)
-        assert v == pytest.approx(0.55826 - 4 / 15, abs=1e-12)
+        v = theoretical_slope(rademacher(), FULL)
+        assert v == pytest.approx(GAUSSIAN_SLOPE - 4 / 15, abs=1e-12)
         assert v == pytest.approx(0.29159, abs=1e-5)
 
     def test_zero_excess_means_cg(self):
         d = discrete([(-math.sqrt(3), 1 / 6), (0.0, 4 / 6), (math.sqrt(3), 1 / 6)])
         from trigroots.ensemble import moments
         assert moments(d).m4 == pytest.approx(3.0, abs=1e-12)
-        assert theoretical_slope(d, FULL, 0.4321) == pytest.approx(0.4321)
-
-    def test_half_window_coefficient(self):
-        v = theoretical_slope(rademacher(), HALF, 0.2)
-        assert v == pytest.approx(0.2 + (1 / 30) * (-2), abs=1e-15)
+        assert theoretical_slope(d, FULL) == pytest.approx(GAUSSIAN_SLOPE)
 
     def test_uniform_slope_uses_kurtosis(self):
-        v = theoretical_slope(uniform(), FULL, 0.55826)
-        assert v == pytest.approx(0.55826 + (2 / 15) * (-6 / 5), abs=1e-12)
+        v = theoretical_slope(uniform(), FULL)
+        assert v == pytest.approx(GAUSSIAN_SLOPE + (2 / 15) * (-6 / 5), abs=1e-12)
+
+    @pytest.mark.parametrize("dist,m4", [
+        (gaussian(), 3.0), (rademacher(), 1.0), (uniform(), 9 / 5),
+        (discrete([(-2.0, 0.125), (0.0, 0.75), (2.0, 0.125)]), 4.0)],
+        ids=["gaussian", "rademacher", "uniform", "discrete"])
+    def test_record_carries_the_law_for_each_builtin(self, dist, m4):
+        # m4 written out; the full-window record gets the law, the half
+        # window has no Gaussian baseline and gets None
+        assert KURTOSIS_COEFF == 2 / 15
+        expected = GAUSSIAN_SLOPE + KURTOSIS_COEFF * (m4 - 3.0)
+        assert theoretical_slope(dist, FULL) == pytest.approx(expected, abs=1e-15)
+        rec = run_experiment(dist, 4, FULL, trials=2, seed=0)
+        assert rec.theoretical_slope == theoretical_slope(dist, FULL)
+        assert theoretical_slope(dist, HALF) is None
+        assert run_experiment(dist, 4, HALF, trials=2, seed=0).theoretical_slope is None
 
 
 class TestSeries:

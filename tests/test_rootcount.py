@@ -257,10 +257,6 @@ class TestKacRice:
             assert abs(kr.value - count) > 1e-3
             assert kr.flagged
 
-    def test_float_conversion(self):
-        kr = count_kacrice(_manual([[1.0, 0.0]]), FULL, delta=1e-6)
-        assert float(kr) == kr.value
-
 
 def _tangent_sample(offset=0.0):
     """n=2 coefficients with P(a) = offset and P'(a) = 0 at a = 1.0.
@@ -311,7 +307,6 @@ class TestEngineeredTangency:
     def test_batch_agrees_on_audited_samples(self, rng):
         # condition specifically on samples whose scan needed the audit
         from trigroots.ensemble import _draw
-        from trigroots.rootcount import count_batch
         hits = 0
         for _ in range(40):
             ys = _draw(gaussian(), rng, (64, 8, 2))
@@ -320,7 +315,9 @@ class TestEngineeredTangency:
                 y = ys[j].copy()
                 y.setflags(write=False)
                 r = count_roots(CoefficientSample(8, y, 0, 0), FULL)
-                if r.tangency_cells:
+                scan = _scan_and_audit(y[None], r.grid.P[None],
+                                       r.grid.Pprime[None], FULL)
+                if scan.cells.size:
                     hits += 1
                     assert counts[j] == r.count
                     assert bool(uncertain[j]) == r.uncertain
