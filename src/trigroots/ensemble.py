@@ -56,12 +56,13 @@ class DistributionSpec:
             if not self.atoms:
                 raise DistributionError("discrete law needs at least one atom")
             values, probs = _atom_arrays(self.atoms)
+            if not (np.isfinite(values).all() and np.isfinite(probs).all()):
+                raise DistributionError("atom values and probabilities must be finite")
             if np.any(probs < 0):
                 raise DistributionError("negative atom probability")
-            if abs(probs.sum() - 1.0) > _NORMALIZATION_TOL:
-                raise DistributionError(
-                    f"atom probabilities sum to {probs.sum()!r}, not 1"
-                )
+            total = float(probs.sum())
+            if abs(total - 1.0) > _NORMALIZATION_TOL:
+                raise DistributionError(f"atom probabilities sum to {total!r}, not 1")
             mean = float(probs @ values)
             var = float(probs @ values**2)
             if abs(mean) > _NORMALIZATION_TOL:

@@ -1,4 +1,4 @@
-"""Root counting: sign-scan + bisection, and the delta-integral cross-check.
+"""Root counting: sign scan, audit and Newton, and the delta-integral check.
 
 Counting proceeds on the oversampled FFT grid: every sign change brackets a
 root (simple roots are a.s. the only kind).  Cells whose |P| dips near zero
@@ -6,32 +6,29 @@ without a sign change are audited through the stationary point of P: they
 hide either nothing, a tangency, or a pair of roots missed by the scan.
 One engine, ``_scan_and_audit``, does the scan and the audit on a batch of
 grids; ``count_batch`` runs it on Monte Carlo batches and ``count_roots``
-on a batch of one, then refines each bracket by bisection plus a short
-guarded Newton polish.  The engine pays for the grid and the audited cells
+on a batch of one.  The engine pays for the grid and the audited cells
 only: the scan compares boolean sign grids, the dip test runs on the cells
-where P' changes sign and P does not, and each cell that needs bisection
-gets its Taylor coefficients once (``polyeval.cell_expansions``), so a
-bisection step costs O(K), not O(n).  A row with a non-finite coefficient
-is flagged.  The single-sample steps read P and P' through the
-grid's local Taylor evaluator (``EvaluationGrid.eval_local``, O(1) in n per
-point); one exact ``eval_points`` call at the polished roots gives the
-reported residuals and derivatives, an independent check on every root.
+where P' changes sign and P does not, and a row with a non-finite
+coefficient is flagged.  The audit screens a cell with the stationary
+point of the cubic Hermite interpolant of its end values and slopes; the
+unclear cells get their Taylor series once (``polyeval.cell_expansions``).
 
-The audit screens a cell with the cubic Hermite interpolant of its end
-values and slopes.  Since P' changes sign across an audited cell, the
-interpolant's quadratic derivative has one root in the cell: one candidate
-extremum, whose value decides clear cases.  The rest take one 40-step
-bisection on the sign of P', which brackets the stationary point to
-2^-40 of the cell width.
+Every search is one safeguarded Newton iteration, ``_newton``, on a bracket
+it keeps, with a midpoint step wherever Newton would leave it: the audit's
+stationary point (Newton on P', with P'' from the cell's series), the root
+polish of ``count_roots`` and the |P| = delta crossings.  The
+single-sample searches read P and P' from the grid's local Taylor
+evaluator (``EvaluationGrid.eval_local``, O(1) in n per point); one exact
+``eval_points`` call at the roots gives the reported residuals and
+derivatives, an independent check on every root.
 
-``count_kacrice`` evaluates (1/2 delta) * int |P'| 1_{|P| < delta} dt by
-locating the two |P| = delta crossings around each root (both sides in one
-search) and integrating |P'| with 15-node Gauss-Legendre in between, all on
-the local evaluator; the dips at the audit's unresolved tangencies add the
-mass of their own crossings.  It reproduces the integer count unless the
-sample is flagged: delta above the grid's safe estimate (min of |P| + |P'|
-over the grid and |P| at the window ends), an uncertain count, or
-overlapping delta-intervals of neighbouring roots.
+``count_kacrice`` evaluates (1/2 delta) * int |P'| 1_{|P| < delta} dt from
+the two crossings around each root (to one ulp) and 15-node Gauss-Legendre
+in between; the dips at the audit's unresolved tangencies add the mass of
+their own crossings.  It reproduces the integer count unless the sample is
+flagged: delta above the grid's safe estimate (min of |P| + |P'| over the
+grid and |P| at the window ends), an uncertain count, or overlapping
+delta-intervals of neighbouring roots.
 """
 
 from __future__ import annotations
@@ -65,9 +62,9 @@ _TANGENCY_EPS = 1e-9
 #: scale at the default oversampling, far below the margin)
 _SCREEN_MARGIN = 1e-3
 
-_NEWTON_POLISH_STEPS = 3
-_AUDIT_BISECT_STEPS = 40
-_CROSSING_BISECT_STEPS = 45
+#: step cap of ``_newton``; Newton needs a handful, and 64 halvings alone
+#: would shrink a grid cell by 2^-64
+_NEWTON_STEPS = 64
 
 _AUDIT_CLEAN, _AUDIT_DOUBLE, _AUDIT_TANGENT = 0, 1, 2
 
@@ -140,16 +137,29 @@ def _hermite_extremum(p0, p1, q0, q1, h):
     return x, val
 
 
-def _bisect(keep_lo, lo, hi, steps):
-    """Halve the brackets [lo, hi] ``steps`` times.  Where ``keep_lo(mid)``
-    holds, mid is on lo's side of the sought point and replaces lo;
-    elsewhere it replaces hi."""
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        left = keep_lo(mid)
-        lo = np.where(left, mid, lo)
-        hi = np.where(left, hi, mid)
-    return lo, hi
+def _newton(fg, a, b, x, up, tol=0.0):
+    """Safeguarded Newton from x for a sign change of g between the bracket
+    ends a and b (either order); ``up`` says where g(a) >= 0, and ``fg(t)``
+    returns (g, g').  Each step moves the end on x's side to x, then takes
+    the Newton step if it lands strictly inside the bracket, the midpoint if
+    not.  A bracket is done once its step or width is within tol or one ulp
+    of x; the step is tested first, as a converged step lands on a bracket
+    end.  Returns x clipped to the brackets."""
+    done = np.zeros(np.shape(x), dtype=bool)
+    for _ in range(_NEWTON_STEPS):
+        g, dg = fg(x)
+        at_a = (g >= 0.0) == up
+        a, b = np.where(at_a, x, a), np.where(at_a, b, x)
+        eps = np.maximum(tol, np.spacing(np.abs(x)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_new = x - g / dg
+            converged = np.abs(x_new - x) <= eps
+            newton = converged | ((x_new - a) * (x_new - b) < 0.0)
+        x = np.where(done, x, np.where(newton, x_new, 0.5 * (a + b)))
+        done |= converged | (np.abs(b - a) <= eps)
+        if done.all():
+            break
+    return np.clip(x, np.minimum(a, b), np.maximum(a, b))
 
 
 def _resolve_audits(p0, p1, q0, q1, h, t_left, scale, ys, rows):
@@ -157,11 +167,11 @@ def _resolve_audits(p0, p1, q0, q1, h, t_left, scale, ys, rows):
 
     The cubic-Hermite extremum screens out clear cases; only cells whose
     interpolated extremum is within the screen margin of zero (or has no
-    interior root) are resolved by bisection on the derivative sign
-    change.  The bisection reads the Taylor series at the cell midpoint,
-    built once per cell; its starting sign is that of the exact P' at the
-    left node.  Row ``rows[k]`` of ``ys`` holds cell k's coefficients.
-    Returns (status, t_star) per cell.
+    interior root) are resolved by Newton on P' from the cell's midpoint.
+    It reads the Taylor series there, built once per cell: P'' is the
+    series of d[..., 1:] with a zero top coefficient.  The sign of the
+    exact P' at the left node sets the bracket's.  Row ``rows[k]`` of
+    ``ys`` holds cell k's coefficients.  Returns (status, t_star) per cell.
     """
     x, val = _hermite_extremum(p0, p1, q0, q1, h)
     needs = np.isnan(x) | (np.abs(val) <= _SCREEN_MARGIN * scale)
@@ -174,10 +184,8 @@ def _resolve_audits(p0, p1, q0, q1, h, t_left, scale, ys, rows):
         lo = t_left[idx].astype(float)
         mid = lo + 0.5 * h
         slope, d = cell_expansions(ys[rows[idx]], lo, h)
-        up = slope >= 0.0
-        lo, hi = _bisect(lambda t: (taylor_eval(d, t - mid)[1] >= 0.0) == up,
-                         lo, lo + h, _AUDIT_BISECT_STEPS)
-        ts = 0.5 * (lo + hi)
+        d2 = np.concatenate([d[:, 1:], np.zeros((idx.size, 1))], axis=1)
+        ts = _newton(lambda t: taylor_eval(d2, t - mid), lo, lo + h, mid, slope >= 0.0)
         ps = taylor_eval(d, ts - mid)[0]
         tangent = np.abs(ps) <= _TANGENCY_EPS * scale[idx]
         double = (~tangent) & ((ps >= 0.0) != (p0[idx] >= 0.0))
@@ -265,7 +273,7 @@ def _scan_and_audit(ys: np.ndarray, P: np.ndarray, Q: np.ndarray,
 def count_roots(sample: CoefficientSample, window: WindowSpec = FULL,
                 tol: float | None = None) -> RootCountResult:
     """Count and refine the real roots in the window: the batch engine on
-    one sample, then bisection plus Newton polish of every bracket."""
+    one sample, then Newton from the middle of every bracket, to tol."""
     n = sample.n
     if tol is None:
         tol = default_tol(n)
@@ -288,33 +296,11 @@ def count_roots(sample: CoefficientSample, window: WindowSpec = FULL,
         hi = np.concatenate([hi, ts, tl + h])
         up = np.concatenate([up, ul, ~ul])
 
-    roots = resid = deriv = np.empty(0)
-    if lo.size:
-        roots, resid, deriv = _refine_brackets(sample, grid, lo, hi, up, tol)
-        order = np.argsort(roots)
-        roots, resid, deriv = roots[order], resid[order], deriv[order]
-    return RootCountResult(int(scan.counts[0]), roots, resid, deriv,
+    roots = np.sort(_newton(grid.eval_local, lo, hi, 0.5 * (lo + hi), up, tol))
+    resid, deriv = eval_points(sample, roots)
+    return RootCountResult(int(scan.counts[0]), roots, np.abs(resid), deriv,
                            scan.t_star[scan.status == _AUDIT_TANGENT],
                            bool(scan.uncertain[0]), grid, float(scan.end[0]), tol)
-
-
-def _refine_brackets(sample, grid, lo, hi, up, tol):
-    """Vectorized bisection to width tol, then a guarded Newton polish, on
-    the grid's local evaluator; ``up`` says where P(lo) >= 0.  Residuals
-    and derivatives are exact."""
-    width = float(np.max(hi - lo))
-    steps = max(1, int(math.ceil(math.log2(width / tol))))
-    lo, hi = _bisect(lambda mid: (grid.eval_local(mid)[0] >= 0.0) == up,
-                     lo, hi, steps)
-    x = 0.5 * (lo + hi)
-    for _ in range(_NEWTON_POLISH_STEPS):
-        p, q = grid.eval_local(x)
-        step = np.where(q != 0.0, p / np.where(q == 0.0, 1.0, q), 0.0)
-        x_new = x - step
-        inside = (x_new >= lo) & (x_new <= hi)
-        x = np.where(inside, x_new, x)
-    p, q = eval_points(sample, x)
-    return x, np.abs(p), q
 
 
 def count_batch(ys: np.ndarray, n: int, window: WindowSpec, M: int):
@@ -341,7 +327,7 @@ def count_kacrice(sample: CoefficientSample, window: WindowSpec = FULL,
     """Approximate-integral root count (1/2 delta) int |P'| 1_{|P|<delta}.
 
     Around each refined root the two |P| = delta crossings are located by
-    bisection and |P'| is integrated with 15-node Gauss-Legendre between
+    Newton and |P'| is integrated with 15-node Gauss-Legendre between
     them; the |P| < delta dips at the audit's unresolved tangencies add
     their own mass.  The sample is flagged when delta exceeds the grid's
     safe estimate (min of |P| + |P'| on the grid and |P| at the window
@@ -400,19 +386,17 @@ def _find_level_crossing(grid, roots, deriv, delta):
     and 1 of the result are the left and right crossings."""
     side = np.array([[-1.0], [1.0]])
     w = np.minimum(0.5 * grid.spacing, 2.0 * delta / np.maximum(np.abs(deriv), 1e-300))
-    t_out = roots + side * w
-    p_out, _ = grid.eval_local(t_out)
     for _ in range(64):
-        inside = np.abs(p_out) < delta
+        t_out = roots + side * w
+        inside = np.abs(grid.eval_local(t_out)[0]) < delta
         if not inside.any():
             break
         w = np.where(inside, 2.0 * w, w)
-        t_out = roots + side * w
-        p_out, _ = grid.eval_local(t_out)
-    # lo = roots has |P| < delta, hi = t_out has |P| >= delta
-    lo, hi = _bisect(lambda mid: np.abs(grid.eval_local(mid)[0]) < delta,
-                     roots, t_out, _CROSSING_BISECT_STEPS)
-    return 0.5 * (lo + hi)
+
+    def fg(t):  # |P| - delta, from t_out (>= 0) towards the root (< 0)
+        p, q = grid.eval_local(t)
+        return np.abs(p) - delta, np.where(p >= 0.0, q, -q)
+    return _newton(fg, roots, t_out, t_out, False)
 
 
 def roots_csv_rows(result: RootCountResult, trial_index: int):

@@ -13,20 +13,12 @@ from trigroots.charprobe import (
     smallball_1d_scan,
 )
 from oracles import normal_interval_probability
-from trigroots.diophantine import check_condition_t
+from trigroots.diophantine import good_t
 from trigroots.ensemble import discrete, gaussian, rademacher, uniform
 from trigroots.polyeval import basis_matrices, covariance_V
 
 ALL_DISTS = [gaussian(), rademacher(), uniform(),
              discrete([(-2.0, 0.125), (0.0, 0.75), (2.0, 0.125)])]
-
-
-def _good_t(n):
-    for mult in (math.sqrt(2) - 1, math.sqrt(3) - 1, math.sqrt(5) - 2):
-        t = math.pi * n * mult
-        if check_condition_t(n, t).satisfied:
-            return t
-    raise RuntimeError
 
 
 class TestLogAbsCharfn:
@@ -95,7 +87,7 @@ class TestExponentBound:
 class TestDecayScan:
     def test_decay_at_unit_radius(self):
         n = 500
-        t = _good_t(n)
+        t = good_t(n)
         rep = decay_scan(n, t, rademacher(), radii=np.array([1.0]),
                          directions_per_radius=40, seed=6)
         assert rep.condition_ok
@@ -107,7 +99,7 @@ class TestDecayScan:
         # brute-force angular grid at a small size: the worst direction
         # still decays at unit radius, and the random scan agrees
         n = 50
-        t = _good_t(n)
+        t = good_t(n)
         angles = np.linspace(0.0, 2 * math.pi, 720, endpoint=False)
         worst = -np.inf
         for a in angles:
@@ -120,7 +112,7 @@ class TestDecayScan:
 
     def test_tiny_radius_allows_no_decay(self):
         n = 500
-        t = _good_t(n)
+        t = good_t(n)
         rep = decay_scan(n, t, rademacher(), radii=np.array([1e-3]),
                          directions_per_radius=8, seed=1)
         assert rep.worst_log_abs[0] > -0.5
@@ -141,7 +133,7 @@ class TestDecayScan:
 
     def test_regime_flags(self):
         n = 200
-        t = _good_t(n)
+        t = good_t(n)
         rep = decay_scan(n, t, rademacher(), radii_count=6,
                          directions_per_radius=4, seed=2)
         assert rep.regime_flags.all()
@@ -157,14 +149,14 @@ class TestSmallBall:
 
     def test_quadratic_cap_at_moderate_delta(self):
         n = 200
-        t = _good_t(n)
+        t = good_t(n)
         est = small_ball_mc(n, t, rademacher(), np.zeros(2), 0.05,
                             trials=60000, seed=3)
         assert est.probability / 0.05**2 <= 50.0
 
     def test_gaussian_matches_planar_oracle(self):
         n = 150
-        t = _good_t(n)
+        t = good_t(n)
         V = covariance_V(n, t).entries
         for center in (np.zeros(2), np.array([0.4, 0.1])):
             est = small_ball_mc(n, t, gaussian(), center, 0.08,
@@ -203,14 +195,14 @@ class TestOneDScan:
 
     def test_capped_by_fractional_power(self):
         n = 200
-        t = _good_t(n)
+        t = good_t(n)
         res = smallball_1d_scan(n, t, rademacher(), delta=0.05,
                                 trials=40000, seed=2)
         assert res.max_probability <= 0.5 * 0.05 ** (4 / 5) * 20.0
 
     def test_gaussian_matches_normal_cdf(self):
         n = 150
-        t = _good_t(n)
+        t = good_t(n)
         res = smallball_1d_scan(n, t, gaussian(), delta=0.1,
                                 trials=100000, seed=3)
         V = covariance_V(n, t).entries

@@ -193,6 +193,17 @@ class TestErrors:
         assert run_cli(["charfn", "--n", "50", flag, "0"]) == 2
         assert "at least one radius" in self._error(capsys, "charfn")
 
+    @pytest.mark.parametrize("law", ["discrete:nan:1", "discrete:1:nan"],
+                             ids=["value", "probability"])
+    def test_non_finite_law(self, capsys, law):
+        assert run_cli(["simulate", "--dist", law, "--n", "4", "--trials", "10"]) == 2
+        assert "finite" in self._error(capsys, "simulate")
+
+    def test_law_error_prints_plain_floats(self, capsys):
+        assert run_cli(["simulate", "--dist", "discrete:1:0.5", "--n", "4",
+                        "--trials", "10"]) == 2
+        assert "sum to 0.5," in self._error(capsys, "simulate")
+
     def test_bad_thread_count_in_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("TRIGROOTS_THREADS", "abc")
         assert run_cli(["simulate", "--n", "4", "--trials", "10"]) == 2

@@ -69,6 +69,20 @@ class TestEvalPoint:
             assert P[k] == pytest.approx(p, rel=1e-11, abs=1e-12)
             assert Q[k] == pytest.approx(q, rel=1e-11, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 1024])
+    def test_eval_points_at_block_edges(self, n):
+        # blocks of min(32, n) terms: one block of 1, 31 or 32 terms, a
+        # second block holding one term and 31 zeros, and 32 full blocks
+        s = sample(gaussian(), n, seed=n + 3)
+        g = eval_grid(s, FULL)
+        ts = np.concatenate([TestLocalEvaluator._points(g),
+                             np.random.default_rng(n).uniform(-n * math.pi, n * math.pi, 40)])
+        P, Q = eval_points(s, ts)
+        oracle = np.array([eval_point(s, t) for t in ts])
+        bound = max(1e-14, 1e-15 * n) * float(np.max(np.abs(g.P)))
+        assert np.max(np.abs(P - oracle[:, 0])) <= bound
+        assert np.max(np.abs(Q - oracle[:, 1])) <= bound
+
 
 class TestEvalGrid:
     def test_spot_check_against_eval_point(self, rng):

@@ -4,10 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import dense_scan, laurent_roots
+from oracles import dense_scan, eval_point, laurent_roots
 from trigroots.ensemble import CoefficientSample, gaussian, rademacher, sample
 from trigroots.polyeval import FULL, HALF, eval_grid_batch, eval_points
 from trigroots.rootcount import (
+    _find_level_crossing,
+    _newton,
     _scan_and_audit,
     count_batch,
     count_kacrice,
@@ -324,3 +326,51 @@ class TestEngineeredTangency:
             if hits >= 20:
                 break
         assert hits >= 20
+
+
+class TestNewton:
+    """The safeguarded Newton search behind the root polish, the delta
+    crossings and the audit's stationary point."""
+
+    @pytest.mark.parametrize("law", [gaussian(), rademacher()], ids=str)
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_crossings_within_one_ulp(self, law, n):
+        # |P| - delta changes sign within one float of every crossing
+        delta = 1e-6
+        for trial in range(8):
+            r = count_roots(sample(law, n, seed=2031, trial_index=trial))
+            c = _find_level_crossing(r.grid, r.roots, r.derivatives, delta)
+            below = np.abs(r.grid.eval_local(np.nextafter(c, -np.inf))[0]) < delta
+            above = np.abs(r.grid.eval_local(np.nextafter(c, np.inf))[0]) < delta
+            assert c.shape == (2, r.count)
+            assert np.all(below != above), trial
+
+    def test_start_whose_first_step_leaves_the_bracket(self):
+        # from next to the pair's stationary point near t = 1 the first
+        # Newton step is thousands of units long; the search still lands
+        # on the oracle roots either side
+        base = _tangent_sample()
+        s = _tangent_sample(offset=-np.sign(eval_point(base, 0.95)[0]) * 1e-4)
+        pair = laurent_roots(s)
+        pair = pair[np.abs(pair - 1.0) < 0.1]
+        assert pair.size == 2
+        grid = count_roots(s).grid
+        for root, a, b, x0 in ((pair[0], pair[0] - 0.05, 1.0, 1.0 - 1e-7),
+                               (pair[1], 1.0, pair[1] + 0.05, 1.0 + 1e-7)):
+            p, q = grid.eval_local(x0)
+            assert not a < x0 - p / q < b
+            up = grid.eval_local(a)[0] >= 0.0
+            x = _newton(grid.eval_local, np.array([a]), np.array([b]), np.array([x0]),
+                        up, 1e-12)
+            assert abs(x[0] - root) < 1e-12
+            assert abs(eval_point(s, x[0])[0]) < 1e-15
+
+    @pytest.mark.parametrize("law", [gaussian(), rademacher()], ids=str)
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_roots_are_oracle_zeros(self, law, n):
+        for trial in range(4):
+            s = sample(law, n, seed=2031, trial_index=trial)
+            r = count_roots(s)
+            scale = float(np.max(np.abs(r.grid.P)))
+            resid = np.array([eval_point(s, t)[0] for t in r.roots])
+            assert np.max(np.abs(resid)) <= 1e-12 * scale, trial
