@@ -34,19 +34,6 @@ import numpy as np
 SQRT3 = math.sqrt(3.0)
 
 # Exact Taylor coefficients in t^2 (rationals rounded once to double).
-# g(t) = sum_k G_SERIES[k] t^{2k}, and analogously with the stated leading
-# powers; derived from sin(t)/t and checked against high-precision direct
-# evaluation in the test suite.
-G_SERIES = [1.0, -1/6, 1/120, -1/5040, 1/362880, -1/39916800, 1/6227020800,
-            -1/1307674368000, 1/355687428096000, -1/121645100408832000,
-            1/51090942171709440000]
-# g'(t) = t * sum_k GP_SERIES[k] t^{2k}
-GP_SERIES = [-1/3, 1/30, -1/840, 1/45360, -1/3991680, 1/518918400,
-             -1/93405312000, 1/22230464256000, -1/6758061133824000,
-             1/2554547108585472000, -1/1175091669949317120000]
-GPP_SERIES = [-1/3, 1/10, -1/168, 1/6480, -1/443520, 1/47174400,
-              -1/7185024000, 1/1482030950400, -1/397533007872000,
-              1/134449847820288000, -1/55956746188062720000]
 # 1 - g^2 = t^2 * sum_k ...
 ONE_MINUS_G2_SERIES = [1/3, -2/45, 1/315, -2/14175, 2/467775, -4/42567525,
                        1/638512875, -2/97692469875, 2/9280784638125,
@@ -103,6 +90,8 @@ class CgQuadratureConfig:
     def __post_init__(self):
         if not 0.0 < self.t0 < 1.0 < self.tail_start:
             raise ValueError("require 0 < t0 < 1 < tail_start")
+        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
+            raise ValueError(f"abs_tol must be finite and > 0, got {self.abs_tol}")
 
 
 @dataclass(frozen=True)
@@ -123,22 +112,10 @@ def _poly_even(coeffs, t2):
     return acc
 
 
-def _g_arrays(t: np.ndarray, t0: float):
-    small = t < t0
-    g = np.empty_like(t)
-    gp = np.empty_like(t)
-    gpp = np.empty_like(t)
-    ts = t[small]
-    t2 = ts * ts
-    g[small] = _poly_even(G_SERIES, t2)
-    gp[small] = ts * _poly_even(GP_SERIES, t2)
-    gpp[small] = _poly_even(GPP_SERIES, t2)
-    tl = t[~small]
-    s, c = np.sin(tl), np.cos(tl)
-    g[~small] = s / tl
-    gp[~small] = (tl * c - s) / tl**2
-    gpp[~small] = -s / tl - 2.0 * c / tl**2 + 2.0 * s / tl**3
-    return g, gp, gpp
+def _g_arrays(t: np.ndarray):
+    """(g, g', g'') in closed form; callers take t >= t0 only."""
+    s, c = np.sin(t), np.cos(t)
+    return s / t, (t * c - s) / t**2, -s / t - 2.0 * c / t**2 + 2.0 * s / t**3
 
 
 def _rstar_parts(t: np.ndarray, t0: float):
@@ -153,7 +130,7 @@ def _rstar_parts(t: np.ndarray, t0: float):
     r[small] = num / den
     omr[small] = (den - num) / den
     tl = t[~small]
-    g, gp, gpp = _g_arrays(tl, t0)
+    g, gp, gpp = _g_arrays(tl)
     nn = gpp * (1.0 - g * g) + g * gp * gp
     dd = (1.0 - g * g) / 3.0 - gp * gp
     r[~small] = nn / dd
@@ -175,7 +152,7 @@ def cg_integrand(t, t0: float = 0.05):
     with np.errstate(invalid="ignore", divide="ignore"):
         pref_small = np.where(ts > 0.0, num / omg2**1.5, 0.0)
     tl = arr[~small]
-    g, gp, gpp = _g_arrays(tl, t0)
+    g, gp, gpp = _g_arrays(tl)
     omg2_l = 1.0 - g * g
     pref_large = (omg2_l - 3.0 * gp * gp) / omg2_l**1.5
     pref = np.empty_like(arr)

@@ -12,6 +12,9 @@ an inequality that holds pointwise for every coefficient law (the probes
 here assert it directly).  Decay scans sample random directions at
 log-spaced radii; small-ball probes estimate P(S_n/sqrt(n) in B(a, delta))
 by Monte Carlo against the Gaussian-quadrature oracle where one exists.
+Every probe reads u_i, u_i' from the one tensor of
+``polyeval.coefficient_matrices``: a decay scan builds it once, and the
+walk takes one (chunk, 2n) @ (2n, d) product per chunk of draws.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 from trigroots import ensemble
 from trigroots.diophantine import check_condition_t, check_condition_st
 from trigroots.ensemble import DistributionSpec, log_abs_charfn_scalar, xi_norm_sq
-from trigroots.polyeval import basis_matrices, covariance_V
+from trigroots.polyeval import coefficient_matrices, covariance_V
 from trigroots.rootcount import check_delta
 
 TWO_PI = 2.0 * math.pi
@@ -43,36 +46,48 @@ class FeasibilityError(RuntimeError):
         self.required_trials = required_trials
 
 
-def _projections(n: int, t: float, x: np.ndarray, s: float | None):
-    """<u_i, x> and <u_i', x> (v-vectors when s is given)."""
-    U, Up = basis_matrices(n, t)
-    if s is None:
-        if x.shape != (2,):
-            raise ValueError("x must be 2-dimensional without s")
-        return U @ x, Up @ x
-    if x.shape != (4,):
-        raise ValueError("x must be 4-dimensional with s")
-    Us, Ups = basis_matrices(n, s)
-    return U @ x[:2] + Us @ x[2:], Up @ x[:2] + Ups @ x[2:]
+def _point_rows(n: int, t: float, s: float | None):
+    """The rows u_i and u_i' of the builder's tensor as contiguous (n, 2)
+    arrays, one pair per point (a strided slice rounds the products
+    differently)."""
+    C = coefficient_matrices(n, t, s)
+    return [(np.ascontiguousarray(C[:, j:j + 2, 0]), np.ascontiguousarray(C[:, j:j + 2, 1]))
+            for j in range(0, C.shape[1], 2)]
+
+
+def _projections(rows, x: np.ndarray):
+    """<u_i, x> and <u_i', x> (plus <v_i, x>, <v_i', x> when s is given)."""
+    (U, Up), *more = rows
+    if x.shape != (2 + 2 * len(more),):
+        raise ValueError("x must be 4-dimensional with s" if more
+                         else "x must be 2-dimensional without s")
+    pu, pup = U @ x[:2], Up @ x[:2]
+    for Us, Ups in more:
+        pu, pup = pu + Us @ x[2:], pup + Ups @ x[2:]
+    return pu, pup
+
+
+def _log_abs(dist: DistributionSpec, pu, pup) -> float:
+    return float(np.sum(log_abs_charfn_scalar(dist, pu))
+                 + np.sum(log_abs_charfn_scalar(dist, pup)))
+
+
+def _bound(dist: DistributionSpec, pu, pup) -> float:
+    total = (np.sum(xi_norm_sq(dist, pu / TWO_PI))
+             + np.sum(xi_norm_sq(dist, pup / TWO_PI)))
+    return -0.5 * float(total)
 
 
 def log_abs_charfn(n: int, t: float, dist: DistributionSpec, x,
                    s: float | None = None) -> float:
     """log of the absolute characteristic-function product at frequency x."""
-    x = np.asarray(x, dtype=float)
-    pu, pup = _projections(n, t, x, s)
-    return float(np.sum(log_abs_charfn_scalar(dist, pu))
-                 + np.sum(log_abs_charfn_scalar(dist, pup)))
+    return _log_abs(dist, *_projections(_point_rows(n, t, s), np.asarray(x, dtype=float)))
 
 
 def exponent_bound(n: int, t: float, dist: DistributionSpec, x,
                    s: float | None = None) -> float:
     """The xi-norm upper bound for log |phi|; always >= the exact value."""
-    x = np.asarray(x, dtype=float)
-    pu, pup = _projections(n, t, x, s)
-    total = (np.sum(xi_norm_sq(dist, pu / TWO_PI))
-             + np.sum(xi_norm_sq(dist, pup / TWO_PI)))
-    return -0.5 * float(total)
+    return _bound(dist, *_projections(_point_rows(n, t, s), np.asarray(x, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -96,12 +111,8 @@ def decay_scan(n: int, t: float, dist: DistributionSpec, tau: float = 0.05,
     if radii_count < 1 or directions_per_radius < 1:
         raise ValueError("decay scan needs at least one radius and one "
                          f"direction, got {radii_count} and {directions_per_radius}")
-    if s is None:
-        condition_ok = bool(check_condition_t(n, t, tau).satisfied)
-        dim = 2
-    else:
-        condition_ok = bool(check_condition_st(n, s, t, tau).satisfied)
-        dim = 4
+    report = check_condition_t(n, t, tau) if s is None else check_condition_st(n, s, t, tau)
+    condition_ok = bool(report.satisfied)
     if not condition_ok:
         warnings.warn("scan point fails the non-resonance condition; "
                       "decay is not guaranteed", stacklevel=2)
@@ -110,16 +121,17 @@ def decay_scan(n: int, t: float, dist: DistributionSpec, tau: float = 0.05,
     if radii is None:
         radii = np.geomspace(lo, hi, radii_count)
     radii = np.asarray(radii, dtype=float)
+    rows = _point_rows(n, t, s)
     rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((directions_per_radius, dim))
+    dirs = rng.standard_normal((directions_per_radius, 2 * len(rows)))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     worst = np.full(radii.size, -np.inf)
     bound = np.full(radii.size, -np.inf)
     for i, r in enumerate(radii):
         for e in dirs:
-            x = r * e
-            worst[i] = max(worst[i], log_abs_charfn(n, t, dist, x, s))
-            bound[i] = max(bound[i], exponent_bound(n, t, dist, x, s))
+            pu, pup = _projections(rows, r * e)
+            worst[i] = max(worst[i], _log_abs(dist, pu, pup))
+            bound[i] = max(bound[i], _bound(dist, pu, pup))
     flags = (radii >= lo * (1 - 1e-12)) & (radii <= hi * (1 + 1e-12))
     return DecayReport(radii=radii, worst_log_abs=worst, bound_log=bound,
                        regime_flags=flags, condition_ok=condition_ok)
@@ -134,35 +146,25 @@ class SmallBallEstimate:
 
 
 def _walk_values(n, t, dist, s, trials, seed, chunk=20000):
-    """S_n/sqrt(n) samples, shape (trials, d)."""
-    U, Up = basis_matrices(n, t)
-    cols = [np.column_stack([U[:, 0], Up[:, 0]]), np.column_stack([U[:, 1], Up[:, 1]])]
-    if s is not None:
-        Us, Ups = basis_matrices(n, s)
-        cols += [np.column_stack([Us[:, 0], Ups[:, 0]]),
-                 np.column_stack([Us[:, 1], Ups[:, 1]])]
-    d = len(cols)
+    """S_n/sqrt(n) samples, shape (trials, d): one (chunk, 2n) @ (2n, d)
+    product W a chunk, with W[2k + l] = C[k, :, l] to match y[:, k, l]."""
+    C = coefficient_matrices(n, t, s)
+    W = C.transpose(0, 2, 1).reshape(2 * n, C.shape[1])
     inv = 1.0 / math.sqrt(n)
     rng = ensemble._rng_for_trial(seed, 0)
-    out = np.empty((trials, d))
+    out = np.empty((trials, W.shape[1]))
     for lo in range(0, trials, chunk):
         hi = min(lo + chunk, trials)
         y = ensemble._draw(dist, rng, (hi - lo, n, 2))
-        for j, c in enumerate(cols):
-            out[lo:hi, j] = (y[:, :, 0] @ c[:, 0] + y[:, :, 1] @ c[:, 1]) * inv
+        out[lo:hi] = (y.reshape(hi - lo, 2 * n) @ W) * inv
     return out
 
 
 def _gaussian_ball_feasibility(n, t, s, center, delta, trials):
     """Expected hit count under the Gaussian proxy density."""
     center = np.asarray(center, dtype=float)
-    d = 2 if s is None else 4
-    V = covariance_V(n, t, s).entries
-    dens = _gaussian_density(V, center)
-    if d == 2:
-        p = math.pi * delta**2 * dens
-    else:
-        p = (math.pi**2 / 2.0) * delta**4 * dens
+    dens = _gaussian_density(covariance_V(n, t, s).entries, center)
+    p = (math.pi * delta**2 if s is None else (math.pi**2 / 2.0) * delta**4) * dens
     return trials * p, p
 
 

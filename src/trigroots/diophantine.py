@@ -32,11 +32,13 @@ class ConditionReport:
     vacuous: bool = False
 
 
-def _params(n: int, tau: float) -> tuple[float, int]:
+def _params(n: int, tau: float, *points: float) -> tuple[float, int]:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0.0 < tau < 0.125:
         raise ValueError("tau must lie in (0, 1/8)")
+    if not all(math.isfinite(p) for p in points):
+        raise ValueError(f"evaluation points must be finite, got {points}")
     return float(n) ** (-1.0 + 8.0 * tau), int(math.floor(float(n) ** tau))
 
 
@@ -48,7 +50,7 @@ def _nearest_int_distance(x) -> np.ndarray:
 def check_condition_t(n: int, t: float, tau: float = 0.05) -> ConditionReport:
     """Single-point non-resonance: no l with 1 <= |l| <= n^tau puts
     l t/(pi n) within n^{-1+8 tau} of an integer."""
-    threshold, l_max = _params(n, tau)
+    threshold, l_max = _params(n, tau, t)
     if l_max < 1:
         return ConditionReport(True, None, tau, threshold, l_max, vacuous=True)
     ratio = t / (math.pi * n)
@@ -74,7 +76,7 @@ def _canonical_pairs(l_max: int):
 
 def check_condition_st(n: int, s: float, t: float, tau: float = 0.05) -> ConditionReport:
     """Pair non-resonance over all (k, l) in the box, not both zero."""
-    threshold, l_max = _params(n, tau)
+    threshold, l_max = _params(n, tau, s, t)
     if l_max < 1:
         return ConditionReport(True, None, tau, threshold, l_max, vacuous=True)
     rs = s / (math.pi * n)

@@ -1,4 +1,4 @@
-"""Polynomial evaluation: points, FFT grids, basis matrices, covariances.
+"""Polynomial evaluation: points, FFT grids, coefficient matrices, covariances.
 
 The degree-n polynomial and its derivative are the coordinates of the
 normalized walk S_n(t)/sqrt(n) built from the basis vectors
@@ -284,30 +284,25 @@ def eval_grid_batch(ys: np.ndarray, n: int, window: WindowSpec, M: int):
     return F.real[..., :M], F.imag[..., :M]
 
 
-def basis_matrices(n: int, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """All u_i(t) stacked as rows (n, 2), and likewise u_i'."""
-    i = np.arange(1, n + 1, dtype=float)
-    th = i * t / n
-    w = i / n
-    c, s = np.cos(th), np.sin(th)
-    U = np.column_stack([c, -w * s])
-    Up = np.column_stack([s, w * c])
-    return U, Up
-
-
 def coefficient_matrices(n: int, t: float, s: float | None = None) -> np.ndarray:
     """C_n(k) stacked over k: shape (n, d, 2) with d = 2 (t only) or 4 (t, s).
 
-    Column 1 is u_k (v_k), column 2 is u_k' (v_k'), so X_k = C_n(k) Y_k is
-    the k-th increment of the walk.
+    Column 1 is u_k (v_k in rows 2, 3), column 2 is u_k' (v_k'), so
+    X_k = C_n(k) Y_k is the k-th increment of the walk.  This is the one
+    place that evaluates the basis vectors; it refuses a non-finite t or s.
     """
-    U, Up = basis_matrices(n, t)
-    C = np.stack([U, Up], axis=-1)  # (n, 2, 2)
-    if s is None:
-        return C
-    Us, Ups = basis_matrices(n, s)
-    Cs = np.stack([Us, Ups], axis=-1)
-    return np.concatenate([C, Cs], axis=1)  # (n, 4, 2)
+    pts = (t,) if s is None else (t, s)
+    if not all(math.isfinite(p) for p in pts):
+        raise ValueError(f"evaluation points must be finite, got {pts}")
+    i = np.arange(1, n + 1, dtype=float)
+    w = i / n
+    C = np.empty((n, 2 * len(pts), 2))
+    for r, p in enumerate(pts):
+        th = i * p / n
+        c, sn = np.cos(th), np.sin(th)
+        C[:, 2 * r, 0], C[:, 2 * r, 1] = c, sn
+        C[:, 2 * r + 1, 0], C[:, 2 * r + 1, 1] = -w * sn, w * c
+    return C
 
 
 def covariance_V(n: int, t: float, s: float | None = None) -> CovarianceMatrix:

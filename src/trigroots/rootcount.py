@@ -396,7 +396,7 @@ def _find_level_crossing(grid, roots, deriv, delta):
     def fg(t):  # |P| - delta, from t_out (>= 0) towards the root (< 0)
         p, q = grid.eval_local(t)
         return np.abs(p) - delta, np.where(p >= 0.0, q, -q)
-    return _newton(fg, roots, t_out, t_out, False)
+    return _newton(fg, roots, t_out, 0.5 * (roots + t_out), False)
 
 
 def roots_csv_rows(result: RootCountResult, trial_index: int):

@@ -36,9 +36,9 @@ def _mp_integrand(t):
     return pref * (mp.sqrt(1 - r**2) + r * mp.asin(r)) - 1
 
 
-def g_at(t, t0=0.05):
-    """(g, g', g'') at one point, series below t0 and closed forms above."""
-    return tuple(float(v[0]) for v in _g_arrays(np.array([float(t)]), t0))
+def g_at(t):
+    """(g, g', g'') at one point, from the closed forms."""
+    return tuple(float(v[0]) for v in _g_arrays(np.array([float(t)])))
 
 
 def rstar(t, t0=0.05):
@@ -47,32 +47,14 @@ def rstar(t, t0=0.05):
 
 
 class TestGFuncs:
-    def test_series_values_at_zero(self):
-        g, gp, gpp = g_at(0.0)
-        assert g == 1.0
-        assert gp == 0.0
-        assert gpp == pytest.approx(-1 / 3, abs=1e-15)
-
     def test_at_pi(self):
         g, gp, _ = g_at(math.pi)
         assert g == pytest.approx(0.0, abs=1e-15)
         assert gp == pytest.approx(-1 / math.pi, rel=1e-13)
 
-    def test_series_and_closed_form_agree_at_switchover(self):
-        lo = g_at(0.05 - 1e-12)
-        hi = g_at(0.05 + 1e-12)
-        for a, b in zip(lo, hi):
-            assert a == pytest.approx(b, abs=1e-12)
-
-    def test_series_path_against_high_precision(self):
-        # force the series branch well beyond its default range
-        for t in (0.2, 0.3, 0.4, 0.5):
-            for v, ref in zip(g_at(t, t0=0.6), _mp_g(t)):
-                assert v == pytest.approx(float(ref), rel=1e-13)
-
     def test_bounded_by_one(self):
         ts = np.geomspace(1e-3, 1e4, 2000)
-        g, _, _ = _g_arrays(ts, 0.05)
+        g, _, _ = _g_arrays(ts)
         assert np.all(np.abs(g) <= 1.0 + 1e-15)
 
 
@@ -164,4 +146,7 @@ class TestComputeCg:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             CgQuadratureConfig(t0=1.5)
+        for tol in (math.nan, math.inf, -1.0, 0.0):
+            with pytest.raises(ValueError, match="abs_tol"):
+                CgQuadratureConfig(abs_tol=tol)
 

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from trigroots import ensemble
 from trigroots.charprobe import (
     FeasibilityError,
+    _walk_values,
     decay_scan,
     exponent_bound,
     gaussian_ball_probability,
@@ -14,8 +16,8 @@ from trigroots.charprobe import (
 )
 from oracles import normal_interval_probability
 from trigroots.diophantine import good_t
-from trigroots.ensemble import discrete, gaussian, rademacher, uniform
-from trigroots.polyeval import basis_matrices, covariance_V
+from trigroots.ensemble import CoefficientSample, discrete, gaussian, rademacher, uniform
+from trigroots.polyeval import coefficient_matrices, covariance_V, eval_points
 
 ALL_DISTS = [gaussian(), rademacher(), uniform(),
              discrete([(-2.0, 0.125), (0.0, 0.75), (2.0, 0.125)])]
@@ -29,7 +31,8 @@ class TestLogAbsCharfn:
 
     def test_single_factor_closed_form(self):
         x = np.array([0.7, -0.4])
-        U, Up = basis_matrices(1, 2.0)
+        C = coefficient_matrices(1, 2.0)
+        U, Up = C[:, :, 0], C[:, :, 1]
         expected = (math.log(abs(math.cos((U @ x).item())))
                     + math.log(abs(math.cos((Up @ x).item()))))
         assert log_abs_charfn(1, 2.0, rademacher(), x) == pytest.approx(expected)
@@ -137,6 +140,28 @@ class TestDecayScan:
         rep = decay_scan(n, t, rademacher(), radii_count=6,
                          directions_per_radius=4, seed=2)
         assert rep.regime_flags.all()
+
+
+class TestWalkValues:
+    """Row r of the walk is (P, P') at t, then at s, of the r-th draw."""
+
+    @pytest.mark.parametrize("n", [1, 7, 200])
+    @pytest.mark.parametrize("s", [None, -41.5], ids=["d2", "d4"])
+    @pytest.mark.parametrize("dist", [gaussian(), rademacher()],
+                             ids=["gaussian", "rademacher"])
+    def test_rows_are_p_and_p_prime(self, dist, s, n):
+        t, trials, chunk, seed = 13.25, 23, 5, 9
+        walk = _walk_values(n, t, dist, s, trials, seed, chunk=chunk)
+        rng = ensemble._rng_for_trial(seed, 0)
+        ys = np.concatenate([ensemble._draw(dist, rng, (min(chunk, trials - lo), n, 2))
+                             for lo in range(0, trials, chunk)])
+        pts = [t] if s is None else [t, s]
+        ref = np.array([np.column_stack(eval_points(
+            CoefficientSample(n=n, y=y, seed=seed, trial_index=0), pts)).ravel()
+            for y in ys])
+        assert walk.shape == ref.shape == (trials, 2 * len(pts))
+        np.testing.assert_allclose(walk, ref, rtol=0.0,
+                                   atol=1e-13 * np.abs(ref[:, ::2]).max())
 
 
 class TestSmallBall:

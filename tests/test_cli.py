@@ -204,6 +204,25 @@ class TestErrors:
                         "--trials", "10"]) == 2
         assert "sum to 0.5," in self._error(capsys, "simulate")
 
+    @pytest.mark.parametrize("args", [
+        ["charfn", "--n", "50", "--t", "nan"],
+        ["charfn", "--n", "50", "--s", "inf"],
+        ["smallball", "--n", "50", "--delta", "0.05", "--trials", "1000",
+         "--t", "nan", "--one-d"],
+        ["smallball", "--n", "50", "--delta", "0.05", "--trials", "1000", "--t", "inf"],
+        ["conditions", "--n", "50", "--t", "nan"],
+        ["conditions", "--n", "50", "--pair", "nan", "1.0"],
+    ], ids=["charfn-t", "charfn-s", "smallball-1d", "smallball-2d",
+            "conditions-point", "conditions-pair"])
+    def test_non_finite_point(self, capsys, args):
+        assert run_cli(args) == 2
+        assert "finite" in self._error(capsys, args[0])
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0"])
+    def test_cg_bad_tolerance(self, capsys, tol):
+        assert run_cli(["cg", "--tol", tol]) == 2
+        assert "abs_tol" in self._error(capsys, "cg")
+
     def test_bad_thread_count_in_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("TRIGROOTS_THREADS", "abc")
         assert run_cli(["simulate", "--n", "4", "--trials", "10"]) == 2

@@ -11,7 +11,6 @@ from trigroots.polyeval import (
     FULL,
     HALF,
     GridError,
-    basis_matrices,
     cell_expansions,
     coefficient_matrices,
     covariance_V,
@@ -222,17 +221,19 @@ class TestCellExpansions:
 
 
 class TestBasisVectors:
-    # rows of basis_matrices are u_i(t), u_i'(t); coefficient_matrices
-    # stacks them as the columns of C_n(i)
+    # the columns of C_n(i) = coefficient_matrices(n, t)[i - 1] are u_i(t)
+    # and u_i'(t), so the slices [:, :, 0] and [:, :, 1] stack them as rows
     def test_phases_vanish_at_zero(self):
-        U, Up = basis_matrices(5, 0.0)
-        np.testing.assert_allclose(U, np.column_stack([np.ones(5), np.zeros(5)]))
-        np.testing.assert_allclose(Up, np.column_stack([np.zeros(5), np.arange(1, 6) / 5]))
+        C = coefficient_matrices(5, 0.0)
+        np.testing.assert_allclose(C[:, :, 0], np.column_stack([np.ones(5), np.zeros(5)]))
+        np.testing.assert_allclose(C[:, :, 1],
+                                   np.column_stack([np.zeros(5), np.arange(1, 6) / 5]))
 
     @given(n=st.integers(1, 200), tt=st.floats(-100.0, 100.0))
     @settings(max_examples=100, deadline=None)
     def test_pythagorean_identity(self, n, tt):
-        U, Up = basis_matrices(n, tt)
+        C = coefficient_matrices(n, tt)
+        U, Up = C[:, :, 0], C[:, :, 1]
         total = np.sum(U * U, axis=1) + np.sum(Up * Up, axis=1)
         w = np.arange(1, n + 1) / n
         np.testing.assert_allclose(total, 1.0 + w * w, rtol=1e-12)
@@ -241,9 +242,16 @@ class TestBasisVectors:
         C = coefficient_matrices(7, 1.1, s=2.2)
         np.testing.assert_allclose(C[:, :2, :], coefficient_matrices(7, 1.1))
         np.testing.assert_allclose(C[:, 2:, :], coefficient_matrices(7, 2.2))
-        U, Up = basis_matrices(7, 2.2)
-        np.testing.assert_allclose(C[:, 2:, 0], U)
-        np.testing.assert_allclose(C[:, 2:, 1], Up)
+        i = np.arange(1, 8)
+        c, s = np.cos(i * 2.2 / 7), np.sin(i * 2.2 / 7)
+        np.testing.assert_allclose(C[:, 2:, 0], np.column_stack([c, -(i / 7) * s]))
+        np.testing.assert_allclose(C[:, 2:, 1], np.column_stack([s, (i / 7) * c]))
+
+    @pytest.mark.parametrize("t, s", [(math.nan, None), (math.inf, None),
+                                      (1.0, -math.inf), (1.0, math.nan)])
+    def test_non_finite_points_are_refused(self, t, s):
+        with pytest.raises(ValueError, match="finite"):
+            coefficient_matrices(10, t, s)
 
 
 class TestCovariance:
