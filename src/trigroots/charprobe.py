@@ -13,7 +13,8 @@ here assert it directly).  Decay scans sample random directions at
 log-spaced radii; small-ball probes estimate P(S_n/sqrt(n) in B(a, delta))
 by Monte Carlo against the Gaussian-quadrature oracle where one exists.
 Every probe reads u_i, u_i' from the one tensor of
-``polyeval.coefficient_matrices``: a decay scan builds it once, and the
+``polyeval.coefficient_matrices``: a decay scan builds it once and
+evaluates each radius's directions as one (directions, n) array, and the
 walk takes one (chunk, 2n) @ (2n, d) product per chunk of draws.
 """
 
@@ -67,27 +68,37 @@ def _projections(rows, x: np.ndarray):
     return pu, pup
 
 
-def _log_abs(dist: DistributionSpec, pu, pup) -> float:
-    return float(np.sum(log_abs_charfn_scalar(dist, pu))
-                 + np.sum(log_abs_charfn_scalar(dist, pup)))
+def _log_abs(dist: DistributionSpec, pu, pup):
+    """log |phi| at each projection vector: sums along the last axis."""
+    return (np.sum(log_abs_charfn_scalar(dist, pu), axis=-1)
+            + np.sum(log_abs_charfn_scalar(dist, pup), axis=-1))
 
 
-def _bound(dist: DistributionSpec, pu, pup) -> float:
-    total = (np.sum(xi_norm_sq(dist, pu / TWO_PI))
-             + np.sum(xi_norm_sq(dist, pup / TWO_PI)))
-    return -0.5 * float(total)
+def _bound(dist: DistributionSpec, pu, pup):
+    """The xi-norm exponent bound at each projection vector."""
+    total = (np.sum(xi_norm_sq(dist, pu / TWO_PI), axis=-1)
+             + np.sum(xi_norm_sq(dist, pup / TWO_PI), axis=-1))
+    return -0.5 * total
+
+
+def _point(x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    finite = np.isfinite(x)
+    if not finite.all():
+        raise ValueError(f"frequency x must be finite, got {float(x[~finite][0])}")
+    return x
 
 
 def log_abs_charfn(n: int, t: float, dist: DistributionSpec, x,
                    s: float | None = None) -> float:
     """log of the absolute characteristic-function product at frequency x."""
-    return _log_abs(dist, *_projections(_point_rows(n, t, s), np.asarray(x, dtype=float)))
+    return float(_log_abs(dist, *_projections(_point_rows(n, t, s), _point(x))))
 
 
 def exponent_bound(n: int, t: float, dist: DistributionSpec, x,
                    s: float | None = None) -> float:
     """The xi-norm upper bound for log |phi|; always >= the exact value."""
-    return _bound(dist, *_projections(_point_rows(n, t, s), np.asarray(x, dtype=float)))
+    return float(_bound(dist, *_projections(_point_rows(n, t, s), _point(x))))
 
 
 @dataclass(frozen=True)
@@ -105,12 +116,17 @@ def decay_scan(n: int, t: float, dist: DistributionSpec, tau: float = 0.05,
                s: float | None = None, radii=None) -> DecayReport:
     """Worst-case |phi| over random directions at log-spaced radii.
 
+    Each radius stacks its directions' projections into (directions, n)
+    arrays and takes one characteristic-function and one xi-norm call on
+    each, so memory stays at a few (directions, n) arrays for any n.
     Points failing the non-resonance condition are scanned anyway but the
     report carries ``condition_ok=False`` (decay is not guaranteed there).
     """
     if radii_count < 1 or directions_per_radius < 1:
         raise ValueError("decay scan needs at least one radius and one "
                          f"direction, got {radii_count} and {directions_per_radius}")
+    if not math.isfinite(c_star):
+        raise ValueError(f"c_star must be finite, got {c_star}")
     report = check_condition_t(n, t, tau) if s is None else check_condition_st(n, s, t, tau)
     condition_ok = bool(report.satisfied)
     if not condition_ok:
@@ -121,17 +137,21 @@ def decay_scan(n: int, t: float, dist: DistributionSpec, tau: float = 0.05,
     if radii is None:
         radii = np.geomspace(lo, hi, radii_count)
     radii = np.asarray(radii, dtype=float)
+    bad = ~(np.isfinite(radii) & (radii > 0.0))
+    if bad.any():
+        raise ValueError(f"decay scan radii must be finite and > 0, got {float(radii[bad][0])}")
     rows = _point_rows(n, t, s)
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((directions_per_radius, 2 * len(rows)))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    worst = np.full(radii.size, -np.inf)
-    bound = np.full(radii.size, -np.inf)
+    worst = np.empty(radii.size)
+    bound = np.empty(radii.size)
     for i, r in enumerate(radii):
-        for e in dirs:
-            pu, pup = _projections(rows, r * e)
-            worst[i] = max(worst[i], _log_abs(dist, pu, pup))
-            bound[i] = max(bound[i], _bound(dist, pu, pup))
+        # one _projections call a direction: a single product for every
+        # direction rounds differently
+        pu, pup = map(np.array, zip(*(_projections(rows, r * e) for e in dirs)))
+        worst[i] = _log_abs(dist, pu, pup).max()
+        bound[i] = _bound(dist, pu, pup).max()
     flags = (radii >= lo * (1 - 1e-12)) & (radii <= hi * (1 + 1e-12))
     return DecayReport(radii=radii, worst_log_abs=worst, bound_log=bound,
                        regime_flags=flags, condition_ok=condition_ok)
@@ -162,33 +182,38 @@ def _walk_values(n, t, dist, s, trials, seed, chunk=20000):
 
 def _gaussian_ball_feasibility(n, t, s, center, delta, trials):
     """Expected hit count under the Gaussian proxy density."""
+    V = covariance_V(n, t, s).entries
+    det = float(np.linalg.det(V))
+    if not det > 0.0:
+        raise FeasibilityError(
+            f"the walk's covariance is singular (determinant {det:.3g}), so the "
+            "Gaussian proxy gives no expected hit count; pass force=True to run anyway")
     center = np.asarray(center, dtype=float)
-    dens = _gaussian_density(covariance_V(n, t, s).entries, center)
+    q = float(center @ np.linalg.inv(V) @ center)
+    dens = math.exp(-0.5 * q) / ((2 * math.pi) ** (V.shape[0] / 2) * math.sqrt(det))
     p = (math.pi * delta**2 if s is None else (math.pi**2 / 2.0) * delta**4) * dens
     return trials * p, p
-
-
-def _gaussian_density(V, x):
-    d = V.shape[0]
-    Vi = np.linalg.inv(V)
-    q = float(x @ Vi @ x)
-    return math.exp(-0.5 * q) / ((2 * math.pi) ** (d / 2) * math.sqrt(np.linalg.det(V)))
 
 
 def small_ball_mc(n: int, t: float, dist: DistributionSpec, center, delta: float,
                   trials: int, seed: int = 0, s: float | None = None,
                   force: bool = False) -> SmallBallEstimate:
-    """Monte Carlo P(S_n/sqrt(n) in B(center, delta)) with binomial se."""
+    """Monte Carlo P(S_n/sqrt(n) in B(center, delta)) with binomial se.
+
+    Unless ``force`` is set, the Gaussian proxy must expect at least 10
+    hits, and a singular covariance is refused; ``force`` skips that
+    estimate altogether."""
     check_delta(delta)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     center = np.asarray(center, dtype=float)
-    expect, p_est = _gaussian_ball_feasibility(n, t, s, center, delta, trials)
-    if expect < 10 and not force:
-        need = int(math.ceil(10.0 / max(p_est, 1e-300)))
-        raise FeasibilityError(
-            f"expected hits {expect:.2f} < 10 at delta={delta}; "
-            f"need about {need} trials", required_trials=need)
+    if not force:
+        expect, p_est = _gaussian_ball_feasibility(n, t, s, center, delta, trials)
+        if expect < 10:
+            need = int(math.ceil(10.0 / max(p_est, 1e-300)))
+            raise FeasibilityError(
+                f"expected hits {expect:.2f} < 10 at delta={delta}; "
+                f"need about {need} trials", required_trials=need)
     S = _walk_values(n, t, dist, s, trials, seed)
     hits = int(np.sum(np.sum((S - center) ** 2, axis=1) < delta**2))
     p = hits / trials

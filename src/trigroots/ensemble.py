@@ -248,13 +248,18 @@ def xi_norm_sq(dist: DistributionSpec, w):
 
         ||x||^2 = 1/12 + sum_m (-1)^m cos(2 pi m x) / (pi m)^2,
 
-    whose expectation only needs |charfn(2 pi m w)|^2; truncation is kept
-    below 1e-12.  The test suite cross-checks both continuous laws against
-    a slower density-based quadrature.  Accepts scalars or arrays of w.
+    whose expectation only needs |charfn(2 pi m w)|^2 (see
+    ``_xi_norm_sq_gaussian`` for the per-entry truncation, below 1e-18).
+    The test suite cross-checks both continuous laws against a slower
+    density-based quadrature.  Accepts scalars or arrays of w; a
+    non-finite w is refused.
     """
     w = np.asarray(w, dtype=float)
     scalar = w.ndim == 0
     w = np.atleast_1d(w)
+    finite = np.isfinite(w)
+    if not finite.all():
+        raise ValueError(f"xi_norm_sq needs finite w, got {float(w[~finite][0])}")
     if dist.is_discrete:
         dv, dp = _difference_atoms(dist)
         d = _dist_to_nearest_int(np.multiply.outer(w, dv))
@@ -267,20 +272,44 @@ def xi_norm_sq(dist: DistributionSpec, w):
 
 
 def _xi_norm_sq_gaussian(w: np.ndarray) -> np.ndarray:
+    """The cosine series of ``xi_norm_sq``, sized for each entry.
+
+    xi1 - xi2 is N(0, 2), so |charfn(2 pi m w)|^2 = exp(-4 pi^2 m^2 w^2) and
+
+        E||w (xi1 - xi2)||^2 = 1/12 + sum_m (-1)^m exp(-4 pi^2 m^2 w^2) / (pi m)^2.
+
+    The terms alternate and shrink, so the dropped tail is below the first
+    dropped term.  An entry with 1/(T - 1) <= |w| sums T terms, at least
+    N(w) = ceil(1/|w|) + 1: its first dropped term has m = T + 1 and
+    m |w| > 1, so it is below e^{-4 pi^2} / pi^2 < 1e-18.  T runs over the
+    powers of two 2, 4, 8, ... until 1/(T - 1) passes ``_GAUSS_SMALL_W``,
+    one array a tier, and each entry's value depends only on its own w.
+    """
     out = np.empty_like(w)
     aw = np.abs(w)
     small = aw <= _GAUSS_SMALL_W
     # |w (xi1-xi2)| <= 1/2 except with probability < 1e-80: E||.||^2 = 2 w^2
     out[small] = 2.0 * w[small] ** 2
-    wl = aw[~small]
-    if wl.size:
-        nterms = int(np.ceil(2.1 / wl.min())) + 8
-        m = np.arange(1, nterms + 1)
-        # |charfn_{xi1-xi2}(theta)| = exp(-theta^2) for N(0,2)
-        expo = -4.0 * math.pi**2 * np.multiply.outer(m.astype(float) ** 2, wl**2)
-        signs = np.where(m % 2 == 0, 1.0, -1.0) / (math.pi**2 * m.astype(float) ** 2)
-        out[~small] = 1.0 / 12.0 + signs @ np.exp(expo)
+    nterms, upper = 2, np.inf
+    while upper > _GAUSS_SMALL_W:
+        lower = 1.0 / (nterms - 1)
+        tier = (aw >= lower) & (aw < upper) & ~small
+        if tier.any():
+            out[tier] = _gaussian_series(aw[tier], nterms)
+        nterms, upper = 2 * nterms, lower
     return out
+
+
+def _gaussian_series(aw: np.ndarray, nterms: int) -> np.ndarray:
+    """The first nterms terms of the Gaussian series, summed from the
+    smallest term up, the same way for every entry."""
+    m = np.arange(1.0, nterms + 1.0)
+    terms = np.exp(np.multiply.outer(-4.0 * math.pi**2 * m**2, aw**2))
+    terms *= (np.where(m % 2 == 0, 1.0, -1.0) / (math.pi**2 * m**2))[:, None]
+    total = terms[-1]
+    for row in terms[-2::-1]:
+        total += row
+    return 1.0 / 12.0 + total
 
 
 def _xi_norm_sq_uniform(w: np.ndarray) -> np.ndarray:

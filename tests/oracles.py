@@ -4,8 +4,9 @@ Each one takes a different route to a quantity the program computes fast:
 compensated extended-precision point sums for the FFT grid and the
 vectorized evaluator, the roots of an algebraic polynomial for the root
 count, the dense all-cells formula for the engine's sign scan and audit
-selection, density quadrature for the xi-norm, and the normal CDF for the
-one-dimensional small-ball scan.  ``edgeworth_q2`` assembles the paper's
+selection, density quadrature for the xi-norm, a direction-at-a-time loop
+for the batched decay scan, and the normal CDF for the one-dimensional
+small-ball scan.  ``edgeworth_q2`` assembles the paper's
 Edgeworth factor from the program's c_n values.
 """
 
@@ -17,12 +18,14 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import quad
 
+from trigroots.charprobe import TWO_PI, _point_rows, _projections
 from trigroots.edgeworth import c_n_alpha, hermite, multiplicities
 from trigroots.ensemble import (
     SQRT3,
     CoefficientSample,
     DistributionError,
     DistributionSpec,
+    log_abs_charfn_scalar,
     xi_norm_sq,
 )
 from trigroots.polyeval import WindowSpec
@@ -147,6 +150,29 @@ def xi_norm_sq_quadrature(dist: DistributionSpec, w: float, abs_tol: float = 1e-
         val, _ = quad(integrand, a, b, epsabs=abs_tol / (2 * len(edges)), limit=200)
         total += val
     return 2.0 * total  # even integrand
+
+
+def decay_scan_loop(n: int, t: float, dist: DistributionSpec, radii,
+                    directions_per_radius: int, seed: int = 0,
+                    s: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(worst_log_abs, bound_log) of ``charprobe.decay_scan`` at the given
+    radii, one direction at a time: two characteristic-function and two
+    xi-norm calls on length-n projections per direction."""
+    rows = _point_rows(n, t, s)
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((directions_per_radius, 2 * len(rows)))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    radii = np.asarray(radii, dtype=float)
+    worst = np.full(radii.size, -np.inf)
+    bound = np.full(radii.size, -np.inf)
+    for i, r in enumerate(radii):
+        for e in dirs:
+            pu, pup = _projections(rows, r * e)
+            worst[i] = max(worst[i], float(np.sum(log_abs_charfn_scalar(dist, pu))
+                                           + np.sum(log_abs_charfn_scalar(dist, pup))))
+            bound[i] = max(bound[i], -0.5 * float(np.sum(xi_norm_sq(dist, pu / TWO_PI))
+                                                  + np.sum(xi_norm_sq(dist, pup / TWO_PI))))
+    return worst, bound
 
 
 def normal_interval_probability(variance: float, center: float, delta: float) -> float:

@@ -14,7 +14,8 @@ from trigroots.charprobe import (
     small_ball_mc,
     smallball_1d_scan,
 )
-from oracles import normal_interval_probability
+from oracles import decay_scan_loop, normal_interval_probability
+from trigroots.acceptance import _heavy_discrete
 from trigroots.diophantine import good_t
 from trigroots.ensemble import CoefficientSample, discrete, gaussian, rademacher, uniform
 from trigroots.polyeval import coefficient_matrices, covariance_V, eval_points
@@ -59,6 +60,13 @@ class TestLogAbsCharfn:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             log_abs_charfn(10, 1.0, gaussian(), np.zeros(3))
+
+    @pytest.mark.parametrize("probe", [log_abs_charfn, exponent_bound])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_refuses_non_finite_x(self, probe, bad):
+        for dist in (gaussian(), rademacher()):
+            with pytest.raises(ValueError, match=f"x must be finite, got {bad}"):
+                probe(50, 3.0, dist, [bad, 1.0])
 
 
 class TestExponentBound:
@@ -142,6 +150,37 @@ class TestDecayScan:
         assert rep.regime_flags.all()
 
 
+class TestDecayScanMatchesLoop:
+    """The batched scan gives the direction-at-a-time loop's report."""
+
+    @pytest.mark.parametrize("s", [None, 0.37 * 300 * math.pi], ids=["d2", "d4"])
+    @pytest.mark.parametrize("dist", [gaussian(), rademacher(), _heavy_discrete()],
+                             ids=["gaussian", "rademacher", "discrete"])
+    def test_report_matches_loop(self, dist, s):
+        n = 300
+        t = good_t(n)
+        for seed in (0, 5):
+            rep = decay_scan(n, t, dist, radii_count=6, directions_per_radius=16,
+                             seed=seed, s=s)
+            worst, bound = decay_scan_loop(n, t, dist, rep.radii, 16, seed, s)
+            np.testing.assert_array_equal(rep.worst_log_abs, worst)
+            if dist.kind == "gaussian":
+                np.testing.assert_allclose(
+                    rep.bound_log, bound, rtol=0.0,
+                    atol=1e-14 * max(1.0, float(np.abs(bound).max())))
+            else:
+                np.testing.assert_array_equal(rep.bound_log, bound)
+
+    @pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf])
+    def test_refuses_bad_radii(self, radius):
+        with pytest.raises(ValueError, match=f"finite and > 0, got {radius}"):
+            decay_scan(50, good_t(50), gaussian(), radii=[1.0, radius])
+
+    def test_refuses_non_finite_c_star(self):
+        with pytest.raises(ValueError, match="c_star must be finite, got inf"):
+            decay_scan(50, good_t(50), gaussian(), c_star=math.inf)
+
+
 class TestWalkValues:
     """Row r of the walk is (P, P') at t, then at s, of the r-th draw."""
 
@@ -202,6 +241,17 @@ class TestSmallBall:
                 with pytest.raises(ValueError):
                     small_ball_mc(50, 3.0, gaussian(), np.zeros(2), delta,
                                   trials=1000, seed=0, force=force)
+
+    # n = 1 with s: a rank-2 walk in R^4, whose covariance has
+    # determinant ~ -1.6e-34 in floating point
+    def test_singular_covariance_refused_without_force(self):
+        with pytest.raises(FeasibilityError, match="covariance is singular"):
+            small_ball_mc(1, 60.0, gaussian(), [0.1, 0, 0, 0], 0.5, 3000, s=90.0)
+
+    def test_singular_covariance_runs_under_force(self):
+        est = small_ball_mc(1, 60.0, gaussian(), [0.1, 0, 0, 0], 0.5, 3000,
+                            s=90.0, force=True)
+        assert est.trials == 3000 and 0 < est.hits < 3000
 
     def test_r4_probe(self):
         n = 100

@@ -193,6 +193,14 @@ class TestErrors:
         assert run_cli(["charfn", "--n", "50", flag, "0"]) == 2
         assert "at least one radius" in self._error(capsys, "charfn")
 
+    @pytest.mark.parametrize("cstar, message", [
+        ("nan", "c_star must be finite, got nan"),
+        ("inf", "c_star must be finite, got inf"),
+    ], ids=["nan", "inf"])
+    def test_charfn_non_finite_c_star(self, capsys, cstar, message):
+        assert run_cli(["charfn", "--n", "50", "--cstar", cstar]) == 2
+        assert message in self._error(capsys, "charfn")
+
     @pytest.mark.parametrize("law", ["discrete:nan:1", "discrete:1:nan"],
                              ids=["value", "probability"])
     def test_non_finite_law(self, capsys, law):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from trigroots.ensemble import (
+    _GAUSS_SMALL_W,
     SQRT3,
     CoefficientSample,
     DistributionError,
@@ -24,6 +26,9 @@ from oracles import xi_norm_sq_quadrature
 
 ALL_DISTS = [gaussian(), rademacher(), uniform(),
              discrete([(-2.0, 0.125), (0.0, 0.75), (2.0, 0.125)])]
+
+#: |w| = 1/(T - 1), where the Gaussian xi-norm series steps from T/2 to T terms
+GAUSS_TIER_EDGES = [1.0, 1 / 3, 1 / 7, 1 / 15, 1 / 31]
 
 
 class TestMoments:
@@ -182,12 +187,49 @@ class TestXiNorm:
         slow = xi_norm_sq_quadrature(dist, w)
         assert fast == pytest.approx(slow, abs=1e-9)
 
+    # each side of the Gaussian series' tier boundaries |w| = 1/(T - 1) and
+    # of its small-w cutoff, and points inside the tiers
+    @pytest.mark.parametrize("w", [
+        float(x) for edge in GAUSS_TIER_EDGES + [_GAUSS_SMALL_W]
+        for x in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0))
+    ] + [0.0201, 0.05, 0.3, 1.0, 11.0, 200.0, -0.05, -11.0])
+    def test_gaussian_tiers_match_quadrature_oracle(self, w):
+        assert xi_norm_sq(gaussian(), w) == \
+            pytest.approx(xi_norm_sq_quadrature(gaussian(), w), abs=1e-9)
+
+    def test_gaussian_truncation_below_1e_18(self):
+        # against the same series at 30 digits, carried to m |w| > 6: what
+        # is left is the float sum's rounding, a few ulps of 1/12
+        edges = np.array(GAUSS_TIER_EDGES)
+        w = np.concatenate([np.nextafter(edges, 0.0), edges, [0.0201, 0.05, 0.3]])
+        with mp.workdps(30):
+            for x in w:
+                ref = mp.mpf(1) / 12 + mp.fsum(
+                    (-1) ** m * mp.exp(-4 * mp.pi**2 * m**2 * mp.mpf(x) ** 2)
+                    / (mp.pi * m) ** 2 for m in range(1, int(6 / x) + 2))
+                assert abs(xi_norm_sq(gaussian(), float(x)) - float(ref)) <= 5e-17
+
     def test_vectorized_matches_scalar(self, rng):
-        w = rng.uniform(-3, 3, size=20)
+        # the Gaussian series is sized per entry, so a mixed array gives
+        # each entry its scalar value exactly
+        w = np.concatenate([rng.uniform(-3, 3, size=20),
+                            rng.uniform(-0.2, 0.2, size=20)])
         for dist in ALL_DISTS:
             vec = xi_norm_sq(dist, w)
             ref = np.array([xi_norm_sq(dist, float(x)) for x in w])
-            np.testing.assert_allclose(vec, ref, rtol=1e-12, atol=1e-15)
+            if dist.kind == "gaussian":
+                np.testing.assert_array_equal(vec, ref)
+            else:
+                np.testing.assert_allclose(vec, ref, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("dist", ALL_DISTS,
+                             ids=["gaussian", "rademacher", "uniform", "discrete"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_refuses_non_finite_w(self, dist, bad):
+        with pytest.raises(ValueError, match=f"finite w, got {bad}"):
+            xi_norm_sq(dist, bad)
+        with pytest.raises(ValueError, match=f"finite w, got {bad}"):
+            xi_norm_sq(dist, np.array([[0.5, 1.0], [bad, 0.0]]))
 
     def test_large_w_approaches_uniform_mean(self):
         # a widely spread w(xi1-xi2) has mean squared distance ~ 1/12
