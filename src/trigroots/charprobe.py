@@ -132,8 +132,14 @@ def decay_scan(n: int, t: float, dist: DistributionSpec, tau: float = 0.05,
     if not condition_ok:
         warnings.warn("scan point fails the non-resonance condition; "
                       "decay is not guaranteed", stacklevel=2)
-    lo = float(n) ** (5.0 * tau - 0.5)
-    hi = float(n) ** c_star
+    lo = float(n) ** (5.0 * tau - 0.5)  # tau < 1/8, refused otherwise above
+    try:
+        hi = float(n) ** c_star
+    except OverflowError:
+        hi = math.inf
+    if not (math.isfinite(hi) and hi > 0.0):
+        raise ValueError(f"c_star = {c_star} puts the radius bound n^c_star at {hi:g} "
+                         f"for n = {n}; it must be finite and > 0")
     if radii is None:
         radii = np.geomspace(lo, hi, radii_count)
     radii = np.asarray(radii, dtype=float)
@@ -167,11 +173,13 @@ class SmallBallEstimate:
 
 def _walk_values(n, t, dist, s, trials, seed, chunk=20000):
     """S_n/sqrt(n) samples, shape (trials, d): one (chunk, 2n) @ (2n, d)
-    product W a chunk, with W[2k + l] = C[k, :, l] to match y[:, k, l]."""
+    product W a chunk, with W[2k + l] = C[k, :, l] to match y[:, k, l].
+    The chunks continue one stream: trial 0's under ``seed``."""
     C = coefficient_matrices(n, t, s)
     W = C.transpose(0, 2, 1).reshape(2 * n, C.shape[1])
     inv = 1.0 / math.sqrt(n)
-    rng = ensemble._rng_for_trial(seed, 0)
+    key = ensemble.philox_keys(seed, np.zeros(1, dtype=np.uint64))[0]
+    rng = np.random.Generator(np.random.Philox(key=key))
     out = np.empty((trials, W.shape[1]))
     for lo in range(0, trials, chunk):
         hi = min(lo + chunk, trials)

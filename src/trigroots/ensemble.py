@@ -8,9 +8,12 @@ All supported laws are normalized to mean 0 and variance 1.  Built-ins:
 * ``discrete``    -- arbitrary finite atom list, validated to the same
   normalization
 
-Sampling is keyed by ``(seed, trial_index)`` through a counter-based
-(Philox) stream, so trial i of an experiment is reproducible in isolation
-and independent of evaluation order.
+Sampling is keyed by ``(seed, trial_index)``: each trial draws from its
+own counter-based (Philox) stream, so trial i of an experiment is
+reproducible in isolation and independent of evaluation order.  The key
+is numpy's seed-sequence hash of (seed, trial), which ``philox_keys`` runs
+for a whole chunk of trials at once; ``draw_trials`` draws the chunk with
+one bit generator, and ``sample`` is its one-trial case.
 """
 
 from __future__ import annotations
@@ -26,6 +29,14 @@ _NORMALIZATION_TOL = 1e-12
 
 #: series cutoff for the Gaussian xi-norm (see ``xi_norm_sq``)
 _GAUSS_SMALL_W = 0.02
+
+#: numpy's seed-sequence hash (see ``philox_keys``): pool size and uint32
+#: constants
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
 class DistributionError(ValueError):
@@ -165,21 +176,113 @@ class CoefficientSample:
             raise ValueError("coefficients must be finite")
 
 
-def _rng_for_trial(seed: int, trial_index: int) -> np.random.Generator:
-    # Philox is counter-based; keying the seed sequence by (seed, trial)
-    # makes trials independent and order-insensitive.
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(trial_index),))
-    return np.random.Generator(np.random.Philox(ss))
-
-
 def sample(dist: DistributionSpec, n: int, seed: int, trial_index: int = 0) -> CoefficientSample:
-    """Draw the 2n iid coefficients of one polynomial."""
+    """Draw the 2n iid coefficients of one polynomial: trial ``trial_index``
+    of ``draw_trials``."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = _rng_for_trial(seed, trial_index)
-    y = _draw(dist, rng, (n, 2))
+    y = draw_trials(dist, n, seed, trial_index, trial_index + 1)[0]
     y.setflags(write=False)
     return CoefficientSample(n=n, y=y, seed=int(seed), trial_index=int(trial_index))
+
+
+def draw_trials(dist: DistributionSpec, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
+    """Coefficients of trials lo .. hi - 1, shape (hi - lo, n, 2).
+
+    Each trial draws from its own Philox stream at counter 0 under its key
+    from ``philox_keys``, so a trial's coefficients do not depend on the
+    chunk it is drawn in.  One bit generator serves the chunk: its state
+    is set to each trial's key in turn, with the output buffer empty.
+    """
+    lo, hi = int(lo), int(hi)
+    if lo < 0:
+        raise ValueError(f"trial index must be a non-negative integer, got {lo}")
+    if hi > 2**64:
+        raise ValueError(f"trial index must be below 2**64, got {hi - 1}")
+    keys = philox_keys(seed, np.arange(lo, hi, dtype=np.uint64))
+    bitgen = np.random.Philox()
+    rng = np.random.Generator(bitgen)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": np.zeros(4, np.uint64), "key": None},
+             "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    ys = np.empty((len(keys), n, 2))
+    for y, key in zip(ys, keys):
+        state["state"]["key"] = key
+        bitgen.state = state
+        y[...] = _draw(dist, rng, (n, 2))
+    return ys
+
+
+def philox_keys(seed: int, trials) -> np.ndarray:
+    """The (B, 2) uint64 Philox keys of the trials under ``seed``.
+
+    Row j is the key that numpy's seed sequence with entropy ``seed`` and
+    spawn key ``(trials[j],)`` generates as two uint64 words, the key a
+    Philox seeded by that sequence starts from: numpy's pool-size-4 hash,
+    computed here in wrapping uint32 arithmetic for all trials at once
+    (``tests/oracles.rng_for_trial`` is the reference).  The seed's
+    words (any number of them) are mixed into the pool once; then each
+    trial mixes in its one word (below 2**32) or two (below 2**64) and
+    hashes the pool out.
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    trials = np.asarray(trials)
+    if trials.ndim != 1 or trials.dtype.kind not in "iu":
+        raise ValueError("trial indices must be a 1-d integer array, got "
+                         f"{trials.dtype} of shape {trials.shape}")
+    if trials.size and trials.min() < 0:
+        raise ValueError(f"trial index must be a non-negative integer, got {trials.min()}")
+    trials = trials.astype(np.uint64)
+    words = [seed >> b & _MASK32 for b in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL_SIZE - len(words))
+    consts = _hash_consts(_INIT_A, _MULT_A)
+    pool = [_hashmix(w, next(consts), _MULT_A) for w in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(consts), _MULT_A))
+    for w in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(w, next(consts), _MULT_A))
+
+    def mix_word(pool, word):
+        # the loop over the pool entries, each under the next constant, as
+        # one (B, 4) step
+        c = np.array([next(consts) for _ in range(_POOL_SIZE)], dtype=np.uint32)
+        return _mix(pool, _hashmix(word[:, None], c, _MULT_A))
+
+    pool = mix_word(np.array(pool, dtype=np.uint32), (trials & _MASK32).astype(np.uint32))
+    high = (trials >> 32).astype(np.uint32)
+    if high.any():
+        pool = np.where((high > 0)[:, None], mix_word(pool, high), pool)
+    out_consts = _hash_consts(_INIT_B, _MULT_B)
+    c = np.array([next(out_consts) for _ in range(_POOL_SIZE)], dtype=np.uint32)
+    out = _hashmix(pool, c, _MULT_B).astype(np.uint64)
+    return out[:, 0::2] | out[:, 1::2] << 32
+
+
+def _hash_consts(const: int, mult: int):
+    """The hash constants const * mult**k mod 2**32, k = 0, 1, ..."""
+    while True:
+        yield const
+        const = const * mult & _MASK32
+
+
+def _hashmix(value, const, mult):
+    """numpy's seed-sequence hashmix of ``value`` under the hash constant
+    ``const``, which the call advances to const * mult; Python ints and
+    uint32 arrays alike."""
+    value = ((value ^ const) * (const * mult & _MASK32)) & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """numpy's seed-sequence mix of two pool words."""
+    r = (x * _MIX_MULT_L - y * _MIX_MULT_R) & _MASK32
+    return r ^ r >> 16
 
 
 def _draw(dist: DistributionSpec, rng: np.random.Generator, shape) -> np.ndarray:
@@ -218,8 +321,11 @@ def log_abs_charfn_scalar(dist: DistributionSpec, theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if dist.kind == "gaussian":
         return -0.5 * theta**2
+    # |cos theta| directly: |complex(x, 0)| is |x| exactly, so skipping
+    # charfn_scalar's complex cast changes no bit
+    phi = np.cos(theta) if dist.kind == "rademacher" else charfn_scalar(dist, theta)
     with np.errstate(divide="ignore"):
-        return np.log(np.abs(charfn_scalar(dist, theta)))
+        return np.log(np.abs(phi))
 
 
 def _difference_atoms(dist: DistributionSpec):
@@ -288,7 +394,8 @@ def _xi_norm_sq_gaussian(w: np.ndarray) -> np.ndarray:
     out = np.empty_like(w)
     aw = np.abs(w)
     small = aw <= _GAUSS_SMALL_W
-    # |w (xi1-xi2)| <= 1/2 except with probability < 1e-80: E||.||^2 = 2 w^2
+    # |w (xi1-xi2)| <= 1/2 except with probability P(|N(0, 2)| > 25) =
+    # erfc(12.5) ~ 6.2e-70: E||.||^2 = 2 w^2
     out[small] = 2.0 * w[small] ** 2
     nterms, upper = 2, np.inf
     while upper > _GAUSS_SMALL_W:

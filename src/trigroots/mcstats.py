@@ -4,7 +4,8 @@ Trials are processed in fixed-size chunks whose per-chunk central moments
 are merged in chunk order, so the floating-point result is identical
 whether chunks are computed serially or by any number of workers.  Each
 trial's coefficients come from its own (seed, trial_index)-keyed stream,
-so the counts themselves never depend on scheduling either.
+so the counts themselves never depend on scheduling either; a chunk's
+trials are keyed and drawn by one ``ensemble.draw_trials`` call.
 """
 
 from __future__ import annotations
@@ -142,12 +143,7 @@ class ExperimentRecord:
 def _chunk_counts(dist: DistributionSpec, n: int, window: WindowSpec, M: int,
                   seed: int, lo: int, hi: int):
     """Counts and uncertainty flags for trials [lo, hi)."""
-    ys = np.empty((hi - lo, n, 2))
-    for j, trial in enumerate(range(lo, hi)):
-        rng = ensemble._rng_for_trial(seed, trial)
-        ys[j] = ensemble._draw(dist, rng, (n, 2))
-    counts, uncertain = count_batch(ys, n, window, M)
-    return counts, uncertain
+    return count_batch(ensemble.draw_trials(dist, n, seed, lo, hi), n, window, M)
 
 
 def run_experiment(dist: DistributionSpec, n: int, window: WindowSpec = FULL,

@@ -13,6 +13,7 @@ FFT (both P and P' at once via Hermitian packing).
 
 The FFT's scale M/(2 sqrt n) is folded into the packed spectrum, so the
 batch grids P and P' are views of the FFT output, with no full-grid copy.
+The spectrum is transformed in place: one (B, M) complex array a batch.
 
 A single-sample grid also carries the derivatives P^(0) .. P^(K+1) over one
 full period, two orders to each FFT of the spectrum times (i j/n)^k.  Its
@@ -220,10 +221,11 @@ def eval_points(sample: CoefficientSample, ts: np.ndarray) -> tuple:
     return P, Q
 
 
-def _packed_spectrum(y: np.ndarray, n: int, M: int, start_over_pi_n: float,
-                     order: int = 0) -> np.ndarray:
-    """Hermitian-packed spectrum whose length-M inverse FFT carries P^(order)
-    in the real part and P^(order+1) in the imaginary part."""
+def _packed_ifft(y: np.ndarray, n: int, M: int, start_over_pi_n: float,
+                 order: int = 0) -> np.ndarray:
+    """Length-M inverse FFT of the Hermitian-packed spectrum: P^(order) in
+    the real part and P^(order+1) in the imaginary part.  The spectrum's
+    two bands are filled by slices and transformed in place."""
     i = np.arange(1, n + 1)
     z = y[..., 0] - 1j * y[..., 1]  # Re(z e^{i theta}) = y1 cos + y2 sin
     # phase offset of the window start folded into the coefficients;
@@ -238,9 +240,11 @@ def _packed_spectrum(y: np.ndarray, n: int, M: int, start_over_pi_n: float,
         base = base * d
     dbase = base * d
     spec = np.zeros(y.shape[:-2] + (M,), dtype=complex)
-    spec[..., i] = base + 1j * dbase
-    spec[..., M - i] += np.conj(base) + 1j * np.conj(dbase)
-    return spec
+    spec[..., 1:n + 1] = base + 1j * dbase
+    # bins M - 1 .. M - n, added to the zeros: a -0.0 part becomes +0.0
+    # there, as with the fancy-index fill, so the spectrum is bit-identical
+    spec[..., M - n:][..., ::-1] += np.conj(base) + 1j * np.conj(dbase)
+    return np.fft.ifft(spec, axis=-1, out=spec)
 
 
 def eval_grid(sample: CoefficientSample, window: WindowSpec,
@@ -259,7 +263,7 @@ def eval_grid(sample: CoefficientSample, window: WindowSpec,
     orders = range(0, TAYLOR_ORDER + 2, 2)
     derivs = np.empty((Mfft, 2 * len(orders)))
     for m in orders:
-        F = np.fft.ifft(_packed_spectrum(sample.y, n, Mfft, start_ratio, m))
+        F = _packed_ifft(sample.y, n, Mfft, start_ratio, m)
         derivs[:, m] = F.real
         derivs[:, m + 1] = F.imag
     P, Q = derivs[:M, 0].copy(), derivs[:M, 1].copy()
@@ -280,7 +284,7 @@ def eval_grid_batch(ys: np.ndarray, n: int, window: WindowSpec, M: int):
     """
     Mfft = _period_size(n, window, M)
     start_ratio = window.start(n) / (math.pi * n)  # -1 (full) or 0 (half)
-    F = np.fft.ifft(_packed_spectrum(ys, n, Mfft, start_ratio), axis=-1)
+    F = _packed_ifft(ys, n, Mfft, start_ratio)
     return F.real[..., :M], F.imag[..., :M]
 
 

@@ -6,8 +6,9 @@ vectorized evaluator, the roots of an algebraic polynomial for the root
 count, the dense all-cells formula for the engine's sign scan and audit
 selection, density quadrature for the xi-norm, a direction-at-a-time loop
 for the batched decay scan, and the normal CDF for the one-dimensional
-small-ball scan.  ``edgeworth_q2`` assembles the paper's
-Edgeworth factor from the program's c_n values.
+small-ball scan, and a SeedSequence per trial for the chunk-keyed
+coefficient draw.  ``edgeworth_q2`` assembles the paper's Edgeworth factor
+from the program's c_n values.
 """
 
 import math
@@ -150,6 +151,14 @@ def xi_norm_sq_quadrature(dist: DistributionSpec, w: float, abs_tol: float = 1e-
         val, _ = quad(integrand, a, b, epsabs=abs_tol / (2 * len(edges)), limit=200)
         total += val
     return 2.0 * total  # even integrand
+
+
+def rng_for_trial(seed: int, trial_index: int) -> np.random.Generator:
+    """Trial ``trial_index``'s generator built on its own: a SeedSequence
+    keyed by (seed, trial) seeds a fresh Philox.  ``ensemble.draw_trials``
+    must draw exactly what this generator draws."""
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(trial_index),))
+    return np.random.Generator(np.random.Philox(ss))
 
 
 def decay_scan_loop(n: int, t: float, dist: DistributionSpec, radii,

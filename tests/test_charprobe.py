@@ -14,7 +14,7 @@ from trigroots.charprobe import (
     small_ball_mc,
     smallball_1d_scan,
 )
-from oracles import decay_scan_loop, normal_interval_probability
+from oracles import decay_scan_loop, normal_interval_probability, rng_for_trial
 from trigroots.acceptance import _heavy_discrete
 from trigroots.diophantine import good_t
 from trigroots.ensemble import CoefficientSample, discrete, gaussian, rademacher, uniform
@@ -37,6 +37,16 @@ class TestLogAbsCharfn:
         expected = (math.log(abs(math.cos((U @ x).item())))
                     + math.log(abs(math.cos((Up @ x).item()))))
         assert log_abs_charfn(1, 2.0, rademacher(), x) == pytest.approx(expected)
+
+    def test_rademacher_factor_is_the_charfn_route(self, rng):
+        theta = np.concatenate([rng.uniform(-60.0, 60.0, 20_000),
+                                [0.0, -0.0, math.pi / 2, 3 * math.pi / 2, 1e300]])
+        with np.errstate(divide="ignore"):
+            ref = np.log(np.abs(ensemble.charfn_scalar(rademacher(), theta)))
+        got = ensemble.log_abs_charfn_scalar(rademacher(), theta)
+        assert got.tobytes() == ref.tobytes()
+        assert (ensemble.log_abs_charfn_scalar(rademacher(), 0.3)
+                == np.log(np.abs(ensemble.charfn_scalar(rademacher(), 0.3))))
 
     def test_gaussian_quadratic_identity(self, rng):
         for _ in range(10):
@@ -180,6 +190,13 @@ class TestDecayScanMatchesLoop:
         with pytest.raises(ValueError, match="c_star must be finite, got inf"):
             decay_scan(50, good_t(50), gaussian(), c_star=math.inf)
 
+    @pytest.mark.parametrize("c_star, bound", [(1000.0, "inf"), (-1000.0, "0")],
+                             ids=["overflow", "underflow"])
+    def test_refuses_radius_bound_out_of_range(self, c_star, bound):
+        with pytest.raises(ValueError, match=f"c_star = {c_star} puts the radius "
+                                             f"bound n\\^c_star at {bound} for n = 500"):
+            decay_scan(500, good_t(500), gaussian(), c_star=c_star)
+
 
 class TestWalkValues:
     """Row r of the walk is (P, P') at t, then at s, of the r-th draw."""
@@ -191,7 +208,7 @@ class TestWalkValues:
     def test_rows_are_p_and_p_prime(self, dist, s, n):
         t, trials, chunk, seed = 13.25, 23, 5, 9
         walk = _walk_values(n, t, dist, s, trials, seed, chunk=chunk)
-        rng = ensemble._rng_for_trial(seed, 0)
+        rng = rng_for_trial(seed, 0)
         ys = np.concatenate([ensemble._draw(dist, rng, (min(chunk, trials - lo), n, 2))
                              for lo in range(0, trials, chunk)])
         pts = [t] if s is None else [t, s]

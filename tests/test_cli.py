@@ -201,6 +201,17 @@ class TestErrors:
         assert run_cli(["charfn", "--n", "50", "--cstar", cstar]) == 2
         assert message in self._error(capsys, "charfn")
 
+    def test_charfn_radius_bound_overflow(self, capsys):
+        assert run_cli(["charfn", "--n", "500", "--cstar", "1000"]) == 2
+        assert "c_star = 1000.0 puts the radius bound" in self._error(capsys, "charfn")
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_simulate_negative_seed(self, capsys, threads):
+        assert run_cli(["simulate", "--n", "8", "--trials", "300", "--seed", "-1",
+                        "--threads", threads]) == 2
+        assert ("seed must be a non-negative integer, got -1"
+                in self._error(capsys, "simulate"))
+
     @pytest.mark.parametrize("law", ["discrete:nan:1", "discrete:1:nan"],
                              ids=["value", "probability"])
     def test_non_finite_law(self, capsys, law):

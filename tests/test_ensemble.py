@@ -14,15 +14,18 @@ from trigroots.ensemble import (
     DistributionError,
     discrete,
     gaussian,
+    _draw,
+    draw_trials,
     moments,
     parse_distribution,
+    philox_keys,
     rademacher,
     sample,
     uniform,
     charfn_scalar,
     xi_norm_sq,
 )
-from oracles import xi_norm_sq_quadrature
+from oracles import rng_for_trial, xi_norm_sq_quadrature
 
 ALL_DISTS = [gaussian(), rademacher(), uniform(),
              discrete([(-2.0, 0.125), (0.0, 0.75), (2.0, 0.125)])]
@@ -127,6 +130,43 @@ class TestSampling:
         y[1, 0] = bad
         with pytest.raises(ValueError, match="finite"):
             CoefficientSample(n=3, y=y, seed=0, trial_index=0)
+
+
+class TestTrialKeys:
+    """A chunk keyed in one pass draws what a SeedSequence per trial draws."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**130 - 1),
+           trials=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6))
+    def test_keys_are_seed_sequence_keys(self, seed, trials):
+        keys = philox_keys(seed, np.array(trials, dtype=np.uint64))
+        ref = [np.random.SeedSequence(entropy=seed, spawn_key=(t,)).generate_state(2, np.uint64)
+               for t in trials]
+        assert keys.dtype == np.uint64
+        np.testing.assert_array_equal(keys, np.array(ref))
+
+    @pytest.mark.parametrize("lo, hi", [(0, 40), (2**32 - 3, 2**32 + 3), (2**64 - 2, 2**64)],
+                             ids=["first", "straddles-2^32", "last"])
+    @pytest.mark.parametrize("seed", [0, 7064, 5137000011, 2**100 + 3])
+    @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.kind)
+    def test_draws_are_the_per_trial_oracle_draws(self, dist, seed, lo, hi):
+        ys = draw_trials(dist, 9, seed, lo, hi)
+        assert ys.shape == (hi - lo, 9, 2)
+        for y, trial in zip(ys, range(lo, hi)):
+            assert y.tobytes() == _draw(dist, rng_for_trial(seed, trial), (9, 2)).tobytes()
+        assert sample(dist, 9, seed, hi - 1).y.tobytes() == ys[-1].tobytes()
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: philox_keys(-1, np.arange(3)), "seed must be a non-negative integer, got -1"),
+        (lambda: philox_keys(5, np.array([3, -2])), "trial index must be a non-negative integer, got -2"),
+        (lambda: philox_keys(5, np.array([1.5])), "1-d integer array, got float64"),
+        (lambda: draw_trials(gaussian(), 4, 5, -3, 2), "trial index must be a non-negative integer, got -3"),
+        (lambda: sample(gaussian(), 4, -7), "seed must be a non-negative integer, got -7"),
+        (lambda: sample(gaussian(), 4, 1, trial_index=2**64), "below 2\\*\\*64, got 18446744073709551616"),
+    ], ids=["seed", "trial", "float-trial", "chunk-start", "sample-seed", "trial-2^64"])
+    def test_refuses_bad_indices(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 class TestCharfn:
