@@ -200,7 +200,7 @@ def draw_trials(dist: DistributionSpec, n: int, seed: int, lo: int, hi: int) -> 
     if hi > 2**64:
         raise ValueError(f"trial index must be below 2**64, got {hi - 1}")
     keys = philox_keys(seed, np.arange(lo, hi, dtype=np.uint64))
-    bitgen = np.random.Philox()
+    bitgen = np.random.Philox(np.random.SeedSequence(0))  # no OS entropy read
     rng = np.random.Generator(bitgen)
     state = {"bit_generator": "Philox",
              "state": {"counter": np.zeros(4, np.uint64), "key": None},

@@ -11,9 +11,9 @@ from the second components.  On an equispaced grid the phases i*t_k/n are
 equispaced in k, which turns grid evaluation into a single complex inverse
 FFT (both P and P' at once via Hermitian packing).
 
-The FFT's scale M/(2 sqrt n) is folded into the packed spectrum, so the
-batch grids P and P' are views of the FFT output, with no full-grid copy.
-The spectrum is transformed in place: one (B, M) complex array a batch.
+The FFT's scale M/(2 sqrt n) is folded into the packed spectrum, so a
+batch grid is the complex FFT output (P real, P' imaginary), made in place
+in one (B, period) array; ``count_batch`` makes one per ``pass_rows`` rows.
 
 A single-sample grid also carries the derivatives P^(0) .. P^(K+1) over one
 full period, two orders to each FFT of the spectrum times (i j/n)^k.  Its
@@ -36,6 +36,8 @@ import numpy as np
 from trigroots.ensemble import CoefficientSample
 
 DEFAULT_OVERSAMPLE = 8
+
+PASS_BYTES = 1 << 22  # complex spectrum of one ``count_batch`` pass, kept in cache
 
 #: Taylor degree K of ``EvaluationGrid.eval_local``.  All frequencies j/n
 #: are <= 1, so Bernstein's inequality gives sup|P^(k)| <= sup|P| and the
@@ -180,6 +182,11 @@ def grid_size(n: int) -> int:
     return 2 * n * DEFAULT_OVERSAMPLE
 
 
+def pass_rows(n: int, window: WindowSpec, M: int) -> int:
+    """Rows of one batch pass: PASS_BYTES of spectrum, at least one row."""
+    return max(1, PASS_BYTES // (16 * _period_size(n, window, M)))
+
+
 def _period_size(n: int, window: WindowSpec, M: int) -> int:
     """Nodes in one full period of an M-point grid of the window; refuses M
     below ``grid_size(n)``."""
@@ -274,18 +281,16 @@ def eval_grid(sample: CoefficientSample, window: WindowSpec,
 
 def eval_grid_batch(ys: np.ndarray, n: int, window: WindowSpec, M: int):
     """(P, P') grids for a batch of coefficient arrays, shape (B, n, 2), via
-    one batched complex FFT (both at once by Hermitian packing).  P and P'
-    are views of the real and imaginary parts of its output.
+    one batched complex FFT (both at once by Hermitian packing): a (B, M)
+    complex view of its output, P in the real part and P' in the imaginary.
 
     Refuses M below ``grid_size(n)``: the sign-change root capture relies
     on several grid points per root of a degree-n trigonometric polynomial.
     The half window spans half a period, so it is evaluated on the 2M-point
     full grid and keeps the first M points.
     """
-    Mfft = _period_size(n, window, M)
     start_ratio = window.start(n) / (math.pi * n)  # -1 (full) or 0 (half)
-    F = _packed_ifft(ys, n, Mfft, start_ratio)
-    return F.real[..., :M], F.imag[..., :M]
+    return _packed_ifft(ys, n, _period_size(n, window, M), start_ratio)[..., :M]
 
 
 def coefficient_matrices(n: int, t: float, s: float | None = None) -> np.ndarray:

@@ -5,13 +5,14 @@ root (simple roots are a.s. the only kind).  Cells whose |P| dips near zero
 without a sign change are audited through the stationary point of P: they
 hide either nothing, a tangency, or a pair of roots missed by the scan.
 One engine, ``_scan_and_audit``, does the scan and the audit on a batch of
-grids; ``count_batch`` runs it on Monte Carlo batches and ``count_roots``
-on a batch of one.  The engine pays for the grid and the audited cells
-only: the scan compares boolean sign grids, the dip test runs on the cells
-where P' changes sign and P does not, and a row with a non-finite
-coefficient is flagged.  The audit screens a cell with the stationary
-point of the cubic Hermite interpolant of its end values and slopes; the
-unclear cells get their Taylor series once (``polyeval.cell_expansions``).
+complex grids P + i P'; ``count_batch`` runs it on Monte Carlo batches in
+cache-sized row blocks (``polyeval.pass_rows``), ``count_roots`` on a
+batch of one.  It pays for the grid and the audited cells only: the scan
+compares sign grids, the dip test runs on the cells where P' changes sign
+and P does not (one complex gather a cell end), and a row with a non-finite
+coefficient is flagged.  The audit screens a cell with the stationary point
+of the cubic Hermite interpolant of its end values and slopes; the unclear
+cells get their Taylor series once (``polyeval.cell_expansions``).
 
 Every search is one safeguarded Newton iteration, ``_newton``, on a bracket
 it keeps, with a midpoint step wherever Newton would leave it: the audit's
@@ -34,7 +35,7 @@ delta-intervals of neighbouring roots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -48,6 +49,7 @@ from trigroots.polyeval import (
     eval_grid,
     eval_grid_batch,
     eval_points,
+    pass_rows,
     taylor_eval,
 )
 
@@ -77,7 +79,7 @@ class RootCountResult:
     derivatives: np.ndarray
     tangencies: np.ndarray           # audit's t* of the cells stuck at a tangency
     uncertain: bool
-    grid: EvaluationGrid
+    grid: EvaluationGrid | None  # None in a KacRiceResult (frees the stack)
     end_value: float  # P at the window's closing point
     tol: float
 
@@ -208,50 +210,51 @@ class _Scan(NamedTuple):
 
 
 def _changes(nonneg: np.ndarray, closing: np.ndarray) -> np.ndarray:
-    """Cells whose two end signs differ, from (B, M) signs and the (B,)
-    sign at the closing point."""
+    """Cells whose two end signs differ, from (B, M, 2) signs of P and P'
+    and their (B, 2) signs at the closing point."""
     out = np.empty_like(nonneg)
     np.not_equal(nonneg[:, :-1], nonneg[:, 1:], out=out[:, :-1])
     np.not_equal(nonneg[:, -1], closing, out=out[:, -1])
     return out
 
 
-def _scan_and_audit(ys: np.ndarray, P: np.ndarray, Q: np.ndarray,
-                    window: WindowSpec) -> _Scan:
-    """Sign scan and stationary-point audit of (B, M) grids of P and P'.
+def _scan_and_audit(ys: np.ndarray, F: np.ndarray, window: WindowSpec) -> _Scan:
+    """Sign scan and stationary-point audit of (B, M) grids F = P + i P'
+    (unit stride along a row: one sign pass reads both parts).
 
     The last cell closes on the first node for the full window (P is
     periodic) and on the value at n*pi for the half window, summed with the
     exact (-1)^i phases.  ``ys`` holds the (B, n, 2) coefficients.  The
     scan compares signs (x >= 0, so an exact zero joins the + side); only
     cells where P' changes sign and P does not are gathered for the dip
-    test, and only the rows of the audited cells get a scale max|P|.
+    test, one complex gather an end, and only audited rows get a scale max|P|.
     """
-    n, M = ys.shape[1], P.shape[1]
+    n, M = ys.shape[1], F.shape[1]
     h = window.length(n) / M
     if window.circular:
-        p_end, q_end = P[:, 0], Q[:, 0]
+        p_end, q_end = F[:, 0].real, F[:, 0].imag
     else:
         # at t = n*pi the phases are i*pi: cos = (-1)^i and sin = 0 exactly
         i = np.arange(1, n + 1)
         alt = np.where(i % 2 == 0, 1.0, -1.0)
         p_end = ys[:, :, 0] @ alt / math.sqrt(n)
         q_end = ys[:, :, 1] @ (alt * i / n) / math.sqrt(n)
-    crossing = _changes(P >= 0.0, p_end >= 0.0)
+    nonneg = F.view(float).reshape(len(F), M, 2) >= 0.0  # P, P' signs in one pass
+    changes = _changes(nonneg, np.array([p_end, q_end]).T >= 0.0)
+    crossing = changes[..., 0]
     counts = np.count_nonzero(crossing, axis=1)
     finite = np.isfinite(ys).all(axis=(1, 2))
     uncertain = ~finite | ~ys.any(axis=(1, 2))
 
-    stationary = _changes(Q >= 0.0, q_end >= 0.0)
-    stationary &= ~crossing
+    stationary = changes[..., 1] & ~crossing
     rows, cells = np.divmod(np.flatnonzero(stationary), M)
     right = cells + 1
     last = right == M
     right[last] = 0
-    pl, pr = P[rows, cells], P[rows, right]
-    ql, qr = Q[rows, cells], Q[rows, right]
+    left, right = F[rows, cells], F[rows, right]
     if not window.circular:
-        pr[last], qr[last] = p_end[rows[last]], q_end[rows[last]]
+        right.real[last], right.imag[last] = p_end[rows[last]], q_end[rows[last]]
+    pl, pr, ql, qr = left.real, right.real, left.imag, right.imag
     dip = np.minimum(np.abs(pl), np.abs(pr)) < 0.5 * h * np.maximum(np.abs(ql), np.abs(qr))
     audit = dip & finite[rows]
     rows, cells = rows[audit], cells[audit]
@@ -259,7 +262,7 @@ def _scan_and_audit(ys: np.ndarray, P: np.ndarray, Q: np.ndarray,
     status, t_star = np.empty(0, dtype=int), np.empty(0)
     if rows.size:
         scaled, at = np.unique(rows, return_inverse=True)
-        Ps = P[scaled]
+        Ps = F.real[scaled]
         scale = np.maximum(Ps.max(axis=1), -Ps.min(axis=1))
         status, t_star = _resolve_audits(
             pl[audit], pr[audit], ql[audit], qr[audit], h,
@@ -281,7 +284,9 @@ def count_roots(sample: CoefficientSample, window: WindowSpec = FULL,
     h = grid.spacing
     if not 0.0 < tol < h:
         raise ValueError(f"tol={tol} outside (0, grid spacing {h})")
-    scan = _scan_and_audit(sample.y[None], grid.P[None], grid.Pprime[None], window)
+    F = np.empty((1, grid.M), dtype=complex)  # one row P + i P'
+    F.real, F.imag = grid.P, grid.Pprime
+    scan = _scan_and_audit(sample.y[None], F, window)
     t_left = grid.t_values()
     crossing = scan.crossing[0]
     lo = t_left[crossing]
@@ -307,13 +312,18 @@ def count_batch(ys: np.ndarray, n: int, window: WindowSpec, M: int):
     """Root counts for a batch of coefficient arrays (B, n, 2).
 
     Fast path for Monte Carlo loops: the engine of ``count_roots`` without
-    the root refinement.  Returns (counts, uncertain) arrays.
+    the root refinement, in ``pass_rows`` blocks.  Returns (counts, uncertain).
     """
-    # a row with an infinite coefficient gets NaN grids, then a flag
-    with np.errstate(invalid="ignore"):
-        P, Q = eval_grid_batch(ys, n, window, M)
-    scan = _scan_and_audit(ys, P, Q, window)
-    return scan.counts, scan.uncertain
+    counts, uncertain = np.empty(len(ys), dtype=np.intp), np.empty(len(ys), dtype=bool)
+    step = pass_rows(n, window, M)
+    for lo in range(0, len(ys), step):
+        block = ys[lo:lo + step]
+        # a row with an infinite coefficient gets NaN grids, then a flag
+        with np.errstate(invalid="ignore"):
+            F = eval_grid_batch(block, n, window, M)
+        scan = _scan_and_audit(block, F, window)
+        counts[lo:lo + step], uncertain[lo:lo + step] = scan.counts, scan.uncertain
+    return counts, uncertain
 
 
 def check_delta(delta: float) -> None:
@@ -365,8 +375,8 @@ def count_kacrice(sample: CoefficientSample, window: WindowSpec = FULL,
     if rr.tangencies.size:
         total += _tangency_mass(grid, rr.tangencies, delta)
 
-    return KacRiceResult(value=total / (2.0 * delta), flagged=flagged,
-                         safe_delta_estimate=safe, delta=delta, root_result=rr)
+    return KacRiceResult(value=total / (2.0 * delta), flagged=flagged, delta=delta,
+                         safe_delta_estimate=safe, root_result=replace(rr, grid=None))
 
 
 def _tangency_mass(grid, t_star, delta):

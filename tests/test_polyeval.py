@@ -189,9 +189,10 @@ class TestLocalEvaluator:
             s = sample(gaussian(), n, seed=n)
             for M in (16 * n, 32 * n):
                 g = eval_grid(s, window, M=M)
-                P, Q = eval_grid_batch(s.y[None], n, window, M)
-                assert P[0].tobytes() == g.P.tobytes()
-                assert Q[0].tobytes() == g.Pprime.tobytes()
+                F = eval_grid_batch(s.y[None], n, window, M)
+                assert F.shape == (1, M)
+                assert F.real[0].tobytes() == g.P.tobytes()
+                assert F.imag[0].tobytes() == g.Pprime.tobytes()
 
 
 class TestCellExpansions:
@@ -203,8 +204,9 @@ class TestCellExpansions:
     def test_matches_oracle_in_audited_cells(self, n):
         samples = [sample(gaussian(), n, seed=n, trial_index=t) for t in range(4)]
         ys = np.stack([s.y for s in samples])
-        P, Q = eval_grid_batch(ys, n, FULL, 16 * n)
-        scan = _scan_and_audit(ys, P, Q, FULL)
+        F = eval_grid_batch(ys, n, FULL, 16 * n)
+        P = F.real
+        scan = _scan_and_audit(ys, F, FULL)
         rows, cells = scan.rows[:16], scan.cells[:16]
         assert rows.size
         h = FULL.length(n) / P.shape[1]

@@ -1,12 +1,23 @@
 import math
+import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 from oracles import dense_scan, eval_point, laurent_roots
+from trigroots import rootcount
 from trigroots.ensemble import CoefficientSample, gaussian, rademacher, sample
-from trigroots.polyeval import FULL, HALF, eval_grid_batch, eval_points
+from trigroots.polyeval import (
+    FULL,
+    HALF,
+    eval_grid,
+    eval_grid_batch,
+    eval_points,
+    grid_size,
+    pass_rows,
+)
 from trigroots.rootcount import (
     _find_level_crossing,
     _newton,
@@ -151,11 +162,11 @@ class TestLeanScan:
     def test_matches_dense_formula(self, law, window, n):
         seed = {16: 32, 64: 33}[n]  # Rademacher zeros on nodes in both windows
         ys = np.stack([sample(law, n, seed=seed, trial_index=t).y for t in range(128)])
-        P, Q = eval_grid_batch(ys, n, window, 16 * n)
+        F = eval_grid_batch(ys, n, window, 16 * n)
         if law.kind == "rademacher":  # the +-1 sums vanish exactly at some nodes
-            assert np.any(P == 0.0)
-        scan = _scan_and_audit(ys, P, Q, window)
-        crossing, audit = dense_scan(ys, P, Q, window)
+            assert np.any(F.real == 0.0)
+        scan = _scan_and_audit(ys, F, window)
+        crossing, audit = dense_scan(ys, F.real, F.imag, window)
         rows, cells = np.nonzero(audit)
         assert rows.size
         assert np.array_equal(scan.crossing, crossing)
@@ -180,6 +191,44 @@ class TestNonFinite:
             counts, uncertain = count_batch(ys, 8, window, 128)
         assert uncertain.tolist() == [bool(good_uncertain[0]), True, bool(good_uncertain[2])]
         assert counts[[0, 2]].tolist() == good_counts[[0, 2]].tolist()
+
+
+class TestPasses:
+    """``count_batch`` runs in row blocks of ``pass_rows`` rows; a block is
+    a batch of its own, so the blocks' results are the rows' results."""
+
+    def test_pass_rule(self):
+        for n, rows in ((64, 256), (256, 64), (1024, 16), (4096, 4)):
+            assert pass_rows(n, FULL, grid_size(n)) == rows
+            assert pass_rows(n, HALF, grid_size(n)) == rows // 2
+        assert pass_rows(4096, FULL, 1 << 40) == 1
+        assert pass_rows(1, HALF, 1 << 40) == 1
+
+    @pytest.mark.parametrize("window", [FULL, HALF], ids=["full", "half"])
+    @pytest.mark.parametrize("n, trials, bad, zero", [(64, 300, 290, 7), (1024, 37, 30, 3)])
+    def test_blocks_are_the_rows(self, window, n, trials, bad, zero):
+        M = 16 * n
+        step = pass_rows(n, window, M)
+        assert trials % step and bad // step != zero // step
+        ys = np.stack([sample(gaussian(), n, seed=41, trial_index=t).y for t in range(trials)])
+        ys[bad, 5, 0] = np.inf
+        ys[zero] = 0.0
+        counts, uncertain = count_batch(ys, n, window, M)
+        rows = [count_batch(ys[k:k + 1], n, window, M) for k in range(trials)]
+        assert counts.tolist() == [int(c[0]) for c, _ in rows]
+        assert uncertain.tolist() == [bool(u[0]) for _, u in rows]
+        assert uncertain[bad] and uncertain[zero] and not uncertain.all()
+
+    def test_n4096_chunk_fits_in_memory(self):
+        ys = np.stack([sample(gaussian(), 4096, seed=5, trial_index=t).y for t in range(64)])
+        tracemalloc.start()
+        try:
+            counts, uncertain = count_batch(ys, 4096, FULL, grid_size(4096))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert counts.shape == (64,) and not uncertain.any()
 
 
 class TestExactExpectation:
@@ -259,6 +308,21 @@ class TestKacRice:
             assert abs(kr.value - count) > 1e-3
             assert kr.flagged
 
+    def test_result_does_not_keep_the_grid(self, monkeypatch):
+        stacks = []
+
+        def tracked(*args, **kwargs):
+            grid = eval_grid(*args, **kwargs)
+            stacks.append(weakref.ref(grid.derivs))
+            return grid
+
+        monkeypatch.setattr(rootcount, "eval_grid", tracked)
+        s = sample(gaussian(), 64, seed=9)
+        kr = count_kacrice(s)
+        assert kr.root_result.grid is None and kr.root_count > 0
+        assert len(stacks) == 1 and stacks[0]() is None
+        assert count_roots(s).grid.derivs is stacks[1]()
+
 
 def _tangent_sample(offset=0.0):
     """n=2 coefficients with P(a) = offset and P'(a) = 0 at a = 1.0.
@@ -317,8 +381,9 @@ class TestEngineeredTangency:
                 y = ys[j].copy()
                 y.setflags(write=False)
                 r = count_roots(CoefficientSample(8, y, 0, 0), FULL)
-                scan = _scan_and_audit(y[None], r.grid.P[None],
-                                       r.grid.Pprime[None], FULL)
+                F = np.empty((1, r.grid.M), dtype=complex)
+                F.real, F.imag = r.grid.P, r.grid.Pprime
+                scan = _scan_and_audit(y[None], F, FULL)
                 if scan.cells.size:
                     hits += 1
                     assert counts[j] == r.count
