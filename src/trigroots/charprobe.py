@@ -15,7 +15,8 @@ by Monte Carlo against the Gaussian-quadrature oracle where one exists.
 Every probe reads u_i, u_i' from the one tensor of
 ``polyeval.coefficient_matrices``: a decay scan builds it once and
 evaluates each radius's directions as one (directions, n) array, and the
-walk takes one (chunk, 2n) @ (2n, d) product per chunk of draws.
+walk takes one (2000, 2n) @ (2n, d) product per ``WALK_CHUNK`` of draws,
+a size its bits depend on (BLAS rounds a row by its block size).
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ from trigroots.polyeval import coefficient_matrices, covariance_V
 from trigroots.rootcount import check_delta
 
 TWO_PI = 2.0 * math.pi
+
+#: walks a ``_walk_values`` chunk (a 6 MiB draw at n = 200): part of the bits
+WALK_CHUNK = 2000
 
 #: radial Gauss-Legendre and angular trapezoid nodes of the planar oracle
 _ORACLE_RADIAL_NODES = 32
@@ -171,10 +175,11 @@ class SmallBallEstimate:
     trials: int
 
 
-def _walk_values(n, t, dist, s, trials, seed, chunk=20000):
+def _walk_values(n, t, dist, s, trials, seed, chunk=WALK_CHUNK):
     """S_n/sqrt(n) samples, shape (trials, d): one (chunk, 2n) @ (2n, d)
-    product W a chunk, with W[2k + l] = C[k, :, l] to match y[:, k, l].
-    The chunks continue one stream: trial 0's under ``seed``."""
+    product W a chunk, with W[2k + l] = C[k, :, l] for coefficient (k, l).
+    The chunks continue one stream: trial 0's under ``seed``.  Chunks of
+    2,000 give criterion 10's walks of 20,000 exactly; 1,000 do not."""
     C = coefficient_matrices(n, t, s)
     W = C.transpose(0, 2, 1).reshape(2 * n, C.shape[1])
     inv = 1.0 / math.sqrt(n)
@@ -183,8 +188,9 @@ def _walk_values(n, t, dist, s, trials, seed, chunk=20000):
     out = np.empty((trials, W.shape[1]))
     for lo in range(0, trials, chunk):
         hi = min(lo + chunk, trials)
-        y = ensemble._draw(dist, rng, (hi - lo, n, 2))
-        out[lo:hi] = (y.reshape(hi - lo, 2 * n) @ W) * inv
+        # y stays bound across the next draw, else malloc trims and refaults it
+        y = ensemble._draw(dist, rng, (hi - lo, 2 * n))
+        out[lo:hi] = (y @ W) * inv
     return out
 
 

@@ -13,7 +13,9 @@ own counter-based (Philox) stream, so trial i of an experiment is
 reproducible in isolation and independent of evaluation order.  The key
 is numpy's seed-sequence hash of (seed, trial), which ``philox_keys`` runs
 for a whole chunk of trials at once; ``draw_trials`` draws the chunk with
-one bit generator, and ``sample`` is its one-trial case.
+one bit generator, and ``sample`` is its one-trial case.  Rademacher signs
+are ``Generator.integers(0, 2)``'s: the top bit of each 32-bit half of the
+raw 64-bit words, low half first, so a draw takes an even count of them.
 """
 
 from __future__ import annotations
@@ -286,16 +288,26 @@ def _mix(x, y):
 
 
 def _draw(dist: DistributionSpec, rng: np.random.Generator, shape) -> np.ndarray:
+    """``shape`` iid coefficients of ``dist``.  Rademacher signs are read off
+    the raw words (see the module docstring): their count must be even (a
+    buffered half could not be continued), and the bit generator one that
+    halves its 64-bit words, low half first (Philox, PCG64, SFC64; not MT19937)."""
     if dist.kind == "gaussian":
         return rng.standard_normal(shape)
     if dist.kind == "rademacher":
-        return rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
+        k, bitgen = math.prod(shape), rng.bit_generator
+        if k % 2 or not isinstance(bitgen, (np.random.Philox, np.random.PCG64, np.random.SFC64)):
+            raise ValueError(f"Rademacher signs need an even count from a Philox, PCG64 "
+                             f"or SFC64 generator, got {k} from {type(bitgen).__name__}")
+        y = (bitgen.random_raw(k // 2).astype("<u8", copy=False).view("<u4") >> 31).astype(float)
+        y *= 2.0
+        y -= 1.0
+        return y.reshape(shape)
     if dist.kind == "uniform":
         return rng.uniform(-SQRT3, SQRT3, size=shape)
     values, probs = _atom_arrays(dist.atoms)
-    probs = probs / probs.sum()  # remove the <=1e-12 normalization slack
-    idx = rng.choice(len(values), size=shape, p=probs)
-    return values[idx]
+    # p / p.sum() removes the <=1e-12 normalization slack
+    return values[rng.choice(len(values), size=shape, p=probs / probs.sum())]
 
 
 def charfn_scalar(dist: DistributionSpec, theta):
@@ -330,18 +342,9 @@ def log_abs_charfn_scalar(dist: DistributionSpec, theta) -> np.ndarray:
 
 def _difference_atoms(dist: DistributionSpec):
     """Atoms (value, prob) of xi1 - xi2 for a discrete law."""
-    if dist.kind == "rademacher":
-        values = np.array([-1.0, 1.0])
-        probs = np.array([0.5, 0.5])
-    else:
-        values, probs = _atom_arrays(dist.atoms)
-    dv = (values[:, None] - values[None, :]).ravel()
-    dp = (probs[:, None] * probs[None, :]).ravel()
-    return dv, dp
-
-
-def _dist_to_nearest_int(x: np.ndarray) -> np.ndarray:
-    return np.abs(x - np.round(x))
+    values, probs = _atom_arrays(((-1.0, 0.5), (1.0, 0.5)) if dist.kind == "rademacher"
+                                 else dist.atoms)
+    return (values[:, None] - values[None, :]).ravel(), (probs[:, None] * probs[None, :]).ravel()
 
 
 def xi_norm_sq(dist: DistributionSpec, w):
@@ -368,7 +371,8 @@ def xi_norm_sq(dist: DistributionSpec, w):
         raise ValueError(f"xi_norm_sq needs finite w, got {float(w[~finite][0])}")
     if dist.is_discrete:
         dv, dp = _difference_atoms(dist)
-        d = _dist_to_nearest_int(np.multiply.outer(w, dv))
+        x = np.multiply.outer(w, dv)
+        d = np.abs(x - np.round(x))  # distance to the nearest integer
         out = (d * d) @ dp
     elif dist.kind == "gaussian":
         out = _xi_norm_sq_gaussian(w)

@@ -5,10 +5,11 @@ compensated extended-precision point sums for the FFT grid and the
 vectorized evaluator, the roots of an algebraic polynomial for the root
 count, the dense all-cells formula for the engine's sign scan and audit
 selection, density quadrature for the xi-norm, a direction-at-a-time loop
-for the batched decay scan, and the normal CDF for the one-dimensional
-small-ball scan, and a SeedSequence per trial for the chunk-keyed
-coefficient draw.  ``edgeworth_q2`` assembles the paper's Edgeworth factor
-from the program's c_n values.
+for the batched decay scan, the normal CDF for the one-dimensional
+small-ball scan, a SeedSequence per trial for the chunk-keyed coefficient
+draw, and numpy's integer sampler for the Rademacher signs and the walk
+built on it in 20,000-walk chunks.  ``edgeworth_q2`` assembles the
+paper's Edgeworth factor from the program's c_n values.
 """
 
 import math
@@ -26,10 +27,12 @@ from trigroots.ensemble import (
     CoefficientSample,
     DistributionError,
     DistributionSpec,
+    _draw,
     log_abs_charfn_scalar,
+    philox_keys,
     xi_norm_sq,
 )
-from trigroots.polyeval import WindowSpec
+from trigroots.polyeval import WindowSpec, coefficient_matrices
 
 _LONG_TWO_PI = np.longdouble("6.283185307179586476925286766559005768")
 
@@ -159,6 +162,31 @@ def rng_for_trial(seed: int, trial_index: int) -> np.random.Generator:
     must draw exactly what this generator draws."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(trial_index),))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def rademacher_signs_reference(rng: np.random.Generator, shape) -> np.ndarray:
+    """Rademacher signs as numpy's bounded-integer sampler draws them.
+    ``ensemble._draw`` decodes the same signs from the raw words."""
+    return rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
+
+
+def walk_values_reference(n, t, dist, s, trials, seed, chunk=20000):
+    """``charprobe._walk_values`` with ``rng.integers`` signs (see
+    ``rademacher_signs_reference``) and chunks of 20,000 walks: the walk
+    must give exactly these values."""
+    C = coefficient_matrices(n, t, s)
+    W = C.transpose(0, 2, 1).reshape(2 * n, C.shape[1])
+    inv = 1.0 / math.sqrt(n)
+    key = philox_keys(seed, np.zeros(1, dtype=np.uint64))[0]
+    rng = np.random.Generator(np.random.Philox(key=key))
+    out = np.empty((trials, W.shape[1]))
+    for lo in range(0, trials, chunk):
+        hi = min(lo + chunk, trials)
+        shape = (hi - lo, n, 2)
+        y = (rademacher_signs_reference(rng, shape) if dist.kind == "rademacher"
+             else _draw(dist, rng, shape))
+        out[lo:hi] = (y.reshape(hi - lo, 2 * n) @ W) * inv
+    return out
 
 
 def decay_scan_loop(n: int, t: float, dist: DistributionSpec, radii,

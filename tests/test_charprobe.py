@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,9 +15,14 @@ from trigroots.charprobe import (
     small_ball_mc,
     smallball_1d_scan,
 )
-from oracles import decay_scan_loop, normal_interval_probability, rng_for_trial
+from oracles import (
+    decay_scan_loop,
+    normal_interval_probability,
+    rng_for_trial,
+    walk_values_reference,
+)
 from trigroots.acceptance import _heavy_discrete
-from trigroots.diophantine import good_t
+from trigroots.diophantine import good_pair, good_t
 from trigroots.ensemble import CoefficientSample, discrete, gaussian, rademacher, uniform
 from trigroots.polyeval import coefficient_matrices, covariance_V, eval_points
 
@@ -218,6 +224,33 @@ class TestWalkValues:
         assert walk.shape == ref.shape == (trials, 2 * len(pts))
         np.testing.assert_allclose(walk, ref, rtol=0.0,
                                    atol=1e-13 * np.abs(ref[:, ::2]).max())
+
+
+class TestWalkOracle:
+    """Criterion 10's walks at full size: the raw-word signs and the
+    2,000-walk chunks give the integer-sampler walk's exact values."""
+
+    @pytest.mark.parametrize("dist, dim, seed", [(rademacher(), 2, 2036), (rademacher(), 4, 2136),
+                                                 (gaussian(), 2, 2236)],
+                             ids=["rademacher-r2", "rademacher-r4", "gaussian-r2"])
+    def test_walk_is_the_reference_walk(self, dist, dim, seed):
+        n, trials = 200, 200_000
+        s, t = good_pair(n) if dim == 4 else (None, good_t(n, anchor=math.sqrt(5) * 0.5 - 0.8))
+        walk = _walk_values(n, t, dist, s, trials, seed)
+        assert walk.shape == (trials, dim)
+        assert np.array_equal(walk, walk_values_reference(n, t, dist, s, trials, seed))
+
+    def test_walk_fits_in_memory(self):
+        s, t = good_pair(200)
+        tracemalloc.start()
+        try:
+            est = small_ball_mc(200, t, rademacher(), np.zeros(4), 0.15, 200_000, seed=2136,
+                                s=s, force=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
+        assert est.trials == 200_000 and est.hits > 0
 
 
 class TestSmallBall:

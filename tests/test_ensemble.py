@@ -25,7 +25,7 @@ from trigroots.ensemble import (
     charfn_scalar,
     xi_norm_sq,
 )
-from oracles import rng_for_trial, xi_norm_sq_quadrature
+from oracles import rademacher_signs_reference, rng_for_trial, xi_norm_sq_quadrature
 
 ALL_DISTS = [gaussian(), rademacher(), uniform(),
              discrete([(-2.0, 0.125), (0.0, 0.75), (2.0, 0.125)])]
@@ -167,6 +167,36 @@ class TestTrialKeys:
     def test_refuses_bad_indices(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()
+
+
+class TestRademacherSigns:
+    """The signs decoded from raw words are numpy's integer-sampler signs."""
+
+    @pytest.mark.parametrize("bitgen", [np.random.Philox, np.random.PCG64],
+                             ids=["philox", "pcg64"])
+    def test_consecutive_draws_are_numpy_signs(self, bitgen):
+        ours, ref = (np.random.Generator(bitgen(2024)) for _ in range(2))
+        for shape in [(1, 2), (7, 2), (3, 5, 2), (2000, 200, 2), (1, 2)]:
+            y = _draw(rademacher(), ours, shape)
+            assert y.shape == shape and y.dtype == np.float64
+            assert y.tobytes() == rademacher_signs_reference(ref, shape).tobytes()
+
+    @pytest.mark.parametrize("lo, hi", [(0, 40), (2**64 - 2, 2**64)], ids=["first", "last"])
+    @pytest.mark.parametrize("seed", [0, 7064, 2**100 + 3])
+    def test_chunk_draw_is_numpy_signs(self, seed, lo, hi):
+        ref = [rademacher_signs_reference(rng_for_trial(seed, trial), (9, 2))
+               for trial in range(lo, hi)]
+        assert draw_trials(rademacher(), 9, seed, lo, hi).tobytes() == np.array(ref).tobytes()
+
+    @pytest.mark.parametrize("bitgen, shape, got", [
+        (np.random.Philox, (3, 5), "got 15 from Philox"),
+        (np.random.Philox, (1,), "got 1 from Philox"),
+        (np.random.MT19937, (4, 2), "got 8 from MT19937"),
+    ], ids=["odd", "one", "mt19937"])
+    def test_refuses_what_the_words_cannot_give(self, bitgen, shape, got):
+        with pytest.raises(ValueError, match=f"even count from a Philox, PCG64 or SFC64 "
+                                             f"generator, {got}"):
+            _draw(rademacher(), np.random.Generator(bitgen(1)), shape)
 
 
 class TestCharfn:
