@@ -93,7 +93,7 @@ def check_condition_st(n: int, s: float, t: float, tau: float = 0.05) -> Conditi
 
 def good_t(n: int, tau: float = 0.05, anchor: float = math.sqrt(2) - 1.0) -> float:
     """A window point passing the single-point condition, near anchor*pi*n."""
-    for shift in np.linspace(0.0, 0.1, 41):
+    for shift in np.linspace(0.0, 0.1, 41).tolist():
         t = (anchor + shift) * math.pi * n
         if check_condition_t(n, t, tau).satisfied:
             return t
@@ -160,8 +160,8 @@ def build_D(n: int, epsilon: float, tau: float = 0.05) -> DRegion:
     Intervals are I_k = [k eps, (k+1) eps] inside (-n pi, n pi); rows are
     the t-interval index k, columns the s-interval index p > k.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     threshold, l_max = _params(n, tau)
     npi = math.pi * n
     k_min = int(math.ceil(-npi / epsilon - 1e-12))

@@ -1,11 +1,11 @@
-"""Monte Carlo experiments: streaming moments of root counts over trials.
+"""Monte Carlo experiments: moments of root counts over seeded trials.
 
-Trials are processed in fixed-size chunks whose per-chunk central moments
-are merged in chunk order, so the floating-point result is identical
-whether chunks are computed serially or by any number of workers.  Each
-trial's coefficients come from its own (seed, trial_index)-keyed stream,
-so the counts themselves never depend on scheduling either; a chunk's
-trials are keyed and drawn by one ``ensemble.draw_trials`` call.
+Each trial's coefficients come from its own (seed, trial_index)-keyed
+stream, so a trial's count never depends on scheduling.  Trials are drawn
+and counted in fixed-size chunks (one ``ensemble.draw_trials`` call each),
+serially or by worker processes; the counts are joined in trial order and
+their moments taken in one pass, so a record is a function of (law, n,
+window, M, seed, trials) alone, whatever the chunk size or worker count.
 """
 
 from __future__ import annotations
@@ -20,8 +20,10 @@ import numpy as np
 from trigroots import ensemble
 from trigroots.ensemble import DistributionSpec, moments
 from trigroots.polyeval import FULL, WindowSpec, grid_size
-from trigroots.rootcount import count_batch, default_tol
+from trigroots.rootcount import count_batch
 
+#: trials drawn and counted per job: the worker and memory unit, which no
+#: output depends on
 CHUNK_SIZE = 256
 
 #: the full-window limit of Var(count)/n is GAUSSIAN_SLOPE + KURTOSIS_COEFF *
@@ -33,7 +35,7 @@ KURTOSIS_COEFF = 2.0 / 15.0
 
 @dataclass
 class MomentAccumulator:
-    """Streaming central moments with order-independent pairwise merging."""
+    """Count, mean and central moment sums (m2, m3, m4) of a sample."""
 
     count: int = 0
     mean: float = 0.0
@@ -51,26 +53,6 @@ class MomentAccumulator:
         d = x - mu
         return cls(count=nb, mean=mu, m2=float(np.sum(d * d)),
                    m3=float(np.sum(d**3)), m4=float(np.sum(d**4)))
-
-    def merge(self, other: "MomentAccumulator") -> "MomentAccumulator":
-        na, nb = self.count, other.count
-        if nb == 0:
-            return self
-        if na == 0:
-            return other
-        n = na + nb
-        d = other.mean - self.mean
-        d2 = d * d
-        mean = self.mean + d * nb / n
-        m2 = self.m2 + other.m2 + d2 * na * nb / n
-        m3 = (self.m3 + other.m3
-              + d**3 * na * nb * (na - nb) / n**2
-              + 3.0 * d * (na * other.m2 - nb * self.m2) / n)
-        m4 = (self.m4 + other.m4
-              + d2 * d2 * na * nb * (na * na - na * nb + nb * nb) / n**3
-              + 6.0 * d2 * (na * na * other.m2 + nb * nb * self.m2) / n**2
-              + 4.0 * d * (na * other.m3 - nb * self.m3) / n)
-        return MomentAccumulator(n, mean, m2, m3, m4)
 
     @property
     def variance(self) -> float:
@@ -119,10 +101,8 @@ class ExperimentRecord:
     window: str
     n: int
     M: int
-    tol: float
     seed: int
     trials: int
-    chunk_size: int
     estimate: VarianceEstimate
     theoretical_slope: float | None
     flagged_trial_count: int
@@ -153,8 +133,9 @@ def run_experiment(dist: DistributionSpec, n: int, window: WindowSpec = FULL,
 
     Counts come from the grid scan with the stationary-point audit (root
     positions are not refined; the count is unaffected).  The result is
-    bit-identical for any ``parallelism``.  A grid below the root-capture
-    bound raises ``GridError``.  The record carries ``theoretical_slope``.
+    bit-identical for any ``parallelism`` and ``CHUNK_SIZE``.  A grid below
+    the root-capture bound raises ``GridError``.  The record carries
+    ``theoretical_slope``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -174,18 +155,13 @@ def run_experiment(dist: DistributionSpec, n: int, window: WindowSpec = FULL,
     else:
         results = list(map(_chunk_counts, *zip(*jobs)))
 
-    acc = MomentAccumulator()
-    flagged = 0
-    for counts, uncertain in results:  # merge in fixed chunk order
-        acc = acc.merge(MomentAccumulator.from_values(counts))
-        flagged += int(uncertain.sum())
-
-    est = VarianceEstimate.from_accumulator(acc, n)
+    counts, uncertain = (np.concatenate(part) for part in zip(*results))
+    flagged = int(uncertain.sum())
+    est = VarianceEstimate.from_accumulator(MomentAccumulator.from_values(counts), n)
     wall = time.perf_counter() - t0
     return ExperimentRecord(
         distribution=dist.label(), window=window.kind, n=n, M=M,
-        tol=default_tol(n), seed=int(seed), trials=trials,
-        chunk_size=CHUNK_SIZE, estimate=est,
+        seed=int(seed), trials=trials, estimate=est,
         theoretical_slope=theoretical_slope(dist, window),
         flagged_trial_count=flagged,
         unreliable=flagged > 0.001 * trials,

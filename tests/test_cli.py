@@ -235,7 +235,14 @@ class TestErrors:
             "conditions-point", "conditions-pair"])
     def test_non_finite_point(self, capsys, args):
         assert run_cli(args) == 2
-        assert "finite" in self._error(capsys, args[0])
+        error = self._error(capsys, args[0])
+        assert "finite" in error and "np.float64" not in error
+
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_conditions_non_finite_epsilon(self, capsys, eps):
+        assert run_cli(["conditions", "--n", "50", "--eps", eps]) == 2
+        assert (f"epsilon must be finite and > 0, got {eps}"
+                in self._error(capsys, "conditions"))
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "0"])
     def test_cg_bad_tolerance(self, capsys, tol):

@@ -100,6 +100,7 @@ class TestConditionSt:
     def test_point_search_passes_brute_force(self, n):
         t = good_t(n)
         s, t2 = good_pair(n)
+        assert {type(t), type(s), type(t2)} == {float}
         assert _brute_force_point(n, t, 0.05)
         assert _brute_force_pair(n, s, t2, 0.05)
 
@@ -196,6 +197,12 @@ class TestBuildD:
     def test_fraction_decreases_with_n(self):
         f = [build_D(n, 1.0, 0.05).bad_fraction for n in (100, 1000)]
         assert f[1] < f[0]
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1.0])
+    def test_refuses_epsilon_not_finite_and_positive(self, eps):
+        with pytest.raises(ValueError,
+                           match=f"epsilon must be finite and > 0, got {eps}"):
+            build_D(100, eps, 0.05)
 
     def test_oversized_epsilon_no_crash(self):
         D = build_D(10, 1000.0, 0.05)

@@ -1,10 +1,11 @@
 import json
 import math
+from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from trigroots.ensemble import discrete, gaussian, rademacher, uniform
+from trigroots import mcstats
+from trigroots.ensemble import discrete, draw_trials, gaussian, rademacher, uniform
 from trigroots.mcstats import (
     GAUSSIAN_SLOPE,
     KURTOSIS_COEFF,
@@ -15,7 +16,8 @@ from trigroots.mcstats import (
     slope_series,
     theoretical_slope,
 )
-from trigroots.polyeval import FULL, HALF, GridError
+from trigroots.polyeval import FULL, HALF, GridError, grid_size
+from trigroots.rootcount import count_batch
 
 
 class TestAccumulator:
@@ -24,19 +26,6 @@ class TestAccumulator:
         acc = MomentAccumulator.from_values(x)
         assert acc.mean == pytest.approx(x.mean(), rel=1e-12)
         assert acc.variance == pytest.approx(x.var(ddof=1), rel=1e-12)
-
-    def test_merge_equals_single_pass(self, rng):
-        x = rng.standard_normal(2001)
-        whole = MomentAccumulator.from_values(x)
-        halves = MomentAccumulator.from_values(x[:700]).merge(
-            MomentAccumulator.from_values(x[700:]))
-        for f in ("mean", "m2", "m3", "m4"):
-            a, b = getattr(whole, f), getattr(halves, f)
-            assert a == pytest.approx(b, rel=1e-9, abs=1e-9)
-
-    def test_merge_with_empty(self):
-        acc = MomentAccumulator.from_values(np.arange(5.0))
-        assert acc.merge(MomentAccumulator()) is acc
 
 
 class TestRunExperiment:
@@ -73,6 +62,24 @@ class TestRunExperiment:
                                parallelism=p) for p in (1, 4, 16)]
         payloads = [json.dumps(r.canonical_dict(), sort_keys=True) for r in recs]
         assert payloads[0] == payloads[1] == payloads[2]
+
+    def test_record_bytes_independent_of_chunk_size(self, monkeypatch):
+        payloads = set()
+        for chunk in (7, 100, 256):
+            monkeypatch.setattr(mcstats, "CHUNK_SIZE", chunk)
+            rec = run_experiment(rademacher(), 32, FULL, trials=1000, seed=5)
+            payloads.add(json.dumps(rec.canonical_dict(), sort_keys=True))
+        assert len(payloads) == 1
+
+    def test_estimate_is_the_exact_moments_of_the_counts(self):
+        rec = run_experiment(rademacher(), 32, FULL, trials=1000, seed=5)
+        counts, _ = count_batch(draw_trials(rademacher(), 32, 5, 0, 1000), 32,
+                                FULL, grid_size(32))
+        counts = [int(c) for c in counts]
+        mean = Fraction(sum(counts), len(counts))
+        var = sum((c - mean) ** 2 for c in counts) / (len(counts) - 1)
+        for got, exact in ((rec.estimate.mean, mean), (rec.estimate.variance, var)):
+            assert abs(got - float(exact)) <= math.ulp(float(exact))
 
     def test_record_roundtrips_and_excludes_timing(self):
         rec = run_experiment(gaussian(), 8, FULL, trials=50, seed=9)
