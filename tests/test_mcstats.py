@@ -86,6 +86,7 @@ class TestRunExperiment:
         d = rec.to_dict()
         assert "wall_time" in d
         assert "wall_time" not in rec.canonical_dict()
+        assert not {"chunk_size", "tol"} & d.keys()
         assert d["seed"] == 9 and d["distribution"] == "gaussian"
 
     def test_se_variance_shrinks_like_sqrt_trials(self):
