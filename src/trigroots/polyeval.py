@@ -281,16 +281,17 @@ def eval_grid(sample: CoefficientSample, window: WindowSpec,
 
 def eval_grid_batch(ys: np.ndarray, n: int, window: WindowSpec, M: int):
     """(P, P') grids for a batch of coefficient arrays, shape (B, n, 2), via
-    one batched complex FFT (both at once by Hermitian packing): a (B, M)
-    complex view of its output, P in the real part and P' in the imaginary.
+    one batched complex FFT (both at once by Hermitian packing): its
+    (B, period) output over one full period from the window's start, P in
+    the real part and P' in the imaginary.
 
     Refuses M below ``grid_size(n)``: the sign-change root capture relies
     on several grid points per root of a degree-n trigonometric polynomial.
-    The half window spans half a period, so it is evaluated on the 2M-point
-    full grid and keeps the first M points.
+    The half window spans half a period: its M points are the first M of
+    the 2M-point period, and the rest bound sup|P| with them.
     """
     start_ratio = window.start(n) / (math.pi * n)  # -1 (full) or 0 (half)
-    return _packed_ifft(ys, n, _period_size(n, window, M), start_ratio)[..., :M]
+    return _packed_ifft(ys, n, _period_size(n, window, M), start_ratio)
 
 
 def coefficient_matrices(n: int, t: float, s: float | None = None) -> np.ndarray:

@@ -5,14 +5,16 @@ root (simple roots are a.s. the only kind).  Cells whose |P| dips near zero
 without a sign change are audited through the stationary point of P: they
 hide either nothing, a tangency, or a pair of roots missed by the scan.
 One engine, ``_scan_and_audit``, does the scan and the audit on a batch of
-complex grids P + i P'; ``count_batch`` runs it on Monte Carlo batches in
-cache-sized row blocks (``polyeval.pass_rows``), ``count_roots`` on a
-batch of one.  It pays for the grid and the audited cells only: the scan
-compares sign grids, the dip test runs on the cells where P' changes sign
-and P does not (one complex gather a cell end), and a row with a non-finite
-coefficient is flagged.  The audit screens a cell with the stationary point
-of the cubic Hermite interpolant of its end values and slopes; the unclear
-cells get their Taylor series once (``polyeval.cell_expansions``).
+complex grids P + i P' over one period; ``count_batch`` runs it on Monte
+Carlo batches in cache-sized row blocks (``polyeval.pass_rows``),
+``count_roots`` on a batch of one.  It pays for the grid and the audited
+cells only: the scan XORs neighbouring words of P and P' signs, the dip
+test runs on the cells where P' changes sign and P does not (one complex
+gather a cell end), and a row with a non-finite coefficient is flagged.
+The audit screens a cell with the extremum of the cubic Hermite
+interpolant of its end values and slopes, provably within h^4/384 sup|P|
+of P; only the cells it leaves unclear get their Taylor series
+(``polyeval.cell_expansions``) and an exact search.
 
 Every search is one safeguarded Newton iteration, ``_newton``, on a bracket
 it keeps, with a midpoint step wherever Newton would leave it: the audit's
@@ -59,10 +61,10 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 #: cannot be told apart from a double root in double precision
 _TANGENCY_EPS = 1e-9
 
-#: cubic-Hermite extremum estimates within this fraction of the sample
-#: scale are re-resolved by bisection (interpolation error is ~1e-4 of
-#: scale at the default oversampling, far below the margin)
-_SCREEN_MARGIN = 1e-3
+#: rounding slack of the audit's screen: a cell keeps the cubic-Hermite
+#: verdict when its extremum clears twice the proven interpolation error
+#: (and the tangency threshold), leaving that error plus rounding to spare
+_HERMITE_SLACK = 2.0
 
 #: step cap of ``_newton``; Newton needs a handful, and 64 halvings alone
 #: would shrink a grid cell by 2^-64
@@ -120,7 +122,7 @@ def _hermite_extremum(p0, p1, q0, q1, h):
     slopes h*q0 and h*q1, which differ in sign in an audited cell, so the
     derivative has exactly one root in (0, 1) when neither slope is 0.
     Returns (x, value) with x in (0, 1) cell coordinates; x is NaN when no
-    root is strictly inside (sent to bisection).
+    root is strictly inside (the cell then goes to the exact search).
     """
     m0, m1 = h * q0, h * q1
     a = 6.0 * (p0 - p1) + 3.0 * (m0 + m1)
@@ -164,19 +166,25 @@ def _newton(fg, a, b, x, up, tol=0.0):
     return np.clip(x, np.minimum(a, b), np.maximum(a, b))
 
 
-def _resolve_audits(p0, p1, q0, q1, h, t_left, scale, ys, rows):
+def _resolve_audits(p0, p1, q0, q1, h, t_left, scale, peak, ys, rows):
     """Classify audited cells: clean, a hidden root pair, or tangency.
 
-    The cubic-Hermite extremum screens out clear cases; only cells whose
-    interpolated extremum is within the screen margin of zero (or has no
-    interior root) are resolved by Newton on P' from the cell's midpoint.
-    It reads the Taylor series there, built once per cell: P'' is the
-    series of d[..., 1:] with a zero top coefficient.  The sign of the
-    exact P' at the left node sets the bracket's.  Row ``rows[k]`` of
+    The cubic Hermite interpolant of a cell's end values and slopes is
+    within h^4/384 sup|P^(4)| of P, and, all frequencies being <= 1, sup|P^(4)|
+    <= sup|P| <= peak / (1 - h^2/8) (Bernstein; ``peak`` is the grid's max
+    |P| over one period, the nearest node to the maximum within h/2).  A
+    cell whose interpolated extremum clears ``_HERMITE_SLACK`` times that
+    bound and the tangency threshold (in units of ``scale``, max |P| over
+    the window's nodes) keeps the interpolant's verdict.  The rest are
+    resolved by Newton on P' from the midpoint, on the cell's Taylor
+    series: P'' is that of d[..., 1:] with a zero top coefficient, and the
+    exact P' at the left node sets the bracket's sign.  Row ``rows[k]`` of
     ``ys`` holds cell k's coefficients.  Returns (status, t_star) per cell.
     """
     x, val = _hermite_extremum(p0, p1, q0, q1, h)
-    needs = np.isnan(x) | (np.abs(val) <= _SCREEN_MARGIN * scale)
+    bound = h ** 4 / 384.0 / (1.0 - h * h / 8.0) * peak
+    margin = _HERMITE_SLACK * np.maximum(bound, _TANGENCY_EPS * scale)
+    needs = np.isnan(x) | (np.abs(val) <= margin)
     status = np.where((~needs) & ((val >= 0.0) != (p0 >= 0.0)),
                       _AUDIT_DOUBLE, _AUDIT_CLEAN)
     t_star = t_left + np.where(np.isnan(x), 0.5, x) * h
@@ -209,27 +217,21 @@ class _Scan(NamedTuple):
     #                        or over 2n roots
 
 
-def _changes(nonneg: np.ndarray, closing: np.ndarray) -> np.ndarray:
-    """Cells whose two end signs differ, from (B, M, 2) signs of P and P'
-    and their (B, 2) signs at the closing point."""
-    out = np.empty_like(nonneg)
-    np.not_equal(nonneg[:, :-1], nonneg[:, 1:], out=out[:, :-1])
-    np.not_equal(nonneg[:, -1], closing, out=out[:, -1])
-    return out
-
-
-def _scan_and_audit(ys: np.ndarray, F: np.ndarray, window: WindowSpec) -> _Scan:
-    """Sign scan and stationary-point audit of (B, M) grids F = P + i P'
-    (unit stride along a row: one sign pass reads both parts).
+def _scan_and_audit(ys: np.ndarray, G: np.ndarray, window: WindowSpec) -> _Scan:
+    """Sign scan and stationary-point audit of (B, period) grids G = P + i P'
+    over one period from the window's start; the window's M cells start at
+    its first M nodes (all of them for the full window, half for the half).
 
     The last cell closes on the first node for the full window (P is
     periodic) and on the value at n*pi for the half window, summed with the
     exact (-1)^i phases.  ``ys`` holds the (B, n, 2) coefficients.  The
-    scan compares signs (x >= 0, so an exact zero joins the + side); only
-    cells where P' changes sign and P does not are gathered for the dip
-    test, one complex gather an end, and only audited rows get a scale max|P|.
-    """
-    n, M = ys.shape[1], F.shape[1]
+    signs (x >= 0: an exact zero joins the + side) of P and P' at a node
+    are one little-endian word, so one XOR of neighbours marks both changes:
+    the low byte the crossings, 256 the stationary cells, which alone are
+    gathered for the dip test, one complex gather an end."""
+    n = ys.shape[1]
+    M = G.shape[1] if window.circular else G.shape[1] // 2
+    F = G[:, :M]
     h = window.length(n) / M
     if window.circular:
         p_end, q_end = F[:, 0].real, F[:, 0].imag
@@ -239,19 +241,22 @@ def _scan_and_audit(ys: np.ndarray, F: np.ndarray, window: WindowSpec) -> _Scan:
         alt = np.where(i % 2 == 0, 1.0, -1.0)
         p_end = ys[:, :, 0] @ alt / math.sqrt(n)
         q_end = ys[:, :, 1] @ (alt * i / n) / math.sqrt(n)
-    nonneg = F.view(float).reshape(len(F), M, 2) >= 0.0  # P, P' signs in one pass
-    changes = _changes(nonneg, np.array([p_end, q_end]).T >= 0.0)
-    crossing = changes[..., 0]
+    signs = np.empty((len(F), M + 1, 2), dtype=bool)  # P, P' signs in one pass
+    np.greater_equal(F.view(float).reshape(len(F), M, 2), 0.0, out=signs[:, :M])
+    signs[:, M, 0], signs[:, M, 1] = p_end >= 0.0, q_end >= 0.0
+    words = signs.view("<u2").reshape(len(F), M + 1)
+    flips = words[:, 1:] ^ words[:, :-1]
+    crossing = flips.view(np.uint8)[:, ::2].view(bool)
     counts = np.count_nonzero(crossing, axis=1)
     finite = np.isfinite(ys).all(axis=(1, 2))
     uncertain = ~finite | ~ys.any(axis=(1, 2))
 
-    stationary = changes[..., 1] & ~crossing
-    rows, cells = np.divmod(np.flatnonzero(stationary), M)
+    rows, cells = np.divmod(np.flatnonzero(flips == 256), M)
     right = cells + 1
     last = right == M
     right[last] = 0
-    left, right = F[rows, cells], F[rows, right]
+    flat, at = G.reshape(-1), rows * G.shape[1]  # flat gathers: one index array
+    left, right = flat[at + cells], flat[at + right]
     if not window.circular:
         right.real[last], right.imag[last] = p_end[rows[last]], q_end[rows[last]]
     pl, pr, ql, qr = left.real, right.real, left.imag, right.imag
@@ -261,12 +266,12 @@ def _scan_and_audit(ys: np.ndarray, F: np.ndarray, window: WindowSpec) -> _Scan:
 
     status, t_star = np.empty(0, dtype=int), np.empty(0)
     if rows.size:
-        scaled, at = np.unique(rows, return_inverse=True)
-        Ps = F.real[scaled]
-        scale = np.maximum(Ps.max(axis=1), -Ps.min(axis=1))
+        A = np.abs(G.real)  # |P| over one period, the window's nodes first
+        scale = A[:, :M].max(axis=1)
+        peak = np.maximum(scale, A[:, M:].max(axis=1, initial=0.0))
         status, t_star = _resolve_audits(
-            pl[audit], pr[audit], ql[audit], qr[audit], h,
-            window.start(n) + h * cells, np.maximum(scale, 1e-300)[at], ys, rows)
+            pl[audit], pr[audit], ql[audit], qr[audit], h, window.start(n) + h * cells,
+            np.maximum(scale, 1e-300)[rows], peak[rows], ys, rows)
         np.add.at(counts, rows[status == _AUDIT_DOUBLE], 2)
         uncertain[rows[status == _AUDIT_TANGENT]] = True
     uncertain |= counts > 2 * n
@@ -284,9 +289,9 @@ def count_roots(sample: CoefficientSample, window: WindowSpec = FULL,
     h = grid.spacing
     if not 0.0 < tol < h:
         raise ValueError(f"tol={tol} outside (0, grid spacing {h})")
-    F = np.empty((1, grid.M), dtype=complex)  # one row P + i P'
-    F.real, F.imag = grid.P, grid.Pprime
-    scan = _scan_and_audit(sample.y[None], F, window)
+    G = np.empty((1, len(grid.derivs)), dtype=complex)  # one period of P + i P'
+    G.real, G.imag = grid.derivs[:, 0], grid.derivs[:, 1]
+    scan = _scan_and_audit(sample.y[None], G, window)
     t_left = grid.t_values()
     crossing = scan.crossing[0]
     lo = t_left[crossing]
@@ -320,8 +325,8 @@ def count_batch(ys: np.ndarray, n: int, window: WindowSpec, M: int):
         block = ys[lo:lo + step]
         # a row with an infinite coefficient gets NaN grids, then a flag
         with np.errstate(invalid="ignore"):
-            F = eval_grid_batch(block, n, window, M)
-        scan = _scan_and_audit(block, F, window)
+            G = eval_grid_batch(block, n, window, M)
+        scan = _scan_and_audit(block, G, window)
         counts[lo:lo + step], uncertain[lo:lo + step] = scan.counts, scan.uncertain
     return counts, uncertain
 

@@ -189,10 +189,11 @@ class TestLocalEvaluator:
             s = sample(gaussian(), n, seed=n)
             for M in (16 * n, 32 * n):
                 g = eval_grid(s, window, M=M)
-                F = eval_grid_batch(s.y[None], n, window, M)
-                assert F.shape == (1, M)
-                assert F.real[0].tobytes() == g.P.tobytes()
-                assert F.imag[0].tobytes() == g.Pprime.tobytes()
+                G = eval_grid_batch(s.y[None], n, window, M)  # one full period
+                assert G.shape == (1, len(g.derivs))
+                assert G.real[0].tobytes() == g.derivs[:, 0].tobytes()
+                assert G.imag[0].tobytes() == g.derivs[:, 1].tobytes()
+                assert G.real[0, :M].tobytes() == g.P.tobytes()
 
 
 class TestCellExpansions:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -162,16 +163,110 @@ class TestLeanScan:
     def test_matches_dense_formula(self, law, window, n):
         seed = {16: 32, 64: 33}[n]  # Rademacher zeros on nodes in both windows
         ys = np.stack([sample(law, n, seed=seed, trial_index=t).y for t in range(128)])
-        F = eval_grid_batch(ys, n, window, 16 * n)
+        G = eval_grid_batch(ys, n, window, 16 * n)
+        F = G[:, :16 * n]  # the window's nodes
         if law.kind == "rademacher":  # the +-1 sums vanish exactly at some nodes
             assert np.any(F.real == 0.0)
-        scan = _scan_and_audit(ys, F, window)
+        scan = _scan_and_audit(ys, G, window)
         crossing, audit = dense_scan(ys, F.real, F.imag, window)
         rows, cells = np.nonzero(audit)
         assert rows.size
         assert np.array_equal(scan.crossing, crossing)
         assert np.array_equal(scan.rows, rows)
         assert np.array_equal(scan.cells, cells)
+
+
+def _hermite(p0, p1, q0, q1, h, x):
+    """The cubic Hermite interpolant of a cell's end values and slopes at
+    cell coordinates x in [0, 1] (cells along axis 0)."""
+    x = x[None, :]
+    x2, x3 = x * x, x * x * x
+    return (p0[:, None] * (2 * x3 - 3 * x2 + 1) + (h * q0)[:, None] * (x3 - 2 * x2 + x)
+            + p1[:, None] * (-2 * x3 + 3 * x2) + (h * q1)[:, None] * (x3 - x2))
+
+
+class TestHermiteScreen:
+    """The audit keeps the cubic-Hermite verdict of a cell only outside
+    twice the proven interpolation error h^4/384 sup|P|, with sup|P| bounded
+    by the period's grid maximum over 1 - h^2/8.  Checked on the cells
+    ``count_batch`` audits, from the engine's own arguments to
+    ``_resolve_audits``."""
+
+    # Rademacher seed 7016 holds tangencies and node zeros at n = 16
+    CASES = [(law, window, n) for law in (gaussian(), rademacher())
+             for window in (FULL, HALF) for n in (16, 64, 256)]
+    TRIALS = {16: 1024, 64: 128, 256: 32}
+
+    def _audit(self, monkeypatch, law, window, n):
+        """(samples, period grids, scan, the engine's _resolve_audits args)"""
+        ss = [sample(law, n, seed=7000 + n, trial_index=t) for t in range(self.TRIALS[n])]
+        ys = np.stack([s.y for s in ss])
+        G = eval_grid_batch(ys, n, window, 16 * n)
+        seen = []
+        resolve = rootcount._resolve_audits
+        monkeypatch.setattr(rootcount, "_resolve_audits",
+                            lambda *a: seen.append(a) or resolve(*a))
+        scan = _scan_and_audit(ys, G, window)
+        monkeypatch.setattr(rootcount, "_resolve_audits", resolve)
+        assert scan.rows.size and len(seen) == 1
+        return ss, G, scan, seen[0]
+
+    @pytest.mark.parametrize("law, window, n", CASES,
+                             ids=[f"{c[0]}-{c[1].kind}-{c[2]}" for c in CASES])
+    def test_interpolant_within_bound(self, monkeypatch, law, window, n):
+        ss, G, scan, args = self._audit(monkeypatch, law, window, n)
+        p0, p1, q0, q1, h, t_left, _, peak, _, rows = args
+        S = np.abs(G.real).max(axis=1)  # max |P| over one full period
+        assert np.array_equal(peak, S[rows])
+        audited = np.unique(rows)
+        assert S[audited].tobytes() == np.array(
+            [np.abs(eval_grid(ss[r], window).derivs[:, 0]).max() for r in audited]).tobytes()
+        if not window.circular:  # the kept half alone is not the period's maximum
+            assert np.any(np.abs(G.real[:, :16 * n]).max(axis=1) < S)
+        x = np.linspace(0.0, 1.0, 33)
+        H = _hermite(p0, p1, q0, q1, h, x)
+        bound = h ** 4 / 384.0 / (1.0 - h * h / 8.0) * S[rows]
+        for r in audited:
+            k = rows == r
+            exact, _ = eval_points(ss[r], (t_left[k, None] + h * x).ravel())
+            err = np.abs(H[k] - exact.reshape(-1, x.size)).max(axis=1)
+            assert np.all(err <= bound[k]), (r, err.max(), bound[k].min())
+
+    @pytest.mark.parametrize("law, window, n", CASES,
+                             ids=[f"{c[0]}-{c[1].kind}-{c[2]}" for c in CASES])
+    def test_screen_agrees_with_exact_search(self, monkeypatch, law, window, n):
+        ss, G, scan, args = self._audit(monkeypatch, law, window, n)
+        p0, rows = args[0], args[-1]
+        # every cell through Newton: no interpolant extremum screens any cell
+        monkeypatch.setattr(rootcount, "_hermite_extremum",
+                            lambda p0, *_: (np.full_like(p0, np.nan), np.zeros_like(p0)))
+        status, _ = rootcount._resolve_audits(*args)
+        assert np.array_equal(scan.status, status)
+        # a double cell's t_star splits it into two brackets for count_roots
+        for k in np.flatnonzero(scan.status == rootcount._AUDIT_DOUBLE):
+            p_star, _ = eval_points(ss[rows[k]], scan.t_star[k:k + 1])
+            assert (p_star[0] >= 0.0) != (p0[k] >= 0.0), k
+
+
+class TestCountsPinned:
+    """``count_batch`` counts and flags on a seeded set, pinned by a sha256
+    taken before the screen bound and the word scan: any change to the scan
+    or the audit that moves a count or a flag shows here."""
+
+    DIGEST = "6c17a25ca09f30664f1d04fb3c46170e987abde07f43861fa8bb2482955397f9"
+
+    def test_counts_and_flags_unchanged(self):
+        from trigroots.ensemble import draw_trials
+        cases = [(law, 64, 7064, 2000, window)
+                 for law in (gaussian(), rademacher()) for window in (FULL, HALF)]
+        cases.append((rademacher(), 16, 902, 4000, FULL))
+        digest = hashlib.sha256()
+        for law, n, seed, trials, window in cases:
+            counts, uncertain = count_batch(draw_trials(law, n, seed, 0, trials), n, window,
+                                            16 * n)
+            digest.update(counts.astype("<i8").tobytes())
+            digest.update(uncertain.tobytes())
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestNonFinite:
@@ -350,6 +445,15 @@ class TestEngineeredTangency:
         assert r.tangencies.size == 1
         assert abs(r.tangencies[0] - 1.0) < 1e-9  # the audit's t*
         assert r.count == 2  # the two transversal roots only
+
+    @pytest.mark.parametrize("window", [FULL, HALF], ids=["full", "half"])
+    def test_double_root_is_flagged_on_fine_grids(self, window):
+        # at M = 2^16 the Hermite error bound is ~1e-18 of scale, so only the
+        # tangency floor of the screen's margin sends the cell to Newton
+        s = _tangent_sample()
+        for M in (32, 2**10, 2**16):
+            counts, uncertain = count_batch(s.y[None], 2, window, M)
+            assert uncertain[0], M
 
     def test_kacrice_sees_the_tangency_mass(self):
         # the |P| < delta dip of an exact double root integrates to 1
