@@ -208,12 +208,19 @@ def draw_trials(dist: DistributionSpec, n: int, seed: int, lo: int, hi: int) -> 
              "state": {"counter": np.zeros(4, np.uint64), "key": None},
              "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
-    ys = np.empty((len(keys), n, 2))
-    for y, key in zip(ys, keys):
+    signs = dist.kind == "rademacher"  # raw words, decoded once a chunk
+    out = np.empty((len(keys), n) if signs else (len(keys), n, 2),
+                   np.uint64 if signs else float)
+    for row, key in zip(out, keys):
         state["state"]["key"] = key
         bitgen.state = state
-        y[...] = _draw(dist, rng, (n, 2))
-    return ys
+        if signs:
+            row[:] = bitgen.random_raw(n)
+        elif dist.kind == "gaussian":
+            rng.standard_normal(out=row)
+        else:
+            row[...] = _draw(dist, rng, (n, 2))
+    return _signs(out).reshape(len(keys), n, 2) if signs else out
 
 
 def philox_keys(seed: int, trials) -> np.ndarray:
@@ -299,15 +306,21 @@ def _draw(dist: DistributionSpec, rng: np.random.Generator, shape) -> np.ndarray
         if k % 2 or not isinstance(bitgen, (np.random.Philox, np.random.PCG64, np.random.SFC64)):
             raise ValueError(f"Rademacher signs need an even count from a Philox, PCG64 "
                              f"or SFC64 generator, got {k} from {type(bitgen).__name__}")
-        y = (bitgen.random_raw(k // 2).astype("<u8", copy=False).view("<u4") >> 31).astype(float)
-        y *= 2.0
-        y -= 1.0
-        return y.reshape(shape)
+        return _signs(bitgen.random_raw(k // 2)).reshape(shape)
     if dist.kind == "uniform":
         return rng.uniform(-SQRT3, SQRT3, size=shape)
     values, probs = _atom_arrays(dist.atoms)
     # p / p.sum() removes the <=1e-12 normalization slack
     return values[rng.choice(len(values), size=shape, p=probs / probs.sum())]
+
+
+def _signs(words: np.ndarray) -> np.ndarray:
+    """+/-1.0 from the top bit of each 32-bit half of the raw 64-bit words,
+    low half first: shape (..., 2 k) from (..., k) words."""
+    y = (words.astype("<u8", copy=False).view("<u4") >> 31).astype(float)
+    y *= 2.0
+    y -= 1.0
+    return y
 
 
 def charfn_scalar(dist: DistributionSpec, theta):

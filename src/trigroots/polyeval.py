@@ -184,10 +184,10 @@ def grid_size(n: int) -> int:
 
 def pass_rows(n: int, window: WindowSpec, M: int) -> int:
     """Rows of one batch pass: PASS_BYTES of spectrum, at least one row."""
-    return max(1, PASS_BYTES // (16 * _period_size(n, window, M)))
+    return max(1, PASS_BYTES // (16 * period_size(n, window, M)))
 
 
-def _period_size(n: int, window: WindowSpec, M: int) -> int:
+def period_size(n: int, window: WindowSpec, M: int) -> int:
     """Nodes in one full period of an M-point grid of the window; refuses M
     below ``grid_size(n)``."""
     if M < grid_size(n):
@@ -229,10 +229,11 @@ def eval_points(sample: CoefficientSample, ts: np.ndarray) -> tuple:
 
 
 def _packed_ifft(y: np.ndarray, n: int, M: int, start_over_pi_n: float,
-                 order: int = 0) -> np.ndarray:
+                 order: int = 0, out: np.ndarray | None = None) -> np.ndarray:
     """Length-M inverse FFT of the Hermitian-packed spectrum: P^(order) in
     the real part and P^(order+1) in the imaginary part.  The spectrum's
-    two bands are filled by slices and transformed in place."""
+    two bands are filled by slices and transformed in place, in ``out``
+    when given (an earlier pass's output: every other bin is re-zeroed)."""
     i = np.arange(1, n + 1)
     z = y[..., 0] - 1j * y[..., 1]  # Re(z e^{i theta}) = y1 cos + y2 sin
     # phase offset of the window start folded into the coefficients;
@@ -246,7 +247,9 @@ def _packed_ifft(y: np.ndarray, n: int, M: int, start_over_pi_n: float,
     for _ in range(order):
         base = base * d
     dbase = base * d
-    spec = np.zeros(y.shape[:-2] + (M,), dtype=complex)
+    spec = np.empty(y.shape[:-2] + (M,), dtype=complex) if out is None else out
+    spec[..., 0] = 0.0
+    spec[..., n + 1:] = 0.0
     spec[..., 1:n + 1] = base + 1j * dbase
     # bins M - 1 .. M - n, added to the zeros: a -0.0 part becomes +0.0
     # there, as with the fancy-index fill, so the spectrum is bit-identical
@@ -265,7 +268,7 @@ def eval_grid(sample: CoefficientSample, window: WindowSpec,
     n = sample.n
     if M is None:
         M = grid_size(n)
-    Mfft = _period_size(n, window, M)
+    Mfft = period_size(n, window, M)
     start_ratio = window.start(n) / (math.pi * n)
     orders = range(0, TAYLOR_ORDER + 2, 2)
     derivs = np.empty((Mfft, 2 * len(orders)))
@@ -279,11 +282,13 @@ def eval_grid(sample: CoefficientSample, window: WindowSpec,
     return EvaluationGrid(window=window, n=n, M=M, P=P, Pprime=Q, derivs=derivs)
 
 
-def eval_grid_batch(ys: np.ndarray, n: int, window: WindowSpec, M: int):
+def eval_grid_batch(ys: np.ndarray, n: int, window: WindowSpec, M: int,
+                    out: np.ndarray | None = None):
     """(P, P') grids for a batch of coefficient arrays, shape (B, n, 2), via
     one batched complex FFT (both at once by Hermitian packing): its
     (B, period) output over one full period from the window's start, P in
-    the real part and P' in the imaginary.
+    the real part and P' in the imaginary.  ``out``, a C-contiguous
+    (B, period) complex array, is reused for the spectrum and the output.
 
     Refuses M below ``grid_size(n)``: the sign-change root capture relies
     on several grid points per root of a degree-n trigonometric polynomial.
@@ -291,7 +296,7 @@ def eval_grid_batch(ys: np.ndarray, n: int, window: WindowSpec, M: int):
     the 2M-point period, and the rest bound sup|P| with them.
     """
     start_ratio = window.start(n) / (math.pi * n)  # -1 (full) or 0 (half)
-    return _packed_ifft(ys, n, _period_size(n, window, M), start_ratio)
+    return _packed_ifft(ys, n, period_size(n, window, M), start_ratio, out=out)
 
 
 def coefficient_matrices(n: int, t: float, s: float | None = None) -> np.ndarray:

@@ -52,6 +52,7 @@ from trigroots.polyeval import (
     eval_grid_batch,
     eval_points,
     pass_rows,
+    period_size,
     taylor_eval,
 )
 
@@ -321,11 +322,12 @@ def count_batch(ys: np.ndarray, n: int, window: WindowSpec, M: int):
     """
     counts, uncertain = np.empty(len(ys), dtype=np.intp), np.empty(len(ys), dtype=bool)
     step = pass_rows(n, window, M)
+    buf = np.empty((min(step, len(ys)), period_size(n, window, M)), dtype=complex)
     for lo in range(0, len(ys), step):
         block = ys[lo:lo + step]
         # a row with an infinite coefficient gets NaN grids, then a flag
         with np.errstate(invalid="ignore"):
-            G = eval_grid_batch(block, n, window, M)
+            G = eval_grid_batch(block, n, window, M, out=buf[:len(block)])
         scan = _scan_and_audit(block, G, window)
         counts[lo:lo + step], uncertain[lo:lo + step] = scan.counts, scan.uncertain
     return counts, uncertain

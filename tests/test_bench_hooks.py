@@ -6,6 +6,7 @@ from pathlib import Path
 import trigroots
 from trigroots import mcstats, rootcount
 from trigroots.ensemble import gaussian, sample
+from trigroots.polyeval import FULL, grid_size, pass_rows
 
 _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -34,3 +35,20 @@ def test_layer_spans_install_and_record():
             "mcstats.merge"} <= names
     assert mcstats.MomentAccumulator.__name__ == "MomentAccumulator"
     assert not hasattr(rootcount.count_roots, "__wrapped__")
+
+
+def test_grid_spans_are_the_passes():
+    """Each ``count_batch`` call reaches the grid once a pass, through the
+    patched module global, so the traced grid layer counts every pass."""
+    tracing = _load_tracing()
+    tracer = tracing.Tracer("gaussian", "passes")
+    tracing.install_layer_spans(tracer, trigroots)
+    try:
+        mcstats.run_experiment(gaussian(), 1024, trials=37, seed=3)
+    finally:
+        tracer.restore()
+    batches = [s["id"] for s in tracer.spans if s["name"] == "rootcount.count_batch"]
+    grids = [s["parent"] for s in tracer.spans if s["name"] == "polyeval.eval_grid_batch"]
+    assert len(batches) == 1
+    passes = -(-37 // pass_rows(1024, FULL, grid_size(1024)))
+    assert passes == 3 and grids == batches * passes

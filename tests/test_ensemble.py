@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import mpmath as mp
@@ -12,6 +13,7 @@ from trigroots.ensemble import (
     SQRT3,
     CoefficientSample,
     DistributionError,
+    DistributionSpec,
     discrete,
     gaussian,
     _draw,
@@ -150,11 +152,24 @@ class TestTrialKeys:
     @pytest.mark.parametrize("seed", [0, 7064, 5137000011, 2**100 + 3])
     @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.kind)
     def test_draws_are_the_per_trial_oracle_draws(self, dist, seed, lo, hi):
-        ys = draw_trials(dist, 9, seed, lo, hi)
-        assert ys.shape == (hi - lo, 9, 2)
-        for y, trial in zip(ys, range(lo, hi)):
-            assert y.tobytes() == _draw(dist, rng_for_trial(seed, trial), (9, 2)).tobytes()
-        assert sample(dist, 9, seed, hi - 1).y.tobytes() == ys[-1].tobytes()
+        for n in (1, 9, 64):
+            ys = draw_trials(dist, n, seed, lo, hi)
+            assert ys.shape == (hi - lo, n, 2) and ys.dtype == np.float64
+            for y, trial in zip(ys, range(lo, hi)):
+                assert y.tobytes() == _draw(dist, rng_for_trial(seed, trial), (n, 2)).tobytes()
+            assert sample(dist, n, seed, hi - 1).y.tobytes() == ys[-1].tobytes()
+
+    #: sha256 of draw_trials(law, 64, 7064, 0, 256), taken before the
+    #: Rademacher chunk decode and the Gaussian out= draw
+    DRAW_DIGESTS = {
+        "gaussian": "3719fe6aa72f939058ca067c191ddb24c95317e1b9d76f05595652e6550c4bd7",
+        "rademacher": "175141b1e9be1644a57feb6ee5800a0ed759687491e6eb7440bf64baeb49df55",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(DRAW_DIGESTS))
+    def test_chunk_bytes_are_pinned(self, kind):
+        ys = draw_trials(DistributionSpec(kind), 64, 7064, 0, 256)
+        assert hashlib.sha256(ys.tobytes()).hexdigest() == self.DRAW_DIGESTS[kind]
 
     @pytest.mark.parametrize("call, message", [
         (lambda: philox_keys(-1, np.arange(3)), "seed must be a non-negative integer, got -1"),
@@ -184,9 +199,11 @@ class TestRademacherSigns:
     @pytest.mark.parametrize("lo, hi", [(0, 40), (2**64 - 2, 2**64)], ids=["first", "last"])
     @pytest.mark.parametrize("seed", [0, 7064, 2**100 + 3])
     def test_chunk_draw_is_numpy_signs(self, seed, lo, hi):
-        ref = [rademacher_signs_reference(rng_for_trial(seed, trial), (9, 2))
-               for trial in range(lo, hi)]
-        assert draw_trials(rademacher(), 9, seed, lo, hi).tobytes() == np.array(ref).tobytes()
+        for n in (1, 9, 64):
+            ref = [rademacher_signs_reference(rng_for_trial(seed, trial), (n, 2))
+                   for trial in range(lo, hi)]
+            ys = draw_trials(rademacher(), n, seed, lo, hi)
+            assert ys.shape == (hi - lo, n, 2) and ys.tobytes() == np.array(ref).tobytes()
 
     @pytest.mark.parametrize("bitgen, shape, got", [
         (np.random.Philox, (3, 5), "got 15 from Philox"),

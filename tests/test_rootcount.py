@@ -300,7 +300,10 @@ class TestPasses:
         assert pass_rows(1, HALF, 1 << 40) == 1
 
     @pytest.mark.parametrize("window", [FULL, HALF], ids=["full", "half"])
-    @pytest.mark.parametrize("n, trials, bad, zero", [(64, 300, 290, 7), (1024, 37, 30, 3)])
+    # (1024, 37, 2, 20): the non-finite row is in the first block, and a
+    # finite row of the next block reuses its slot of the pass buffer
+    @pytest.mark.parametrize("n, trials, bad, zero", [(64, 300, 290, 7), (1024, 37, 30, 3),
+                                                      (1024, 37, 2, 20)])
     def test_blocks_are_the_rows(self, window, n, trials, bad, zero):
         M = 16 * n
         step = pass_rows(n, window, M)
