@@ -14,6 +14,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -35,30 +36,30 @@ KURTOSIS_COEFF = 2.0 / 15.0
 
 @dataclass
 class MomentAccumulator:
-    """Count, mean and central moment sums (m2, m3, m4) of a sample."""
+    """Count, mean, unbiased variance and central moment sums (m3, m4) of a
+    sample, each rounded once from the sample's exact power sums."""
 
     count: int = 0
     mean: float = 0.0
-    m2: float = 0.0
+    variance: float = 0.0
     m3: float = 0.0
     m4: float = 0.0
 
     @classmethod
     def from_values(cls, x: np.ndarray) -> "MomentAccumulator":
-        x = np.asarray(x, dtype=float)
-        nb = int(x.size)
-        if nb == 0:
+        # power sums over the distinct values, exact: Python ints for an
+        # integer sample (root counts; no int64 overflow), else Fractions
+        values, mult = np.unique(np.asarray(x), return_counts=True)
+        v = values.tolist() if values.dtype.kind in "biu" else map(Fraction, values.tolist())
+        pairs, N = list(zip(v, mult.tolist())), int(mult.sum())
+        if N == 0:
             return cls()
-        mu = float(x.mean())
-        d = x - mu
-        return cls(count=nb, mean=mu, m2=float(np.sum(d * d)),
-                   m3=float(np.sum(d**3)), m4=float(np.sum(d**4)))
-
-    @property
-    def variance(self) -> float:
-        if self.count < 2:
-            return 0.0
-        return self.m2 / (self.count - 1)
+        s1, s2, s3, s4 = (sum(m * a**k for a, m in pairs) for k in range(1, 5))
+        return cls(count=N, mean=float(s1 / N),
+                   variance=float((N * s2 - s1 * s1) / (N * (N - 1))) if N > 1 else 0.0,
+                   m3=float((N * N * s3 - 3 * N * s1 * s2 + 2 * s1**3) / N**2),
+                   m4=float((N**3 * s4 - 4 * N * N * s1 * s3 + 6 * N * s1 * s1 * s2
+                             - 3 * s1**4) / N**3))
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,7 @@ class VarianceEstimate:
         se_mean = math.sqrt(var / trials) if trials else 0.0
         skew = kurt = 0.0
         if trials >= 4 and var > 0:
-            mu2 = acc.m2 / trials
+            mu2 = var * (trials - 1) / trials
             mu3 = acc.m3 / trials
             mu4 = acc.m4 / trials
             skew = mu3 / mu2**1.5

@@ -2,6 +2,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from trigroots import mcstats
@@ -26,6 +27,13 @@ class TestAccumulator:
         acc = MomentAccumulator.from_values(x)
         assert acc.mean == pytest.approx(x.mean(), rel=1e-12)
         assert acc.variance == pytest.approx(x.var(ddof=1), rel=1e-12)
+
+    def test_large_integers_are_exact(self):
+        # x^4 = 8.1e20 overflows int64; the power sums are Python ints
+        acc = MomentAccumulator.from_values(np.array([3 * 10**5, 10**5, 10**5]))
+        assert (acc.count, acc.mean, acc.variance) == (3, 5e5 / 3, 4e10 / 3)
+        assert (acc.m3, acc.m4) == (float(Fraction(16, 9) * 10**15),
+                                    float(Fraction(32, 9) * 10**20))
 
 
 class TestRunExperiment:
@@ -72,14 +80,25 @@ class TestRunExperiment:
         assert len(payloads) == 1
 
     def test_estimate_is_the_exact_moments_of_the_counts(self):
-        rec = run_experiment(rademacher(), 32, FULL, trials=1000, seed=5)
-        counts, _ = count_batch(draw_trials(rademacher(), 32, 5, 0, 1000), 32,
-                                FULL, grid_size(32))
-        counts = [int(c) for c in counts]
-        mean = Fraction(sum(counts), len(counts))
-        var = sum((c - mean) ** 2 for c in counts) / (len(counts) - 1)
-        for got, exact in ((rec.estimate.mean, mean), (rec.estimate.variance, var)):
-            assert abs(got - float(exact)) <= math.ulp(float(exact))
+        # correctly rounded: the float nearest the exact Fraction, both laws
+        # and both windows (rademacher n = 32 half window was 2.7 ulp off
+        # when the moments were summed in floats)
+        for law in (gaussian(), rademacher()):
+            for window in (FULL, HALF):
+                rec = run_experiment(law, 32, window, trials=1000, seed=5)
+                counts, _ = count_batch(draw_trials(law, 32, 5, 0, 1000), 32,
+                                        window, grid_size(32))
+                acc = MomentAccumulator.from_values(counts)
+                counts = [int(c) for c in counts]
+                mean = Fraction(sum(counts), len(counts))
+                exact = {"mean": mean,
+                         "variance": sum((c - mean) ** 2 for c in counts) / (len(counts) - 1),
+                         "m3": sum((c - mean) ** 3 for c in counts),
+                         "m4": sum((c - mean) ** 4 for c in counts)}
+                assert (rec.estimate.mean, rec.estimate.variance) == \
+                    (float(exact["mean"]), float(exact["variance"]))
+                assert {k: getattr(acc, k) for k in exact} == \
+                    {k: float(v) for k, v in exact.items()}
 
     def test_record_roundtrips_and_excludes_timing(self):
         rec = run_experiment(gaussian(), 8, FULL, trials=50, seed=9)
