@@ -16,6 +16,8 @@ for a whole chunk of trials at once; ``draw_trials`` draws the chunk with
 one bit generator, and ``sample`` is its one-trial case.  Rademacher signs
 are ``Generator.integers(0, 2)``'s: the top bit of each 32-bit half of the
 raw 64-bit words, low half first, so a draw takes an even count of them.
+A chunk reads each trial's n words into one (trials, n) word array and
+decodes it once; Gaussian trials are drawn straight into their rows.
 """
 
 from __future__ import annotations
@@ -209,8 +211,7 @@ def draw_trials(dist: DistributionSpec, n: int, seed: int, lo: int, hi: int) -> 
              "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
     signs = dist.kind == "rademacher"  # raw words, decoded once a chunk
-    out = np.empty((len(keys), n) if signs else (len(keys), n, 2),
-                   np.uint64 if signs else float)
+    out = np.empty((len(keys), n) if signs else (len(keys), n, 2), np.uint64 if signs else float)
     for row, key in zip(out, keys):
         state["state"]["key"] = key
         bitgen.state = state
@@ -317,10 +318,7 @@ def _draw(dist: DistributionSpec, rng: np.random.Generator, shape) -> np.ndarray
 def _signs(words: np.ndarray) -> np.ndarray:
     """+/-1.0 from the top bit of each 32-bit half of the raw 64-bit words,
     low half first: shape (..., 2 k) from (..., k) words."""
-    y = (words.astype("<u8", copy=False).view("<u4") >> 31).astype(float)
-    y *= 2.0
-    y -= 1.0
-    return y
+    return 2.0 * (words.astype("<u8", copy=False).view("<u4") >> 31) - 1.0
 
 
 def charfn_scalar(dist: DistributionSpec, theta):

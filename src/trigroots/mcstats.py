@@ -47,8 +47,7 @@ class MomentAccumulator:
 
     @classmethod
     def from_values(cls, x: np.ndarray) -> "MomentAccumulator":
-        # power sums over the distinct values, exact: Python ints for an
-        # integer sample (root counts; no int64 overflow), else Fractions
+        # exact power sums: Python ints (no int64 overflow) or Fractions
         values, mult = np.unique(np.asarray(x), return_counts=True)
         v = values.tolist() if values.dtype.kind in "biu" else map(Fraction, values.tolist())
         pairs, N = list(zip(v, mult.tolist())), int(mult.sum())

@@ -13,7 +13,8 @@ FFT (both P and P' at once via Hermitian packing).
 
 The FFT's scale M/(2 sqrt n) is folded into the packed spectrum, so a
 batch grid is the complex FFT output (P real, P' imaginary), made in place
-in one (B, period) array; ``count_batch`` makes one per ``pass_rows`` rows.
+in one (B, period) array; ``count_batch`` allocates one of ``pass_rows``
+rows a call and reuses it for every pass, re-zeroing all but the two bands.
 
 A single-sample grid also carries the derivatives P^(0) .. P^(K+1) over one
 full period, two orders to each FFT of the spectrum times (i j/n)^k.  Its
@@ -248,8 +249,7 @@ def _packed_ifft(y: np.ndarray, n: int, M: int, start_over_pi_n: float,
         base = base * d
     dbase = base * d
     spec = np.empty(y.shape[:-2] + (M,), dtype=complex) if out is None else out
-    spec[..., 0] = 0.0
-    spec[..., n + 1:] = 0.0
+    spec[..., 0] = spec[..., n + 1:] = 0.0
     spec[..., 1:n + 1] = base + 1j * dbase
     # bins M - 1 .. M - n, added to the zeros: a -0.0 part becomes +0.0
     # there, as with the fancy-index fill, so the spectrum is bit-identical

@@ -318,7 +318,8 @@ def count_batch(ys: np.ndarray, n: int, window: WindowSpec, M: int):
     """Root counts for a batch of coefficient arrays (B, n, 2).
 
     Fast path for Monte Carlo loops: the engine of ``count_roots`` without
-    the root refinement, in ``pass_rows`` blocks.  Returns (counts, uncertain).
+    the root refinement, in ``pass_rows`` blocks that share one grid buffer
+    (nothing read from a grid outlives its scan).  Returns (counts, uncertain).
     """
     counts, uncertain = np.empty(len(ys), dtype=np.intp), np.empty(len(ys), dtype=bool)
     step = pass_rows(n, window, M)
