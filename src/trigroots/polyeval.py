@@ -232,9 +232,8 @@ def eval_points(sample: CoefficientSample, ts: np.ndarray) -> tuple:
 def _packed_ifft(y: np.ndarray, n: int, M: int, start_over_pi_n: float,
                  order: int = 0, out: np.ndarray | None = None) -> np.ndarray:
     """Length-M inverse FFT of the Hermitian-packed spectrum: P^(order) in
-    the real part and P^(order+1) in the imaginary part.  The spectrum's
-    two bands are filled by slices and transformed in place, in ``out``
-    when given (an earlier pass's output: every other bin is re-zeroed)."""
+    the real part and P^(order+1) in the imaginary part.  The two bands are
+    filled, every other bin zeroed, and transformed in place (in ``out``)."""
     i = np.arange(1, n + 1)
     z = y[..., 0] - 1j * y[..., 1]  # Re(z e^{i theta}) = y1 cos + y2 sin
     # phase offset of the window start folded into the coefficients;

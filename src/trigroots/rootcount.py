@@ -229,13 +229,14 @@ def _scan_and_audit(ys: np.ndarray, G: np.ndarray, window: WindowSpec) -> _Scan:
     signs (x >= 0: an exact zero joins the + side) of P and P' at a node
     are one little-endian word, so one XOR of neighbours marks both changes:
     the low byte the crossings, 256 the stationary cells, which alone are
-    gathered for the dip test, one complex gather an end."""
+    gathered for the dip test, one complex gather an end.  G is scratch:
+    once the cell ends are gathered, its real part may be turned into |P|."""
     n = ys.shape[1]
     M = G.shape[1] if window.circular else G.shape[1] // 2
     F = G[:, :M]
     h = window.length(n) / M
     if window.circular:
-        p_end, q_end = F[:, 0].real, F[:, 0].imag
+        p_end, q_end = F[:, 0].real.copy(), F[:, 0].imag
     else:
         # at t = n*pi the phases are i*pi: cos = (-1)^i and sin = 0 exactly
         i = np.arange(1, n + 1)
@@ -267,7 +268,7 @@ def _scan_and_audit(ys: np.ndarray, G: np.ndarray, window: WindowSpec) -> _Scan:
 
     status, t_star = np.empty(0, dtype=int), np.empty(0)
     if rows.size:
-        A = np.abs(G.real)  # |P| over one period, the window's nodes first
+        A = np.abs(G.real, out=G.real)  # |P| over one period, the window's nodes first
         scale = A[:, :M].max(axis=1)
         peak = np.maximum(scale, A[:, M:].max(axis=1, initial=0.0))
         status, t_star = _resolve_audits(

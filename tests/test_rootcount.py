@@ -167,8 +167,8 @@ class TestLeanScan:
         F = G[:, :16 * n]  # the window's nodes
         if law.kind == "rademacher":  # the +-1 sums vanish exactly at some nodes
             assert np.any(F.real == 0.0)
-        scan = _scan_and_audit(ys, G, window)
         crossing, audit = dense_scan(ys, F.real, F.imag, window)
+        scan = _scan_and_audit(ys, G, window)  # G is scratch to the scan
         rows, cells = np.nonzero(audit)
         assert rows.size
         assert np.array_equal(scan.crossing, crossing)
