@@ -17,14 +17,14 @@ in one (B, period) array; ``count_batch`` allocates one of ``pass_rows``
 rows a call and reuses it for every pass, re-zeroing all but the two bands.
 
 A single-sample grid also carries the derivatives P^(0) .. P^(K+1) over one
-full period, two orders to each FFT of the spectrum times (i j/n)^k.  Its
-``eval_local`` method reads (P, P') at any t from the Taylor series at the
-nearest node, in O(K) per point.  ``eval_points`` stays the exact
-evaluator: all n terms, from a blocked phase table of 32 + n/32 complex
-exponentials per point and one matrix product.  ``cell_expansions`` builds
-the same series at the midpoints of arbitrary cells (the batch audit's), in
-O(n K) per cell from one cos/sin table, and ``taylor_eval`` is the one
-Horner loop that reads both.
+full period, two orders to each spectrum times (i j/n)^k, one FFT call
+for all.  Its ``eval_local`` method reads (P, P') at any t from the Taylor
+series at the nearest node, in O(K) per point.  ``eval_points`` stays the
+exact evaluator: all n terms, from a blocked phase table of 32 + n/32
+complex exponentials per point and one matrix product.  ``cell_expansions``
+builds the same series at the midpoints of arbitrary cells (the batch
+audit's, rows gathered a chunk at a time), in O(n K) per cell from one
+cos/sin table, and ``taylor_eval`` is the one Horner loop that reads both.
 """
 
 from __future__ import annotations
@@ -130,14 +130,14 @@ def taylor_eval(d: np.ndarray, x) -> tuple:
     return p, q
 
 
-def cell_expansions(ys: np.ndarray, t_left: np.ndarray, h: float) -> tuple:
-    """Per cell k of width h from t_left[k], with the coefficients ys[k]
-    (shape (B, n, 2)): P' at t_left[k] by direct row sums, and the Taylor
-    coefficients P^(0) .. P^(TAYLOR_ORDER + 1) at the midpoint, for
+def cell_expansions(ys: np.ndarray, rows: np.ndarray, t_left: np.ndarray, h: float) -> tuple:
+    """Per cell k of width h from t_left[k], with the coefficients ys[rows[k]]
+    (ys of shape (B, n, 2)): P' at t_left[k] by direct row sums, and the
+    Taylor coefficients P^(0) .. P^(TAYLOR_ORDER + 1) at the midpoint, for
     ``taylor_eval``.  One cos/sin table at t_left serves both: turned by
     the fixed phases i h/(2n) it becomes the midpoint table, and K + 2
-    weighted sums give the coefficients.  Chunked in memory like
-    ``eval_points``."""
+    weighted sums give the coefficients.  Cells go in chunks of about
+    PASS_BYTES of tables, each gathering its own rows of ys."""
     n = ys.shape[1]
     i = np.arange(1, n + 1, dtype=float)
     w = i / n
@@ -148,12 +148,12 @@ def cell_expansions(ys: np.ndarray, t_left: np.ndarray, h: float) -> tuple:
     ch, sh = np.cos(i * (0.5 * h / n)), np.sin(i * (0.5 * h / n))
     slope = np.empty(len(t_left))
     coef = np.empty((len(t_left), orders.size))
-    chunk = max(1, int(4e6 // n))
+    chunk = max(1, PASS_BYTES // (64 * n))  # ~8 live (cells, n) float tables
     for lo in range(0, len(t_left), chunk):
         sl = slice(lo, lo + chunk)
         th = np.multiply.outer(t_left[sl] / n, i)
         c, s = np.cos(th), np.sin(th)
-        y1, y2 = ys[sl, :, 0], ys[sl, :, 1]
+        y1, y2 = np.moveaxis(ys[rows[sl]], -1, 0)
         slope[sl] = (np.sum(c * (w * y2), axis=1) - np.sum(s * (w * y1), axis=1)) * inv
         c, s = c * ch - s * sh, s * ch + c * sh
         coef[sl, 0::2] = (c * y1 + s * y2) @ weights[:, 0::2]
@@ -230,10 +230,11 @@ def eval_points(sample: CoefficientSample, ts: np.ndarray) -> tuple:
 
 
 def _packed_ifft(y: np.ndarray, n: int, M: int, start_over_pi_n: float,
-                 order: int = 0, out: np.ndarray | None = None) -> np.ndarray:
-    """Length-M inverse FFT of the Hermitian-packed spectrum: P^(order) in
-    the real part and P^(order+1) in the imaginary part.  The two bands are
-    filled, every other bin zeroed, and transformed in place (in ``out``)."""
+                 pairs: int = 1, out: np.ndarray | None = None) -> np.ndarray:
+    """Length-M inverse FFTs of the Hermitian-packed spectra, shape (pairs,
+    ..., M): pair k has P^(2k) in the real part and P^(2k+1) in the
+    imaginary part.  The bands are filled, every other bin zeroed, and all
+    transformed by one FFT call in place (in ``out``, reshaped, if given)."""
     i = np.arange(1, n + 1)
     z = y[..., 0] - 1j * y[..., 1]  # Re(z e^{i theta}) = y1 cos + y2 sin
     # phase offset of the window start folded into the coefficients;
@@ -242,12 +243,13 @@ def _packed_ifft(y: np.ndarray, n: int, M: int, start_over_pi_n: float,
     # each Hermitian pair and puts in P's 1/sqrt n (a power of two, so
     # exact, when n is a power of four).
     rot = np.exp(1j * math.pi * start_over_pi_n * i) * (M / (2.0 * math.sqrt(n)))
-    base = z * rot
     d = 1j * (i / n)  # d/dt of the e^{i i t / n} term
-    for _ in range(order):
-        base = base * d
-    dbase = base * d
-    spec = np.empty(y.shape[:-2] + (M,), dtype=complex) if out is None else out
+    powers = [z * rot]  # the spectra of P^(0), P^(1), .., one factor d at a time
+    for _ in range(2 * pairs - 1):
+        powers.append(powers[-1] * d)
+    base, dbase = np.stack(powers[0::2]), np.stack(powers[1::2])
+    shape = base.shape[:-1] + (M,)
+    spec = np.empty(shape, dtype=complex) if out is None else out.reshape(shape)
     spec[..., 0] = spec[..., n + 1:] = 0.0
     spec[..., 1:n + 1] = base + 1j * dbase
     # bins M - 1 .. M - n, added to the zeros: a -0.0 part becomes +0.0
@@ -261,20 +263,15 @@ def eval_grid(sample: CoefficientSample, window: WindowSpec,
     """P and P' on the window's equispaced grid, M defaulting to the
     root-capture bound, with the derivative stack over one full period.
 
-    P and P' are those of ``eval_grid_batch`` on a batch of one; each pair
-    of orders (m, m+1) takes one FFT of one period, Mfft points.
+    P and P' are those of ``eval_grid_batch`` on a batch of one; the pairs
+    of orders (m, m+1) share one FFT call, one period of Mfft points each.
     """
     n = sample.n
     if M is None:
         M = grid_size(n)
     Mfft = period_size(n, window, M)
-    start_ratio = window.start(n) / (math.pi * n)
-    orders = range(0, TAYLOR_ORDER + 2, 2)
-    derivs = np.empty((Mfft, 2 * len(orders)))
-    for m in orders:
-        F = _packed_ifft(sample.y, n, Mfft, start_ratio, m)
-        derivs[:, m] = F.real
-        derivs[:, m + 1] = F.imag
+    F = _packed_ifft(sample.y, n, Mfft, window.start(n) / (math.pi * n), (TAYLOR_ORDER + 2) // 2)
+    derivs = np.ascontiguousarray(F.T).view(float)  # pair k: columns 2k, 2k + 1
     P, Q = derivs[:M, 0].copy(), derivs[:M, 1].copy()
     for a in (P, Q, derivs):
         a.setflags(write=False)
@@ -295,7 +292,7 @@ def eval_grid_batch(ys: np.ndarray, n: int, window: WindowSpec, M: int,
     the 2M-point period, and the rest bound sup|P| with them.
     """
     start_ratio = window.start(n) / (math.pi * n)  # -1 (full) or 0 (half)
-    return _packed_ifft(ys, n, period_size(n, window, M), start_ratio, out=out)
+    return _packed_ifft(ys, n, period_size(n, window, M), start_ratio, out=out)[0]
 
 
 def coefficient_matrices(n: int, t: float, s: float | None = None) -> np.ndarray:

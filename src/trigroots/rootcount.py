@@ -4,13 +4,13 @@ Counting proceeds on the oversampled FFT grid: every sign change brackets a
 root (simple roots are a.s. the only kind).  Cells whose |P| dips near zero
 without a sign change are audited through the stationary point of P: they
 hide either nothing, a tangency, or a pair of roots missed by the scan.
-One engine, ``_scan_and_audit``, does the scan and the audit on a batch of
-complex grids P + i P' over one period; ``count_batch`` runs it on Monte
-Carlo batches in cache-sized row blocks (``polyeval.pass_rows``),
-``count_roots`` on a batch of one.  It pays for the grid and the audited
-cells only: the scan XORs neighbouring words of P and P' signs, the dip
-test runs on the cells where P' changes sign and P does not (one complex
-gather a cell end), and a row with a non-finite coefficient is flagged.
+On a batch of complex grids P + i P' over one period, ``_scan`` XORs
+neighbouring words of P and P' signs, runs the dip test on the cells where
+P' changes sign and P does not (one complex gather a cell end), and flags
+a row with a non-finite coefficient; ``_audit`` resolves the candidate
+cells of any number of scans at once.  ``count_batch`` scans cache-sized
+row blocks (``polyeval.pass_rows``) in one grid buffer and audits once a
+call; ``count_roots`` runs both on a batch of one (``_scan_and_audit``).
 The audit screens a cell with the extremum of the cubic Hermite
 interpolant of its end values and slopes, provably within h^4/384 sup|P|
 of P; only the cells it leaves unclear get their Taylor series
@@ -194,7 +194,7 @@ def _resolve_audits(p0, p1, q0, q1, h, t_left, scale, peak, ys, rows):
         idx = np.nonzero(needs)[0]
         lo = t_left[idx].astype(float)
         mid = lo + 0.5 * h
-        slope, d = cell_expansions(ys[rows[idx]], lo, h)
+        slope, d = cell_expansions(ys, rows[idx], lo, h)
         d2 = np.concatenate([d[:, 1:], np.zeros((idx.size, 1))], axis=1)
         ts = _newton(lambda t: taylor_eval(d2, t - mid), lo, lo + h, mid, slope >= 0.0)
         ps = taylor_eval(d, ts - mid)[0]
@@ -218,10 +218,10 @@ class _Scan(NamedTuple):
     #                        or over 2n roots
 
 
-def _scan_and_audit(ys: np.ndarray, G: np.ndarray, window: WindowSpec) -> _Scan:
-    """Sign scan and stationary-point audit of (B, period) grids G = P + i P'
-    over one period from the window's start; the window's M cells start at
-    its first M nodes (all of them for the full window, half for the half).
+def _scan(ys: np.ndarray, G: np.ndarray, window: WindowSpec) -> tuple:
+    """Sign scan of (B, period) grids G = P + i P' over one period from the
+    window's start; the window's M cells start at its first M nodes (all of
+    them for the full window, half for the half).
 
     The last cell closes on the first node for the full window (P is
     periodic) and on the value at n*pi for the half window, summed with the
@@ -230,7 +230,9 @@ def _scan_and_audit(ys: np.ndarray, G: np.ndarray, window: WindowSpec) -> _Scan:
     are one little-endian word, so one XOR of neighbours marks both changes:
     the low byte the crossings, 256 the stationary cells, which alone are
     gathered for the dip test, one complex gather an end.  G is scratch:
-    once the cell ends are gathered, its real part may be turned into |P|."""
+    once the cell ends are gathered, its real part is turned into |P|.
+    Returns (crossing, end, counts, uncertain, cells); cells, the audit's
+    (rows, cell index, p0, p1, q0, q1, scale, peak), holds no view of G."""
     n = ys.shape[1]
     M = G.shape[1] if window.circular else G.shape[1] // 2
     F = G[:, :M]
@@ -264,20 +266,39 @@ def _scan_and_audit(ys: np.ndarray, G: np.ndarray, window: WindowSpec) -> _Scan:
     pl, pr, ql, qr = left.real, right.real, left.imag, right.imag
     dip = np.minimum(np.abs(pl), np.abs(pr)) < 0.5 * h * np.maximum(np.abs(ql), np.abs(qr))
     audit = dip & finite[rows]
-    rows, cells = rows[audit], cells[audit]
+    rows = rows[audit]
+    A = np.abs(G.real, out=G.real)  # |P| over one period, the window's nodes first
+    scale = A[:, :M].max(axis=1)
+    peak = np.maximum(scale, A[:, M:].max(axis=1, initial=0.0))[rows]
+    cells = (rows, cells[audit], pl[audit], pr[audit], ql[audit], qr[audit],
+             np.maximum(scale, 1e-300)[rows], peak)
+    return crossing, p_end, counts, uncertain, cells
 
+
+def _audit(ys, window, M, found, counts, uncertain):
+    """One ``_resolve_audits`` call for the ``_scan`` cells of any number of
+    passes, rows offset into ``ys`` (no call if there are none); adds two
+    to ``counts`` per hidden pair and flags tangencies and counts over 2n
+    in ``uncertain``.  Returns (status, t_star)."""
+    n = ys.shape[1]
     status, t_star = np.empty(0, dtype=int), np.empty(0)
-    if rows.size:
-        A = np.abs(G.real, out=G.real)  # |P| over one period, the window's nodes first
-        scale = A[:, :M].max(axis=1)
-        peak = np.maximum(scale, A[:, M:].max(axis=1, initial=0.0))
-        status, t_star = _resolve_audits(
-            pl[audit], pr[audit], ql[audit], qr[audit], h, window.start(n) + h * cells,
-            np.maximum(scale, 1e-300)[rows], peak[rows], ys, rows)
+    found = [cells for cells in found if cells[0].size]
+    if found:
+        rows, cells, p0, p1, q0, q1, scale, peak = map(np.concatenate, zip(*found))
+        h = window.length(n) / M
+        status, t_star = _resolve_audits(p0, p1, q0, q1, h, window.start(n) + h * cells,
+                                         scale, peak, ys, rows)
         np.add.at(counts, rows[status == _AUDIT_DOUBLE], 2)
         uncertain[rows[status == _AUDIT_TANGENT]] = True
     uncertain |= counts > 2 * n
-    return _Scan(crossing, rows, cells, status, t_star, p_end, counts, uncertain)
+    return status, t_star
+
+
+def _scan_and_audit(ys: np.ndarray, G: np.ndarray, window: WindowSpec) -> _Scan:
+    """``_scan`` and ``_audit`` of one batch of (B, period) grids."""
+    crossing, end, counts, uncertain, cells = _scan(ys, G, window)
+    status, t_star = _audit(ys, window, crossing.shape[1], [cells], counts, uncertain)
+    return _Scan(crossing, cells[0], cells[1], status, t_star, end, counts, uncertain)
 
 
 def count_roots(sample: CoefficientSample, window: WindowSpec = FULL,
@@ -291,8 +312,7 @@ def count_roots(sample: CoefficientSample, window: WindowSpec = FULL,
     h = grid.spacing
     if not 0.0 < tol < h:
         raise ValueError(f"tol={tol} outside (0, grid spacing {h})")
-    G = np.empty((1, len(grid.derivs)), dtype=complex)  # one period of P + i P'
-    G.real, G.imag = grid.derivs[:, 0], grid.derivs[:, 1]
+    G = grid.derivs[:, :2].copy().view(complex).reshape(1, -1)  # one period of P + i P'
     scan = _scan_and_audit(sample.y[None], G, window)
     t_left = grid.t_values()
     crossing = scan.crossing[0]
@@ -319,19 +339,22 @@ def count_batch(ys: np.ndarray, n: int, window: WindowSpec, M: int):
     """Root counts for a batch of coefficient arrays (B, n, 2).
 
     Fast path for Monte Carlo loops: the engine of ``count_roots`` without
-    the root refinement, in ``pass_rows`` blocks that share one grid buffer
-    (nothing read from a grid outlives its scan).  Returns (counts, uncertain).
+    the root refinement.  ``_scan`` runs in ``pass_rows`` blocks that share
+    one grid buffer (nothing it returns refers to a grid), and one ``_audit``
+    resolves the candidate cells of all blocks.  Returns (counts, uncertain).
     """
     counts, uncertain = np.empty(len(ys), dtype=np.intp), np.empty(len(ys), dtype=bool)
     step = pass_rows(n, window, M)
     buf = np.empty((min(step, len(ys)), period_size(n, window, M)), dtype=complex)
+    found = []
     for lo in range(0, len(ys), step):
         block = ys[lo:lo + step]
         # a row with an infinite coefficient gets NaN grids, then a flag
         with np.errstate(invalid="ignore"):
             G = eval_grid_batch(block, n, window, M, out=buf[:len(block)])
-        scan = _scan_and_audit(block, G, window)
-        counts[lo:lo + step], uncertain[lo:lo + step] = scan.counts, scan.uncertain
+        _, _, counts[lo:lo + step], uncertain[lo:lo + step], cells = _scan(block, G, window)
+        found.append((cells[0] + lo,) + cells[1:])
+    _audit(ys, window, M, found, counts, uncertain)
     return counts, uncertain
 
 

@@ -1,6 +1,7 @@
 """The benchmark's tracer wraps program attributes by name; they must exist."""
 
 import importlib.util
+import time
 from pathlib import Path
 
 import trigroots
@@ -52,3 +53,23 @@ def test_grid_spans_are_the_passes():
     assert len(batches) == 1
     passes = -(-37 // pass_rows(1024, FULL, grid_size(1024)))
     assert passes == 3 and grids == batches * passes
+
+
+def test_audit_follows_the_last_pass(monkeypatch):
+    """One audit a ``count_batch`` call, after its last grid pass and inside
+    its span, so the traced scan-and-audit self time counts the audit."""
+    tracing = _load_tracing()
+    tracer = tracing.Tracer("gaussian", "audit")
+    tracing.install_layer_spans(tracer, trigroots)
+    audits = []
+    resolve = rootcount._resolve_audits
+    monkeypatch.setattr(rootcount, "_resolve_audits",
+                        lambda *a: audits.append(time.perf_counter()) or resolve(*a))
+    try:
+        mcstats.run_experiment(gaussian(), 1024, trials=37, seed=3)
+    finally:
+        tracer.restore()
+    (batch,) = [s for s in tracer.spans if s["name"] == "rootcount.count_batch"]
+    grids = [s for s in tracer.spans if s["name"] == "polyeval.eval_grid_batch"]
+    assert len(grids) == 3 and len(audits) == 1
+    assert max(s["end"] for s in grids) < audits[0] < batch["end"]

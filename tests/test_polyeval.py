@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -152,6 +153,20 @@ class TestEvalGrid:
             # second-order error: quartering plus rounding slack
             assert e2 <= e1 / 3.0 + 1e-9
 
+    DERIVS_DIGEST = "e5631a13d0538d7fcbbb6b5431a234fdd25d8c39ae8df5c2c1eabdd60ab7bb7c"
+
+    def test_derivative_stack_is_pinned(self):
+        """``derivs`` bytes of the one-FFT stack, pinned by a sha256 taken
+        when each pair of orders had an FFT call of its own."""
+        digest = hashlib.sha256()
+        for law in (gaussian(), rademacher()):
+            for window in (FULL, HALF):
+                for n in (1, 2, 7, 16, 64, 256, 1024):
+                    for t in range(5):
+                        g = eval_grid(sample(law, n, seed=600 + n, trial_index=t), window)
+                        assert g.derivs.shape == (len(g.derivs), 12)
+                        digest.update(g.derivs.tobytes())
+        assert digest.hexdigest() == self.DERIVS_DIGEST
 
 class TestLocalEvaluator:
     """``EvaluationGrid.eval_local`` (Taylor series at the nearest node)
@@ -212,7 +227,7 @@ class TestCellExpansions:
         assert rows.size
         h = FULL.length(n) / P.shape[1]
         t_left = FULL.start(n) + h * cells
-        slope, coef = cell_expansions(ys[rows], t_left, h)
+        slope, coef = cell_expansions(ys, rows, t_left, h)
         bound = max(1e-14, 1e-15 * n) * float(np.max(np.abs(P)))
         for k, (r, t) in enumerate(zip(rows, t_left)):
             assert abs(slope[k] - eval_point(samples[r], t)[1]) <= bound

@@ -268,6 +268,22 @@ class TestCountsPinned:
             digest.update(uncertain.tobytes())
         assert digest.hexdigest() == self.DIGEST
 
+    #: taken while every pass had an audit of its own
+    MANY_PASS_DIGEST = "f194c5e2b0cd01bf3498a182dc89c7deae0c6c6da46289991fa15ce5452c8c71"
+
+    def test_many_pass_counts_unchanged(self):
+        """n = 256 and 1024 chunks run 4 to 8 passes and audit many cells."""
+        from trigroots.ensemble import draw_trials
+        digest = hashlib.sha256()
+        for law in (gaussian(), rademacher()):
+            for window in (FULL, HALF):
+                for n, trials, seed in ((256, 256, 8256), (1024, 64, 81024)):
+                    counts, uncertain = count_batch(draw_trials(law, n, seed, 0, trials), n,
+                                                    window, 16 * n)
+                    digest.update(counts.astype("<i8").tobytes())
+                    digest.update(uncertain.tobytes())
+        assert digest.hexdigest() == self.MANY_PASS_DIGEST
+
 
 class TestNonFinite:
     def test_all_nan_batch_is_flagged(self):
@@ -316,6 +332,54 @@ class TestPasses:
         assert counts.tolist() == [int(c[0]) for c, _ in rows]
         assert uncertain.tolist() == [bool(u[0]) for _, u in rows]
         assert uncertain[bad] and uncertain[zero] and not uncertain.all()
+
+    def test_one_audit_a_call(self, monkeypatch):
+        """The candidate cells of every pass go to one ``_resolve_audits``
+        call, with their rows in the call's batch."""
+        seen = []
+        resolve = rootcount._resolve_audits
+        monkeypatch.setattr(rootcount, "_resolve_audits",
+                            lambda *a: seen.append(a[-1]) or resolve(*a))
+        ys = np.stack([sample(gaussian(), 1024, seed=41, trial_index=t).y for t in range(37)])
+        count_batch(ys, 1024, FULL, grid_size(1024))
+        step = pass_rows(1024, FULL, grid_size(1024))
+        assert len(seen) == 1 and -(-37 // step) == 3
+        assert set(seen[0] // step) == {0, 1, 2}
+
+    @pytest.mark.parametrize("window", [FULL, HALF], ids=["full", "half"])
+    def test_no_audit_without_candidates(self, monkeypatch, window):
+        """A batch with no candidate cell never reaches ``_resolve_audits``:
+        degree one (a sinusoid dips only at its sign changes), all zeros, and
+        an all-NaN batch of several passes."""
+        from trigroots.ensemble import draw_trials
+
+        def refuse(*a):
+            raise AssertionError("audit called without candidates")
+        monkeypatch.setattr(rootcount, "_resolve_audits", refuse)
+        roots = 2 if window.circular else 1
+        for law in (gaussian(), rademacher()):
+            counts, uncertain = count_batch(draw_trials(law, 1, 3, 0, 300), 1, window, 16)
+            assert counts.tolist() == [roots] * 300 and not uncertain.any()
+        counts, uncertain = count_batch(np.zeros((300, 64, 2)), 64, window, 1024)
+        assert not counts.any() and uncertain.all()
+        assert 37 > pass_rows(1024, window, grid_size(1024))
+        counts, uncertain = count_batch(np.full((37, 1024, 2), np.nan), 1024, window,
+                                        grid_size(1024))
+        assert not counts.any() and uncertain.all()
+
+    def test_n4096_audit_fits_in_memory(self):
+        """One audit takes all exact cells of a 256-trial n = 4096 call; its
+        Taylor tables are built a bounded chunk of cells at a time."""
+        from trigroots.ensemble import draw_trials
+        ys = draw_trials(gaussian(), 4096, 5, 0, 256)
+        tracemalloc.start()
+        try:
+            counts, uncertain = count_batch(ys, 4096, FULL, grid_size(4096))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
+        assert counts.shape == (256,) and not uncertain.any()
 
     def test_n4096_chunk_fits_in_memory(self):
         ys = np.stack([sample(gaussian(), 4096, seed=5, trial_index=t).y for t in range(64)])
