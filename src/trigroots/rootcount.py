@@ -180,8 +180,8 @@ def _resolve_audits(p0, p1, q0, q1, h, t_left, scale, peak, ys, rows):
     resolved by Newton on P' from the midpoint, on the cell's Taylor
     series: P'' is that of d[..., 1:] with a zero top coefficient, and the
     exact P' at the left node sets the bracket's sign.  Row ``rows[k]`` of
-    ``ys`` holds cell k's coefficients.  Returns (status, t_star) per cell.
-    """
+    ``ys`` (all cells of a ``count_batch`` call come in one call) holds cell
+    k's coefficients.  Returns (status, t_star) per cell."""
     x, val = _hermite_extremum(p0, p1, q0, q1, h)
     bound = h ** 4 / 384.0 / (1.0 - h * h / 8.0) * peak
     margin = _HERMITE_SLACK * np.maximum(bound, _TANGENCY_EPS * scale)
