@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import mpmath as mp
@@ -150,3 +151,30 @@ class TestComputeCg:
             with pytest.raises(ValueError, match="abs_tol"):
                 CgQuadratureConfig(abs_tol=tol)
 
+
+
+class TestCgPinned:
+    """``compute_cg`` and ``cg_integrand`` bits, pinned at the hand-typed
+    series tables: any change to the integrand's arithmetic shows here."""
+
+    #: sha256 of the integrand's float64 bytes on the grid below, per t0
+    INTEGRAND_DIGESTS = {
+        0.02: "29dde9d6d90e89f20a3ffe20b1a7f545322211c421a1fb80e7d1323195bd506e",
+        0.05: "4ee6c4be9b8887b476eeddba489013f0774ac46ce413c6b673629cbee1397c59",
+        0.1: "d01feb42a4b3acfcc361a539918e423aa0fc5b4890dc2ff3c58d3c9a1f8f9fff",
+        0.6: "a4e1ec1f76e0c2be1b64651062665765cbc6e7076255912cf1d2590e777df4e3",
+    }
+
+    def test_compute_cg_unchanged(self):
+        res = compute_cg()
+        assert res.value.hex() == "0x1.1dd436b2b13a7p-1"
+        assert res.error_estimate.hex() == "0x1.7f2713252bbdap-26"
+        assert (res.evaluations, res.panels) == (48000, 3192)
+
+    @pytest.mark.parametrize("t0", sorted(INTEGRAND_DIGESTS))
+    def test_integrand_unchanged(self, t0):
+        """t = 0, both sides of every switchover, and the quadrature's range."""
+        t = np.concatenate([[0.0], np.geomspace(1e-8, 0.6, 200001),
+                            np.linspace(0.6, 1e4, 100001)])
+        f = cg_integrand(t, t0).astype("<f8")
+        assert hashlib.sha256(f.tobytes()).hexdigest() == self.INTEGRAND_DIGESTS[t0]
