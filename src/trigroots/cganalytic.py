@@ -15,9 +15,9 @@ with g(t) = sin(t)/t and
 
 Everything in f cancels violently at 0: 1 - g^2 vanishes to second order,
 the R* numerator and denominator both to fourth (the denominator is
-t^4/135 + ...), so below ``t0`` every ingredient is evaluated from exact
-rational Taylor coefficients; the series and closed forms agree to ~1e-12
-across the switchover.  f(0+) = -1 and f decays like (1 - 4 cos 2t)/t^2,
+t^4/135 + ...), so below ``t0`` every ingredient comes from its Taylor
+series, derived at import from g's in exact rationals and rounded once to
+double; the series and closed forms agree to ~1e-12 across the switchover.  f(0+) = -1 and f decays like (1 - 4 cos 2t)/t^2,
 which the tail handler exploits: panels of length pi up to ``tail_start``,
 then an envelope fit A + B cos 2t + C sin 2t of t^2 f(t) integrated in
 closed form (plus integration-by-parts boundary terms for the oscillatory
@@ -28,28 +28,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 SQRT3 = math.sqrt(3.0)
 
-# Exact Taylor coefficients in t^2 (rationals rounded once to double).
-# 1 - g^2 = t^2 * sum_k ...
-ONE_MINUS_G2_SERIES = [1/3, -2/45, 1/315, -2/14175, 2/467775, -4/42567525,
-                       1/638512875, -2/97692469875, 2/9280784638125,
-                       -4/2143861251406875]
-# 1 - g^2 - 3 g'^2 = t^4 * sum_k ...
-PREFACTOR_NUM_SERIES = [1/45, -4/1575, 2/14175, -16/3274425, 1/8513505,
-                        -4/1915538625, 2/69780335625, -32/102088631019375,
-                        2/714620417135625]
-# g''(1-g^2) + g g'^2 = t^4 * sum_k ...
-RSTAR_NUM_SERIES = [1/135, -1/1050, 1/16200, -713/261954000, 823/9081072000,
-                    -1171/490377888000, 919/17955374976000,
-                    -29609/32523169206528000, 1598897/117083409143500800000]
-# (1/3)(1-g^2) - g'^2 = t^4 * sum_k ...
-RSTAR_DEN_SERIES = [1/135, -4/4725, 2/42525, -16/9823275, 1/25540515,
-                    -4/5746615875, 2/209341006875, -32/306265893058125,
-                    2/2143861251406875]
+
+def _sinc_series():
+    """Taylor coefficients in t^2 of (1 - g^2) / t^2 (10 terms) and, over t^4
+    (9 terms each), of 1 - g^2 - 3 g'^2, the R* numerator and the R*
+    denominator: exact rationals from g to t^22, rounded once to double."""
+    g = np.zeros(23, dtype=object)
+    g[::2] = [Fraction((-1) ** k, math.factorial(2 * k + 1)) for k in range(12)]
+    gp = P.polyder(g)
+    gp2 = P.polymul(gp, gp)
+    omg2 = P.polysub([1], P.polymul(g, g))
+    num = P.polyadd(P.polymul(P.polyder(gp), omg2), P.polymul(g, gp2))
+    den = P.polysub(omg2 / 3, gp2)
+    return tuple([float(c) for c in series]
+                 for series in (omg2[2:21:2], 3 * den[4:21:2], num[4:21:2], den[4:21:2]))
+
+
+ONE_MINUS_G2_SERIES, PREFACTOR_NUM_SERIES, RSTAR_NUM_SERIES, RSTAR_DEN_SERIES = _sinc_series()
 
 # Gauss-7 / Kronrod-15 pair on [-1, 1]
 _XK = np.array([
@@ -118,24 +120,20 @@ def _g_arrays(t: np.ndarray):
     return s / t, (t * c - s) / t**2, -s / t - 2.0 * c / t**2 + 2.0 * s / t**3
 
 
-def _rstar_parts(t: np.ndarray, t0: float):
-    """(R*, 1 - R*) with the difference formed cancellation-free."""
+def _kernel_parts(t: np.ndarray, t0: float):
+    """(1 - g^2 - 3 g'^2, 1 - g^2, R* numerator, R* denominator): series
+    below t0 (the R* pair over t^4), one closed-form g, g', g'' above."""
     small = t < t0
-    r = np.empty_like(t)
-    omr = np.empty_like(t)
-    ts = t[small]
-    t2 = ts * ts
-    num = _poly_even(RSTAR_NUM_SERIES, t2)
-    den = _poly_even(RSTAR_DEN_SERIES, t2)
-    r[small] = num / den
-    omr[small] = (den - num) / den
-    tl = t[~small]
-    g, gp, gpp = _g_arrays(tl)
-    nn = gpp * (1.0 - g * g) + g * gp * gp
-    dd = (1.0 - g * g) / 3.0 - gp * gp
-    r[~small] = nn / dd
-    omr[~small] = (dd - nn) / dd
-    return r, omr
+    parts = np.empty((4,) + t.shape)
+    t2 = t[small] ** 2
+    parts[:, small] = (t[small] ** 4 * _poly_even(PREFACTOR_NUM_SERIES, t2),
+                       t2 * _poly_even(ONE_MINUS_G2_SERIES, t2),
+                       _poly_even(RSTAR_NUM_SERIES, t2), _poly_even(RSTAR_DEN_SERIES, t2))
+    g, gp, gpp = _g_arrays(t[~small])
+    omg2 = 1.0 - g * g
+    parts[:, ~small] = (omg2 - 3.0 * gp * gp, omg2,
+                        gpp * omg2 + g * gp * gp, omg2 / 3.0 - gp * gp)
+    return parts
 
 
 def cg_integrand(t, t0: float = 0.05):
@@ -143,28 +141,15 @@ def cg_integrand(t, t0: float = 0.05):
     arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(arr < 0):
         raise ValueError("integrand needs t >= 0")
-    out = np.empty_like(arr)
-    small = arr < t0
-    ts = arr[small]
-    t2 = ts * ts
-    num = ts**4 * _poly_even(PREFACTOR_NUM_SERIES, t2)
-    omg2 = t2 * _poly_even(ONE_MINUS_G2_SERIES, t2)
+    pnum, omg2, num, den = _kernel_parts(arr, t0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        pref_small = np.where(ts > 0.0, num / omg2**1.5, 0.0)
-    tl = arr[~small]
-    g, gp, gpp = _g_arrays(tl)
-    omg2_l = 1.0 - g * g
-    pref_large = (omg2_l - 3.0 * gp * gp) / omg2_l**1.5
-    pref = np.empty_like(arr)
-    pref[small] = pref_small
-    pref[~small] = pref_large
-
-    r, omr = _rstar_parts(np.maximum(arr, 1e-300), t0)
-    r = np.clip(r, -1.0, 1.0)
+        pref = np.where(arr > 0.0, pnum / omg2**1.5, 0.0)
+    # R* = 1 at t = 0, so f(0) = 0 * bracket - 1 = -1 exactly
+    r = np.clip(num / den, -1.0, 1.0)
+    omr = (den - num) / den
     one_minus_r2 = np.clip(omr * (2.0 - omr), 0.0, None)
     bracket = np.sqrt(one_minus_r2) + r * np.arcsin(r)
     out = pref * bracket - 1.0
-    out[arr == 0.0] = -1.0
     return float(out[0]) if np.ndim(t) == 0 else out
 
 

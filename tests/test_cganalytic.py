@@ -9,7 +9,7 @@ from trigroots.cganalytic import (
     CgConvergenceError,
     CgQuadratureConfig,
     _g_arrays,
-    _rstar_parts,
+    _kernel_parts,
     cg_integrand,
     compute_cg,
 )
@@ -43,7 +43,8 @@ def g_at(t):
 
 
 def rstar(t, t0=0.05):
-    r, _ = _rstar_parts(np.atleast_1d(np.asarray(t, dtype=float)), t0)
+    _, _, num, den = _kernel_parts(np.atleast_1d(np.asarray(t, dtype=float)), t0)
+    r = num / den
     return float(r[0]) if np.ndim(t) == 0 else r
 
 
