@@ -355,10 +355,13 @@ class AcceptanceReport:
 
 def run_all(seed: int = 2026, parallelism: int = 1, only=None,
             progress=None) -> AcceptanceReport:
+    ids = [int(fn.__name__.split("_")[1]) for fn in ALL_CRITERIA]
+    unknown = sorted(set(only or ()) - set(ids))
+    if unknown:
+        raise ValueError(f"unknown criterion ids {unknown}: criteria are 1-{len(ids)}")
     ctx = {"seed": seed, "parallelism": parallelism}
     report = AcceptanceReport(seed=seed)
-    for fn in ALL_CRITERIA:
-        cid = int(fn.__name__.split("_")[1])
+    for cid, fn in zip(ids, ALL_CRITERIA):
         if only and cid not in only:
             continue
         t0 = time.perf_counter()

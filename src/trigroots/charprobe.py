@@ -264,14 +264,12 @@ class OneDScanResult:
 
 
 def smallball_1d_scan(n: int, t: float, dist: DistributionSpec, delta: float,
-                      trials: int, seed: int = 0, centers=None) -> OneDScanResult:
-    """Max over centers of P(|P_n(t) - a| < delta), Monte Carlo at fixed t."""
+                      trials: int, seed: int = 0) -> OneDScanResult:
+    """Max over 20 centers a in [-2, 2] of P(|P_n(t) - a| < delta) at fixed t."""
     check_delta(delta)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if centers is None:
-        centers = np.linspace(-2.0, 2.0, 20)
-    centers = np.asarray(centers, dtype=float)
+    centers = np.linspace(-2.0, 2.0, 20)
     expect = trials * 2.0 * delta * 0.4
     if expect < 10:
         raise FeasibilityError(

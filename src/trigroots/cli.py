@@ -43,7 +43,7 @@ from trigroots.mcstats import (
     slope_series,
 )
 from trigroots.polyeval import FULL, WindowSpec
-from trigroots.rootcount import check_delta, count_kacrice, roots_csv_rows
+from trigroots.rootcount import check_delta, count_kacrice
 
 ENV_THREADS = "TRIGROOTS_THREADS"
 
@@ -303,8 +303,9 @@ def _cmd_kacrice_audit(cfg):
         if kr.flagged:
             flagged += 1
         if cfg.get("roots_csv"):
-            root_rows.extend({"trial_index": a, "root": b, "residual": c}
-                             for a, b, c in roots_csv_rows(kr.root_result, trial))
+            rr = kr.root_result
+            root_rows.extend({"trial_index": trial, "root": float(r), "residual": float(e)}
+                             for r, e in zip(rr.roots, rr.residuals))
     if cfg.get("roots_csv"):
         _emit_csv(root_rows, cfg["roots_csv"], cfg)
     _emit_json({"meta": _meta(cfg), "trials": cfg["trials"], "agree": agree,

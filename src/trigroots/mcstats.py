@@ -204,12 +204,10 @@ def slope_rows(records: list[ExperimentRecord]) -> list[dict]:
 
 def scaling_check(dist: DistributionSpec, n_list, trials: int, seed: int = 0,
                   window: WindowSpec = FULL, parallelism: int = 1) -> list[dict]:
-    """Variance growth table: variance, variance/n, variance/n^2 per n."""
-    rows = []
-    for n in n_list:
-        rec = run_experiment(dist, n, window, trials, seed, parallelism=parallelism)
-        v = rec.estimate.variance
-        rows.append({"dist": rec.distribution, "n": n, "variance": v,
-                     "var_over_n": v / n, "var_over_n2": v / n**2,
-                     "se_variance": rec.estimate.se_variance})
-    return rows
+    """Variance growth table: variance, variance/n, variance/n^2 per n; n_list
+    must be increasing."""
+    return [{"dist": r.distribution, "n": r.n, "variance": r.estimate.variance,
+             "var_over_n": r.estimate.var_over_n,
+             "var_over_n2": r.estimate.variance / r.n**2,
+             "se_variance": r.estimate.se_variance}
+            for r in slope_series(dist, n_list, trials, seed, window, parallelism)]

@@ -439,9 +439,3 @@ def _find_level_crossing(grid, roots, deriv, delta):
         p, q = grid.eval_local(t)
         return np.abs(p) - delta, np.where(p >= 0.0, q, -q)
     return _newton(fg, roots, t_out, 0.5 * (roots + t_out), False)
-
-
-def roots_csv_rows(result: RootCountResult, trial_index: int):
-    """(trial_index, root, residual) rows for the optional per-sample dump."""
-    return [(trial_index, float(r), float(e))
-            for r, e in zip(result.roots, result.residuals)]

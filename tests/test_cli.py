@@ -7,7 +7,7 @@ import pytest
 from trigroots.cli import main
 from trigroots.ensemble import gaussian, sample
 from trigroots.polyeval import FULL
-from trigroots.rootcount import count_roots, roots_csv_rows
+from trigroots.rootcount import count_roots
 
 
 def run_cli(args):
@@ -130,9 +130,11 @@ class TestOtherCommands:
                         "--seed", "5", "--roots-csv", str(roots)]) == 0
         lines = [l for l in roots.read_text().splitlines() if not l.startswith("#")]
         rows = list(csv.DictReader(lines))
-        expected = [row for trial in range(4)
-                    for row in roots_csv_rows(
-                        count_roots(sample(gaussian(), 16, 5, trial), FULL), trial)]
+        expected = []
+        for trial in range(4):
+            r = count_roots(sample(gaussian(), 16, 5, trial), FULL)
+            assert len(r.roots) == len(r.residuals) == r.count
+            expected.extend((trial, float(t), float(e)) for t, e in zip(r.roots, r.residuals))
         assert [(int(r["trial_index"]), float(r["root"]), float(r["residual"]))
                 for r in rows] == expected
 
@@ -248,6 +250,21 @@ class TestErrors:
     def test_cg_bad_tolerance(self, capsys, tol):
         assert run_cli(["cg", "--tol", tol]) == 2
         assert "abs_tol" in self._error(capsys, "cg")
+
+    @pytest.mark.parametrize("command", ["sweep", "scaling"])
+    def test_n_list_must_increase(self, tmp_path, capsys, command):
+        out = tmp_path / "table.csv"
+        assert run_cli([command, "--n", "128,32", "--trials", "10",
+                        "--out", str(out)]) == 2
+        assert "strictly increasing" in self._error(capsys, command)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("only", ["99", "7,0,14"])
+    def test_verify_unknown_criterion(self, capsys, only):
+        assert run_cli(["verify", "--only", only]) == 2
+        unknown = sorted(int(x) for x in only.split(",") if x != "7")
+        assert (f"unknown criterion ids {unknown}: criteria are 1-13"
+                in self._error(capsys, "verify"))
 
     def test_bad_thread_count_in_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("TRIGROOTS_THREADS", "abc")

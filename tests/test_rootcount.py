@@ -27,7 +27,6 @@ from trigroots.rootcount import (
     count_kacrice,
     count_roots,
     gaussian_expectation_exact,
-    roots_csv_rows,
 )
 
 
@@ -144,13 +143,6 @@ class TestCountRoots:
         counts, uncertain = count_batch(s.y[None], 64, FULL, 16 * 64)
         assert (r.count, r.uncertain) == (78, True)
         assert (counts[0], uncertain[0]) == (78, True)
-
-    def test_csv_rows(self):
-        s = sample(gaussian(), 4, seed=5)
-        r = count_roots(s, FULL)
-        rows = roots_csv_rows(r, 17)
-        assert len(rows) == r.count
-        assert all(row[0] == 17 for row in rows)
 
 
 class TestLeanScan:
