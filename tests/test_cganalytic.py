@@ -6,6 +6,10 @@ import numpy as np
 import pytest
 
 from trigroots.cganalytic import (
+    ONE_MINUS_G2_SERIES,
+    PREFACTOR_NUM_SERIES,
+    RSTAR_DEN_SERIES,
+    RSTAR_NUM_SERIES,
     CgConvergenceError,
     CgQuadratureConfig,
     _g_arrays,
@@ -18,7 +22,7 @@ mp.mp.dps = 50
 
 
 def _mp_g(t):
-    t = mp.mpf(t)
+    t = mp.mpmathify(t)
     g = mp.sin(t) / t
     gp = (t * mp.cos(t) - mp.sin(t)) / t**2
     gpp = -mp.sin(t) / t - 2 * mp.cos(t) / t**2 + 2 * mp.sin(t) / t**3
@@ -58,6 +62,26 @@ class TestGFuncs:
         ts = np.geomspace(1e-3, 1e4, 2000)
         g, _, _ = _g_arrays(ts)
         assert np.all(np.abs(g) <= 1.0 + 1e-15)
+
+
+class TestSeries:
+    def test_doubles_are_the_rounded_taylor_coefficients(self):
+        """Each series coefficient is the double nearest the exact Taylor
+        coefficient of its closed form, here a 64-point Cauchy sum on |z| = 1
+        (aliasing below 1e-50)."""
+        zs = [mp.expjpi(mp.mpf(2 * j) / 64) for j in range(64)]
+        parts = []
+        for z in zs:
+            g, gp, gpp = _mp_g(z)
+            omg2 = 1 - g**2
+            parts.append((omg2, omg2 - 3 * gp**2, gpp * omg2 + g * gp**2,
+                          omg2 / 3 - gp**2))
+        tables = [(ONE_MINUS_G2_SERIES, 2, 10), (PREFACTOR_NUM_SERIES, 4, 9),
+                  (RSTAR_NUM_SERIES, 4, 9), (RSTAR_DEN_SERIES, 4, 9)]
+        for i, (series, lowest, terms) in enumerate(tables):
+            exact = [float(mp.re(mp.fsum(p[i] * z**-k for p, z in zip(parts, zs))) / 64)
+                     for k in range(lowest, lowest + 2 * terms, 2)]
+            assert [c.hex() for c in series] == [c.hex() for c in exact]
 
 
 class TestRstar:
