@@ -16,12 +16,12 @@ with g(t) = sin(t)/t and
 Everything in f cancels violently at 0: 1 - g^2 vanishes to second order,
 the R* numerator and denominator both to fourth (the denominator is
 t^4/135 + ...), so below ``t0`` every ingredient comes from its Taylor
-series, derived at import from g's in exact rationals and rounded once to
-double; the series and closed forms agree to ~1e-12 across the switchover.  f(0+) = -1 and f decays like (1 - 4 cos 2t)/t^2,
-which the tail handler exploits: panels of length pi up to ``tail_start``,
-then an envelope fit A + B cos 2t + C sin 2t of t^2 f(t) integrated in
-closed form (plus integration-by-parts boundary terms for the oscillatory
-part), leaving an O(T^-2) residual.
+series, derived exactly from g's at import and rounded once to double.
+Series and closed forms agree to ~1e-12 at the switch.  f(0+) = -1 and f
+decays like (1 - 4 cos 2t)/t^2, which the tail handler exploits: panels of
+length pi up to ``tail_start``, then an envelope fit A + B cos 2t +
+C sin 2t of t^2 f(t) integrated in closed form (plus integration-by-parts
+boundary terms for the oscillatory part), leaving an O(T^-2) residual.
 """
 
 from __future__ import annotations
