@@ -142,9 +142,9 @@ def cg_integrand(t, t0: float = 0.05):
     if np.any(arr < 0):
         raise ValueError("integrand needs t >= 0")
     pnum, omg2, num, den = _kernel_parts(arr, t0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        pref = np.where(arr > 0.0, pnum / omg2**1.5, 0.0)
-    # R* = 1 at t = 0, so f(0) = 0 * bracket - 1 = -1 exactly
+    scale = omg2**1.5
+    pref = np.divide(pnum, scale, out=np.zeros_like(scale), where=scale > 0.0)
+    # where (1 - g^2)^{3/2} underflows (t = 0 too) R* = 1: f = 0 * bracket - 1
     r = np.clip(num / den, -1.0, 1.0)
     omr = (den - num) / den
     one_minus_r2 = np.clip(omr * (2.0 - omr), 0.0, None)

@@ -121,6 +121,10 @@ class TestIntegrand:
         assert extrap == pytest.approx(-1.0, abs=1e-9)
         assert cg_integrand(0.0) == -1.0
 
+    def test_limit_where_t_squared_underflows(self):
+        ts = np.array([0.0, 5e-324, 1e-300, 1e-200, 1e-160, 1e-100])
+        assert np.array_equal(cg_integrand(ts), np.full(ts.size, -1.0))
+
     def test_decay_at_large_t(self):
         assert abs(cg_integrand(1e3)) <= 1e-5
 
