@@ -144,7 +144,7 @@ def cg_integrand(t, t0: float = 0.05):
     pnum, omg2, num, den = _kernel_parts(arr, t0)
     scale = omg2**1.5
     pref = np.divide(pnum, scale, out=np.zeros_like(scale), where=scale > 0.0)
-    # where (1 - g^2)^{3/2} underflows (t = 0 too) R* = 1: f = 0 * bracket - 1
+    # prefactor 0 where (1 - g^2)^{3/2} underflows, t = 0 included: R* = 1, f = -1
     r = np.clip(num / den, -1.0, 1.0)
     omr = (den - num) / den
     one_minus_r2 = np.clip(omr * (2.0 - omr), 0.0, None)
