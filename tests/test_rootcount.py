@@ -277,6 +277,35 @@ class TestCountsPinned:
         assert digest.hexdigest() == self.MANY_PASS_DIGEST
 
 
+class TestSingleSamplePinned:
+    """``count_roots`` and ``count_kacrice`` on a seeded set, pinned by a
+    sha256 of every field they compute: a change to the single-sample path
+    that moves a root, a residual, a tangency or a flag shows here."""
+
+    DIGEST = "1b31cba0a6727ba43a7964377700c81cb94d9226057e4b51245581023a6d5394"
+    # Rademacher trials 120 and 351 at n = 16 end in tangencies
+    TRIALS = {16: [*range(48), 120, 351], 64: range(12), 256: range(4)}
+
+    def test_results_unchanged(self):
+        digest = hashlib.sha256()
+        tangent = flagged = 0
+        for law in (gaussian(), rademacher()):
+            for window in (FULL, HALF):
+                for n, trials in self.TRIALS.items():
+                    for t in trials:
+                        s = sample(law, n, seed=7000 + n, trial_index=t)
+                        r = count_roots(s, window)
+                        for a in (r.roots, r.residuals, r.derivatives, r.tangencies):
+                            digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+                        digest.update(f"{r.count} {r.uncertain} {r.end_value.hex()}".encode())
+                        kr = count_kacrice(s, window)
+                        digest.update(f"{kr.value.hex()} {kr.flagged}".encode())
+                        tangent += r.tangencies.size > 0
+                        flagged += kr.flagged
+        assert tangent and flagged  # the pin covers tangencies and flags
+        assert digest.hexdigest() == self.DIGEST
+
+
 class TestNonFinite:
     def test_all_nan_batch_is_flagged(self):
         counts, uncertain = count_batch(np.full((1, 8, 2), np.nan), 8, FULL, 128)
