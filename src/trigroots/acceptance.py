@@ -26,7 +26,7 @@ from trigroots.charprobe import (
     small_ball_mc,
 )
 from trigroots.diophantine import build_D, good_pair, good_t
-from trigroots.edgeworth import c_n_alpha, gauss_expect_psi_H
+from trigroots.edgeworth import LAMBDA_2, LAMBDA_4, c_n_alpha, gauss_expect_psi_H
 from trigroots.ensemble import discrete, gaussian, rademacher, uniform
 from trigroots.mcstats import (
     GAUSSIAN_SLOPE,
@@ -35,7 +35,7 @@ from trigroots.mcstats import (
     theoretical_slope,
 )
 from trigroots.polyeval import FULL, covariance_V
-from trigroots.rootcount import count_kacrice, gaussian_expectation_exact
+from trigroots.rootcount import AGREEMENT_SHARE, count_kacrice, gaussian_expectation_exact
 
 #: the law GAUSSIAN_SLOPE - 4/15, to the five digits of GAUSSIAN_SLOPE
 RADEMACHER_SLOPE = round(theoretical_slope(rademacher(), FULL), 5)
@@ -138,13 +138,13 @@ def criterion_5_kacrice(ctx) -> CriterionResult:
         dist = rademacher() if trial % 2 else gaussian()
         s = ensemble.sample(dist, 64, seed=seed, trial_index=trial)
         kr = count_kacrice(s, FULL, delta=1e-6)
-        if abs(kr.value - kr.root_count) < 1e-3:
+        if kr.agrees:
             agree += 1
         elif kr.flagged:
             flagged_disagree += 1
         else:
             unflagged_disagree += 1
-    ok = agree >= 0.99 * samples and unflagged_disagree == 0
+    ok = agree >= AGREEMENT_SHARE * samples and unflagged_disagree == 0
     return CriterionResult(
         5, "delta-integral count equals scan count", ok,
         ">= 99% agreement at n=64, delta=1e-6; disagreements only on flagged samples",
@@ -196,9 +196,9 @@ def criterion_8_covariance(ctx) -> CriterionResult:
     t = good_t(n)
     s, t2 = good_pair(n)
     V2 = covariance_V(n, t).entries
-    d2 = float(np.linalg.norm(V2 - np.diag([1.0, 1.0 / 3.0]), 2))
+    d2 = float(np.linalg.norm(V2 - np.diag(LAMBDA_2), 2))
     V4 = covariance_V(n, t2, s).entries
-    d4 = float(np.linalg.norm(V4 - np.diag([1.0, 1 / 3, 1.0, 1 / 3]), 2))
+    d4 = float(np.linalg.norm(V4 - np.diag(LAMBDA_4), 2))
     return CriterionResult(
         8, "covariance limits at n=1e5", d2 <= 1e-2 and d4 <= 2e-2,
         "||V2 - diag(1,1/3)|| <= 1e-2 and ||V4 - diag|| <= 2e-2",

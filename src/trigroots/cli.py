@@ -43,7 +43,7 @@ from trigroots.mcstats import (
     slope_series,
 )
 from trigroots.polyeval import FULL, WindowSpec
-from trigroots.rootcount import check_delta, count_kacrice
+from trigroots.rootcount import AGREEMENT_SHARE, check_delta, count_kacrice
 
 ENV_THREADS = "TRIGROOTS_THREADS"
 
@@ -244,6 +244,21 @@ def _resolve(args, argv) -> dict:
     return cfg
 
 
+def _list_flag(cfg: dict, key: str, item: type = int) -> list:
+    """The items of a list flag, given as a comma string or, in ``--config``,
+    as a JSON list of ``item``; a bad item is refused with the flag's name."""
+    value = cfg[key]
+    try:
+        items = value if isinstance(value, list) else [
+            item(x.strip()) for x in str(value).split(",")]
+        if all(type(x) is item for x in items):
+            return items
+    except ValueError:
+        pass
+    raise ValueError(f"--{key} takes a comma-separated list or a JSON list of "
+                     f"{item.__name__} items, got {value!r}")
+
+
 def _cmd_cg(cfg):
     res = compute_cg(CgQuadratureConfig(t0=cfg["t0"], tail_start=cfg["tmax"],
                                         abs_tol=cfg["tol"]))
@@ -265,10 +280,10 @@ def _cmd_simulate(cfg):
 
 
 def _cmd_sweep(cfg):
-    n_list = [int(x) for x in str(cfg["n"]).split(",")]
+    n_list = _list_flag(cfg, "n")
     rows = []
-    for name in cfg["dist"].split(","):
-        dist = parse_distribution(name.strip())
+    for name in _list_flag(cfg, "dist", str):
+        dist = parse_distribution(name)
         window = WindowSpec(cfg["window"])
         recs = slope_series(dist, n_list, cfg["trials"], cfg["seed"], window,
                             parallelism=cfg["threads"])
@@ -281,7 +296,7 @@ def _cmd_sweep(cfg):
 
 def _cmd_scaling(cfg):
     dist = parse_distribution(cfg["dist"])
-    n_list = [int(x) for x in str(cfg["n"]).split(",")]
+    n_list = _list_flag(cfg, "n")
     rows = scaling_check(dist, n_list, cfg["trials"], cfg["seed"],
                          parallelism=cfg["threads"])
     _emit_csv(rows, cfg.get("out"), cfg)
@@ -298,10 +313,8 @@ def _cmd_kacrice_audit(cfg):
     for trial in range(cfg["trials"]):
         s = ensemble.sample(dist, cfg["n"], cfg["seed"], trial)
         kr = count_kacrice(s, FULL, delta=cfg["delta"])
-        if abs(kr.value - kr.root_count) < 1e-3:
-            agree += 1
-        if kr.flagged:
-            flagged += 1
+        agree += kr.agrees
+        flagged += kr.flagged
         if cfg.get("roots_csv"):
             rr = kr.root_result
             root_rows.extend({"trial_index": trial, "root": float(r), "residual": float(e)}
@@ -310,7 +323,7 @@ def _cmd_kacrice_audit(cfg):
         _emit_csv(root_rows, cfg["roots_csv"], cfg)
     _emit_json({"meta": _meta(cfg), "trials": cfg["trials"], "agree": agree,
                 "flagged": flagged, "delta": cfg["delta"]}, cfg.get("out"))
-    return 0 if agree >= 0.99 * cfg["trials"] else 1
+    return 0 if agree >= AGREEMENT_SHARE * cfg["trials"] else 1
 
 
 def _cmd_conditions(cfg):
@@ -324,7 +337,7 @@ def _cmd_conditions(cfg):
         payload["pair"] = dataclasses.asdict(r)
     if cfg.get("sweep"):
         rows = []
-        for n in (int(x) for x in cfg["sweep"].split(",")):
+        for n in _list_flag(cfg, "sweep"):
             D = build_D(n, cfg["eps"], cfg["tau"])
             rows.append({"n": n, "eps": cfg["eps"], "tau": cfg["tau"],
                          "intervals": D.interval_count,
@@ -378,9 +391,7 @@ def _cmd_smallball(cfg):
 
 
 def _cmd_verify(cfg):
-    only = None
-    if cfg.get("only"):
-        only = {int(x) for x in str(cfg["only"]).split(",")}
+    only = set(_list_flag(cfg, "only")) if cfg.get("only") else None
     report = acceptance.run_all(seed=cfg["seed"], parallelism=cfg["threads"],
                                 only=only, progress=print)
     payload = json.loads(report.to_json())

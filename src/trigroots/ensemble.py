@@ -344,11 +344,8 @@ def log_abs_charfn_scalar(dist: DistributionSpec, theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if dist.kind == "gaussian":
         return -0.5 * theta**2
-    # |cos theta| directly: |complex(x, 0)| is |x| exactly, so skipping
-    # charfn_scalar's complex cast changes no bit
-    phi = np.cos(theta) if dist.kind == "rademacher" else charfn_scalar(dist, theta)
     with np.errstate(divide="ignore"):
-        return np.log(np.abs(phi))
+        return np.log(np.abs(charfn_scalar(dist, theta)))
 
 
 def _difference_atoms(dist: DistributionSpec):

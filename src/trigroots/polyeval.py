@@ -237,11 +237,12 @@ def _packed_ifft(y: np.ndarray, n: int, M: int, start_over_pi_n: float,
     transformed by one FFT call in place (in ``out``, reshaped, if given)."""
     i = np.arange(1, n + 1)
     z = y[..., 0] - 1j * y[..., 1]  # Re(z e^{i theta}) = y1 cos + y2 sin
-    # phase offset of the window start folded into the coefficients;
-    # for the full window start_over_pi_n = -1 this is the exact (-1)^i.
-    # So is the factor M/(2 sqrt n): it undoes the FFT's 1/M and the 2 of
-    # each Hermitian pair and puts in P's 1/sqrt n (a power of two, so
-    # exact, when n is a power of four).
+    # phase offset of the window start folded into the coefficients; for
+    # the full window (start_over_pi_n = -1) its real part is (-1)^i, but
+    # its imaginary part is sin of the rounded pi*i, about 1.2e-16*i, not 0.
+    # The factor M/(2 sqrt n) is folded in too: it undoes the FFT's 1/M and
+    # the 2 of each Hermitian pair and puts in P's 1/sqrt n (a power of
+    # two, so exact, when n is a power of four).
     rot = np.exp(1j * math.pi * start_over_pi_n * i) * (M / (2.0 * math.sqrt(n)))
     d = 1j * (i / n)  # d/dt of the e^{i i t / n} term
     powers = [z * rot]  # the spectra of P^(0), P^(1), .., one factor d at a time

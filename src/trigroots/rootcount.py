@@ -8,9 +8,9 @@ On a batch of complex grids P + i P' over one period, ``_scan`` XORs
 neighbouring words of P and P' signs, runs the dip test on the cells where
 P' changes sign and P does not (one complex gather a cell end), and flags
 a row with a non-finite coefficient; ``_audit`` resolves the candidate
-cells of any number of scans at once.  ``count_batch`` scans cache-sized
-row blocks (``polyeval.pass_rows``) in one grid buffer and audits once a
-call; ``count_roots`` runs both on a batch of one (``_scan_and_audit``).
+cells (``_Cells``) of any number of scans at once.  ``count_batch`` scans
+cache-sized row blocks (``polyeval.pass_rows``) in one grid buffer and
+audits once a call; ``count_roots`` scans and audits a batch of one.
 The audit screens a cell with the extremum of the cubic Hermite
 interpolant of its end values and slopes, provably within h^4/384 sup|P|
 of P; only the cells it leaves unclear get their Taylor series
@@ -72,6 +72,7 @@ _HERMITE_SLACK = 2.0
 _NEWTON_STEPS = 64
 
 _AUDIT_CLEAN, _AUDIT_DOUBLE, _AUDIT_TANGENT = 0, 1, 2
+AGREEMENT_SHARE = 0.99  # a run agrees when this share of its samples ``agrees``
 
 
 @dataclass(frozen=True)
@@ -98,6 +99,10 @@ class KacRiceResult:
     @property
     def root_count(self) -> int:
         return self.root_result.count
+
+    @property
+    def agrees(self) -> bool:  # the delta-integral is within 1e-3 of the count
+        return abs(self.value - self.root_count) < 1e-3
 
 
 def default_tol(n: int) -> float:
@@ -167,55 +172,16 @@ def _newton(fg, a, b, x, up, tol=0.0):
     return np.clip(x, np.minimum(a, b), np.maximum(a, b))
 
 
-def _resolve_audits(p0, p1, q0, q1, h, t_left, scale, peak, ys, rows):
-    """Classify audited cells: clean, a hidden root pair, or tangency.
-
-    The cubic Hermite interpolant of a cell's end values and slopes is
-    within h^4/384 sup|P^(4)| of P, and, all frequencies being <= 1, sup|P^(4)|
-    <= sup|P| <= peak / (1 - h^2/8) (Bernstein; ``peak`` is the grid's max
-    |P| over one period, the nearest node to the maximum within h/2).  A
-    cell whose interpolated extremum clears ``_HERMITE_SLACK`` times that
-    bound and the tangency threshold (in units of ``scale``, max |P| over
-    the window's nodes) keeps the interpolant's verdict.  The rest are
-    resolved by Newton on P' from the midpoint, on the cell's Taylor
-    series: P'' is that of d[..., 1:] with a zero top coefficient, and the
-    exact P' at the left node sets the bracket's sign.  Row ``rows[k]`` of
-    ``ys`` (all cells of a ``count_batch`` call come in one call) holds cell
-    k's coefficients.  Returns (status, t_star) per cell."""
-    x, val = _hermite_extremum(p0, p1, q0, q1, h)
-    bound = h ** 4 / 384.0 / (1.0 - h * h / 8.0) * peak
-    margin = _HERMITE_SLACK * np.maximum(bound, _TANGENCY_EPS * scale)
-    needs = np.isnan(x) | (np.abs(val) <= margin)
-    status = np.where((~needs) & ((val >= 0.0) != (p0 >= 0.0)),
-                      _AUDIT_DOUBLE, _AUDIT_CLEAN)
-    t_star = t_left + np.where(np.isnan(x), 0.5, x) * h
-
-    if needs.any():
-        idx = np.nonzero(needs)[0]
-        lo = t_left[idx].astype(float)
-        mid = lo + 0.5 * h
-        slope, d = cell_expansions(ys, rows[idx], lo, h)
-        d2 = np.concatenate([d[:, 1:], np.zeros((idx.size, 1))], axis=1)
-        ts = _newton(lambda t: taylor_eval(d2, t - mid), lo, lo + h, mid, slope >= 0.0)
-        ps = taylor_eval(d, ts - mid)[0]
-        tangent = np.abs(ps) <= _TANGENCY_EPS * scale[idx]
-        double = (~tangent) & ((ps >= 0.0) != (p0[idx] >= 0.0))
-        status[idx] = np.select([tangent, double], [_AUDIT_TANGENT, _AUDIT_DOUBLE],
-                                default=_AUDIT_CLEAN)
-        t_star[idx] = ts
-    return status, t_star
-
-
-class _Scan(NamedTuple):
-    crossing: np.ndarray   # (B, M): the cell's end values differ in sign
-    rows: np.ndarray       # row of each audited cell
-    cells: np.ndarray      # cell index of each audited cell, row by row
-    status: np.ndarray     # audit verdict per audited cell
-    t_star: np.ndarray     # stationary point per audited cell
-    end: np.ndarray        # (B,) P at the window's closing point
-    counts: np.ndarray     # (B,) sign changes plus two per hidden pair
-    uncertain: np.ndarray  # (B,) tangency, zero or non-finite coefficients,
-    #                        or over 2n roots
+class _Cells(NamedTuple):
+    """The candidate cells of a ``_scan``, row by row."""
+    rows: np.ndarray   # row of each cell in the scanned batch
+    cells: np.ndarray  # cell index in the window
+    p0: np.ndarray     # P at the cell's left and right ends
+    p1: np.ndarray
+    q0: np.ndarray     # P' at the cell's left and right ends
+    q1: np.ndarray
+    scale: np.ndarray  # the row's max |P| over the window's nodes (>= 1e-300)
+    peak: np.ndarray   # the row's max |P| over one period
 
 
 def _scan(ys: np.ndarray, G: np.ndarray, window: WindowSpec) -> tuple:
@@ -231,8 +197,8 @@ def _scan(ys: np.ndarray, G: np.ndarray, window: WindowSpec) -> tuple:
     the low byte the crossings, 256 the stationary cells, which alone are
     gathered for the dip test, one complex gather an end.  G is scratch:
     once the cell ends are gathered, its real part is turned into |P|.
-    Returns (crossing, end, counts, uncertain, cells); cells, the audit's
-    (rows, cell index, p0, p1, q0, q1, scale, peak), holds no view of G."""
+    Returns (crossing, end, counts, uncertain, cells); the ``_Cells`` to
+    audit hold no view of G."""
     n = ys.shape[1]
     M = G.shape[1] if window.circular else G.shape[1] // 2
     F = G[:, :M]
@@ -270,41 +236,62 @@ def _scan(ys: np.ndarray, G: np.ndarray, window: WindowSpec) -> tuple:
     A = np.abs(G.real, out=G.real)  # |P| over one period, the window's nodes first
     scale = A[:, :M].max(axis=1)
     peak = np.maximum(scale, A[:, M:].max(axis=1, initial=0.0))[rows]
-    cells = (rows, cells[audit], pl[audit], pr[audit], ql[audit], qr[audit],
-             np.maximum(scale, 1e-300)[rows], peak)
-    return crossing, p_end, counts, uncertain, cells
+    found = _Cells(rows, cells[audit], pl[audit], pr[audit], ql[audit], qr[audit],
+                   np.maximum(scale, 1e-300)[rows], peak)
+    return crossing, p_end, counts, uncertain, found
 
 
 def _audit(ys, window, M, found, counts, uncertain):
-    """One ``_resolve_audits`` call for the ``_scan`` cells of any number of
-    passes, rows offset into ``ys`` (no call if there are none); adds two
-    to ``counts`` per hidden pair and flags tangencies and counts over 2n
-    in ``uncertain``.  Returns (status, t_star)."""
+    """Classify the ``_scan`` cells of any number of passes, rows offset
+    into ``ys``: clean, a hidden root pair, or a tangency.
+
+    The cubic Hermite interpolant of a cell's end values and slopes is
+    within h^4/384 sup|P^(4)| of P, and, all frequencies being <= 1, sup|P^(4)|
+    <= sup|P| <= peak / (1 - h^2/8) (Bernstein; ``peak`` is the grid's max
+    |P| over one period, the nearest node to the maximum within h/2).  A
+    cell whose interpolated extremum clears ``_HERMITE_SLACK`` times that
+    bound and the tangency threshold (in units of ``scale``) keeps the
+    interpolant's verdict.  The rest are resolved by Newton on P' from the
+    midpoint, on the cell's Taylor series: P'' is that of d[..., 1:] with a
+    zero top coefficient, and the exact P' at the left node sets the
+    bracket's sign.  Adds two to ``counts`` per hidden pair and flags
+    tangencies and counts over 2n in ``uncertain``.  Returns the cells,
+    concatenated, and their (status, t_star)."""
     n = ys.shape[1]
-    status, t_star = np.empty(0, dtype=int), np.empty(0)
-    found = [cells for cells in found if cells[0].size]
-    if found:
-        rows, cells, p0, p1, q0, q1, scale, peak = map(np.concatenate, zip(*found))
+    c = _Cells._make(map(np.concatenate, zip(*found))) if found else _Cells(*[np.empty(0)] * 8)
+    status, t_star = np.zeros(c.rows.size, dtype=int), np.empty(c.rows.size)
+    if c.rows.size:
         h = window.length(n) / M
-        status, t_star = _resolve_audits(p0, p1, q0, q1, h, window.start(n) + h * cells,
-                                         scale, peak, ys, rows)
-        np.add.at(counts, rows[status == _AUDIT_DOUBLE], 2)
-        uncertain[rows[status == _AUDIT_TANGENT]] = True
+        t_left = window.start(n) + h * c.cells
+        x, val = _hermite_extremum(c.p0, c.p1, c.q0, c.q1, h)
+        bound = h ** 4 / 384.0 / (1.0 - h * h / 8.0) * c.peak
+        needs = np.isnan(x) | (np.abs(val) <= _HERMITE_SLACK * np.maximum(
+            bound, _TANGENCY_EPS * c.scale))
+        status[(~needs) & ((val >= 0.0) != (c.p0 >= 0.0))] = _AUDIT_DOUBLE
+        t_star = t_left + np.where(np.isnan(x), 0.5, x) * h
+        if needs.any():
+            idx = np.nonzero(needs)[0]
+            lo = t_left[idx]
+            mid = lo + 0.5 * h
+            slope, d = cell_expansions(ys, c.rows[idx], lo, h)
+            d2 = np.concatenate([d[:, 1:], np.zeros((idx.size, 1))], axis=1)
+            ts = _newton(lambda t: taylor_eval(d2, t - mid), lo, lo + h, mid, slope >= 0.0)
+            ps = taylor_eval(d, ts - mid)[0]
+            tangent = np.abs(ps) <= _TANGENCY_EPS * c.scale[idx]
+            double = (~tangent) & ((ps >= 0.0) != (c.p0[idx] >= 0.0))
+            status[idx] = np.select([tangent, double], [_AUDIT_TANGENT, _AUDIT_DOUBLE],
+                                    default=_AUDIT_CLEAN)
+            t_star[idx] = ts
+        np.add.at(counts, c.rows[status == _AUDIT_DOUBLE], 2)
+        uncertain[c.rows[status == _AUDIT_TANGENT]] = True
     uncertain |= counts > 2 * n
-    return status, t_star
-
-
-def _scan_and_audit(ys: np.ndarray, G: np.ndarray, window: WindowSpec) -> _Scan:
-    """``_scan`` and ``_audit`` of one batch of (B, period) grids."""
-    crossing, end, counts, uncertain, cells = _scan(ys, G, window)
-    status, t_star = _audit(ys, window, crossing.shape[1], [cells], counts, uncertain)
-    return _Scan(crossing, cells[0], cells[1], status, t_star, end, counts, uncertain)
+    return c, status, t_star
 
 
 def count_roots(sample: CoefficientSample, window: WindowSpec = FULL,
                 tol: float | None = None) -> RootCountResult:
-    """Count and refine the real roots in the window: the batch engine on
-    one sample, then Newton from the middle of every bracket, to tol."""
+    """Count and refine the real roots in the window: ``_scan`` and ``_audit``
+    on a batch of one, then Newton from the middle of every bracket, to tol."""
     n = sample.n
     if tol is None:
         tol = default_tol(n)
@@ -313,26 +300,26 @@ def count_roots(sample: CoefficientSample, window: WindowSpec = FULL,
     if not 0.0 < tol < h:
         raise ValueError(f"tol={tol} outside (0, grid spacing {h})")
     G = grid.derivs[:, :2].copy().view(complex).reshape(1, -1)  # one period of P + i P'
-    scan = _scan_and_audit(sample.y[None], G, window)
+    crossing, end, counts, uncertain, found = _scan(sample.y[None], G, window)
+    cells, status, t_star = _audit(sample.y[None], window, grid.M, [found], counts, uncertain)
     t_left = grid.t_values()
-    crossing = scan.crossing[0]
-    lo = t_left[crossing]
+    lo = t_left[crossing[0]]
     hi = lo + h
-    up = grid.P[crossing] >= 0.0
-    double = scan.status == _AUDIT_DOUBLE
+    up = grid.P[crossing[0]] >= 0.0
+    double = status == _AUDIT_DOUBLE
     if double.any():
-        tl = t_left[scan.cells[double]]
-        ts = scan.t_star[double]
-        ul = grid.P[scan.cells[double]] >= 0.0
+        tl = t_left[cells.cells[double]]
+        ts = t_star[double]
+        ul = cells.p0[double] >= 0.0
         lo = np.concatenate([lo, tl, ts])
         hi = np.concatenate([hi, ts, tl + h])
         up = np.concatenate([up, ul, ~ul])
 
     roots = np.sort(_newton(grid.eval_local, lo, hi, 0.5 * (lo + hi), up, tol))
     resid, deriv = eval_points(sample, roots)
-    return RootCountResult(int(scan.counts[0]), roots, np.abs(resid), deriv,
-                           scan.t_star[scan.status == _AUDIT_TANGENT],
-                           bool(scan.uncertain[0]), grid, float(scan.end[0]), tol)
+    return RootCountResult(int(counts[0]), roots, np.abs(resid), deriv,
+                           t_star[status == _AUDIT_TANGENT], bool(uncertain[0]), grid,
+                           float(end[0]), tol)
 
 
 def count_batch(ys: np.ndarray, n: int, window: WindowSpec, M: int):
@@ -353,7 +340,7 @@ def count_batch(ys: np.ndarray, n: int, window: WindowSpec, M: int):
         with np.errstate(invalid="ignore"):
             G = eval_grid_batch(block, n, window, M, out=buf[:len(block)])
         _, _, counts[lo:lo + step], uncertain[lo:lo + step], cells = _scan(block, G, window)
-        found.append((cells[0] + lo,) + cells[1:])
+        found.append(cells._replace(rows=cells.rows + lo))
     _audit(ys, window, M, found, counts, uncertain)
     return counts, uncertain
 

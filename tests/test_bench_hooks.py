@@ -62,9 +62,9 @@ def test_audit_follows_the_last_pass(monkeypatch):
     tracer = tracing.Tracer("gaussian", "audit")
     tracing.install_layer_spans(tracer, trigroots)
     audits = []
-    resolve = rootcount._resolve_audits
-    monkeypatch.setattr(rootcount, "_resolve_audits",
-                        lambda *a: audits.append(time.perf_counter()) or resolve(*a))
+    audit = rootcount._audit
+    monkeypatch.setattr(rootcount, "_audit",
+                        lambda *a: audits.append(time.perf_counter()) or audit(*a))
     try:
         mcstats.run_experiment(gaussian(), 1024, trials=37, seed=3)
     finally:

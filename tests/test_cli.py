@@ -86,6 +86,27 @@ class TestConfig:
         rec = json.loads(out.read_text())["record"]
         assert (rec["n"], rec["trials"]) == (16, 10)
 
+    @pytest.mark.parametrize("command, lists, flags", [
+        ("sweep", {"dist": ["gaussian", "rademacher"], "n": [8, 16]},
+         ["--dist", "gaussian,rademacher", "--n", "8,16"]),
+        ("scaling", {"n": [8, 16]}, ["--n", "8,16"]),
+        ("conditions", {"sweep": [100, 200]}, ["--sweep", "100,200"]),
+        ("verify", {"only": [8, 11]}, ["--only", "8,11"]),
+    ])
+    def test_json_lists_read_as_comma_strings(self, tmp_path, command, lists, flags):
+        """A list flag reads the same from a JSON list in ``--config`` as
+        from a comma string; the config hash alone tells them apart."""
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(lists))
+        trials = ["--trials", "20"] if command in ("sweep", "scaling") else []
+        bodies = []
+        for args in (["--config", str(cfgfile)], flags):
+            out = tmp_path / "out.txt"
+            assert run_cli([command, *args, *trials, "--out", str(out)]) == 0
+            bodies.append([line for line in out.read_text().splitlines()
+                           if "config_hash" not in line])
+        assert bodies[0] == bodies[1] and len(bodies[0]) >= 3  # a header and two rows
+
 
 class TestConditions:
     def test_point_and_pair(self, tmp_path):
@@ -265,6 +286,25 @@ class TestErrors:
         unknown = sorted(int(x) for x in only.split(",") if x != "7")
         assert (f"unknown criterion ids {unknown}: criteria are 1-13"
                 in self._error(capsys, "verify"))
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("sweep", "--n", "8,abc"), ("sweep", "--n", [8, "abc"]),
+        ("sweep", "--dist", ["gaussian", 3]), ("scaling", "--n", "8,abc"),
+        ("scaling", "--n", [8, 16.5]), ("conditions", "--sweep", "100,1e3"),
+        ("conditions", "--sweep", ["100"]), ("verify", "--only", "abc"),
+        ("verify", "--only", [8.0]),
+    ])
+    def test_list_flag_error_names_the_flag(self, tmp_path, capsys, command, flag, value):
+        """A bad item of a list flag, comma string or JSON list in
+        ``--config``, is refused with the flag's name."""
+        if isinstance(value, list):
+            cfgfile = tmp_path / "cfg.json"
+            cfgfile.write_text(json.dumps({flag[2:]: value}))
+            args = ["--config", str(cfgfile)]
+        else:
+            args = [flag, value]
+        assert run_cli([command, *args]) == 2
+        assert self._error(capsys, command).startswith(f"{flag} takes a comma-separated list")
 
     def test_bad_thread_count_in_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("TRIGROOTS_THREADS", "abc")

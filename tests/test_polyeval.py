@@ -20,7 +20,7 @@ from trigroots.polyeval import (
     eval_points,
     taylor_eval,
 )
-from trigroots.rootcount import _scan_and_audit
+from trigroots.rootcount import _scan
 
 
 def _manual_sample(y):
@@ -222,8 +222,8 @@ class TestCellExpansions:
         ys = np.stack([s.y for s in samples])
         F = eval_grid_batch(ys, n, FULL, 16 * n)
         P = F.real
-        scan = _scan_and_audit(ys, F, FULL)
-        rows, cells = scan.rows[:16], scan.cells[:16]
+        found = _scan(ys, F, FULL)[-1]
+        rows, cells = found.rows[:16], found.cells[:16]
         assert rows.size
         h = FULL.length(n) / P.shape[1]
         t_left = FULL.start(n) + h * cells

@@ -21,8 +21,9 @@ from trigroots.polyeval import (
 )
 from trigroots.rootcount import (
     _find_level_crossing,
+    _audit,
     _newton,
-    _scan_and_audit,
+    _scan,
     count_batch,
     count_kacrice,
     count_roots,
@@ -160,12 +161,12 @@ class TestLeanScan:
         if law.kind == "rademacher":  # the +-1 sums vanish exactly at some nodes
             assert np.any(F.real == 0.0)
         crossing, audit = dense_scan(ys, F.real, F.imag, window)
-        scan = _scan_and_audit(ys, G, window)  # G is scratch to the scan
+        scanned, _, _, _, found = _scan(ys, G, window)  # G is scratch to the scan
         rows, cells = np.nonzero(audit)
         assert rows.size
-        assert np.array_equal(scan.crossing, crossing)
-        assert np.array_equal(scan.rows, rows)
-        assert np.array_equal(scan.cells, cells)
+        assert np.array_equal(scanned, crossing)
+        assert np.array_equal(found.rows, rows)
+        assert np.array_equal(found.cells, cells)
 
 
 def _hermite(p0, p1, q0, q1, h, x):
@@ -181,33 +182,29 @@ class TestHermiteScreen:
     """The audit keeps the cubic-Hermite verdict of a cell only outside
     twice the proven interpolation error h^4/384 sup|P|, with sup|P| bounded
     by the period's grid maximum over 1 - h^2/8.  Checked on the cells
-    ``count_batch`` audits, from the engine's own arguments to
-    ``_resolve_audits``."""
+    ``count_batch`` audits, as ``_scan`` hands them to ``_audit``."""
 
     # Rademacher seed 7016 holds tangencies and node zeros at n = 16
     CASES = [(law, window, n) for law in (gaussian(), rademacher())
              for window in (FULL, HALF) for n in (16, 64, 256)]
     TRIALS = {16: 1024, 64: 128, 256: 32}
 
-    def _audit(self, monkeypatch, law, window, n):
-        """(samples, period grids, scan, the engine's _resolve_audits args)"""
+    def _run(self, law, window, n):
+        """(samples, coefficients, period grids, audited cells, status, t_star)"""
         ss = [sample(law, n, seed=7000 + n, trial_index=t) for t in range(self.TRIALS[n])]
         ys = np.stack([s.y for s in ss])
         G = eval_grid_batch(ys, n, window, 16 * n)
-        seen = []
-        resolve = rootcount._resolve_audits
-        monkeypatch.setattr(rootcount, "_resolve_audits",
-                            lambda *a: seen.append(a) or resolve(*a))
-        scan = _scan_and_audit(ys, G, window)
-        monkeypatch.setattr(rootcount, "_resolve_audits", resolve)
-        assert scan.rows.size and len(seen) == 1
-        return ss, G, scan, seen[0]
+        _, _, counts, uncertain, found = _scan(ys, G, window)
+        cells, status, t_star = _audit(ys, window, 16 * n, [found], counts, uncertain)
+        assert cells.rows.size
+        return ss, ys, G, cells, status, t_star
 
     @pytest.mark.parametrize("law, window, n", CASES,
                              ids=[f"{c[0]}-{c[1].kind}-{c[2]}" for c in CASES])
-    def test_interpolant_within_bound(self, monkeypatch, law, window, n):
-        ss, G, scan, args = self._audit(monkeypatch, law, window, n)
-        p0, p1, q0, q1, h, t_left, _, peak, _, rows = args
+    def test_interpolant_within_bound(self, law, window, n):
+        ss, _, G, (rows, cells, p0, p1, q0, q1, _, peak), _, _ = self._run(law, window, n)
+        h = window.length(n) / (16 * n)
+        t_left = window.start(n) + h * cells
         S = np.abs(G.real).max(axis=1)  # max |P| over one full period
         assert np.array_equal(peak, S[rows])
         audited = np.unique(rows)
@@ -227,17 +224,17 @@ class TestHermiteScreen:
     @pytest.mark.parametrize("law, window, n", CASES,
                              ids=[f"{c[0]}-{c[1].kind}-{c[2]}" for c in CASES])
     def test_screen_agrees_with_exact_search(self, monkeypatch, law, window, n):
-        ss, G, scan, args = self._audit(monkeypatch, law, window, n)
-        p0, rows = args[0], args[-1]
+        ss, ys, _, cells, status, t_star = self._run(law, window, n)
         # every cell through Newton: no interpolant extremum screens any cell
         monkeypatch.setattr(rootcount, "_hermite_extremum",
                             lambda p0, *_: (np.full_like(p0, np.nan), np.zeros_like(p0)))
-        status, _ = rootcount._resolve_audits(*args)
-        assert np.array_equal(scan.status, status)
+        _, exact, _ = _audit(ys, window, 16 * n, [cells], np.zeros(len(ys), dtype=np.intp),
+                             np.zeros(len(ys), dtype=bool))
+        assert np.array_equal(status, exact)
         # a double cell's t_star splits it into two brackets for count_roots
-        for k in np.flatnonzero(scan.status == rootcount._AUDIT_DOUBLE):
-            p_star, _ = eval_points(ss[rows[k]], scan.t_star[k:k + 1])
-            assert (p_star[0] >= 0.0) != (p0[k] >= 0.0), k
+        for k in np.flatnonzero(status == rootcount._AUDIT_DOUBLE):
+            p_star, _ = eval_points(ss[cells.rows[k]], t_star[k:k + 1])
+            assert (p_star[0] >= 0.0) != (cells.p0[k] >= 0.0), k
 
 
 class TestCountsPinned:
@@ -355,28 +352,27 @@ class TestPasses:
         assert uncertain[bad] and uncertain[zero] and not uncertain.all()
 
     def test_one_audit_a_call(self, monkeypatch):
-        """The candidate cells of every pass go to one ``_resolve_audits``
-        call, with their rows in the call's batch."""
+        """The candidate cells of every pass go to one ``_audit`` call,
+        with their rows in the call's batch."""
         seen = []
-        resolve = rootcount._resolve_audits
-        monkeypatch.setattr(rootcount, "_resolve_audits",
-                            lambda *a: seen.append(a[-1]) or resolve(*a))
+        audit = rootcount._audit
+        monkeypatch.setattr(rootcount, "_audit", lambda *a: seen.append(audit(*a)) or seen[-1])
         ys = np.stack([sample(gaussian(), 1024, seed=41, trial_index=t).y for t in range(37)])
         count_batch(ys, 1024, FULL, grid_size(1024))
         step = pass_rows(1024, FULL, grid_size(1024))
         assert len(seen) == 1 and -(-37 // step) == 3
-        assert set(seen[0] // step) == {0, 1, 2}
+        assert set(seen[0][0].rows // step) == {0, 1, 2}
 
     @pytest.mark.parametrize("window", [FULL, HALF], ids=["full", "half"])
     def test_no_audit_without_candidates(self, monkeypatch, window):
-        """A batch with no candidate cell never reaches ``_resolve_audits``:
+        """A batch with no candidate cell never reaches the audit's screen:
         degree one (a sinusoid dips only at its sign changes), all zeros, and
         an all-NaN batch of several passes."""
         from trigroots.ensemble import draw_trials
 
         def refuse(*a):
-            raise AssertionError("audit called without candidates")
-        monkeypatch.setattr(rootcount, "_resolve_audits", refuse)
+            raise AssertionError("audit screen run without candidates")
+        monkeypatch.setattr(rootcount, "_hermite_extremum", refuse)
         roots = 2 if window.circular else 1
         for law in (gaussian(), rademacher()):
             counts, uncertain = count_batch(draw_trials(law, 1, 3, 0, 300), 1, window, 16)
@@ -575,8 +571,7 @@ class TestEngineeredTangency:
                 r = count_roots(CoefficientSample(8, y, 0, 0), FULL)
                 F = np.empty((1, r.grid.M), dtype=complex)
                 F.real, F.imag = r.grid.P, r.grid.Pprime
-                scan = _scan_and_audit(y[None], F, FULL)
-                if scan.cells.size:
+                if _scan(y[None], F, FULL)[-1].cells.size:
                     hits += 1
                     assert counts[j] == r.count
                     assert bool(uncertain[j]) == r.uncertain
