@@ -150,26 +150,37 @@ def _hermite_extremum(p0, p1, q0, q1, h):
 def _newton(fg, a, b, x, up, tol=0.0):
     """Safeguarded Newton from x for a sign change of g between the bracket
     ends a and b (either order); ``up`` says where g(a) >= 0, and ``fg(t)``
-    returns (g, g').  Each step moves the end on x's side to x, then takes
-    the Newton step if it lands strictly inside the bracket, the midpoint if
-    not.  A bracket is done once its step or width is within tol or one ulp
-    of x; the step is tested first, as a converged step lands on a bracket
-    end.  Returns x clipped to the brackets."""
+    returns (g, g').  Each step moves the end on x's side to x, so x is one
+    end and ``far`` the other.  Then x takes the Newton step if it lands
+    strictly inside; far itself, once a bracket, if it lands on or past far
+    (a root a few ulps inside an end is then reached from that end, not by
+    halving towards it); the midpoint if not.  A bracket is done once its
+    width is within tol or one ulp of x, or its step is and points into the
+    bracket: a short step out past x follows the slope of a root beyond x,
+    and an exact zero (a step of 0) is done wherever it lies.  Returns x
+    clipped to the brackets."""
+    end, side, far = a, up, b  # x's end, the sign of g there, the other end
     done = np.zeros(np.shape(x), dtype=bool)
+    fresh = ~done  # far not probed yet
     for _ in range(_NEWTON_STEPS):
         g, dg = fg(x)
-        at_a = (g >= 0.0) == up
-        a, b = np.where(at_a, x, a), np.where(at_a, b, x)
+        pos = g >= 0.0
+        far = np.where(pos == side, far, end)
+        end, side = x, pos
         eps = np.maximum(tol, np.spacing(np.abs(x)))
         with np.errstate(divide="ignore", invalid="ignore"):
-            x_new = x - g / dg
-            converged = np.abs(x_new - x) <= eps
-            newton = converged | ((x_new - a) * (x_new - b) < 0.0)
-        x = np.where(done, x, np.where(newton, x_new, 0.5 * (a + b)))
-        done |= converged | (np.abs(b - a) <= eps)
+            q = g / dg
+            x_new = x - q
+            step, beyond, span = x_new - x, x_new - far, far - x
+            converged = (np.abs(step) <= eps) & (q * span <= 0.0)
+            newton = converged | (step * beyond < 0.0)
+            probe = fresh & (beyond * span >= 0.0)  # on or past far, so not inside
+        x = np.where(done, x, np.where(newton, x_new, np.where(probe, far, 0.5 * (x + far))))
+        fresh ^= probe
+        done |= converged | (np.abs(span) <= eps)
         if done.all():
             break
-    return np.clip(x, np.minimum(a, b), np.maximum(a, b))
+    return np.clip(x, np.minimum(end, far), np.maximum(end, far))
 
 
 class _Cells(NamedTuple):

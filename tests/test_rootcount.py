@@ -279,7 +279,10 @@ class TestSingleSamplePinned:
     sha256 of every field they compute: a change to the single-sample path
     that moves a root, a residual, a tangency or a flag shows here."""
 
-    DIGEST = "1b31cba0a6727ba43a7964377700c81cb94d9226057e4b51245581023a6d5394"
+    #: retaken when ``_newton`` began to probe the far bracket end: five
+    #: Rademacher full-window roots moved by 2-43 ulps, with one residual
+    #: and derivative; counts, flags, tangencies and Kac-Rice values did not
+    DIGEST = "ae47ac88ae26316b9ccc2c2e4aed9526d3f7da2e01b762219e295e505019278c"
     # Rademacher trials 120 and 351 at n = 16 end in tangencies
     TRIALS = {16: [*range(48), 120, 351], 64: range(12), 256: range(4)}
 
@@ -626,3 +629,73 @@ class TestNewton:
             scale = float(np.max(np.abs(r.grid.P)))
             resid = np.array([eval_point(s, t)[0] for t in r.roots])
             assert np.max(np.abs(resid)) <= 1e-12 * scale, trial
+
+    @staticmethod
+    def _counted(fg):
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return fg(t)
+        return f, calls
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["a<b", "a>b"])
+    def test_root_ulps_inside_the_far_end(self, reverse):
+        # g = t^2 - r^2 is convex, so every Newton step from left of r lands
+        # past r, and past the end b = 1 while r is a few ulps inside it;
+        # halving towards b took 28 evaluations, the probe of b takes 2-3
+        r = 1.0 - np.array([1.0, 2.0, 4.0, 8.0]) * 2.0 ** -53
+        ends = (np.zeros(4), np.ones(4))
+        a, b = ends[::-1] if reverse else ends
+        for tol in (1e-12, 0.0):
+            fg, calls = self._counted(lambda t: ((t - r) * (t + r), 2.0 * t))
+            x = _newton(fg, a, b, np.full(4, 0.5), bool(reverse), tol)
+            assert np.all(np.abs(x - r) <= max(tol, np.spacing(1.0))), tol
+            assert len(calls) <= 8, tol
+
+    def test_short_step_out_past_the_end_is_not_a_root(self):
+        # g has an interior root at 0.6 and the next one just past b = 1,
+        # where g(b) = -1e-17 and g' = 0.48: the step from b rounds onto b.
+        # The first step from the start, next to g's maximum, lands past b.
+        # The search must find 0.6, not the neighbour's root at b.
+        def fg(t):
+            return (t - 0.6) * (t - 1.0) * (t + 0.2) - 1e-17, (3.0 * t - 2.8) * t + 0.28
+        f, calls = self._counted(fg)
+        x = _newton(f, np.array([0.0]), np.array([1.0]), np.array([0.12]), True, 1e-12)
+        assert any(np.all(t == 1.0) for t in calls)  # b was probed
+        assert abs(x[0] - 0.6) <= 1e-12
+
+    def test_exact_zero_on_an_end_is_returned(self):
+        # g = t^2 - 1 is 0 at t = 1 and t = -1, the + side ends of [0, 1]
+        # and [-1, 0]: Newton from the midpoint lands past the zero, and the
+        # probe returns it exactly
+        fg, calls = self._counted(lambda t: (t * t - 1.0, 2.0 * t))
+        x = _newton(fg, np.array([0.0, -1.0]), np.array([1.0, 0.0]), np.array([0.5, -0.5]),
+                    np.array([False, True]), 1e-12)
+        assert x.tolist() == [1.0, -1.0]
+        assert len(calls) <= 3
+
+    @pytest.mark.parametrize("window", [FULL, HALF], ids=["full", "half"])
+    def test_polish_needs_no_halving_on_lattice_samples(self, monkeypatch, window):
+        # Rademacher roots on grid nodes once took 20-35 evaluations a call
+        # (37 calls of 200 at n = 64 in the full window); the polish is the
+        # only eval_local caller in count_roots.  n = 16 trial 120 is left
+        # out: a root pair 1.3e-7 apart straddles t = 8 pi, where Newton is
+        # linear near a double root (25 evaluations).
+        from trigroots.polyeval import EvaluationGrid
+        local, calls = EvaluationGrid.eval_local, []
+
+        def counted(grid, ts):
+            calls.append(1)
+            return local(grid, ts)
+        monkeypatch.setattr(EvaluationGrid, "eval_local", counted)
+        slow = []
+        for n in (64, 16):
+            for k in range(200):
+                if (n, k) == (16, 120):
+                    continue
+                calls.clear()
+                count_roots(sample(rademacher(), n, seed=7000 + n, trial_index=k), window)
+                if len(calls) >= 15:
+                    slow.append((n, k, len(calls)))
+        assert not slow
