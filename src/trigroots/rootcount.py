@@ -17,9 +17,11 @@ of P; only the cells it leaves unclear get their Taylor series
 (``polyeval.cell_expansions``) and an exact search.
 
 Every search is one safeguarded Newton iteration, ``_newton``, on a bracket
-it keeps, with a midpoint step wherever Newton would leave it: the audit's
-stationary point (Newton on P', with P'' from the cell's series), the root
-polish of ``count_roots`` and the |P| = delta crossings.  The
+it keeps.  A step that would leave it past the far end goes to that end
+once (a root a few ulps inside it, as at a lattice law's zero on a grid
+node, is then met from there), and otherwise to the midpoint.  It serves
+the audit's stationary point (Newton on P', with P'' from the cell's
+series), the root polish of ``count_roots`` and the |P| = delta crossings.  The
 single-sample searches read P and P' from the grid's local Taylor
 evaluator (``EvaluationGrid.eval_local``, O(1) in n per point); one exact
 ``eval_points`` call at the roots gives the reported residuals and
