@@ -7,9 +7,10 @@ count, the dense all-cells formula for the engine's sign scan and audit
 selection, density quadrature for the xi-norm, a direction-at-a-time loop
 for the batched decay scan, the normal CDF for the one-dimensional
 small-ball scan, a SeedSequence per trial for the chunk-keyed coefficient
-draw, and numpy's integer sampler for the Rademacher signs and the walk
-built on it in 20,000-walk chunks.  ``edgeworth_q2`` assembles the
-paper's Edgeworth factor from the program's c_n values.
+draw, numpy's integer sampler for the Rademacher signs and the walk
+built on it in 20,000-walk chunks, and the full 2^m-term moment expansion
+for the pure-moment c_n.  ``edgeworth_q2`` assembles the paper's
+Edgeworth factor from the program's c_n values.
 """
 
 import math
@@ -21,7 +22,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from trigroots.charprobe import TWO_PI, _point_rows, _projections
-from trigroots.edgeworth import c_n_alpha, hermite, multiplicities
+from trigroots.edgeworth import LAMBDA_2, LAMBDA_4, c_n_alpha, hermite, multiplicities
 from trigroots.ensemble import (
     SQRT3,
     CoefficientSample,
@@ -29,6 +30,7 @@ from trigroots.ensemble import (
     DistributionSpec,
     _draw,
     log_abs_charfn_scalar,
+    moments,
     philox_keys,
     xi_norm_sq,
 )
@@ -229,6 +231,46 @@ def H_alpha(alpha, x):
         if m:
             out = out * hermite(m, x[..., j])
     return out
+
+
+GAUSSIAN_MOMENTS = {0: 1.0, 1: 0.0, 2: 1.0, 3: 0.0, 4: 3.0}
+
+
+def scalar_moments(dist: DistributionSpec) -> dict[int, float]:
+    """E xi^k for k = 0..4 of a mean-zero unit-variance law."""
+    prof = moments(dist)
+    return {0: 1.0, 1: 0.0, 2: 1.0, 3: prof.m3, 4: prof.m4}
+
+
+def moment_stack(C: np.ndarray, mom: dict[int, float], alpha) -> np.ndarray:
+    """E prod_j (C_k Y)_{alpha_j} for a stack of matrices C of shape (n, d, 2),
+    through all 2^m terms of the expansion over the two entries of Y."""
+    alpha = tuple(int(a) - 1 for a in alpha)
+    m = len(alpha)
+    if m > 4:
+        raise ValueError("moment expansion supports order <= 4")
+    total = np.zeros(C.shape[0])
+    for mask in range(2 ** m):
+        prod = np.ones(C.shape[0])
+        c1 = 0
+        for j in range(m):
+            l = (mask >> j) & 1
+            prod = prod * C[:, alpha[j], l]
+            c1 += l
+        total += prod * (mom[m - c1] * mom[c1])
+    return total
+
+
+def c_n_alpha_expansion(n: int, t: float, dist: DistributionSpec, alpha,
+                        s: float | None = None) -> float:
+    """c_n(alpha) as (1/n) sum_k of the law's full moment expansion minus
+    the Gaussian's, on the lambda-scaled matrices: the route that
+    ``edgeworth.c_n_alpha``'s pure-moment closed form replaces."""
+    lam = np.asarray(LAMBDA_2 if s is None else LAMBDA_4)
+    C = coefficient_matrices(n, t, s) / np.sqrt(lam)[None, :, None]
+    dy = moment_stack(C, scalar_moments(dist), alpha)
+    dg = moment_stack(C, GAUSSIAN_MOMENTS, alpha)
+    return float(np.mean(dy - dg))
 
 
 class EdgeworthQ2(NamedTuple):

@@ -1,5 +1,5 @@
 import math
-from itertools import permutations, product
+from itertools import chain, permutations, product
 
 import numpy as np
 import pytest
@@ -7,21 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.hermite_e import hermeval
 
-from oracles import H_alpha, edgeworth_q2
-from trigroots.edgeworth import (
-    _moment_stack,
-    _scalar_moments,
-    c_n_alpha,
-    gauss_expect_psi_H,
-    hermite,
-)
-from trigroots.ensemble import discrete, gaussian, rademacher, uniform
+from oracles import H_alpha, c_n_alpha_expansion, edgeworth_q2, moment_stack, scalar_moments
+from trigroots.edgeworth import c_n_alpha, gauss_expect_psi_H, hermite
+from trigroots.ensemble import discrete, gaussian, moments, rademacher, uniform
 
 MIXED_CLASSES = [(1, 3), (1, 4), (2, 3), (2, 4)]
 
 #: laws with their fourth moments m4, written out rather than computed
 LAWS_M4 = [(rademacher(), 1.0), (uniform(), 9 / 5),
            (discrete([(-2.0, 0.125), (0.0, 0.75), (2.0, 0.125)]), 4.0)]
+
+#: laws for the closed-form check: the symmetric ones, and a skew law
+#: (m3 = 1.5) that sends a non-zero third moment through the order-3 path
+EXPANSION_LAWS = [gaussian(), rademacher(), uniform(),
+                  discrete([(-2.0, 0.125), (0.0, 0.75), (2.0, 0.125)]),
+                  discrete([(2.0, 0.2), (-0.5, 0.8)])]
 
 #: limits of c_n on a mixed (i,i,j,j) class, consistent with the aggregate
 #: kurtosis coefficient 1/15 (see test_aggregate_kurtosis_coefficient)
@@ -76,10 +76,10 @@ class TestHAlpha:
 
 
 def moment_EXalpha(C, dist, alpha):
-    """E prod_j (C Y)_{alpha_j} for one matrix C, through the stacked
-    expansion that ``c_n_alpha`` averages."""
-    return float(_moment_stack(np.asarray(C, dtype=float)[None], _scalar_moments(dist),
-                               alpha)[0])
+    """E prod_j (C Y)_{alpha_j} for one matrix C, through the oracles' full
+    moment expansion."""
+    return float(moment_stack(np.asarray(C, dtype=float)[None], scalar_moments(dist),
+                              alpha)[0])
 
 
 class TestMomentExpansion:
@@ -143,6 +143,33 @@ class TestCnAlpha:
     def test_order_validation(self):
         with pytest.raises(ValueError):
             c_n_alpha(10, 1.0, rademacher(), (1, 1))
+
+    @pytest.mark.parametrize("alpha, s, bad", [
+        ((0, 0, 2, 2), 1.0, "0"),    # would wrap to index 4
+        ((1, 1, 3, 3), None, "3"),   # coordinate 3 needs s
+        ((1.5, 1, 2), None, "1.5"),  # would truncate to 1
+    ], ids=["zero", "beyond_d", "fractional"])
+    def test_refuses_bad_index(self, alpha, s, bad):
+        with pytest.raises(ValueError, match=rf"index {bad} is not an integer"):
+            c_n_alpha(50, 3.0, rademacher(), alpha, s=s)
+
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    @pytest.mark.parametrize("dist", EXPANSION_LAWS,
+                             ids=["gaussian", "rademacher", "uniform", "heavy", "skew"])
+    def test_matches_full_expansion(self, dist, n):
+        # the closed form keeps only the pure-moment terms; the oracle sums
+        # all 2^m of them for the law and for the Gaussian and subtracts
+        t, s = math.pi * (math.sqrt(2) - 1) * n, math.pi * (math.sqrt(3) - 1) * n
+        largest_order3 = 0.0
+        for d, s_arg in ((2, None), (4, s)):
+            for alpha in chain(product(range(1, d + 1), repeat=3),
+                               product(range(1, d + 1), repeat=4)):
+                v = c_n_alpha(n, t, dist, alpha, s=s_arg)
+                ref = c_n_alpha_expansion(n, t, dist, alpha, s=s_arg)
+                assert abs(v - ref) <= 1e-13, (d, alpha, v, ref)
+                if len(alpha) == 3:
+                    largest_order3 = max(largest_order3, abs(v))
+        assert (largest_order3 > 0.0) == (moments(dist).m3 != 0.0)
 
     def test_odd_order_zero_for_symmetric_laws(self):
         n = 300
