@@ -349,10 +349,12 @@ def log_abs_charfn_scalar(dist: DistributionSpec, theta) -> np.ndarray:
 
 
 def _difference_atoms(dist: DistributionSpec):
-    """Atoms (value, prob) of xi1 - xi2 for a discrete law."""
+    """Atoms (value, prob) of xi1 - xi2 for a discrete law, less the zero
+    differences, which add nothing to ``xi_norm_sq``."""
     values, probs = _atom_arrays(((-1.0, 0.5), (1.0, 0.5)) if dist.kind == "rademacher"
                                  else dist.atoms)
-    return (values[:, None] - values[None, :]).ravel(), (probs[:, None] * probs[None, :]).ravel()
+    dv, dp = (values[:, None] - values[None, :]).ravel(), (probs[:, None] * probs[None, :]).ravel()
+    return dv[dv != 0.0], dp[dv != 0.0]
 
 
 def xi_norm_sq(dist: DistributionSpec, w):
@@ -378,10 +380,11 @@ def xi_norm_sq(dist: DistributionSpec, w):
     if not finite.all():
         raise ValueError(f"xi_norm_sq needs finite w, got {float(w[~finite][0])}")
     if dist.is_discrete:
-        dv, dp = _difference_atoms(dist)
-        x = np.multiply.outer(w, dv)
-        d = np.abs(x - np.round(x))  # distance to the nearest integer
-        out = (d * d) @ dp
+        out = np.zeros_like(w)
+        for v, p in zip(*_difference_atoms(dist)):
+            x = w * v
+            d = np.abs(x - np.round(x))  # distance to the nearest integer
+            out += p * d * d
     elif dist.kind == "gaussian":
         out = _xi_norm_sq_gaussian(w)
     else:
