@@ -420,9 +420,9 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve(args, list(argv))
         return _COMMANDS[args.command](cfg)
-    except (ValueError, RuntimeError, OSError) as exc:
-        print(json.dumps({"error": str(exc), "command": args.command}),
-              file=sys.stderr)
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
+        print(json.dumps({"error": str(exc) or type(exc).__name__,
+                          "command": args.command}), file=sys.stderr)
         return 2
 
 

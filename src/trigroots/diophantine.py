@@ -6,8 +6,10 @@ combination does.  ``build_D`` decides the pair condition uniformly over
 every epsilon-interval pair by interval arithmetic: the affine image of a
 box under (s, t) -> k s/(pi n) + l t/(pi n) is an interval, and the pair
 is bad exactly when that interval approaches an integer.  The bad set is
-stored per row as merged integer ranges, which keeps the n = 1e4 sweep
-(2e9 pairs) countable without materializing pairs.
+stored per row as merged integer ranges, which keeps the n = 1e4 region
+(2e9 pairs) countable without materializing pairs.  Each (k, l, integer)
+band reaches one run of rows, found by scalar arithmetic, and is evaluated
+there only; the bands' ranges are merged on packed integer keys.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import numpy as np
 
 #: conservative interval inflation against rounding in the box images
 _FP_SLACK = 1e-12
+#: rows added to each side of a band's row window against rounding
+_ROW_SLACK = 2
 
 
 @dataclass(frozen=True)
@@ -158,7 +162,11 @@ def build_D(n: int, epsilon: float, tau: float = 0.05) -> DRegion:
     """Decide the pair condition uniformly over every interval pair.
 
     Intervals are I_k = [k eps, (k+1) eps] inside (-n pi, n pi); rows are
-    the t-interval index k, columns the s-interval index p > k.
+    the t-interval index k, columns the s-interval index p > k.  A band
+    (k1 > 0, l1, mm) has one p-range a row, not empty only on the run of
+    rows where two affine conditions in k hold, and is computed there
+    alone.  Each range end is one row-major integer key; the lo and hi
+    keys are sorted apart and merged where a lo key passes the hi before.
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
@@ -172,80 +180,69 @@ def build_D(n: int, epsilon: float, tau: float = 0.05) -> DRegion:
         return DRegion(n, epsilon, tau, k_min, k_max, empty,
                        np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0)
 
-    rows_k = np.arange(k_min, k_max + 1, dtype=np.int64)
+    ks = np.arange(k_min, k_max + 2, dtype=np.int64)  # rows and k + 1
     thr = threshold + _FP_SLACK
-    all_rows, all_lo, all_hi = [], [], []
-
-    pairs = _canonical_pairs(l_max) if l_max >= 1 else []
-    for k1, l1 in pairs:
-        # t-interval contribution l1 * I_k, as [c_lo, c_hi] per row
-        e1 = l1 * rows_k * epsilon
-        e2 = l1 * (rows_k + 1) * epsilon
-        c_lo = np.minimum(e1, e2)
-        c_hi = np.maximum(e1, e2)
+    u = npi / epsilon
+    # l1 * I_k is [l1 k eps, l1 (k+1) eps] for l1 >= 0 and the reverse
+    # otherwise (rounding is monotone), read off one product row per l1.
+    # Ranges are kept as keys ((k - k_min) << shift) + (p - k_min): the row
+    # stride 2**shift >= m + 2 exceeds every in-row offset + 1, so ranges
+    # of two rows never touch
+    ends = {l1: l1 * ks * epsilon for l1 in range(-l_max, l_max + 1)}
+    shift = (m + 1).bit_length()
+    row_key = ((ks[:-1] - k_min) << shift) - k_min
+    all_lo, all_hi = [], []
+    for k1, l1 in _canonical_pairs(l_max):  # l_max >= 1 since n >= 1
+        e1, e2 = ends[l1][:-1], ends[l1][1:]
+        c_lo, c_hi = (e1, e2) if l1 >= 0 else (e2, e1)
         if k1 == 0:
             # resonance depends on the t-interval alone: full bad rows
             floor_hi = np.floor(c_hi / npi + thr).astype(np.int64)
             ceil_lo = np.ceil(c_lo / npi - thr).astype(np.int64)
             bad_rows = floor_hi >= ceil_lo  # an integer lies within thr
-            idx = np.nonzero(bad_rows & (rows_k + 1 <= k_max))[0]
-            if idx.size:
-                all_rows.append(rows_k[idx])
-                all_lo.append(rows_k[idx] + 1)
-                all_hi.append(np.full(idx.size, k_max, dtype=np.int64))
+            idx = np.nonzero(bad_rows & (ks[1:] <= k_max))[0]
+            all_lo.append(row_key[idx] + ks[idx + 1])
+            all_hi.append(row_key[idx] + k_max)
             continue
         span = abs(k1) + abs(l1) + 1
         for mm in range(-span, span + 1):
-            # solve for p: k1*[p eps, (p+1) eps] + [c_lo, c_hi] near npi*mm;
+            # rows with p_hi >= k + 1 and p_lo <= k_max: both affine in k,
+            # c k <= d, so one run of rows, widened by _ROW_SLACK rows
+            r0, r1 = 0, m - 1
+            for c, d in ((k1 + l1, u * (mm + thr) - min(l1, 0) - k1),
+                         (-l1, k1 * (k_max + 1) + max(l1, 0) - u * (mm - thr))):
+                if c > 0:
+                    r1 = min(r1, math.floor(d / c) + _ROW_SLACK - k_min)
+                elif c < 0:
+                    r0 = max(r0, math.ceil(d / c) - _ROW_SLACK - k_min)
+                elif d < -_ROW_SLACK:
+                    r1 = -1
+            if r0 > r1:
+                continue
+            w = slice(r0, r1 + 1)
+            # solve for p: k1*[p eps, (p+1) eps] + l1 * I_k near npi*mm;
             # canonical pairs have k1 > 0 here
-            lo_p = (npi * (mm - thr) - c_hi) / epsilon
-            hi_p = (npi * (mm + thr) - c_lo) / epsilon
-            p_lo = np.ceil(lo_p / k1 - 1.0).astype(np.int64)
-            p_hi = np.floor(hi_p / k1).astype(np.int64)
-            p_lo = np.maximum(p_lo, rows_k + 1)
-            p_hi = np.minimum(p_hi, k_max)
+            lo_p = (npi * (mm - thr) - c_hi[w]) / epsilon
+            hi_p = (npi * (mm + thr) - c_lo[w]) / epsilon
+            p_lo = np.maximum(np.ceil(lo_p / k1 - 1.0).astype(np.int64), ks[1:][w])
+            p_hi = np.minimum(np.floor(hi_p / k1).astype(np.int64), k_max)
             idx = np.nonzero(p_lo <= p_hi)[0]
-            if idx.size:
-                all_rows.append(rows_k[idx])
-                all_lo.append(p_lo[idx])
-                all_hi.append(p_hi[idx])
+            all_lo.append((row_key[w] + p_lo)[idx])
+            all_hi.append((row_key[w] + p_hi)[idx])
 
-    if not all_rows:
-        offsets = np.zeros(m + 1, dtype=np.int64)
-        return DRegion(n, epsilon, tau, k_min, k_max, offsets,
-                       np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0)
-
-    rows = np.concatenate(all_rows)
-    los = np.concatenate(all_lo)
-    his = np.concatenate(all_hi)
-    order = np.lexsort((los, rows))
-    rows, los, his = rows[order], los[order], his[order]
-
-    # merge overlapping ranges within each row
-    merged_rows, merged_lo, merged_hi = _merge_sorted_ranges(rows, los, his)
-    bad = int(np.sum(merged_hi - merged_lo + 1))
-
-    row_idx = (merged_rows - k_min).astype(np.int64)
-    offsets = np.zeros(m + 1, dtype=np.int64)
-    np.add.at(offsets, row_idx + 1, 1)
-    offsets = np.cumsum(offsets)
+    # merge: with the lo keys and the hi keys sorted apart, the union has
+    # a gap between sorted positions j - 1 and j exactly when lo[j] >
+    # hi[j - 1] + 1 (the j smallest his all have their lo below them);
+    # a stable sort takes the bands as the sorted runs they are
+    key_lo = np.sort(np.concatenate(all_lo), kind="stable")
+    key_hi = np.sort(np.concatenate(all_hi), kind="stable")
+    starts = key_lo > np.r_[-2, key_hi[:-1]] + 1
+    lo = key_lo[starts]
+    width = key_hi[np.roll(starts, -1)] - lo  # starts[0]: each range's last
+    bad = int(np.sum(width)) + lo.size
+    seg_row = lo >> shift
+    merged_lo = (lo & ((1 << shift) - 1)) + k_min
+    merged_hi = merged_lo + width
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(seg_row, minlength=m))))
     return DRegion(n, epsilon, tau, k_min, k_max, offsets,
                    merged_lo, merged_hi, bad)
-
-
-def _merge_sorted_ranges(rows, los, his):
-    """Merge [lo, hi] integer ranges already sorted by (row, lo)."""
-    if rows.size == 0:
-        return rows, los, his
-    big = (his.max() - los.min() + 2)
-    keyed = his + rows * big
-    run = np.maximum.accumulate(keyed) - rows * big  # segmented running max
-    new_row = np.r_[True, rows[1:] != rows[:-1]]
-    prev = np.r_[-np.inf, run[:-1]]
-    prev = np.where(new_row, -np.inf, prev)
-    starts = new_row | (los > prev + 1)
-    out_rows = rows[starts]
-    out_lo = los[starts]
-    # within a merged segment the union is contiguous, so hi = max over it
-    out_hi = np.maximum.reduceat(his, np.nonzero(starts)[0])
-    return out_rows, out_lo, out_hi

@@ -9,8 +9,9 @@ for the batched decay scan, the normal CDF for the one-dimensional
 small-ball scan, a SeedSequence per trial for the chunk-keyed coefficient
 draw, numpy's integer sampler for the Rademacher signs and the walk
 built on it in 20,000-walk chunks, and the full 2^m-term moment expansion
-for the pure-moment c_n.  ``edgeworth_q2`` assembles the paper's
-Edgeworth factor from the program's c_n values.
+for the pure-moment c_n, and the full-row band sweep with a lexsort and
+a segmented merge for the good-pair region.  ``edgeworth_q2`` assembles
+the paper's Edgeworth factor from the program's c_n values.
 """
 
 import math
@@ -22,6 +23,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from trigroots.charprobe import TWO_PI, _point_rows, _projections
+from trigroots.diophantine import _FP_SLACK, DRegion, _canonical_pairs, _params
 from trigroots.edgeworth import LAMBDA_2, LAMBDA_4, c_n_alpha, hermite, multiplicities
 from trigroots.ensemble import (
     SQRT3,
@@ -304,3 +306,97 @@ def edgeworth_q2(n: int, t: float, dist: DistributionSpec, x,
     g2pp = sum(cb * cr * H_alpha(b + r, x)
                for b, cb in c3.items() for r, cr in c3.items()) / 72.0
     return EdgeworthQ2(g1, g2p, g2pp, 1.0 + g1 / math.sqrt(n) + (g2p + g2pp) / n)
+
+
+def build_D_sweep(n: int, epsilon: float, tau: float = 0.05) -> DRegion:
+    """``diophantine.build_D`` as a sweep of every band over all rows, a
+    lexsort of the ranges and a segmented merge."""
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+    threshold, l_max = _params(n, tau)
+    npi = math.pi * n
+    k_min = int(math.ceil(-npi / epsilon - 1e-12))
+    k_max = int(math.floor(npi / epsilon + 1e-12)) - 1
+    m = k_max - k_min + 1
+    if m < 2:
+        empty = np.zeros(max(m, 0) + 1, dtype=np.int64)
+        return DRegion(n, epsilon, tau, k_min, k_max, empty,
+                       np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0)
+
+    rows_k = np.arange(k_min, k_max + 1, dtype=np.int64)
+    thr = threshold + _FP_SLACK
+    all_rows, all_lo, all_hi = [], [], []
+
+    pairs = _canonical_pairs(l_max) if l_max >= 1 else []
+    for k1, l1 in pairs:
+        # t-interval contribution l1 * I_k, as [c_lo, c_hi] per row
+        e1 = l1 * rows_k * epsilon
+        e2 = l1 * (rows_k + 1) * epsilon
+        c_lo = np.minimum(e1, e2)
+        c_hi = np.maximum(e1, e2)
+        if k1 == 0:
+            # resonance depends on the t-interval alone: full bad rows
+            floor_hi = np.floor(c_hi / npi + thr).astype(np.int64)
+            ceil_lo = np.ceil(c_lo / npi - thr).astype(np.int64)
+            bad_rows = floor_hi >= ceil_lo  # an integer lies within thr
+            idx = np.nonzero(bad_rows & (rows_k + 1 <= k_max))[0]
+            if idx.size:
+                all_rows.append(rows_k[idx])
+                all_lo.append(rows_k[idx] + 1)
+                all_hi.append(np.full(idx.size, k_max, dtype=np.int64))
+            continue
+        span = abs(k1) + abs(l1) + 1
+        for mm in range(-span, span + 1):
+            # solve for p: k1*[p eps, (p+1) eps] + [c_lo, c_hi] near npi*mm;
+            # canonical pairs have k1 > 0 here
+            lo_p = (npi * (mm - thr) - c_hi) / epsilon
+            hi_p = (npi * (mm + thr) - c_lo) / epsilon
+            p_lo = np.ceil(lo_p / k1 - 1.0).astype(np.int64)
+            p_hi = np.floor(hi_p / k1).astype(np.int64)
+            p_lo = np.maximum(p_lo, rows_k + 1)
+            p_hi = np.minimum(p_hi, k_max)
+            idx = np.nonzero(p_lo <= p_hi)[0]
+            if idx.size:
+                all_rows.append(rows_k[idx])
+                all_lo.append(p_lo[idx])
+                all_hi.append(p_hi[idx])
+
+    if not all_rows:
+        offsets = np.zeros(m + 1, dtype=np.int64)
+        return DRegion(n, epsilon, tau, k_min, k_max, offsets,
+                       np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0)
+
+    rows = np.concatenate(all_rows)
+    los = np.concatenate(all_lo)
+    his = np.concatenate(all_hi)
+    order = np.lexsort((los, rows))
+    rows, los, his = rows[order], los[order], his[order]
+
+    # merge overlapping ranges within each row
+    merged_rows, merged_lo, merged_hi = _merge_sorted_ranges(rows, los, his)
+    bad = int(np.sum(merged_hi - merged_lo + 1))
+
+    row_idx = (merged_rows - k_min).astype(np.int64)
+    offsets = np.zeros(m + 1, dtype=np.int64)
+    np.add.at(offsets, row_idx + 1, 1)
+    offsets = np.cumsum(offsets)
+    return DRegion(n, epsilon, tau, k_min, k_max, offsets,
+                   merged_lo, merged_hi, bad)
+
+
+def _merge_sorted_ranges(rows, los, his):
+    """Merge [lo, hi] integer ranges already sorted by (row, lo)."""
+    if rows.size == 0:
+        return rows, los, his
+    big = (his.max() - los.min() + 2)
+    keyed = his + rows * big
+    run = np.maximum.accumulate(keyed) - rows * big  # segmented running max
+    new_row = np.r_[True, rows[1:] != rows[:-1]]
+    prev = np.r_[-np.inf, run[:-1]]
+    prev = np.where(new_row, -np.inf, prev)
+    starts = new_row | (los > prev + 1)
+    out_rows = rows[starts]
+    out_lo = los[starts]
+    # within a merged segment the union is contiguous, so hi = max over it
+    out_hi = np.maximum.reduceat(his, np.nonzero(starts)[0])
+    return out_rows, out_lo, out_hi

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from trigroots import cli
 from trigroots.cli import main
 from trigroots.ensemble import gaussian, sample
 from trigroots.polyeval import FULL
@@ -305,6 +306,15 @@ class TestErrors:
             args = [flag, value]
         assert run_cli([command, *args]) == 2
         assert self._error(capsys, command).startswith(f"{flag} takes a comma-separated list")
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 4.57 TiB for an array", ""])
+    def test_memory_error(self, capsys, monkeypatch, message):
+        def refuse(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "build_D", refuse)
+        assert run_cli(["conditions", "--n", "100", "--eps", "1e-9"]) == 2
+        assert self._error(capsys, "conditions") == (message or "MemoryError")
 
     def test_bad_thread_count_in_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("TRIGROOTS_THREADS", "abc")

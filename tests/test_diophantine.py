@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import build_D_sweep
 from trigroots.diophantine import (
     build_D,
     check_condition_st,
@@ -163,8 +164,10 @@ def _brute_force_region(n, epsilon, tau):
 
 
 class TestBuildD:
-    def test_matches_brute_force_small(self):
-        n, eps, tau = 20, 2.0, 0.05
+    # (4100, 60, 0.085): l_max = 2, so bands with |l1| = 2 and k1 = 2 run,
+    # on 428 intervals with a non-empty good set
+    @pytest.mark.parametrize("n, eps, tau", [(20, 2.0, 0.05), (4100, 60.0, 0.085)])
+    def test_matches_brute_force_small(self, n, eps, tau):
         D = build_D(n, eps, tau)
         k_min, k_max, bad = _brute_force_region(n, eps, tau)
         assert (D.k_min, D.k_max) == (k_min, k_max)
@@ -172,6 +175,20 @@ class TestBuildD:
         for k in range(k_min, k_max + 1):
             for p in range(k + 1, k_max + 1):
                 assert D.is_good(k, p) == ((k, p) not in bad), (k, p)
+
+    # l_max 1 and 2, m < 2, and bad counts above 2**32
+    @pytest.mark.parametrize("n, eps, tau", [
+        (20, 2, .05), (100, 1, .05), (1000, 1, .05), (10**4, 1, .05),
+        (10**4, .3, .05), (100, 1, .1), (1000, .5, .12), (5000, 3, .1),
+        (50, 7, .02), (10, 1000, .05), (300, .7, .11), (2**20, 100, .05),
+        (123456, 5, .09)])
+    def test_matches_full_row_sweep(self, n, eps, tau):
+        D, ref = build_D(n, eps, tau), build_D_sweep(n, eps, tau)
+        assert (D.k_min, D.k_max, D.bad_pairs) == (ref.k_min, ref.k_max, ref.bad_pairs)
+        assert type(D.bad_pairs) is int
+        for name in ("row_offsets", "range_lo", "range_hi"):
+            got, want = getattr(D, name), getattr(ref, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
 
     def test_adjacent_pairs_excluded(self):
         D = build_D(100, 1.0, 0.05)
