@@ -8,8 +8,7 @@ box under (s, t) -> k s/(pi n) + l t/(pi n) is an interval, and the pair
 is bad exactly when that interval approaches an integer.  The bad set is
 stored per row as merged integer ranges, which keeps the n = 1e4 region
 (2e9 pairs) countable without materializing pairs.  Each (k, l, integer)
-band reaches one run of rows, found by scalar arithmetic, and is evaluated
-there only; the bands' ranges are merged on packed integer keys.
+band is evaluated only on the one run of rows it reaches.
 """
 
 from __future__ import annotations
@@ -192,7 +191,7 @@ def build_D(n: int, epsilon: float, tau: float = 0.05) -> DRegion:
     shift = (m + 1).bit_length()
     row_key = ((ks[:-1] - k_min) << shift) - k_min
     all_lo, all_hi = [], []
-    for k1, l1 in _canonical_pairs(l_max):  # l_max >= 1 since n >= 1
+    for k1, l1 in _canonical_pairs(l_max):  # l_max >= 1 as n >= 1
         e1, e2 = ends[l1][:-1], ends[l1][1:]
         c_lo, c_hi = (e1, e2) if l1 >= 0 else (e2, e1)
         if k1 == 0:
@@ -238,7 +237,9 @@ def build_D(n: int, epsilon: float, tau: float = 0.05) -> DRegion:
     key_hi = np.sort(np.concatenate(all_hi), kind="stable")
     starts = key_lo > np.r_[-2, key_hi[:-1]] + 1
     lo = key_lo[starts]
-    width = key_hi[np.roll(starts, -1)] - lo  # starts[0]: each range's last
+    # j closes a merged range where j + 1 opens one; the last position
+    # takes starts[0], which holds
+    width = key_hi[np.roll(starts, -1)] - lo
     bad = int(np.sum(width)) + lo.size
     seg_row = lo >> shift
     merged_lo = (lo & ((1 << shift) - 1)) + k_min
