@@ -32,7 +32,6 @@ class ConditionReport:
     tau: float
     threshold: float
     l_max: int
-    vacuous: bool = False
 
 
 def _params(n: int, tau: float, *points: float) -> tuple[float, int]:
@@ -54,8 +53,6 @@ def check_condition_t(n: int, t: float, tau: float = 0.05) -> ConditionReport:
     """Single-point non-resonance: no l with 1 <= |l| <= n^tau puts
     l t/(pi n) within n^{-1+8 tau} of an integer."""
     threshold, l_max = _params(n, tau, t)
-    if l_max < 1:
-        return ConditionReport(True, None, tau, threshold, l_max, vacuous=True)
     ratio = t / (math.pi * n)
     ls = np.arange(1, l_max + 1)
     dists = _nearest_int_distance(ls * ratio)
@@ -80,16 +77,11 @@ def _canonical_pairs(l_max: int):
 def check_condition_st(n: int, s: float, t: float, tau: float = 0.05) -> ConditionReport:
     """Pair non-resonance over all (k, l) in the box, not both zero."""
     threshold, l_max = _params(n, tau, s, t)
-    if l_max < 1:
-        return ConditionReport(True, None, tau, threshold, l_max, vacuous=True)
     rs = s / (math.pi * n)
     rt = t / (math.pi * n)
-    best = None
-    for k, l in _canonical_pairs(l_max):
-        d = float(_nearest_int_distance(k * rs + l * rt))
-        if best is None or d < best[2]:
-            best = (k, l, d)
-    if best is not None and best[2] <= threshold:
+    best = min(((k, l, float(_nearest_int_distance(k * rs + l * rt)))
+                for k, l in _canonical_pairs(l_max)), key=lambda kld: kld[2])
+    if best[2] <= threshold:
         return ConditionReport(False, best, tau, threshold, l_max)
     return ConditionReport(True, None, tau, threshold, l_max)
 

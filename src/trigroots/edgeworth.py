@@ -23,7 +23,7 @@ X is rescaled by diag(lambda)^{-1/2} with lambda = (1, 1/3) respectively
 ``gauss_expect_psi_H`` computes the matching Gaussian functionals
 E[Psi_delta(diag(lambda)^{1/2} W) prod_j h_{n_j(alpha)}(W_j)], with h_m the
 probabilists' Hermite polynomials and n_j(alpha) the coordinate
-multiplicities, by coordinate factorization.
+multiplicities, as a product of closed-form 1-D factors.
 """
 
 from __future__ import annotations
@@ -32,16 +32,13 @@ import math
 import numbers
 
 import numpy as np
-from scipy.integrate import quad
 
 from trigroots.ensemble import DistributionSpec, moments
 from trigroots.polyeval import coefficient_matrices
+from trigroots.rootcount import check_delta
 
 LAMBDA_2 = (1.0, 1.0 / 3.0)
 LAMBDA_4 = (1.0, 1.0 / 3.0, 1.0, 1.0 / 3.0)
-
-#: absolute tolerance of the 1-D quadratures behind ``gauss_expect_psi_H``
-_QUAD_TOL = 1e-10
 
 
 def hermite(k: int, x):
@@ -102,24 +99,25 @@ def _phi(w):
 
 
 def _indicator_factor(k: int, delta: float | None, lam: float) -> float:
-    """E[F_delta(sqrt(lam) W) h_k(W)]; the delta -> 0 limit is pointwise."""
+    """E[F_delta(sqrt(lam) W) h_k(W)], F_delta = 1_{|x|<delta}/(2 delta), in closed
+    form by (h_k phi)' = -h_{k+1} phi; ``delta=None`` is the pointwise limit."""
     if k % 2 == 1:
         return 0.0
-    if delta is None or delta == 0.0:
+    if delta is None:
         return float(hermite(k, 0.0)) * _phi(0.0) / math.sqrt(lam)
     c = delta / math.sqrt(lam)
-    val, _ = quad(lambda w: hermite(k, w) * _phi(w), -c, c,
-                  epsabs=_QUAD_TOL, epsrel=0.0, limit=200)
-    return val / (2.0 * delta)
+    if k == 0:
+        return math.erf(c / math.sqrt(2.0)) / (2.0 * delta)
+    return -float(hermite(k - 1, c)) * _phi(c) / delta
 
 
 def _abs_factor(k: int, lam: float) -> float:
-    """E[|sqrt(lam) W| h_k(W)]."""
+    """E[|sqrt(lam) W| h_k(W)] in closed form: 2 sqrt(lam) phi(0) h_{k-2}(0),
+    integrating by parts twice (2 sqrt(lam) phi(0) at k = 0)."""
     if k % 2 == 1:
         return 0.0
-    val, _ = quad(lambda w: w * hermite(k, w) * _phi(w), 0.0, 40.0,
-                  epsabs=_QUAD_TOL, epsrel=0.0, limit=200)
-    return 2.0 * val * math.sqrt(lam)
+    h = 1.0 if k == 0 else float(hermite(k - 2, 0.0))
+    return 2.0 * math.sqrt(lam) * _phi(0.0) * h
 
 
 def gauss_expect_psi_H(alpha, delta: float | None = None) -> float:
@@ -127,10 +125,13 @@ def gauss_expect_psi_H(alpha, delta: float | None = None) -> float:
     standard Gaussian W.
 
     Psi pairs an indicator kernel on coordinates 1, 3 with |.| weights on
-    coordinates 2, 4; the expectation factorizes into four 1-D integrals.
-    ``delta=None`` takes the kernel's point-evaluation limit.  Odd
-    multiplicity in any coordinate gives 0 exactly by parity.
+    coordinates 2, 4; the expectation factorizes into four 1-D factors,
+    each in closed form.  ``delta=None`` takes the kernel's point-evaluation
+    limit; any other delta must be finite and > 0.  Odd multiplicity in any
+    coordinate gives 0 exactly by parity.
     """
+    if delta is not None:
+        check_delta(delta)
     mult = multiplicities(alpha, 4)
     if any(m % 2 for m in mult):
         return 0.0

@@ -9,8 +9,9 @@ for the batched decay scan, the normal CDF for the one-dimensional
 small-ball scan, a SeedSequence per trial for the chunk-keyed coefficient
 draw, numpy's integer sampler for the Rademacher signs and the walk
 built on it in 20,000-walk chunks, and the full 2^m-term moment expansion
-for the pure-moment c_n, and the full-row band sweep with a lexsort and
-a segmented merge for the good-pair region.  ``edgeworth_q2`` assembles
+for the pure-moment c_n, the full-row band sweep with a lexsort and
+a segmented merge for the good-pair region, and 1-D quadratures for the
+closed-form Gaussian kernel factors.  ``edgeworth_q2`` assembles
 the paper's Edgeworth factor from the program's c_n values.
 """
 
@@ -24,7 +25,7 @@ from scipy.integrate import quad
 
 from trigroots.charprobe import TWO_PI, _point_rows, _projections
 from trigroots.diophantine import _FP_SLACK, DRegion, _canonical_pairs, _params
-from trigroots.edgeworth import LAMBDA_2, LAMBDA_4, c_n_alpha, hermite, multiplicities
+from trigroots.edgeworth import LAMBDA_2, LAMBDA_4, _phi, c_n_alpha, hermite, multiplicities
 from trigroots.ensemble import (
     SQRT3,
     CoefficientSample,
@@ -233,6 +234,32 @@ def H_alpha(alpha, x):
         if m:
             out = out * hermite(m, x[..., j])
     return out
+
+
+#: absolute tolerance of the 1-D quadratures behind ``gauss_expect_psi_H``
+_QUAD_TOL = 1e-10
+
+
+def indicator_factor_quad(k: int, delta: float | None, lam: float) -> float:
+    """``edgeworth._indicator_factor`` by quadrature:
+    E[F_delta(sqrt(lam) W) h_k(W)]; the delta -> 0 limit is pointwise."""
+    if k % 2 == 1:
+        return 0.0
+    if delta is None or delta == 0.0:
+        return float(hermite(k, 0.0)) * _phi(0.0) / math.sqrt(lam)
+    c = delta / math.sqrt(lam)
+    val, _ = quad(lambda w: hermite(k, w) * _phi(w), -c, c,
+                  epsabs=_QUAD_TOL, epsrel=0.0, limit=200)
+    return val / (2.0 * delta)
+
+
+def abs_factor_quad(k: int, lam: float) -> float:
+    """``edgeworth._abs_factor`` by quadrature: E[|sqrt(lam) W| h_k(W)]."""
+    if k % 2 == 1:
+        return 0.0
+    val, _ = quad(lambda w: w * hermite(k, w) * _phi(w), 0.0, 40.0,
+                  epsabs=_QUAD_TOL, epsrel=0.0, limit=200)
+    return 2.0 * val * math.sqrt(lam)
 
 
 GAUSSIAN_MOMENTS = {0: 1.0, 1: 0.0, 2: 1.0, 3: 0.0, 4: 3.0}

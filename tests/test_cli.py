@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -119,6 +123,8 @@ class TestConditions:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["pair"]["satisfied"] is False
+        for report in (payload["point"], payload["pair"]):
+            assert set(report) == {"satisfied", "witness", "tau", "threshold", "l_max"}
 
     def test_region_summary(self, tmp_path):
         out = tmp_path / "region.json"
@@ -126,6 +132,18 @@ class TestConditions:
                         "--out", str(out)]) == 0
         region = json.loads(out.read_text())["region"]
         assert 0 < region["bad_fraction"] < 1
+
+
+class TestDependencies:
+    def test_runtime_loads_no_scipy(self):
+        # a fresh interpreter: this one has scipy loaded by the test oracles
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = ("import sys, trigroots.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True, env={**os.environ, "PYTHONPATH": path})
+        assert proc.stdout.strip() == "[]"
 
 
 class TestOtherCommands:

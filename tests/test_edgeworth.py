@@ -7,8 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.hermite_e import hermeval
 
-from oracles import H_alpha, c_n_alpha_expansion, edgeworth_q2, moment_stack, scalar_moments
-from trigroots.edgeworth import c_n_alpha, gauss_expect_psi_H, hermite
+from oracles import (
+    H_alpha,
+    abs_factor_quad,
+    c_n_alpha_expansion,
+    edgeworth_q2,
+    indicator_factor_quad,
+    moment_stack,
+    scalar_moments,
+)
+from trigroots.edgeworth import (
+    _abs_factor,
+    _indicator_factor,
+    c_n_alpha,
+    gauss_expect_psi_H,
+    hermite,
+)
 from trigroots.ensemble import discrete, gaussian, moments, rademacher, uniform
 
 MIXED_CLASSES = [(1, 3), (1, 4), (2, 3), (2, 4)]
@@ -255,7 +269,25 @@ class TestGaussExpectPsiH:
         for (i, j) in MIXED_CLASSES:
             v = gauss_expect_psi_H((i, i, j, j), delta=None)
             target = (1 / (3 * math.pi**2)) * (-1) ** (i + j)
-            assert v == pytest.approx(target, abs=1e-3)
+            assert v == pytest.approx(target, rel=1e-14)
+
+    @pytest.mark.parametrize("k", range(9))
+    def test_indicator_factor_matches_quadrature(self, k):
+        for lam in (1.0, 1 / 3):
+            for delta in (None, 1e-3, 0.1, 1.0, 5.0):
+                assert _indicator_factor(k, delta, lam) == pytest.approx(
+                    indicator_factor_quad(k, delta, lam), rel=0, abs=1e-13)
+
+    @pytest.mark.parametrize("k", range(9))
+    def test_abs_factor_matches_quadrature(self, k):
+        for lam in (1.0, 1 / 3):
+            assert _abs_factor(k, lam) == pytest.approx(
+                abs_factor_quad(k, lam), rel=0, abs=1e-13)
+
+    @pytest.mark.parametrize("delta", [-0.1, 0.0, math.nan, math.inf])
+    def test_refuses_bad_delta(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            gauss_expect_psi_H((1, 1, 3, 3), delta=delta)
 
     def test_odd_multiplicity_exactly_zero(self):
         assert gauss_expect_psi_H((1, 1, 1, 3), delta=0.1) == 0.0
