@@ -31,7 +31,8 @@ from trigroots.ensemble import discrete, gaussian, rademacher, uniform
 from trigroots.mcstats import (
     GAUSSIAN_SLOPE,
     run_experiment,
-    scaling_check,
+    slope_rows,
+    slope_series,
     theoretical_slope,
 )
 from trigroots.polyeval import FULL, covariance_V
@@ -292,9 +293,9 @@ def criterion_12_scaling(ctx) -> CriterionResult:
     ok = True
     tables = {}
     for dist in (gaussian(), rademacher()):
-        rows = scaling_check(dist, [32, 128, 512], trials=4000,
-                             seed=ctx["seed"] + 12,
-                             parallelism=ctx["parallelism"])
+        rows = slope_rows(slope_series(dist, [32, 128, 512], 4000,
+                                       ctx["seed"] + 12,
+                                       parallelism=ctx["parallelism"]))
         tables[dist.kind] = rows
         v2 = [r["var_over_n2"] for r in rows]
         ok &= all(b <= a / 2.0 for a, b in zip(v2, v2[1:]))

@@ -221,6 +221,9 @@ def small_ball_mc(n: int, t: float, dist: DistributionSpec, center, delta: float
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     center = np.asarray(center, dtype=float)
+    d = 2 if s is None else 4
+    if center.shape != (d,):
+        raise ValueError(f"center must have shape ({d},), got {center.shape}")
     if not force:
         expect, p_est = _gaussian_ball_feasibility(n, t, s, center, delta, trials)
         if expect < 10:

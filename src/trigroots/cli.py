@@ -1,9 +1,9 @@
 """Command-line entry point binding the simulation and analysis modules.
 
 Commands mirror the package layout: ``cg`` (slope quadrature), ``simulate``
-(one Monte Carlo experiment), ``sweep`` (slope-vs-n series with CSV/SVG
-output), ``scaling`` (variance growth table), ``kacrice-audit`` (scan vs
-delta-integral agreement), ``conditions`` (non-resonance reports and the
+(one Monte Carlo experiment), ``sweep`` (the Monte Carlo table of
+``mcstats.slope_rows`` over laws and n, CSV/SVG), ``kacrice-audit`` (scan
+vs delta-integral agreement), ``conditions`` (non-resonance reports and the
 bad-pair sweep), ``charfn`` (decay scan), ``smallball`` (ball-probability
 scan), ``verify`` (the acceptance suite; ``--only 6,7`` gives the Edgeworth
 corrector limits).  Every artifact embeds the package version, the seed,
@@ -36,12 +36,7 @@ from trigroots.diophantine import (
     good_t,
 )
 from trigroots.ensemble import parse_distribution
-from trigroots.mcstats import (
-    run_experiment,
-    scaling_check,
-    slope_rows,
-    slope_series,
-)
+from trigroots.mcstats import run_experiment, slope_rows, slope_series
 from trigroots.polyeval import FULL, WindowSpec
 from trigroots.rootcount import AGREEMENT_SHARE, check_delta, count_kacrice
 
@@ -153,23 +148,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser(
-        "sweep", help="variance-slope series over n (CSV/SVG)",
-        epilog="CSV columns: dist, n, var_over_n, se, mean, se_mean, trials")
+        "sweep", help="Monte Carlo table over laws and n (CSV/SVG)",
+        epilog="CSV columns: dist, window, n, trials, flagged_trial_count, unreliable, "
+               "mean, se_mean, variance, se_variance, var_over_n, se, var_over_n2")
     p.add_argument("--dist", type=str, default="gaussian,rademacher",
                    help="comma-separated ensemble list")
     p.add_argument("--n", type=str, default="64,128,256", help="comma-separated n list")
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--window", choices=["full", "half"], default="full")
     p.add_argument("--svg", type=str, default=None, help="also write an SVG chart")
-    _add_common(p)
-
-    p = sub.add_parser(
-        "scaling", help="variance growth table over n",
-        epilog="CSV columns: dist, n, variance, var_over_n, var_over_n2, "
-               "se_variance")
-    p.add_argument("--dist", type=str, default="gaussian")
-    p.add_argument("--n", type=str, default="32,128,512")
-    p.add_argument("--trials", type=int, default=2000)
     _add_common(p)
 
     p = sub.add_parser(
@@ -224,19 +211,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", type=str, default=None,
                    help="comma-separated criterion ids")
     _add_common(p)
+    # exact flags only, so that _resolve's argv scan sees every explicit one
+    for p in sub.choices.values():
+        p.allow_abbrev = False
     return ap
 
 
 def _resolve(args, argv) -> dict:
-    """Merge precedence: parser defaults < config file < explicit flags."""
+    """Merge precedence: parser defaults < config file < explicit flags; the
+    config file is a JSON object whose keys are flags of the command."""
     cfg = {k: v for k, v in vars(args).items() if k != "config"}
     if getattr(args, "config", None):
+        loaded = json.loads(Path(args.config).read_text())
+        if not isinstance(loaded, dict):
+            raise ValueError(f"--config must hold a JSON object, got a {type(loaded).__name__}")
+        flags = set(cfg) - {"command"}
+        if unknown := sorted(set(loaded) - flags):
+            raise ValueError(f"--config has unknown keys {unknown}: not flags of {args.command}")
         explicit = set()
-        for k in cfg:
+        for k in flags:
             flag = "--" + k.replace("_", "-")
             if any(a == flag or a.startswith(flag + "=") for a in argv):
                 explicit.add(k)
-        for k, v in json.loads(Path(args.config).read_text()).items():
+        for k, v in loaded.items():
             if k not in explicit:
                 cfg[k] = v
     if cfg.get("threads") is None:
@@ -281,25 +278,16 @@ def _cmd_simulate(cfg):
 
 def _cmd_sweep(cfg):
     n_list = _list_flag(cfg, "n")
+    window = WindowSpec(cfg["window"])
     rows = []
     for name in _list_flag(cfg, "dist", str):
         dist = parse_distribution(name)
-        window = WindowSpec(cfg["window"])
         recs = slope_series(dist, n_list, cfg["trials"], cfg["seed"], window,
                             parallelism=cfg["threads"])
         rows.extend(slope_rows(recs))
     _emit_csv(rows, cfg.get("out"), cfg)
     if cfg.get("svg"):
         write_sweep_svg(rows, cfg["svg"])
-    return 0
-
-
-def _cmd_scaling(cfg):
-    dist = parse_distribution(cfg["dist"])
-    n_list = _list_flag(cfg, "n")
-    rows = scaling_check(dist, n_list, cfg["trials"], cfg["seed"],
-                         parallelism=cfg["threads"])
-    _emit_csv(rows, cfg.get("out"), cfg)
     return 0
 
 
@@ -404,7 +392,6 @@ _COMMANDS = {
     "cg": _cmd_cg,
     "simulate": _cmd_simulate,
     "sweep": _cmd_sweep,
-    "scaling": _cmd_scaling,
     "kacrice-audit": _cmd_kacrice_audit,
     "conditions": _cmd_conditions,
     "charfn": _cmd_charfn,

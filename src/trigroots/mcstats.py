@@ -191,23 +191,20 @@ def slope_series(dist: DistributionSpec, n_list, trials_per_n: int, seed: int,
 
 
 def slope_rows(records: list[ExperimentRecord]) -> list[dict]:
+    """The Monte Carlo table, one row per record, which ``sweep`` prints and
+    criterion 12 reads; ``se`` is the standard error of ``var_over_n``."""
     return [{
         "dist": r.distribution,
+        "window": r.window,
         "n": r.n,
-        "var_over_n": r.estimate.var_over_n,
-        "se": r.estimate.se_variance / r.n,
+        "trials": r.trials,
+        "flagged_trial_count": r.flagged_trial_count,
+        "unreliable": r.unreliable,
         "mean": r.estimate.mean,
         "se_mean": r.estimate.se_mean,
-        "trials": r.trials,
+        "variance": r.estimate.variance,
+        "se_variance": r.estimate.se_variance,
+        "var_over_n": r.estimate.var_over_n,
+        "se": r.estimate.se_variance / r.n,
+        "var_over_n2": r.estimate.variance / r.n**2,
     } for r in records]
-
-
-def scaling_check(dist: DistributionSpec, n_list, trials: int, seed: int = 0,
-                  window: WindowSpec = FULL, parallelism: int = 1) -> list[dict]:
-    """Variance growth table: variance, variance/n, variance/n^2 per n; n_list
-    must be increasing."""
-    return [{"dist": r.distribution, "n": r.n, "variance": r.estimate.variance,
-             "var_over_n": r.estimate.var_over_n,
-             "var_over_n2": r.estimate.variance / r.n**2,
-             "se_variance": r.estimate.se_variance}
-            for r in slope_series(dist, n_list, trials, seed, window, parallelism)]

@@ -301,8 +301,11 @@ def coefficient_matrices(n: int, t: float, s: float | None = None) -> np.ndarray
 
     Column 1 is u_k (v_k in rows 2, 3), column 2 is u_k' (v_k'), so
     X_k = C_n(k) Y_k is the k-th increment of the walk.  This is the one
-    place that evaluates the basis vectors; it refuses a non-finite t or s.
+    place that evaluates the basis vectors; it refuses an n that is not an
+    integer >= 1 and a non-finite t or s.
     """
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n}")
     pts = (t,) if s is None else (t, s)
     if not all(math.isfinite(p) for p in pts):
         raise ValueError(f"evaluation points must be finite, got {pts}")

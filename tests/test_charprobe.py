@@ -292,6 +292,15 @@ class TestSmallBall:
                     small_ball_mc(50, 3.0, gaussian(), np.zeros(2), delta,
                                   trials=1000, seed=0, force=force)
 
+    @pytest.mark.parametrize("center, s", [
+        ([0.3], None), (0.3, None), ([0.3, 0.0, 0.0], None), (np.zeros((2, 1)), None),
+        ([0.3, 0.0], 90.0), (np.zeros(4), None),
+    ], ids=["short", "scalar", "three", "column", "two-with-s", "four-without-s"])
+    def test_center_must_match_the_walk(self, center, s):
+        with pytest.raises(ValueError, match="center must have shape"):
+            small_ball_mc(50, 3.0, rademacher(), center, 0.1, 1000, seed=0,
+                          s=s, force=True)
+
     # n = 1 with s: a rank-2 walk in R^4, whose covariance has
     # determinant ~ -1.6e-34 in floating point
     def test_singular_covariance_refused_without_force(self):

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,13 +11,20 @@ import pytest
 
 from trigroots import cli
 from trigroots.cli import main
-from trigroots.ensemble import gaussian, sample
-from trigroots.polyeval import FULL
+from trigroots.ensemble import gaussian, rademacher, sample
+from trigroots.mcstats import run_experiment
+from trigroots.polyeval import FULL, HALF
 from trigroots.rootcount import count_roots
 
 
 def run_cli(args):
     return main(args)
+
+
+def csv_rows(path):
+    """The rows of a CSV artifact, its ``#`` header line skipped."""
+    return list(csv.DictReader(l for l in path.read_text().splitlines()
+                               if not l.startswith("#")))
 
 
 class TestCg:
@@ -75,6 +83,36 @@ class TestSweep:
         body = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert len(body) == 2  # header + one row
 
+    def test_header_is_the_table_columns(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert run_cli(["sweep", "--dist", "gaussian", "--n", "8",
+                        "--trials", "20", "--out", str(out)]) == 0
+        header = [l for l in out.read_text().splitlines() if not l.startswith("#")][0]
+        assert header == ("dist,window,n,trials,flagged_trial_count,unreliable,"
+                          "mean,se_mean,variance,se_variance,var_over_n,se,var_over_n2")
+
+    def test_var_over_n2(self, tmp_path):
+        out = tmp_path / "scale.csv"
+        assert run_cli(["sweep", "--dist", "rademacher", "--n", "16,32",
+                        "--trials", "200", "--out", str(out)]) == 0
+        rows = csv_rows(out)
+        assert [int(r["n"]) for r in rows] == [16, 32]
+        for r in rows:
+            assert float(r["var_over_n2"]) == float(r["variance"]) / int(r["n"])**2
+
+    def test_row_carries_window_and_flags(self, tmp_path):
+        # seed 3 flags some of these trials, which the row must show
+        out = tmp_path / "half.csv"
+        assert run_cli(["sweep", "--dist", "rademacher", "--n", "16",
+                        "--trials", "2000", "--seed", "3", "--window", "half",
+                        "--out", str(out)]) == 0
+        (row,) = csv_rows(out)
+        rec = run_experiment(rademacher(), 16, HALF, 2000, 3)
+        assert rec.flagged_trial_count > 0
+        assert row["window"] == "half"
+        assert int(row["flagged_trial_count"]) == rec.flagged_trial_count
+        assert row["unreliable"] == str(rec.unreliable)
+
 
 class TestConfig:
     def test_equals_form_flags_win_over_config(self, tmp_path):
@@ -94,7 +132,7 @@ class TestConfig:
     @pytest.mark.parametrize("command, lists, flags", [
         ("sweep", {"dist": ["gaussian", "rademacher"], "n": [8, 16]},
          ["--dist", "gaussian,rademacher", "--n", "8,16"]),
-        ("scaling", {"n": [8, 16]}, ["--n", "8,16"]),
+        ("sweep", {"n": [8, 16]}, ["--n", "8,16"]),
         ("conditions", {"sweep": [100, 200]}, ["--sweep", "100,200"]),
         ("verify", {"only": [8, 11]}, ["--only", "8,11"]),
     ])
@@ -103,7 +141,7 @@ class TestConfig:
         from a comma string; the config hash alone tells them apart."""
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps(lists))
-        trials = ["--trials", "20"] if command in ("sweep", "scaling") else []
+        trials = ["--trials", "20"] if command == "sweep" else []
         bodies = []
         for args in (["--config", str(cfgfile)], flags):
             out = tmp_path / "out.txt"
@@ -111,6 +149,15 @@ class TestConfig:
             bodies.append([line for line in out.read_text().splitlines()
                            if "config_hash" not in line])
         assert bodies[0] == bodies[1] and len(bodies[0]) >= 3  # a header and two rows
+
+    def test_abbreviated_flag_is_refused(self, tmp_path):
+        """A prefix of a flag would win over the file in argparse but not in
+        the merge, so flags must be given in full."""
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"trials": 7}))
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["simulate", "--config", str(cfgfile), "--n", "4", "--tri", "5"])
+        assert exc.value.code == 2
 
 
 class TestConditions:
@@ -147,13 +194,6 @@ class TestDependencies:
 
 
 class TestOtherCommands:
-    def test_scaling(self, tmp_path):
-        out = tmp_path / "scale.csv"
-        assert run_cli(["scaling", "--dist", "rademacher", "--n", "16,32",
-                        "--trials", "200", "--out", str(out)]) == 0
-        body = [l for l in out.read_text().splitlines() if not l.startswith("#")]
-        assert len(body) == 3
-
     def test_kacrice_audit(self, tmp_path):
         out = tmp_path / "kr.json"
         code = run_cli(["kacrice-audit", "--dist", "gaussian", "--n", "16",
@@ -291,13 +331,19 @@ class TestErrors:
         assert run_cli(["cg", "--tol", tol]) == 2
         assert "abs_tol" in self._error(capsys, "cg")
 
-    @pytest.mark.parametrize("command", ["sweep", "scaling"])
+    @pytest.mark.parametrize("command", ["sweep"])
     def test_n_list_must_increase(self, tmp_path, capsys, command):
         out = tmp_path / "table.csv"
         assert run_cli([command, "--n", "128,32", "--trials", "10",
                         "--out", str(out)]) == 2
         assert "strictly increasing" in self._error(capsys, command)
         assert not out.exists()
+
+    def test_repeated_n_from_config_is_refused(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"n": [32, 32]}))
+        assert run_cli(["sweep", "--config", str(cfgfile), "--trials", "10"]) == 2
+        assert "strictly increasing" in self._error(capsys, "sweep")
 
     @pytest.mark.parametrize("only", ["99", "7,0,14"])
     def test_verify_unknown_criterion(self, capsys, only):
@@ -308,8 +354,8 @@ class TestErrors:
 
     @pytest.mark.parametrize("command, flag, value", [
         ("sweep", "--n", "8,abc"), ("sweep", "--n", [8, "abc"]),
-        ("sweep", "--dist", ["gaussian", 3]), ("scaling", "--n", "8,abc"),
-        ("scaling", "--n", [8, 16.5]), ("conditions", "--sweep", "100,1e3"),
+        ("sweep", "--dist", ["gaussian", 3]), ("sweep", "--n", "8,16.5"),
+        ("sweep", "--n", [8, 16.5]), ("conditions", "--sweep", "100,1e3"),
         ("conditions", "--sweep", ["100"]), ("verify", "--only", "abc"),
         ("verify", "--only", [8.0]),
     ])
@@ -356,6 +402,19 @@ class TestErrors:
         assert run_cli(["simulate", "--config", str(bad)]) == 2
         self._error(capsys, "simulate")
 
+    def test_config_that_is_not_an_object(self, tmp_path, capsys):
+        bad = tmp_path / "list.json"
+        bad.write_text("[1, 2]")
+        assert run_cli(["simulate", "--config", str(bad)]) == 2
+        assert "JSON object" in self._error(capsys, "simulate")
+
+    @pytest.mark.parametrize("key", ["trails", "command", "config"])
+    def test_config_key_that_is_not_a_flag(self, tmp_path, capsys, key):
+        bad = tmp_path / "typo.json"
+        bad.write_text(json.dumps({key: 5}))
+        assert run_cli(["simulate", "--config", str(bad)]) == 2
+        assert f"unknown keys ['{key}']" in self._error(capsys, "simulate")
+
 
 class TestVerify:
     def test_subset_deterministic_reruns(self, tmp_path):
@@ -377,3 +436,22 @@ class TestVerify:
         assert run_cli(base + ["--threads", "1", "--out", str(out1)]) == 0
         assert run_cli(base + ["--threads", "8", "--out", str(out8)]) == 0
         assert out1.read_bytes() == out8.read_bytes()
+
+
+class TestReadme:
+    @staticmethod
+    def _commands():
+        """The ``trigroots`` lines of README's "Command line" block, with
+        continuations joined and comments dropped."""
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        lines = block.replace("\\\n", " ").splitlines()
+        return [shlex.split(l, comments=True)[1:] for l in lines
+                if l.strip().startswith("trigroots ")]
+
+    def test_every_example_parses(self):
+        commands = self._commands()
+        assert len(commands) >= 10
+        parser = cli.build_parser()
+        for argv in commands:
+            assert parser.parse_args(argv).command == argv[0]

@@ -12,7 +12,6 @@ from trigroots.mcstats import (
     KURTOSIS_COEFF,
     MomentAccumulator,
     run_experiment,
-    scaling_check,
     slope_rows,
     slope_series,
     theoretical_slope,
@@ -199,11 +198,24 @@ class TestSeries:
         with pytest.raises(ValueError):
             slope_series(gaussian(), [32, 32], 10, seed=0)
 
-    def test_scaling_check_singleton(self):
-        rows = scaling_check(gaussian(), [16], trials=100, seed=2)
-        assert len(rows) == 1
-        assert rows[0]["var_over_n2"] == pytest.approx(
-            rows[0]["variance"] / 256)
+    def test_slope_rows_are_the_records(self):
+        recs = slope_series(rademacher(), [16, 32], 100, seed=2, window=HALF)
+        rows = slope_rows(recs)
+        assert [list(r) for r in rows] == [[
+            "dist", "window", "n", "trials", "flagged_trial_count", "unreliable",
+            "mean", "se_mean", "variance", "se_variance", "var_over_n", "se",
+            "var_over_n2"]] * 2
+        for row, rec in zip(rows, recs):
+            est = rec.estimate
+            assert (row["dist"], row["window"], row["n"], row["trials"]) == (
+                "rademacher", "half", rec.n, 100)
+            assert (row["flagged_trial_count"], row["unreliable"]) == (
+                rec.flagged_trial_count, rec.unreliable)
+            assert (row["mean"], row["se_mean"], row["variance"],
+                    row["se_variance"], row["var_over_n"]) == (
+                est.mean, est.se_mean, est.variance, est.se_variance, est.var_over_n)
+            assert row["se"] == est.se_variance / rec.n
+            assert row["var_over_n2"] == est.variance / rec.n**2
 
     def test_gaussian_sweep_trends_toward_slope(self):
         recs = slope_series(gaussian(), [64, 128, 256], 1000, seed=14)

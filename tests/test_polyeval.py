@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import eval_point
+from trigroots.charprobe import exponent_bound, log_abs_charfn
+from trigroots.edgeworth import c_n_alpha
 from trigroots.ensemble import CoefficientSample, gaussian, rademacher, sample
 from trigroots.polyeval import (
     FULL,
@@ -270,6 +272,19 @@ class TestBasisVectors:
     def test_non_finite_points_are_refused(self, t, s):
         with pytest.raises(ValueError, match="finite"):
             coefficient_matrices(10, t, s)
+
+    @pytest.mark.parametrize("n", [0, -3, 2.5, np.int64(0), np.float64(4.0)],
+                             ids=["zero", "negative", "fraction", "np-zero", "np-float"])
+    @pytest.mark.parametrize("caller", [
+        lambda n: c_n_alpha(n, 1.0, rademacher(), (1, 1, 1, 1)),
+        lambda n: log_abs_charfn(n, 1.0, rademacher(), [0.1, 0.2]),
+        lambda n: covariance_V(n, 1.0),
+        lambda n: exponent_bound(n, 1.0, rademacher(), [0.1, 0.2]),
+    ], ids=["c_n_alpha", "log_abs_charfn", "covariance_V", "exponent_bound"])
+    def test_degree_must_be_a_positive_integer(self, caller, n):
+        with pytest.raises(ValueError, match=f"n must be an integer >= 1, got {n}"):
+            caller(n)
+        caller(np.int64(5))
 
 
 class TestCovariance:
