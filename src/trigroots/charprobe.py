@@ -12,11 +12,11 @@ an inequality that holds pointwise for every coefficient law (the probes
 here assert it directly).  Decay scans sample random directions at
 log-spaced radii; small-ball probes estimate P(S_n/sqrt(n) in B(a, delta))
 by Monte Carlo against the Gaussian-quadrature oracle where one exists.
-Every probe reads u_i, u_i' from the one tensor of
-``polyeval.coefficient_matrices``: a decay scan builds it once and
-evaluates each radius's directions as one (directions, n) array, and the
-walk takes one (2000, 2n) @ (2n, d) product per ``WALK_CHUNK`` of draws,
-a size its bits depend on (BLAS rounds a row by its block size).
+Every probe reads u_i, u_i' from ``polyeval.coefficient_columns``: a
+decay scan pairs them once into (n, 2) arrays and evaluates each radius's
+directions as one (directions, n) array, and the walk stacks them into
+one (2000, 2n) @ (2n, d) product per ``WALK_CHUNK`` of draws, a size its
+bits depend on (BLAS rounds a row by its block size).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from trigroots import ensemble
 from trigroots.diophantine import check_condition_t, check_condition_st
 from trigroots.ensemble import DistributionSpec, log_abs_charfn_scalar, xi_norm_sq
-from trigroots.polyeval import coefficient_matrices, covariance_V
+from trigroots.polyeval import coefficient_columns, covariance_V
 from trigroots.rootcount import check_delta
 
 TWO_PI = 2.0 * math.pi
@@ -52,12 +52,10 @@ class FeasibilityError(RuntimeError):
 
 
 def _point_rows(n: int, t: float, s: float | None):
-    """The rows u_i and u_i' of the builder's tensor as contiguous (n, 2)
-    arrays, one pair per point (a strided slice rounds the products
-    differently)."""
-    C = coefficient_matrices(n, t, s)
-    return [(np.ascontiguousarray(C[:, j:j + 2, 0]), np.ascontiguousarray(C[:, j:j + 2, 1]))
-            for j in range(0, C.shape[1], 2)]
+    """u_i and u_i' of each point as contiguous (n, 2) arrays of its two rows'
+    ``coefficient_columns`` (BLAS rounds a strided matrix's products differently)."""
+    rows = coefficient_columns(n, t, s)
+    return [tuple(map(np.column_stack, zip(*pair))) for pair in zip(rows[0::2], rows[1::2])]
 
 
 def _projections(rows, x: np.ndarray):
@@ -180,8 +178,7 @@ def _walk_values(n, t, dist, s, trials, seed, chunk=WALK_CHUNK):
     product W a chunk, with W[2k + l] = C[k, :, l] for coefficient (k, l).
     The chunks continue one stream: trial 0's under ``seed``.  Chunks of
     2,000 give criterion 10's walks of 20,000 exactly; 1,000 do not."""
-    C = coefficient_matrices(n, t, s)
-    W = C.transpose(0, 2, 1).reshape(2 * n, C.shape[1])
+    W = np.stack([np.stack(row, axis=1).ravel() for row in coefficient_columns(n, t, s)], axis=1)
     inv = 1.0 / math.sqrt(n)
     key = ensemble.philox_keys(seed, np.zeros(1, dtype=np.uint64))[0]
     rng = np.random.Generator(np.random.Philox(key=key))

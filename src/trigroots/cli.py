@@ -43,10 +43,6 @@ from trigroots.rootcount import AGREEMENT_SHARE, check_delta, count_kacrice
 ENV_THREADS = "TRIGROOTS_THREADS"
 
 
-def _default_threads() -> int:
-    return int(os.environ.get(ENV_THREADS, "1"))
-
-
 #: keys with no effect on computed results, excluded from the config hash
 _VOLATILE_KEYS = {"threads", "out", "svg", "roots_csv"}
 
@@ -214,37 +210,54 @@ def build_parser() -> argparse.ArgumentParser:
     # exact flags only, so that _resolve's argv scan sees every explicit one
     for p in sub.choices.values():
         p.allow_abbrev = False
+    ap.commands = sub.choices
     return ap
+
+
+#: the list flags, read by ``_list_flag`` with their item type
+_LIST_FLAGS = {("sweep", "dist"): str, ("sweep", "n"): int,
+               ("conditions", "sweep"): int, ("verify", "only"): int}
+
+
+def _config_value(command: str, action, value):
+    """A ``--config`` value as its flag reads it: null where the default is,
+    anything for a list flag (``_list_flag`` checks it), else the JSON type of
+    its ``type`` (an int is a float, a bool only a switch), ``nargs`` in a list."""
+    if value is None and action.default is None or (command, action.dest) in _LIST_FLAGS:
+        return value
+    kind = bool if action.nargs == 0 else action.type or str
+    items = value if action.nargs and isinstance(value, list) else [value]
+    if len(items) != (action.nargs or 1) or not all(
+            type(x) in ((int, float) if kind is float else (kind,)) for x in items):
+        raise ValueError(f"--config value {json.dumps(value)} does not fit "
+                         f"{action.option_strings[0]}, which takes {kind.__name__}")
+    return [kind(x) for x in items] if action.nargs else kind(value)
 
 
 def _resolve(args, argv) -> dict:
     """Merge precedence: parser defaults < config file < explicit flags; the
-    config file is a JSON object whose keys are flags of the command."""
+    config file is a JSON object of the command's flags (``_config_value``)."""
     cfg = {k: v for k, v in vars(args).items() if k != "config"}
     if getattr(args, "config", None):
         loaded = json.loads(Path(args.config).read_text())
         if not isinstance(loaded, dict):
             raise ValueError(f"--config must hold a JSON object, got a {type(loaded).__name__}")
-        flags = set(cfg) - {"command"}
-        if unknown := sorted(set(loaded) - flags):
+        if unknown := sorted(k for k in loaded if k not in cfg or k == "command"):
             raise ValueError(f"--config has unknown keys {unknown}: not flags of {args.command}")
-        explicit = set()
-        for k in flags:
-            flag = "--" + k.replace("_", "-")
-            if any(a == flag or a.startswith(flag + "=") for a in argv):
-                explicit.add(k)
+        actions = {a.dest: a for a in build_parser().commands[args.command]._actions}
         for k, v in loaded.items():
-            if k not in explicit:
+            v, flag = _config_value(args.command, actions[k], v), actions[k].option_strings[0]
+            if not any(a == flag or a.startswith(flag + "=") for a in argv):
                 cfg[k] = v
     if cfg.get("threads") is None:
-        cfg["threads"] = _default_threads()
+        cfg["threads"] = int(os.environ.get(ENV_THREADS, "1"))
     return cfg
 
 
-def _list_flag(cfg: dict, key: str, item: type = int) -> list:
+def _list_flag(cfg: dict, key: str) -> list:
     """The items of a list flag, given as a comma string or, in ``--config``,
-    as a JSON list of ``item``; a bad item is refused with the flag's name."""
-    value = cfg[key]
+    as a JSON list of its item type; a bad item is refused with the flag's name."""
+    value, item = cfg[key], _LIST_FLAGS[cfg["command"], key]
     try:
         items = value if isinstance(value, list) else [
             item(x.strip()) for x in str(value).split(",")]
@@ -280,7 +293,7 @@ def _cmd_sweep(cfg):
     n_list = _list_flag(cfg, "n")
     window = WindowSpec(cfg["window"])
     rows = []
-    for name in _list_flag(cfg, "dist", str):
+    for name in _list_flag(cfg, "dist"):
         dist = parse_distribution(name)
         recs = slope_series(dist, n_list, cfg["trials"], cfg["seed"], window,
                             parallelism=cfg["threads"])

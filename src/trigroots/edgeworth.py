@@ -16,10 +16,11 @@ moments of order <= 2, or a first moment, so it equals its Gaussian value
 and cancels; only the pure terms c = 0 and c = m remain (Bhattacharya &
 Rao, *Normal Approximation and Asymptotic Expansions*, 1976):
 
-    Delta_alpha(X_k) = (E xi^m - E g^m) sum_l prod_j C_n(k)[alpha_j, l].
+    Delta_alpha(X_k) = (E xi^m - E g^m) sum_l prod_j C_n(k)[alpha_j, l],
 
-X is rescaled by diag(lambda)^{-1/2} with lambda = (1, 1/3) respectively
-(1, 1/3, 1, 1/3), the limit of the walk's average covariance;
+a product of named rows of ``polyeval.coefficient_columns``.  X is rescaled
+by diag(lambda)^{-1/2} with lambda = (1, 1/3) respectively (1, 1/3, 1, 1/3),
+the limit of the walk's average covariance;
 ``gauss_expect_psi_H`` computes the matching Gaussian functionals
 E[Psi_delta(diag(lambda)^{1/2} W) prod_j h_{n_j(alpha)}(W_j)], with h_m the
 probabilists' Hermite polynomials and n_j(alpha) the coordinate
@@ -34,7 +35,7 @@ import numbers
 import numpy as np
 
 from trigroots.ensemble import DistributionSpec, moments
-from trigroots.polyeval import coefficient_matrices
+from trigroots.polyeval import coefficient_columns
 from trigroots.rootcount import check_delta
 
 LAMBDA_2 = (1.0, 1.0 / 3.0)
@@ -46,11 +47,8 @@ def hermite(k: int, x):
     if k < 0:
         raise ValueError("k must be >= 0")
     x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
-    if k == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h = x.copy()
-    for j in range(1, k):
+    h_prev, h = np.zeros_like(x), np.ones_like(x)  # h_{-1} = 0, h_0 = 1
+    for j in range(k):
         h, h_prev = x * h - j * h_prev, h
     return h if h.ndim else float(h)
 
@@ -58,7 +56,8 @@ def hermite(k: int, x):
 def _indices(alpha, d: int) -> tuple[int, ...]:
     """A 1-based multi-index, refused unless every index is an integer in 1..d."""
     alpha = tuple(alpha)
-    bad = [a for a in alpha if not isinstance(a, numbers.Integral) or not 1 <= a <= d]
+    bad = [a for a in alpha if isinstance(a, bool) or not isinstance(a, numbers.Integral)
+           or not 1 <= a <= d]
     if bad:
         raise ValueError(f"multi-index {alpha}: index {bad[0]!r} is not an integer in 1..{d}")
     return tuple(int(a) for a in alpha)
@@ -77,8 +76,8 @@ def c_n_alpha(n: int, t: float, dist: DistributionSpec, alpha,
         excess / prod_j sqrt(lambda[alpha_j]) * mean_k sum_l prod_j C[k, alpha_j, l],
 
     the pure-moment closed form (module docstring) with excess = m3 at
-    order 3 and m4 - 3 at order 4; C is ``coefficient_matrices``, indices
-    run over 1..2, or 1..4 when s is given.
+    order 3 and m4 - 3 at order 4, indices in 1..2, or 1..4 with s; it
+    multiplies only the named rows' length-n ``coefficient_columns``.
     """
     lam = LAMBDA_2 if s is None else LAMBDA_4
     idx = [a - 1 for a in _indices(alpha, len(lam))]
@@ -86,12 +85,14 @@ def c_n_alpha(n: int, t: float, dist: DistributionSpec, alpha,
         raise ValueError("corrector multi-indices have order 3 or 4")
     prof = moments(dist)
     excess = prof.m3 if len(idx) == 3 else prof.excess_kurtosis
-    C = coefficient_matrices(n, t, s)
-    pure = C[:, idx[0], :]
-    for i in idx[1:]:
-        pure = pure * C[:, i, :]
+    rows = coefficient_columns(n, t, s)
+    pure = [rows[idx[0]][l] * rows[idx[1]][l] for l in (0, 1)]
+    for i in idx[2:]:
+        for col, factor in zip(pure, rows[i]):
+            col *= factor
+    pure[0] += pure[1]
     scale = math.prod(math.sqrt(lam[i]) for i in idx)
-    return excess / scale * float(np.mean(pure[:, 0] + pure[:, 1]))
+    return excess / scale * float(np.mean(pure[0]))
 
 
 def _phi(w):

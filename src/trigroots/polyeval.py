@@ -7,14 +7,15 @@ normalized walk S_n(t)/sqrt(n) built from the basis vectors
     u_i'(t) = (sin(it/n),  (i/n) cos(it/n)),
 
 so P_n(t) = n^{-1/2} sum_i y_i1 u_i[0] + y_i2 u_i'[0] and P_n' likewise
-from the second components.  On an equispaced grid the phases i*t_k/n are
-equispaced in k, which turns grid evaluation into a single complex inverse
-FFT (both P and P' at once via Hermitian packing).
+from the second components.  ``coefficient_columns`` is the one basis
+evaluator (contiguous columns of C_n(i) = (u_i, u_i'), each point's phases
+from an angle-addition table).  On an equispaced grid the phases i*t_k/n
+are equispaced in k, so a grid is one complex inverse FFT (P and P' at once
+by Hermitian packing).
 
 The FFT's scale M/(2 sqrt n) is folded into the packed spectrum, so a
-batch grid is the complex FFT output (P real, P' imaginary), made in place
-in one (B, period) array; ``count_batch`` allocates one of ``pass_rows``
-rows a call and reuses it for every pass, re-zeroing all but the two bands.
+batch grid is the FFT output (P real, P' imaginary), made in place in one
+(B, period) array that ``count_batch`` reuses for every pass of a call.
 
 A single-sample grid also carries the derivatives P^(0) .. P^(K+1) over one
 full period, two orders to each spectrum times (i j/n)^k, one FFT call
@@ -296,28 +297,31 @@ def eval_grid_batch(ys: np.ndarray, n: int, window: WindowSpec, M: int,
     return _packed_ifft(ys, n, period_size(n, window, M), start_ratio, out=out)[0]
 
 
-def coefficient_matrices(n: int, t: float, s: float | None = None) -> np.ndarray:
-    """C_n(k) stacked over k: shape (n, d, 2) with d = 2 (t only) or 4 (t, s).
-
-    Column 1 is u_k (v_k in rows 2, 3), column 2 is u_k' (v_k'), so
-    X_k = C_n(k) Y_k is the k-th increment of the walk.  This is the one
-    place that evaluates the basis vectors; it refuses an n that is not an
-    integer >= 1 and a non-finite t or s.
-    """
-    if not isinstance(n, (int, np.integer)) or n < 1:
+def coefficient_columns(n: int, t: float, s: float | None = None) -> list:
+    """The d = 2 (t only) or 4 (t, s) rows of C_n(k), k = 1 .. n, as contiguous
+    length-n (column 1, column 2) pairs: (cos, sin) and (-w sin, w cos) of
+    kp/n, w = k/n, for p = t, then s.  Refuses an n that is not an integer
+    >= 1 and a non-finite t or s.  A point's phases are one angle-addition
+    table: k = b a + j, b = isqrt(n), so cos and sin run on b + n/b angles."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n}")
     pts = (t,) if s is None else (t, s)
     if not all(math.isfinite(p) for p in pts):
         raise ValueError(f"evaluation points must be finite, got {pts}")
-    i = np.arange(1, n + 1, dtype=float)
-    w = i / n
-    C = np.empty((n, 2 * len(pts), 2))
-    for r, p in enumerate(pts):
-        th = i * p / n
-        c, sn = np.cos(th), np.sin(th)
-        C[:, 2 * r, 0], C[:, 2 * r, 1] = c, sn
-        C[:, 2 * r + 1, 0], C[:, 2 * r + 1, 1] = -w * sn, w * c
-    return C
+    b, w, rows = math.isqrt(n), np.arange(1, n + 1) / n, []
+    for p in pts:
+        big = _cis(p / n * (b * np.arange(-(-n // b))))[:, None]  # e^{i b a p/n}
+        small = _cis(p / n * np.arange(1, b + 1))  # e^{i j p/n}
+        c = (big.real * small.real - big.imag * small.imag).reshape(-1)[:n]
+        sn = (big.imag * small.real + big.real * small.imag).reshape(-1)[:n]
+        rows += [(c, sn), (-w * sn, w * c)]
+    return rows
+
+
+def coefficient_matrices(n: int, t: float, s: float | None = None) -> np.ndarray:
+    """C_n(k) stacked over k, shape (n, d, 2), from ``coefficient_columns``: column 1
+    is u_k (v_k in rows 2, 3), column 2 u_k' (v_k'); X_k = C_n(k) Y_k is the walk's step."""
+    return np.stack([np.stack(row, axis=-1) for row in coefficient_columns(n, t, s)], axis=1)
 
 
 def covariance_V(n: int, t: float, s: float | None = None) -> CovarianceMatrix:

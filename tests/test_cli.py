@@ -150,6 +150,19 @@ class TestConfig:
                            if "config_hash" not in line])
         assert bodies[0] == bodies[1] and len(bodies[0]) >= 3  # a header and two rows
 
+    def test_config_values_read_as_their_flags(self, tmp_path):
+        """An int for a float flag and a JSON list for a two-value flag are
+        converted as argparse converts the flags: same payload, same hash."""
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"pair": [500, 500], "t": 1571, "eps": 1, "seed": 5}))
+        payloads = []
+        for args in (["--config", str(cfgfile)],
+                     ["--pair", "500", "500", "--t", "1571", "--eps", "1", "--seed", "5"]):
+            out = tmp_path / "out.json"
+            assert run_cli(["conditions", "--n", "1000", *args, "--out", str(out)]) == 0
+            payloads.append(json.loads(out.read_text()))
+        assert payloads[0] == payloads[1] and "pair" in payloads[0]
+
     def test_abbreviated_flag_is_refused(self, tmp_path):
         """A prefix of a flag would win over the file in argparse but not in
         the merge, so flags must be given in full."""
@@ -407,6 +420,23 @@ class TestErrors:
         bad.write_text("[1, 2]")
         assert run_cli(["simulate", "--config", str(bad)]) == 2
         assert "JSON object" in self._error(capsys, "simulate")
+
+    @pytest.mark.parametrize("command, value, flag", [
+        ("simulate", {"trials": "5"}, "--trials"), ("simulate", {"seed": True}, "--seed"),
+        ("simulate", {"trials": True}, "--trials"), ("simulate", {"n": 2.5}, "--n"),
+        ("simulate", {"window": 1}, "--window"), ("conditions", {"tau": "0.05"}, "--tau"),
+        ("conditions", {"pair": [500.0]}, "--pair"), ("smallball", {"one_d": 1}, "--one-d"),
+    ], ids=["trials-str", "seed-bool", "trials-bool", "n-float", "window-int", "tau-str",
+            "pair-length", "one-d-int"])
+    def test_config_value_of_the_wrong_type(self, tmp_path, capsys, command, value, flag):
+        """A ``--config`` value has the JSON type its flag's ``type`` reads;
+        a bool passes for a switch alone."""
+        bad = tmp_path / "typed.json"
+        bad.write_text(json.dumps(value))
+        assert run_cli([command, "--config", str(bad), "--trials", "2"]
+                       if command != "conditions" else
+                       [command, "--config", str(bad), "--n", "8"]) == 2
+        assert f"does not fit {flag}, which takes" in self._error(capsys, command)
 
     @pytest.mark.parametrize("key", ["trails", "command", "config"])
     def test_config_key_that_is_not_a_flag(self, tmp_path, capsys, key):

@@ -16,6 +16,7 @@ from oracles import (
     moment_stack,
     scalar_moments,
 )
+from trigroots import edgeworth, polyeval
 from trigroots.edgeworth import (
     _abs_factor,
     _indicator_factor,
@@ -160,7 +161,8 @@ class TestCnAlpha:
         ((0, 0, 2, 2), 1.0, "0"),    # would wrap to index 4
         ((1, 1, 3, 3), None, "3"),   # coordinate 3 needs s
         ((1.5, 1, 2), None, "1.5"),  # would truncate to 1
-    ], ids=["zero", "beyond_d", "fractional"])
+        ((True, True, 2, 2), None, "True"),  # would read as 1
+    ], ids=["zero", "beyond_d", "fractional", "bool"])
     def test_refuses_bad_index(self, alpha, s, bad):
         with pytest.raises(ValueError, match=rf"index {bad} is not an integer"):
             c_n_alpha(50, 3.0, rademacher(), alpha, s=s)
@@ -188,6 +190,26 @@ class TestCnAlpha:
         for alpha in product((1, 2, 3, 4), repeat=3):
             v = c_n_alpha(n, 7.7, rademacher(), alpha, s=3.3)
             assert v == pytest.approx(0.0, abs=1e-13)
+
+    @pytest.mark.parametrize("dist", [rademacher(), uniform()], ids=["rademacher", "uniform"])
+    def test_builds_no_coefficient_tensor(self, monkeypatch, dist):
+        # c_n_alpha reads the basis columns alone: with the (n, d, 2) tensor
+        # builder replaced by one that raises, the n = 1e5 values stand
+        n = 100000
+        t = math.pi * (math.sqrt(2) - 1) * n
+        s = math.pi * (math.sqrt(3) - 1) * n
+        alphas = [(1, 1, 3, 3), (2, 2, 4, 4)]
+        refs = [c_n_alpha_expansion(n, t, dist, alpha, s=s) for alpha in alphas]
+        expected = [c_n_alpha(n, t, dist, alpha, s=s) for alpha in alphas]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("coefficient_matrices called")
+
+        monkeypatch.setattr(polyeval, "coefficient_matrices", refuse)
+        monkeypatch.setattr(edgeworth, "coefficient_matrices", refuse, raising=False)
+        for alpha, ref, value in zip(alphas, refs, expected):
+            v = c_n_alpha(n, t, dist, alpha, s=s)
+            assert v == value and abs(v - ref) <= 1e-13, (alpha, v, ref)
 
     def test_mixed_class_limits(self):
         # the empirical limits of the scaled moment-delta averages; these

@@ -1,13 +1,14 @@
 import hashlib
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import eval_point
-from trigroots.charprobe import exponent_bound, log_abs_charfn
+from trigroots.charprobe import _point_rows, exponent_bound, log_abs_charfn
 from trigroots.edgeworth import c_n_alpha
 from trigroots.ensemble import CoefficientSample, gaussian, rademacher, sample
 from trigroots.polyeval import (
@@ -15,6 +16,7 @@ from trigroots.polyeval import (
     HALF,
     GridError,
     cell_expansions,
+    coefficient_columns,
     coefficient_matrices,
     covariance_V,
     eval_grid,
@@ -267,14 +269,46 @@ class TestBasisVectors:
         np.testing.assert_allclose(C[:, 2:, 0], np.column_stack([c, -(i / 7) * s]))
         np.testing.assert_allclose(C[:, 2:, 1], np.column_stack([s, (i / 7) * c]))
 
+    @pytest.mark.parametrize("n", [1, 7, 4096, 100_000])
+    def test_phase_table_matches_mpmath(self, n):
+        # the angle-addition table against 40-digit cos and sin of k p / n:
+        # each factor's angle carries the rounding of p/n, so the error
+        # bound grows with the angle k |p| / n
+        eps = np.finfo(float).eps
+        ks = np.arange(1, n + 1) if n <= 4096 else np.unique(np.r_[
+            1:400, np.linspace(1, n, 1500).astype(int), n - 400:n + 1])
+        with mp.workdps(40):
+            for p in (n * math.pi, -n * math.pi, math.pi * (math.sqrt(2) - 1) * n,
+                      -math.pi * (math.sqrt(3) - 1) * n, 0.7, -1e-3, 0.0):
+                (c, sn), _ = coefficient_columns(n, p)
+                for k in ks.tolist():
+                    th = mp.mpf(k) * mp.mpf(p) / n
+                    err = max(abs(mp.cos(th) - c[k - 1]), abs(mp.sin(th) - sn[k - 1]))
+                    assert err <= 2 * eps * (1 + k * abs(p) / n), (n, p, k, float(err))
+
+    @pytest.mark.parametrize("n, s", [(1, None), (7, 2.2), (1000, -3e3)])
+    def test_matrices_and_point_rows_are_the_columns(self, n, s):
+        rows = coefficient_columns(n, 1.1, s)
+        assert len(rows) == (2 if s is None else 4)
+        for c1, c2 in rows:
+            assert c1.flags.c_contiguous and c2.flags.c_contiguous and c1.shape == (n,)
+        C = coefficient_matrices(n, 1.1, s)
+        for j, (c1, c2) in enumerate(rows):
+            assert np.array_equal(C[:, j, 0], c1) and np.array_equal(C[:, j, 1], c2)
+        for (U, Up), ((c, sn), (dc, dsn)) in zip(_point_rows(n, 1.1, s),
+                                                 zip(rows[0::2], rows[1::2])):
+            assert U.flags.c_contiguous and Up.flags.c_contiguous
+            assert np.array_equal(U, np.column_stack([c, dc]))
+            assert np.array_equal(Up, np.column_stack([sn, dsn]))
+
     @pytest.mark.parametrize("t, s", [(math.nan, None), (math.inf, None),
                                       (1.0, -math.inf), (1.0, math.nan)])
     def test_non_finite_points_are_refused(self, t, s):
         with pytest.raises(ValueError, match="finite"):
             coefficient_matrices(10, t, s)
 
-    @pytest.mark.parametrize("n", [0, -3, 2.5, np.int64(0), np.float64(4.0)],
-                             ids=["zero", "negative", "fraction", "np-zero", "np-float"])
+    @pytest.mark.parametrize("n", [0, -3, 2.5, np.int64(0), np.float64(4.0), True],
+                             ids=["zero", "negative", "fraction", "np-zero", "np-float", "bool"])
     @pytest.mark.parametrize("caller", [
         lambda n: c_n_alpha(n, 1.0, rademacher(), (1, 1, 1, 1)),
         lambda n: log_abs_charfn(n, 1.0, rademacher(), [0.1, 0.2]),
