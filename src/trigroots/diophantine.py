@@ -8,7 +8,9 @@ box under (s, t) -> k s/(pi n) + l t/(pi n) is an interval, and the pair
 is bad exactly when that interval approaches an integer.  The bad set is
 stored per row as merged integer ranges, which keeps the n = 1e4 region
 (2e9 pairs) countable without materializing pairs.  Each (k, l, integer)
-band is evaluated only on the one run of rows it reaches.
+band is evaluated only on the one run of rows it reaches, one cache-sized
+block of rows at a time; ranges of two rows never touch, so each block
+merges alone to exactly its rows of the whole region.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ import numpy as np
 _FP_SLACK = 1e-12
 #: rows added to each side of a band's row window against rounding
 _ROW_SLACK = 2
+#: rows ``build_D`` keys, sorts and merges at a time, so its temporaries stay in L2
+_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -35,6 +39,8 @@ class ConditionReport:
 
 
 def _params(n: int, tau: float, *points: float) -> tuple[float, int]:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"n must be an integer, got {n}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0.0 < tau < 0.125:
@@ -158,6 +164,9 @@ def build_D(n: int, epsilon: float, tau: float = 0.05) -> DRegion:
     rows where two affine conditions in k hold, and is computed there
     alone.  Each range end is one row-major integer key; the lo and hi
     keys are sorted apart and merged where a lo key passes the hi before.
+    Bands, sort and merge run on blocks of ``_BLOCK_ROWS`` rows: no range
+    crosses a row, so the blocks' merged ranges, joined in row order, are
+    those of one merge over all rows, bit for bit.
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
@@ -171,30 +180,12 @@ def build_D(n: int, epsilon: float, tau: float = 0.05) -> DRegion:
         return DRegion(n, epsilon, tau, k_min, k_max, empty,
                        np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0)
 
-    ks = np.arange(k_min, k_max + 2, dtype=np.int64)  # rows and k + 1
     thr = threshold + _FP_SLACK
     u = npi / epsilon
-    # l1 * I_k is [l1 k eps, l1 (k+1) eps] for l1 >= 0 and the reverse
-    # otherwise (rounding is monotone), read off one product row per l1.
-    # Ranges are kept as keys ((k - k_min) << shift) + (p - k_min): the row
-    # stride 2**shift >= m + 2 exceeds every in-row offset + 1, so ranges
-    # of two rows never touch
-    ends = {l1: l1 * ks * epsilon for l1 in range(-l_max, l_max + 1)}
     shift = (m + 1).bit_length()
-    row_key = ((ks[:-1] - k_min) << shift) - k_min
-    all_lo, all_hi = [], []
-    for k1, l1 in _canonical_pairs(l_max):  # l_max >= 1 as n >= 1
-        e1, e2 = ends[l1][:-1], ends[l1][1:]
-        c_lo, c_hi = (e1, e2) if l1 >= 0 else (e2, e1)
-        if k1 == 0:
-            # resonance depends on the t-interval alone: full bad rows
-            floor_hi = np.floor(c_hi / npi + thr).astype(np.int64)
-            ceil_lo = np.ceil(c_lo / npi - thr).astype(np.int64)
-            bad_rows = floor_hi >= ceil_lo  # an integer lies within thr
-            idx = np.nonzero(bad_rows & (ks[1:] <= k_max))[0]
-            all_lo.append(row_key[idx] + ks[idx + 1])
-            all_hi.append(row_key[idx] + k_max)
-            continue
+    # each band's run of rows [r0, r1], once; k1 = 0 bands mark whole rows
+    bands = [(0, l1, 0, 0, m - 2) for l1 in range(1, l_max + 1)]  # l_max >= 1
+    for k1, l1 in _canonical_pairs(l_max)[l_max:]:
         span = abs(k1) + abs(l1) + 1
         for mm in range(-span, span + 1):
             # rows with p_hi >= k + 1 and p_lo <= k_max: both affine in k,
@@ -208,34 +199,62 @@ def build_D(n: int, epsilon: float, tau: float = 0.05) -> DRegion:
                     r0 = max(r0, math.ceil(d / c) - _ROW_SLACK - k_min)
                 elif d < -_ROW_SLACK:
                     r1 = -1
-            if r0 > r1:
+            if r0 <= r1:
+                bands.append((k1, l1, mm, r0, r1))
+
+    # row m - 1 (k = k_max) has no p > k; the k1 = 0 bands reach every block
+    merged_keys, widths = [], []
+    for b0 in range(0, m - 1, _BLOCK_ROWS):
+        b1 = min(b0 + _BLOCK_ROWS, m - 1)
+        ks = np.arange(k_min + b0, k_min + b1 + 1, dtype=np.int64)  # rows and k + 1
+        # l1 * I_k is [l1 k eps, l1 (k+1) eps] for l1 >= 0 and the reverse
+        # otherwise (rounding is monotone), read off one product row per
+        # l1.  Ranges are kept as keys ((k - k_min) << shift) + (p - k_min):
+        # the row stride 2**shift >= m + 2 exceeds every in-row offset + 1,
+        # so ranges of two rows never touch
+        ends = {l1: l1 * ks * epsilon for l1 in range(-l_max, l_max + 1)}
+        row_key = ((ks[:-1] - k_min) << shift) - k_min
+        all_lo, all_hi = [], []
+        for k1, l1, mm, r0, r1 in bands:
+            w = slice(max(r0, b0) - b0, min(r1 + 1, b1) - b0)
+            if w.start >= w.stop:
                 continue
-            w = slice(r0, r1 + 1)
+            e1, e2 = ends[l1][:-1][w], ends[l1][1:][w]
+            c_lo, c_hi = (e1, e2) if l1 >= 0 else (e2, e1)
+            if k1 == 0:
+                # resonance depends on the t-interval alone: an integer
+                # lies within thr of l1 * I_k / (pi n)
+                idx = np.nonzero(np.floor(c_hi / npi + thr).astype(np.int64)
+                                 >= np.ceil(c_lo / npi - thr).astype(np.int64))[0]
+                all_lo.append((row_key[w] + ks[1:][w])[idx])
+                all_hi.append(row_key[w][idx] + k_max)
+                continue
             # solve for p: k1*[p eps, (p+1) eps] + l1 * I_k near npi*mm;
             # canonical pairs have k1 > 0 here
-            lo_p = (npi * (mm - thr) - c_hi[w]) / epsilon
-            hi_p = (npi * (mm + thr) - c_lo[w]) / epsilon
+            lo_p = (npi * (mm - thr) - c_hi) / epsilon
+            hi_p = (npi * (mm + thr) - c_lo) / epsilon
             p_lo = np.maximum(np.ceil(lo_p / k1 - 1.0).astype(np.int64), ks[1:][w])
             p_hi = np.minimum(np.floor(hi_p / k1).astype(np.int64), k_max)
             idx = np.nonzero(p_lo <= p_hi)[0]
             all_lo.append((row_key[w] + p_lo)[idx])
             all_hi.append((row_key[w] + p_hi)[idx])
+        # merge: with the lo keys and the hi keys sorted apart, the union
+        # has a gap between sorted positions j - 1 and j exactly when lo[j]
+        # > hi[j - 1] + 1 (the j smallest his all have their lo below
+        # them); a stable sort takes the bands as the sorted runs they are
+        key_lo = np.sort(np.concatenate(all_lo), kind="stable")
+        key_hi = np.sort(np.concatenate(all_hi), kind="stable")
+        starts = key_lo > np.r_[-2, key_hi[:-1]] + 1
+        merged_keys.append(key_lo[starts])
+        # j closes a merged range where j + 1 opens one; the last position
+        # takes starts[0], which holds
+        widths.append(key_hi[np.roll(starts, -1)] - merged_keys[-1])
 
-    # merge: with the lo keys and the hi keys sorted apart, the union has
-    # a gap between sorted positions j - 1 and j exactly when lo[j] >
-    # hi[j - 1] + 1 (the j smallest his all have their lo below them);
-    # a stable sort takes the bands as the sorted runs they are
-    key_lo = np.sort(np.concatenate(all_lo), kind="stable")
-    key_hi = np.sort(np.concatenate(all_hi), kind="stable")
-    starts = key_lo > np.r_[-2, key_hi[:-1]] + 1
-    lo = key_lo[starts]
-    # j closes a merged range where j + 1 opens one; the last position
-    # takes starts[0], which holds
-    width = key_hi[np.roll(starts, -1)] - lo
-    bad = int(np.sum(width)) + lo.size
-    seg_row = lo >> shift
-    merged_lo = (lo & ((1 << shift) - 1)) + k_min
-    merged_hi = merged_lo + width
-    offsets = np.concatenate(([0], np.cumsum(np.bincount(seg_row, minlength=m))))
-    return DRegion(n, epsilon, tau, k_min, k_max, offsets,
-                   merged_lo, merged_hi, bad)
+    lo, hi = np.concatenate(merged_keys), np.concatenate(widths)
+    del merged_keys, widths
+    bad = int(np.sum(hi)) + lo.size
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(lo >> shift, minlength=m))))
+    lo &= (1 << shift) - 1
+    lo += k_min
+    hi += lo
+    return DRegion(n, epsilon, tau, k_min, k_max, offsets, lo, hi, bad)

@@ -85,7 +85,7 @@ def c_n_alpha(n: int, t: float, dist: DistributionSpec, alpha,
         raise ValueError("corrector multi-indices have order 3 or 4")
     prof = moments(dist)
     excess = prof.m3 if len(idx) == 3 else prof.excess_kurtosis
-    rows = coefficient_columns(n, t, s)
+    rows = coefficient_columns(n, t, s, only=idx)
     pure = [rows[idx[0]][l] * rows[idx[1]][l] for l in (0, 1)]
     for i in idx[2:]:
         for col, factor in zip(pure, rows[i]):

@@ -135,16 +135,19 @@ def run_experiment(dist: DistributionSpec, n: int, window: WindowSpec = FULL,
     positions are not refined; the count is unaffected).  The result is
     bit-identical for any ``parallelism`` and ``CHUNK_SIZE``.  A grid below
     the root-capture bound raises ``GridError``.  The record carries
-    ``theoretical_slope``.
+    ``theoretical_slope``.  A non-integer n, trials, M or parallelism is refused.
     """
+    if M is None:
+        M = grid_size(n)
+    for name, value in (("n", n), ("trials", trials), ("M", M), ("parallelism", parallelism)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value}")
     if n < 1:
         raise ValueError("n must be >= 1")
     if trials < 2:
         raise ValueError("need at least 2 trials")
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
-    if M is None:
-        M = grid_size(n)
     t0 = time.perf_counter()
     edges = list(range(0, trials, CHUNK_SIZE)) + [trials]
     jobs = [(dist, n, window, M, seed, lo, hi)

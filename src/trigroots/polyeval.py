@@ -297,24 +297,27 @@ def eval_grid_batch(ys: np.ndarray, n: int, window: WindowSpec, M: int,
     return _packed_ifft(ys, n, period_size(n, window, M), start_ratio, out=out)[0]
 
 
-def coefficient_columns(n: int, t: float, s: float | None = None) -> list:
+def coefficient_columns(n: int, t: float, s: float | None = None, only=None) -> list:
     """The d = 2 (t only) or 4 (t, s) rows of C_n(k), k = 1 .. n, as contiguous
     length-n (column 1, column 2) pairs: (cos, sin) and (-w sin, w cos) of
-    kp/n, w = k/n, for p = t, then s.  Refuses an n that is not an integer
-    >= 1 and a non-finite t or s.  A point's phases are one angle-addition
-    table: k = b a + j, b = isqrt(n), so cos and sin run on b + n/b angles."""
+    kp/n, w = k/n, for p = t, then s; rows not in ``only`` (0-based), if given,
+    are None.  Refuses an n that is not an integer >= 1 and a non-finite t or
+    s.  A point's phases are one angle-addition table: k = b a + j,
+    b = isqrt(n), so cos and sin run on b + n/b angles."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n}")
     pts = (t,) if s is None else (t, s)
     if not all(math.isfinite(p) for p in pts):
         raise ValueError(f"evaluation points must be finite, got {pts}")
-    b, w, rows = math.isqrt(n), np.arange(1, n + 1) / n, []
-    for p in pts:
+    need = set(range(2 * len(pts)) if only is None else only)
+    b, w, rows = math.isqrt(n), np.arange(1, n + 1) / n if need & {1, 3} else None, []
+    for i, p in enumerate(pts):
         big = _cis(p / n * (b * np.arange(-(-n // b))))[:, None]  # e^{i b a p/n}
         small = _cis(p / n * np.arange(1, b + 1))  # e^{i j p/n}
         c = (big.real * small.real - big.imag * small.imag).reshape(-1)[:n]
         sn = (big.imag * small.real + big.real * small.imag).reshape(-1)[:n]
-        rows += [(c, sn), (-w * sn, w * c)]
+        rows += [(c, sn) if 2 * i in need else None,
+                 (-w * sn, w * c) if 2 * i + 1 in need else None]
     return rows
 
 

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import build_D_sweep
+from trigroots import diophantine
 from trigroots.diophantine import (
     build_D,
     check_condition_st,
@@ -81,6 +83,20 @@ class TestConditionT:
     def test_tau_range_enforced(self):
         with pytest.raises(ValueError):
             check_condition_t(100, 1.0, 0.2)
+
+    # unrefused, n = 100.5 would build a region for a degree that does not
+    # exist and True would run as n = 1
+    @pytest.mark.parametrize("n", [100.5, 2.0, np.float64(100.0), True],
+                             ids=["fraction", "float", "np-float", "bool"])
+    @pytest.mark.parametrize("call", [
+        lambda n: check_condition_t(n, 0.3),
+        lambda n: check_condition_st(n, 0.3, 0.7),
+        lambda n: build_D(n, 1.0),
+    ], ids=["check_condition_t", "check_condition_st", "build_D"])
+    def test_refuses_n_not_an_integer(self, call, n):
+        with pytest.raises(ValueError, match=f"n must be an integer, got {n}"):
+            call(n)
+        call(np.int64(100))
 
 
 class TestConditionSt:
@@ -163,6 +179,23 @@ def _brute_force_region(n, epsilon, tau):
     return k_min, k_max, bad
 
 
+# l_max 1 and 2, m < 2, and bad counts above 2**32
+_SWEEP_CASES = [
+    (20, 2, .05), (100, 1, .05), (1000, 1, .05), (10**4, 1, .05),
+    (10**4, .3, .05), (100, 1, .1), (1000, .5, .12), (5000, 3, .1),
+    (50, 7, .02), (10, 1000, .05), (300, .7, .11), (2**20, 100, .05),
+    (123456, 5, .09)]
+
+
+def _assert_matches_sweep(D, n, eps, tau):
+    ref = build_D_sweep(n, eps, tau)
+    assert (D.k_min, D.k_max, D.bad_pairs) == (ref.k_min, ref.k_max, ref.bad_pairs)
+    assert type(D.bad_pairs) is int
+    for name in ("row_offsets", "range_lo", "range_hi"):
+        got, want = getattr(D, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
 class TestBuildD:
     # (4100, 60, 0.085): l_max = 2, so bands with |l1| = 2 and k1 = 2 run,
     # on 428 intervals with a non-empty good set
@@ -176,19 +209,30 @@ class TestBuildD:
             for p in range(k + 1, k_max + 1):
                 assert D.is_good(k, p) == ((k, p) not in bad), (k, p)
 
-    # l_max 1 and 2, m < 2, and bad counts above 2**32
-    @pytest.mark.parametrize("n, eps, tau", [
-        (20, 2, .05), (100, 1, .05), (1000, 1, .05), (10**4, 1, .05),
-        (10**4, .3, .05), (100, 1, .1), (1000, .5, .12), (5000, 3, .1),
-        (50, 7, .02), (10, 1000, .05), (300, .7, .11), (2**20, 100, .05),
-        (123456, 5, .09)])
+    @pytest.mark.parametrize("n, eps, tau", _SWEEP_CASES)
     def test_matches_full_row_sweep(self, n, eps, tau):
-        D, ref = build_D(n, eps, tau), build_D_sweep(n, eps, tau)
-        assert (D.k_min, D.k_max, D.bad_pairs) == (ref.k_min, ref.k_max, ref.bad_pairs)
-        assert type(D.bad_pairs) is int
-        for name in ("row_offsets", "range_lo", "range_hi"):
-            got, want = getattr(D, name), getattr(ref, name)
-            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        _assert_matches_sweep(build_D(n, eps, tau), n, eps, tau)
+
+    # blocks of 1 row, of 7 (not a divisor of any m here) and of 64: a
+    # block edge that drops, repeats or splits a row changes the arrays
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    def test_row_blocks_match_full_row_sweep(self, monkeypatch, rows):
+        monkeypatch.setattr(diophantine, "_BLOCK_ROWS", rows)
+        cases = [c for c in _SWEEP_CASES if 2 * math.pi * c[0] / c[1] <= 3000]
+        assert len(cases) == 6
+        for n, eps, tau in cases:
+            _assert_matches_sweep(build_D(n, eps, tau), n, eps, tau)
+
+    def test_peak_memory_at_n_1e4(self):
+        # one key sort and merge over all 62,832 rows peaks at 21.8 MiB
+        build_D(10**4, 1.0, 0.05)
+        tracemalloc.start()
+        try:
+            build_D(10**4, 1.0, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20, peak / 2**20
 
     def test_adjacent_pairs_excluded(self):
         D = build_D(100, 1.0, 0.05)

@@ -64,6 +64,17 @@ class TestRunExperiment:
             run_experiment(gaussian(), 4, FULL, trials=16, seed=0,
                            parallelism=parallelism)
 
+    # refused before any work: unrefused, 16.5, 8.5 and 300.5 reach numpy
+    # and a fractional parallelism concurrent.futures as TypeErrors, and
+    # True runs as 1
+    @pytest.mark.parametrize("name, value", [
+        ("n", 16.5), ("n", True), ("trials", 8.5), ("trials", np.float64(16.0)),
+        ("M", 300.5), ("M", True), ("parallelism", 1.5), ("parallelism", True)])
+    def test_refuses_counts_that_are_not_integers(self, name, value):
+        kwargs = {"n": 16, "trials": 600, "M": None, "parallelism": 2, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value}"):
+            run_experiment(gaussian(), window=FULL, seed=0, **kwargs)
+
     def test_parallel_determinism(self):
         recs = [run_experiment(rademacher(), 32, FULL, trials=600, seed=5,
                                parallelism=p) for p in (1, 4, 16)]

@@ -286,6 +286,17 @@ class TestBasisVectors:
                     err = max(abs(mp.cos(th) - c[k - 1]), abs(mp.sin(th) - sn[k - 1]))
                     assert err <= 2 * eps * (1 + k * abs(p) / n), (n, p, k, float(err))
 
+    @pytest.mark.parametrize("s, only", [(None, [1]), (None, []), (2.2, [0, 2]),
+                                         (2.2, [1, 3]), (2.2, [3, 3, 0])])
+    def test_only_builds_the_named_rows(self, s, only):
+        full, rows = coefficient_columns(1000, 1.1, s), coefficient_columns(1000, 1.1, s, only)
+        assert len(rows) == len(full)
+        for j, (got, want) in enumerate(zip(rows, full)):
+            if j not in only:
+                assert got is None
+            else:
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
     @pytest.mark.parametrize("n, s", [(1, None), (7, 2.2), (1000, -3e3)])
     def test_matrices_and_point_rows_are_the_columns(self, n, s):
         rows = coefficient_columns(n, 1.1, s)
