@@ -184,7 +184,7 @@ def build_D(n: int, epsilon: float, tau: float = 0.05) -> DRegion:
     u = npi / epsilon
     shift = (m + 1).bit_length()
     # each band's run of rows [r0, r1], once; k1 = 0 bands mark whole rows
-    bands = [(0, l1, 0, 0, m - 2) for l1 in range(1, l_max + 1)]  # l_max >= 1
+    bands = [(0, l1, 0, 0, m - 2) for l1 in range(1, l_max + 1)]  # l_max >= 1 as n >= 1
     for k1, l1 in _canonical_pairs(l_max)[l_max:]:
         span = abs(k1) + abs(l1) + 1
         for mm in range(-span, span + 1):
@@ -250,7 +250,7 @@ def build_D(n: int, epsilon: float, tau: float = 0.05) -> DRegion:
         # takes starts[0], which holds
         widths.append(key_hi[np.roll(starts, -1)] - merged_keys[-1])
 
-    lo, hi = np.concatenate(merged_keys), np.concatenate(widths)
+    lo, hi = np.concatenate(merged_keys), np.concatenate(widths)  # decoded in place below
     del merged_keys, widths
     bad = int(np.sum(hi)) + lo.size
     offsets = np.concatenate(([0], np.cumsum(np.bincount(lo >> shift, minlength=m))))
