@@ -35,11 +35,11 @@ from trigroots.mcstats import (
     slope_series,
     theoretical_slope,
 )
-from trigroots.polyeval import FULL, covariance_V
+from trigroots.polyeval import covariance_V
 from trigroots.rootcount import AGREEMENT_SHARE, count_kacrice, gaussian_expectation_exact
 
 #: the law GAUSSIAN_SLOPE - 4/15, to the five digits of GAUSSIAN_SLOPE
-RADEMACHER_SLOPE = round(theoretical_slope(rademacher(), FULL), 5)
+RADEMACHER_SLOPE = round(theoretical_slope(rademacher()), 5)
 
 #: limits of c_n(i,i,j,j) / (m4 - 3) at non-resonant t, s, with a = i-1,
 #: b = j-3: of the fourth moment of iid mean-zero linear forms only the
@@ -84,12 +84,12 @@ def criterion_1_cg(ctx) -> CriterionResult:
 
 def criterion_2_expectation(ctx) -> CriterionResult:
     seed = ctx["seed"]
-    rec = run_experiment(gaussian(), 50, FULL, trials=2000, seed=seed + 2,
+    rec = run_experiment(gaussian(), 50, trials=2000, seed=seed + 2,
                          parallelism=ctx["parallelism"])
     exact = gaussian_expectation_exact(50)
     dev = abs(rec.estimate.mean - exact)
     ok_mean = dev <= 3.0 * rec.estimate.se_mean
-    rec1 = run_experiment(gaussian(), 1, FULL, trials=100, seed=seed + 20)
+    rec1 = run_experiment(gaussian(), 1, trials=100, seed=seed + 20)
     ok_n1 = rec1.estimate.mean == 2.0 and rec1.estimate.variance == 0.0
     return CriterionResult(
         2, "Gaussian mean count matches the exact formula", ok_mean and ok_n1,
@@ -100,7 +100,7 @@ def criterion_2_expectation(ctx) -> CriterionResult:
 
 
 def criterion_3_gaussian_slope(ctx) -> CriterionResult:
-    rec = run_experiment(gaussian(), 256, FULL, trials=20000,
+    rec = run_experiment(gaussian(), 256, trials=20000,
                          seed=ctx["seed"] + 3, parallelism=ctx["parallelism"])
     ctx["gaussian_256"] = rec
     rel = abs(rec.estimate.var_over_n - GAUSSIAN_SLOPE) / GAUSSIAN_SLOPE
@@ -113,10 +113,10 @@ def criterion_3_gaussian_slope(ctx) -> CriterionResult:
 
 
 def criterion_4_rademacher_slope(ctx) -> CriterionResult:
-    rec = run_experiment(rademacher(), 256, FULL, trials=20000,
+    rec = run_experiment(rademacher(), 256, trials=20000,
                          seed=ctx["seed"] + 4, parallelism=ctx["parallelism"])
     grec = ctx.get("gaussian_256") or run_experiment(
-        gaussian(), 256, FULL, trials=20000, seed=ctx["seed"] + 3,
+        gaussian(), 256, trials=20000, seed=ctx["seed"] + 3,
         parallelism=ctx["parallelism"])
     rel = abs(rec.estimate.var_over_n - RADEMACHER_SLOPE) / RADEMACHER_SLOPE
     sep = grec.estimate.var_over_n - rec.estimate.var_over_n
@@ -138,7 +138,7 @@ def criterion_5_kacrice(ctx) -> CriterionResult:
     for trial in range(samples):
         dist = rademacher() if trial % 2 else gaussian()
         s = ensemble.sample(dist, 64, seed=seed, trial_index=trial)
-        kr = count_kacrice(s, FULL, delta=1e-6)
+        kr = count_kacrice(s, delta=1e-6)
         if kr.agrees:
             agree += 1
         elif kr.flagged:
@@ -309,7 +309,7 @@ def criterion_12_scaling(ctx) -> CriterionResult:
 
 def criterion_13_determinism(ctx) -> CriterionResult:
     seed = ctx["seed"] + 13
-    recs = [run_experiment(gaussian(), 64, FULL, trials=1000, seed=seed,
+    recs = [run_experiment(gaussian(), 64, trials=1000, seed=seed,
                            parallelism=p) for p in (1, 8, 1)]
     payloads = [json.dumps(r.canonical_dict(), sort_keys=True) for r in recs]
     ok = payloads[0] == payloads[1] == payloads[2]

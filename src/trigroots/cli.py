@@ -37,7 +37,6 @@ from trigroots.diophantine import (
 )
 from trigroots.ensemble import parse_distribution
 from trigroots.mcstats import run_experiment, slope_rows, slope_series
-from trigroots.polyeval import FULL, WindowSpec
 from trigroots.rootcount import AGREEMENT_SHARE, check_delta, count_kacrice
 
 ENV_THREADS = "TRIGROOTS_THREADS"
@@ -140,18 +139,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", type=str, default="gaussian")
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--window", choices=["full", "half"], default="full")
     _add_common(p)
 
     p = sub.add_parser(
         "sweep", help="Monte Carlo table over laws and n (CSV/SVG)",
-        epilog="CSV columns: dist, window, n, trials, flagged_trial_count, unreliable, "
-               "mean, se_mean, variance, se_variance, var_over_n, se, var_over_n2")
+        epilog="CSV columns: dist, n, trials, flagged_trial_count, unreliable, mean, "
+               "se_mean, variance, se_variance, var_over_n, se, var_over_n2")
     p.add_argument("--dist", type=str, default="gaussian,rademacher",
                    help="comma-separated ensemble list")
     p.add_argument("--n", type=str, default="64,128,256", help="comma-separated n list")
     p.add_argument("--trials", type=int, default=2000)
-    p.add_argument("--window", choices=["full", "half"], default="full")
     p.add_argument("--svg", type=str, default=None, help="also write an SVG chart")
     _add_common(p)
 
@@ -282,8 +279,7 @@ def _cmd_cg(cfg):
 
 def _cmd_simulate(cfg):
     dist = parse_distribution(cfg["dist"])
-    window = WindowSpec(cfg["window"])
-    rec = run_experiment(dist, cfg["n"], window, cfg["trials"], cfg["seed"],
+    rec = run_experiment(dist, cfg["n"], cfg["trials"], cfg["seed"],
                          parallelism=cfg["threads"])
     _emit_json({"meta": _meta(cfg), "record": rec.to_dict()}, cfg.get("out"))
     return 0
@@ -291,11 +287,10 @@ def _cmd_simulate(cfg):
 
 def _cmd_sweep(cfg):
     n_list = _list_flag(cfg, "n")
-    window = WindowSpec(cfg["window"])
     rows = []
     for name in _list_flag(cfg, "dist"):
         dist = parse_distribution(name)
-        recs = slope_series(dist, n_list, cfg["trials"], cfg["seed"], window,
+        recs = slope_series(dist, n_list, cfg["trials"], cfg["seed"],
                             parallelism=cfg["threads"])
         rows.extend(slope_rows(recs))
     _emit_csv(rows, cfg.get("out"), cfg)
@@ -313,7 +308,7 @@ def _cmd_kacrice_audit(cfg):
     root_rows = []
     for trial in range(cfg["trials"]):
         s = ensemble.sample(dist, cfg["n"], cfg["seed"], trial)
-        kr = count_kacrice(s, FULL, delta=cfg["delta"])
+        kr = count_kacrice(s, delta=cfg["delta"])
         agree += kr.agrees
         flagged += kr.flagged
         if cfg.get("roots_csv"):

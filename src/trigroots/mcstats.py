@@ -5,7 +5,7 @@ stream, so a trial's count never depends on scheduling.  Trials are drawn
 and counted in fixed-size chunks (one ``ensemble.draw_trials`` call each),
 serially or by worker processes; the counts are joined in trial order and
 their moments taken in one pass, so a record is a function of (law, n,
-window, M, seed, trials) alone, whatever the chunk size or worker count.
+M, seed, trials) alone, whatever the chunk size or worker count.
 """
 
 from __future__ import annotations
@@ -20,14 +20,14 @@ import numpy as np
 
 from trigroots import ensemble
 from trigroots.ensemble import DistributionSpec, moments
-from trigroots.polyeval import FULL, WindowSpec, grid_size
+from trigroots.polyeval import FULL, grid_size
 from trigroots.rootcount import count_batch
 
 #: trials drawn and counted per job: the worker and memory unit, which no
 #: output depends on
 CHUNK_SIZE = 256
 
-#: the full-window limit of Var(count)/n is GAUSSIAN_SLOPE + KURTOSIS_COEFF *
+#: the one-period limit of Var(count)/n is GAUSSIAN_SLOPE + KURTOSIS_COEFF *
 #: (m4 - 3): the quadrature constant cg (criterion 1 checks ``compute_cg``
 #: against it) plus the coefficient law's excess kurtosis term
 GAUSSIAN_SLOPE = 0.55826
@@ -98,13 +98,12 @@ class VarianceEstimate:
 @dataclass(frozen=True)
 class ExperimentRecord:
     distribution: str
-    window: str
     n: int
     M: int
     seed: int
     trials: int
     estimate: VarianceEstimate
-    theoretical_slope: float | None
+    theoretical_slope: float
     flagged_trial_count: int
     unreliable: bool
     wall_time: float
@@ -120,15 +119,13 @@ class ExperimentRecord:
         return self.to_dict(include_timing=False)
 
 
-def _chunk_counts(dist: DistributionSpec, n: int, window: WindowSpec, M: int,
-                  seed: int, lo: int, hi: int):
+def _chunk_counts(dist: DistributionSpec, n: int, M: int, seed: int, lo: int, hi: int):
     """Counts and uncertainty flags for trials [lo, hi)."""
-    return count_batch(ensemble.draw_trials(dist, n, seed, lo, hi), n, window, M)
+    return count_batch(ensemble.draw_trials(dist, n, seed, lo, hi), n, FULL, M)
 
 
-def run_experiment(dist: DistributionSpec, n: int, window: WindowSpec = FULL,
-                   trials: int = 1000, seed: int = 0, parallelism: int = 1,
-                   M: int | None = None) -> ExperimentRecord:
+def run_experiment(dist: DistributionSpec, n: int, trials: int = 1000, seed: int = 0,
+                   parallelism: int = 1, M: int | None = None) -> ExperimentRecord:
     """Estimate mean and variance of the root count over seeded trials.
 
     Counts come from the grid scan with the stationary-point audit (root
@@ -150,8 +147,7 @@ def run_experiment(dist: DistributionSpec, n: int, window: WindowSpec = FULL,
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     t0 = time.perf_counter()
     edges = list(range(0, trials, CHUNK_SIZE)) + [trials]
-    jobs = [(dist, n, window, M, seed, lo, hi)
-            for lo, hi in zip(edges[:-1], edges[1:])]
+    jobs = [(dist, n, M, seed, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
     if parallelism > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
             results = list(pool.map(_chunk_counts, *zip(*jobs), chunksize=1))
@@ -163,33 +159,28 @@ def run_experiment(dist: DistributionSpec, n: int, window: WindowSpec = FULL,
     est = VarianceEstimate.from_accumulator(MomentAccumulator.from_values(counts), n)
     wall = time.perf_counter() - t0
     return ExperimentRecord(
-        distribution=dist.label(), window=window.kind, n=n, M=M,
+        distribution=dist.label(), n=n, M=M,
         seed=int(seed), trials=trials, estimate=est,
-        theoretical_slope=theoretical_slope(dist, window),
+        theoretical_slope=theoretical_slope(dist),
         flagged_trial_count=flagged,
         unreliable=flagged > 0.001 * trials,
         wall_time=wall,
     )
 
 
-def theoretical_slope(dist: DistributionSpec, window: WindowSpec) -> float | None:
-    """Limit of Var(count)/n on the full window: the Gaussian slope plus the
-    kurtosis term.  None on the half window, which has no Gaussian baseline
-    here."""
-    if not window.circular:
-        return None
+def theoretical_slope(dist: DistributionSpec) -> float:
+    """Limit of Var(count)/n over one period: the Gaussian slope plus the
+    kurtosis term."""
     return GAUSSIAN_SLOPE + KURTOSIS_COEFF * moments(dist).excess_kurtosis
 
 
 def slope_series(dist: DistributionSpec, n_list, trials_per_n: int, seed: int,
-                 window: WindowSpec = FULL,
                  parallelism: int = 1) -> list[ExperimentRecord]:
     """One experiment per n; n_list must be increasing."""
     n_list = list(n_list)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
-    return [run_experiment(dist, n, window, trials_per_n, seed,
-                           parallelism=parallelism)
+    return [run_experiment(dist, n, trials_per_n, seed, parallelism=parallelism)
             for n in n_list]
 
 
@@ -198,7 +189,6 @@ def slope_rows(records: list[ExperimentRecord]) -> list[dict]:
     criterion 12 reads; ``se`` is the standard error of ``var_over_n``."""
     return [{
         "dist": r.distribution,
-        "window": r.window,
         "n": r.n,
         "trials": r.trials,
         "flagged_trial_count": r.flagged_trial_count,

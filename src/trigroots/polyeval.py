@@ -9,13 +9,13 @@ normalized walk S_n(t)/sqrt(n) built from the basis vectors
 so P_n(t) = n^{-1/2} sum_i y_i1 u_i[0] + y_i2 u_i'[0] and P_n' likewise
 from the second components.  ``coefficient_columns`` is the one basis
 evaluator (contiguous columns of C_n(i) = (u_i, u_i'), each point's phases
-from an angle-addition table).  On an equispaced grid the phases i*t_k/n
-are equispaced in k, so a grid is one complex inverse FFT (P and P' at once
-by Hermitian packing).
+from an angle-addition table).  Every grid spans one period, M points
+t_k = -n pi + 2 pi n k/M; its phases i*t_k/n are equispaced in k, so a grid
+is one complex inverse FFT (P and P' at once by Hermitian packing).
 
 The FFT's scale M/(2 sqrt n) is folded into the packed spectrum, so a
 batch grid is the FFT output (P real, P' imaginary), made in place in one
-(B, period) array that ``count_batch`` reuses for every pass of a call.
+(B, M) array that ``count_batch`` reuses for every pass of a call.
 
 A single-sample grid also carries the derivatives P^(0) .. P^(K+1) over one
 full period, two orders to each spectrum times (i j/n)^k, one FFT call
@@ -53,43 +53,20 @@ class GridError(ValueError):
     """Grid too coarse for the requested polynomial degree."""
 
 
-@dataclass(frozen=True)
-class WindowSpec:
-    """Evaluation window: one full period (-n pi, n pi] or the half [0, n pi]."""
-
-    kind: str = "full"
-
-    def __post_init__(self):
-        if self.kind not in ("full", "half"):
-            raise ValueError(f"window kind must be 'full' or 'half', got {self.kind!r}")
-
-    @property
-    def circular(self) -> bool:
-        return self.kind == "full"
-
-    def start(self, n: int) -> float:
-        return -n * math.pi if self.kind == "full" else 0.0
-
-    def length(self, n: int) -> float:
-        return 2.0 * n * math.pi if self.kind == "full" else n * math.pi
-
-    def end(self, n: int) -> float:
-        return self.start(n) + self.length(n)
-
-
-FULL = WindowSpec("full")
-HALF = WindowSpec("half")
+#: the one window, one full period (-n pi, n pi]: a name kept for the third
+#: parameter of ``rootcount.count_batch``, which the benchmark still passes
+#: (ROADMAP item 6: its next change drops both)
+FULL = "full"
 
 
 @dataclass(frozen=True)
 class EvaluationGrid:
-    """P and P' sampled on the equispaced abscissae t_k = start + k*spacing.
+    """P and P' sampled on the equispaced abscissae t_k = start + k*spacing
+    of one period, start = -n pi.
 
-    ``derivs[k, m]`` is P^(m)(t_k) for m = 0 .. TAYLOR_ORDER + 1 and k over
-    one full period of nodes (M for the full window, 2M for the half).
+    ``derivs[k, m]`` is P^(m)(t_k) for m = 0 .. TAYLOR_ORDER + 1 and k < M.
     """
 
-    window: WindowSpec
     n: int
     M: int
     P: np.ndarray
@@ -98,11 +75,11 @@ class EvaluationGrid:
 
     @property
     def spacing(self) -> float:
-        return self.window.length(self.n) / self.M
+        return grid_spacing(self.n, self.M)
 
     @property
     def start(self) -> float:
-        return self.window.start(self.n)
+        return -self.n * math.pi
 
     def t_values(self) -> np.ndarray:
         return self.start + self.spacing * np.arange(self.M)
@@ -115,7 +92,7 @@ class EvaluationGrid:
         h = self.spacing
         k = np.rint((ts - self.start) / h)
         x = ts - (self.start + k * h)
-        return taylor_eval(self.derivs[k.astype(np.int64) % self.derivs.shape[0]], x)
+        return taylor_eval(self.derivs[k.astype(np.int64) % self.M], x)
 
 
 def taylor_eval(d: np.ndarray, x) -> tuple:
@@ -180,21 +157,27 @@ class CovarianceMatrix:
 
 
 def grid_size(n: int) -> int:
-    """The root-capture bound: the fewest grid points per window at degree n."""
+    """The root-capture bound: the fewest grid points per period at degree n."""
     return 2 * n * DEFAULT_OVERSAMPLE
 
 
-def pass_rows(n: int, window: WindowSpec, M: int) -> int:
+def grid_spacing(n: int, M: int) -> float:
+    """Spacing of an M-point grid of one period."""
+    return 2.0 * n * math.pi / M
+
+
+def pass_rows(n: int, M: int) -> int:
     """Rows of one batch pass: PASS_BYTES of spectrum, at least one row."""
-    return max(1, PASS_BYTES // (16 * period_size(n, window, M)))
+    return max(1, PASS_BYTES // (16 * check_grid(n, M)))
 
 
-def period_size(n: int, window: WindowSpec, M: int) -> int:
-    """Nodes in one full period of an M-point grid of the window; refuses M
-    below ``grid_size(n)``."""
+def check_grid(n: int, M: int) -> int:
+    """M, refused unless an integer of at least ``grid_size(n)``."""
+    if isinstance(M, bool) or not isinstance(M, (int, np.integer)):
+        raise ValueError(f"M must be an integer, got {M!r}")
     if M < grid_size(n):
         raise GridError(f"M={M} below root-capture bound {grid_size(n)}")
-    return M if window.kind == "full" else 2 * M
+    return M
 
 
 def _cis(theta: np.ndarray) -> np.ndarray:
@@ -230,21 +213,21 @@ def eval_points(sample: CoefficientSample, ts: np.ndarray) -> tuple:
     return P, Q
 
 
-def _packed_ifft(y: np.ndarray, n: int, M: int, start_over_pi_n: float,
-                 pairs: int = 1, out: np.ndarray | None = None) -> np.ndarray:
+def _packed_ifft(y: np.ndarray, n: int, M: int, pairs: int = 1,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Length-M inverse FFTs of the Hermitian-packed spectra, shape (pairs,
     ..., M): pair k has P^(2k) in the real part and P^(2k+1) in the
     imaginary part.  The bands are filled, every other bin zeroed, and all
     transformed by one FFT call in place (in ``out``, reshaped, if given)."""
     i = np.arange(1, n + 1)
     z = y[..., 0] - 1j * y[..., 1]  # Re(z e^{i theta}) = y1 cos + y2 sin
-    # phase offset of the window start folded into the coefficients; for
-    # the full window (start_over_pi_n = -1) its real part is (-1)^i, but
-    # its imaginary part is sin of the rounded pi*i, about 1.2e-16*i, not 0.
+    # phase offset of the window start -n pi folded into the coefficients:
+    # its real part is (-1)^i, but its imaginary part is sin of the rounded
+    # pi*i, about 1.2e-16*i, not 0.
     # The factor M/(2 sqrt n) is folded in too: it undoes the FFT's 1/M and
     # the 2 of each Hermitian pair and puts in P's 1/sqrt n (a power of
     # two, so exact, when n is a power of four).
-    rot = np.exp(1j * math.pi * start_over_pi_n * i) * (M / (2.0 * math.sqrt(n)))
+    rot = np.exp(-1j * math.pi * i) * (M / (2.0 * math.sqrt(n)))
     d = 1j * (i / n)  # d/dt of the e^{i i t / n} term
     powers = [z * rot]  # the spectra of P^(0), P^(1), .., one factor d at a time
     for _ in range(2 * pairs - 1):
@@ -260,41 +243,34 @@ def _packed_ifft(y: np.ndarray, n: int, M: int, start_over_pi_n: float,
     return np.fft.ifft(spec, axis=-1, out=spec)
 
 
-def eval_grid(sample: CoefficientSample, window: WindowSpec,
-              M: int | None = None) -> EvaluationGrid:
-    """P and P' on the window's equispaced grid, M defaulting to the
-    root-capture bound, with the derivative stack over one full period.
+def eval_grid(sample: CoefficientSample, M: int | None = None) -> EvaluationGrid:
+    """P and P' on the M-point grid of one period, M defaulting to the
+    root-capture bound, with the derivative stack.
 
     P and P' are those of ``eval_grid_batch`` on a batch of one; the pairs
-    of orders (m, m+1) share one FFT call, one period of Mfft points each.
+    of orders (m, m+1) share one FFT call.
     """
     n = sample.n
-    if M is None:
-        M = grid_size(n)
-    Mfft = period_size(n, window, M)
-    F = _packed_ifft(sample.y, n, Mfft, window.start(n) / (math.pi * n), (TAYLOR_ORDER + 2) // 2)
+    M = check_grid(n, grid_size(n) if M is None else M)
+    F = _packed_ifft(sample.y, n, M, (TAYLOR_ORDER + 2) // 2)
     derivs = np.ascontiguousarray(F.T).view(float)  # pair k: columns 2k, 2k + 1
-    P, Q = derivs[:M, 0].copy(), derivs[:M, 1].copy()
+    P, Q = derivs[:, 0].copy(), derivs[:, 1].copy()
     for a in (P, Q, derivs):
         a.setflags(write=False)
-    return EvaluationGrid(window=window, n=n, M=M, P=P, Pprime=Q, derivs=derivs)
+    return EvaluationGrid(n=n, M=M, P=P, Pprime=Q, derivs=derivs)
 
 
-def eval_grid_batch(ys: np.ndarray, n: int, window: WindowSpec, M: int,
-                    out: np.ndarray | None = None):
+def eval_grid_batch(ys: np.ndarray, n: int, M: int, out: np.ndarray | None = None):
     """(P, P') grids for a batch of coefficient arrays, shape (B, n, 2), via
-    one batched complex FFT (both at once by Hermitian packing): its
-    (B, period) output over one full period from the window's start, P in
-    the real part and P' in the imaginary.  ``out``, a C-contiguous
-    (B, period) complex array, is reused for the spectrum and the output.
+    one batched complex FFT (both at once by Hermitian packing): its (B, M)
+    output over one period from -n pi, P in the real part and P' in the
+    imaginary.  ``out``, a C-contiguous (B, M) complex array, is reused for
+    the spectrum and the output.
 
     Refuses M below ``grid_size(n)``: the sign-change root capture relies
     on several grid points per root of a degree-n trigonometric polynomial.
-    The half window spans half a period: its M points are the first M of
-    the 2M-point period, and the rest bound sup|P| with them.
     """
-    start_ratio = window.start(n) / (math.pi * n)  # -1 (full) or 0 (half)
-    return _packed_ifft(ys, n, period_size(n, window, M), start_ratio, out=out)[0]
+    return _packed_ifft(ys, n, check_grid(n, M), out=out)[0]
 
 
 def coefficient_columns(n: int, t: float, s: float | None = None, only=None) -> list:

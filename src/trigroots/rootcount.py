@@ -32,7 +32,7 @@ the two crossings around each root (to one ulp) and 15-node Gauss-Legendre
 in between; the dips at the audit's unresolved tangencies add the mass of
 their own crossings.  It reproduces the integer count unless the sample is
 flagged: delta above the grid's safe estimate (min of |P| + |P'| over the
-grid and |P| at the window ends), an uncertain count, or overlapping
+grid and |P| at the window's start), an uncertain count, or overlapping
 delta-intervals of neighbouring roots.
 """
 
@@ -48,13 +48,12 @@ from trigroots.ensemble import CoefficientSample
 from trigroots.polyeval import (
     FULL,
     EvaluationGrid,
-    WindowSpec,
     cell_expansions,
     eval_grid,
     eval_grid_batch,
     eval_points,
+    grid_spacing,
     pass_rows,
-    period_size,
     taylor_eval,
 )
 
@@ -86,7 +85,6 @@ class RootCountResult:
     tangencies: np.ndarray           # audit's t* of the cells stuck at a tangency
     uncertain: bool
     grid: EvaluationGrid | None  # None in a KacRiceResult (frees the stack)
-    end_value: float  # P at the window's closing point
     tol: float
 
 
@@ -111,16 +109,12 @@ def default_tol(n: int) -> float:
     return 1e-12 * n
 
 
-def gaussian_expectation_exact(n: int, window: WindowSpec = FULL) -> float:
-    """Mean root count of the Gaussian ensemble, exact at every n.
-
-    The half-window value is half the full-window one (stationarity of the
-    Gaussian ensemble; verified by Monte Carlo, not assumed from theory).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    full = 2.0 * math.sqrt((2 * n + 1) * (n + 1) / 6.0)
-    return full if window.kind == "full" else 0.5 * full
+def gaussian_expectation_exact(n: int) -> float:
+    """Mean root count of the Gaussian ensemble over one period, exact at
+    every n; refuses an n that is not an integer >= 1."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    return 2.0 * math.sqrt((2 * n + 1) * (n + 1) / 6.0)
 
 
 def _hermite_extremum(p0, p1, q0, q1, h):
@@ -188,46 +182,31 @@ def _newton(fg, a, b, x, up, tol=0.0):
 class _Cells(NamedTuple):
     """The candidate cells of a ``_scan``, row by row."""
     rows: np.ndarray   # row of each cell in the scanned batch
-    cells: np.ndarray  # cell index in the window
+    cells: np.ndarray  # cell index in the period
     p0: np.ndarray     # P at the cell's left and right ends
     p1: np.ndarray
     q0: np.ndarray     # P' at the cell's left and right ends
     q1: np.ndarray
-    scale: np.ndarray  # the row's max |P| over the window's nodes (>= 1e-300)
-    peak: np.ndarray   # the row's max |P| over one period
+    scale: np.ndarray  # the row's max |P| over the grid's nodes (>= 1e-300)
 
 
-def _scan(ys: np.ndarray, G: np.ndarray, window: WindowSpec) -> tuple:
-    """Sign scan of (B, period) grids G = P + i P' over one period from the
-    window's start; the window's M cells start at its first M nodes (all of
-    them for the full window, half for the half).
+def _scan(ys: np.ndarray, G: np.ndarray) -> tuple:
+    """Sign scan of (B, M) grids G = P + i P' over one period from -n pi,
+    one cell a node; the last cell closes on the first node (P is periodic).
 
-    The last cell closes on the first node for the full window (P is
-    periodic) and on the value at n*pi for the half window, summed with the
-    exact (-1)^i phases.  ``ys`` holds the (B, n, 2) coefficients.  The
-    signs (x >= 0: an exact zero joins the + side) of P and P' at a node
-    are one little-endian word, so one XOR of neighbours marks both changes:
-    the low byte the crossings, 256 the stationary cells, which alone are
-    gathered for the dip test, one complex gather an end.  G is scratch:
-    once the cell ends are gathered, its real part is turned into |P|.
-    Returns (crossing, end, counts, uncertain, cells); the ``_Cells`` to
-    audit hold no view of G."""
-    n = ys.shape[1]
-    M = G.shape[1] if window.circular else G.shape[1] // 2
-    F = G[:, :M]
-    h = window.length(n) / M
-    if window.circular:
-        p_end, q_end = F[:, 0].real.copy(), F[:, 0].imag
-    else:
-        # at t = n*pi the phases are i*pi: cos = (-1)^i and sin = 0 exactly
-        i = np.arange(1, n + 1)
-        alt = np.where(i % 2 == 0, 1.0, -1.0)
-        p_end = ys[:, :, 0] @ alt / math.sqrt(n)
-        q_end = ys[:, :, 1] @ (alt * i / n) / math.sqrt(n)
-    signs = np.empty((len(F), M + 1, 2), dtype=bool)  # P, P' signs in one pass
-    np.greater_equal(F.view(float).reshape(len(F), M, 2), 0.0, out=signs[:, :M])
-    signs[:, M, 0], signs[:, M, 1] = p_end >= 0.0, q_end >= 0.0
-    words = signs.view("<u2").reshape(len(F), M + 1)
+    ``ys`` holds the (B, n, 2) coefficients.  The signs (x >= 0: an exact
+    zero joins the + side) of P and P' at a node are one little-endian
+    word, so one XOR of neighbours marks both changes: the low byte the
+    crossings, 256 the stationary cells, which alone are gathered for the
+    dip test, one complex gather an end.  G is scratch: once the cell ends
+    are gathered, its real part is turned into |P|.  Returns (crossing,
+    counts, uncertain, cells); the ``_Cells`` to audit hold no view of G."""
+    B, M = G.shape
+    h = grid_spacing(ys.shape[1], M)
+    signs = np.empty((B, M + 1, 2), dtype=bool)  # P, P' signs in one pass
+    np.greater_equal(G.view(float).reshape(B, M, 2), 0.0, out=signs[:, :M])
+    signs[:, M] = signs[:, 0]  # the closing word: node 0's
+    words = signs.view("<u2").reshape(B, M + 1)
     flips = words[:, 1:] ^ words[:, :-1]
     crossing = flips.view(np.uint8)[:, ::2].view(bool)
     counts = np.count_nonzero(crossing, axis=1)
@@ -236,31 +215,26 @@ def _scan(ys: np.ndarray, G: np.ndarray, window: WindowSpec) -> tuple:
 
     rows, cells = np.divmod(np.flatnonzero(flips == 256), M)
     right = cells + 1
-    last = right == M
-    right[last] = 0
-    flat, at = G.reshape(-1), rows * G.shape[1]  # flat gathers: one index array
+    right[right == M] = 0
+    flat, at = G.reshape(-1), rows * M  # flat gathers: one index array
     left, right = flat[at + cells], flat[at + right]
-    if not window.circular:
-        right.real[last], right.imag[last] = p_end[rows[last]], q_end[rows[last]]
     pl, pr, ql, qr = left.real, right.real, left.imag, right.imag
     dip = np.minimum(np.abs(pl), np.abs(pr)) < 0.5 * h * np.maximum(np.abs(ql), np.abs(qr))
     audit = dip & finite[rows]
     rows = rows[audit]
-    A = np.abs(G.real, out=G.real)  # |P| over one period, the window's nodes first
-    scale = A[:, :M].max(axis=1)
-    peak = np.maximum(scale, A[:, M:].max(axis=1, initial=0.0))[rows]
+    scale = np.abs(G.real, out=G.real).max(axis=1)  # |P| over one period
     found = _Cells(rows, cells[audit], pl[audit], pr[audit], ql[audit], qr[audit],
-                   np.maximum(scale, 1e-300)[rows], peak)
-    return crossing, p_end, counts, uncertain, found
+                   np.maximum(scale, 1e-300)[rows])
+    return crossing, counts, uncertain, found
 
 
-def _audit(ys, window, M, found, counts, uncertain):
+def _audit(ys, M, found, counts, uncertain):
     """Classify the ``_scan`` cells of any number of passes, rows offset
     into ``ys``: clean, a hidden root pair, or a tangency.
 
     The cubic Hermite interpolant of a cell's end values and slopes is
     within h^4/384 sup|P^(4)| of P, and, all frequencies being <= 1, sup|P^(4)|
-    <= sup|P| <= peak / (1 - h^2/8) (Bernstein; ``peak`` is the grid's max
+    <= sup|P| <= scale / (1 - h^2/8) (Bernstein; ``scale`` is the grid's max
     |P| over one period, the nearest node to the maximum within h/2).  A
     cell whose interpolated extremum clears ``_HERMITE_SLACK`` times that
     bound and the tangency threshold (in units of ``scale``) keeps the
@@ -271,13 +245,13 @@ def _audit(ys, window, M, found, counts, uncertain):
     tangencies and counts over 2n in ``uncertain``.  Returns the cells,
     concatenated, and their (status, t_star)."""
     n = ys.shape[1]
-    c = _Cells._make(map(np.concatenate, zip(*found))) if found else _Cells(*[np.empty(0)] * 8)
+    c = _Cells._make(map(np.concatenate, zip(*found))) if found else _Cells(*[np.empty(0)] * 7)
     status, t_star = np.zeros(c.rows.size, dtype=int), np.empty(c.rows.size)
     if c.rows.size:
-        h = window.length(n) / M
-        t_left = window.start(n) + h * c.cells
+        h = grid_spacing(n, M)
+        t_left = -n * math.pi + h * c.cells
         x, val = _hermite_extremum(c.p0, c.p1, c.q0, c.q1, h)
-        bound = h ** 4 / 384.0 / (1.0 - h * h / 8.0) * c.peak
+        bound = h ** 4 / 384.0 / (1.0 - h * h / 8.0) * c.scale
         needs = np.isnan(x) | (np.abs(val) <= _HERMITE_SLACK * np.maximum(
             bound, _TANGENCY_EPS * c.scale))
         status[(~needs) & ((val >= 0.0) != (c.p0 >= 0.0))] = _AUDIT_DOUBLE
@@ -301,20 +275,19 @@ def _audit(ys, window, M, found, counts, uncertain):
     return c, status, t_star
 
 
-def count_roots(sample: CoefficientSample, window: WindowSpec = FULL,
-                tol: float | None = None) -> RootCountResult:
-    """Count and refine the real roots in the window: ``_scan`` and ``_audit``
+def count_roots(sample: CoefficientSample, tol: float | None = None) -> RootCountResult:
+    """Count and refine the real roots in one period: ``_scan`` and ``_audit``
     on a batch of one, then Newton from the middle of every bracket, to tol."""
     n = sample.n
     if tol is None:
         tol = default_tol(n)
-    grid = eval_grid(sample, window)
+    grid = eval_grid(sample)
     h = grid.spacing
     if not 0.0 < tol < h:
         raise ValueError(f"tol={tol} outside (0, grid spacing {h})")
     G = grid.derivs[:, :2].copy().view(complex).reshape(1, -1)  # one period of P + i P'
-    crossing, end, counts, uncertain, found = _scan(sample.y[None], G, window)
-    cells, status, t_star = _audit(sample.y[None], window, grid.M, [found], counts, uncertain)
+    crossing, counts, uncertain, found = _scan(sample.y[None], G)
+    cells, status, t_star = _audit(sample.y[None], grid.M, [found], counts, uncertain)
     t_left = grid.t_values()
     lo = t_left[crossing[0]]
     hi = lo + h
@@ -331,30 +304,36 @@ def count_roots(sample: CoefficientSample, window: WindowSpec = FULL,
     roots = np.sort(_newton(grid.eval_local, lo, hi, 0.5 * (lo + hi), up, tol))
     resid, deriv = eval_points(sample, roots)
     return RootCountResult(int(counts[0]), roots, np.abs(resid), deriv,
-                           t_star[status == _AUDIT_TANGENT], bool(uncertain[0]), grid,
-                           float(end[0]), tol)
+                           t_star[status == _AUDIT_TANGENT], bool(uncertain[0]), grid, tol)
 
 
-def count_batch(ys: np.ndarray, n: int, window: WindowSpec, M: int):
+def count_batch(ys: np.ndarray, n: int, window: str, M: int):
     """Root counts for a batch of coefficient arrays (B, n, 2).
 
     Fast path for Monte Carlo loops: the engine of ``count_roots`` without
     the root refinement.  ``_scan`` runs in ``pass_rows`` blocks that share
     one grid buffer (nothing it returns refers to a grid), and one ``_audit``
     resolves the candidate cells of all blocks.  Returns (counts, uncertain).
+    ``window`` must be ``FULL``: a slot the benchmark passes, dropped with
+    ``FULL`` by its next change (ROADMAP item 6).  A ``ys`` not of shape
+    (B, n, 2) is refused.
     """
+    if not isinstance(window, str) or window != FULL:
+        raise ValueError(f"window must be {FULL!r}, got {window!r}")
+    if np.ndim(ys) != 3 or np.shape(ys)[1:] != (n, 2):
+        raise ValueError(f"ys must have shape (B, {n}, 2), got {np.shape(ys)}")
     counts, uncertain = np.empty(len(ys), dtype=np.intp), np.empty(len(ys), dtype=bool)
-    step = pass_rows(n, window, M)
-    buf = np.empty((min(step, len(ys)), period_size(n, window, M)), dtype=complex)
+    step = pass_rows(n, M)
+    buf = np.empty((min(step, len(ys)), M), dtype=complex)
     found = []
     for lo in range(0, len(ys), step):
         block = ys[lo:lo + step]
         # a row with an infinite coefficient gets NaN grids, then a flag
         with np.errstate(invalid="ignore"):
-            G = eval_grid_batch(block, n, window, M, out=buf[:len(block)])
-        _, _, counts[lo:lo + step], uncertain[lo:lo + step], cells = _scan(block, G, window)
+            G = eval_grid_batch(block, n, M, out=buf[:len(block)])
+        _, counts[lo:lo + step], uncertain[lo:lo + step], cells = _scan(block, G)
         found.append(cells._replace(rows=cells.rows + lo))
-    _audit(ys, window, M, found, counts, uncertain)
+    _audit(ys, M, found, counts, uncertain)
     return counts, uncertain
 
 
@@ -364,35 +343,29 @@ def check_delta(delta: float) -> None:
         raise ValueError(f"delta must be finite and > 0, got {delta}")
 
 
-def count_kacrice(sample: CoefficientSample, window: WindowSpec = FULL,
-                  delta: float = 1e-6) -> KacRiceResult:
+def count_kacrice(sample: CoefficientSample, delta: float = 1e-6) -> KacRiceResult:
     """Approximate-integral root count (1/2 delta) int |P'| 1_{|P|<delta}.
 
     Around each refined root the two |P| = delta crossings are located by
     Newton and |P'| is integrated with 15-node Gauss-Legendre between
     them; the |P| < delta dips at the audit's unresolved tangencies add
     their own mass.  The sample is flagged when delta exceeds the grid's
-    safe estimate (min of |P| + |P'| on the grid and |P| at the window
-    ends), when the count is uncertain, or when the delta-intervals of two
+    safe estimate (min of |P| + |P'| on the grid and |P| at the window's
+    start), when the count is uncertain, or when the delta-intervals of two
     roots overlap: then the |P| < delta set joins them and the integral
     cannot equal the count.
     """
     check_delta(delta)
-    rr = count_roots(sample, window)
+    rr = count_roots(sample)
     grid = rr.grid
-    safe = min(float(np.min(np.abs(grid.P) + np.abs(grid.Pprime))),
-               abs(float(grid.P[0])), abs(rr.end_value))
+    safe = min(float(np.min(np.abs(grid.P) + np.abs(grid.Pprime))), abs(float(grid.P[0])))
     flagged = bool(delta > safe or rr.uncertain)
 
     total = 0.0
     if rr.count:
         t_lo, t_hi = _find_level_crossing(grid, rr.roots, rr.derivatives, delta)
         flagged |= bool(np.any(t_lo[1:] <= t_hi[:-1]))
-        if window.circular:
-            flagged |= bool(t_lo[0] + window.length(sample.n) <= t_hi[-1])
-        else:
-            t_lo = np.maximum(t_lo, 0.0)
-            t_hi = np.minimum(t_hi, window.end(sample.n))
+        flagged |= bool(t_lo[0] + 2.0 * sample.n * math.pi <= t_hi[-1])  # across the period's end
         mid = 0.5 * (t_hi + t_lo)
         half = 0.5 * (t_hi - t_lo)
         nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]

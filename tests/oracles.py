@@ -37,7 +37,7 @@ from trigroots.ensemble import (
     philox_keys,
     xi_norm_sq,
 )
-from trigroots.polyeval import WindowSpec, coefficient_matrices
+from trigroots.polyeval import coefficient_matrices
 
 _LONG_TWO_PI = np.longdouble("6.283185307179586476925286766559005768")
 
@@ -84,28 +84,18 @@ def laurent_roots(sample: CoefficientSample, tol: float = 1e-6) -> np.ndarray:
     return np.sort(n * np.angle(w))
 
 
-def dense_scan(ys: np.ndarray, P: np.ndarray, Q: np.ndarray,
-               window: WindowSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(crossing, audit) masks of (B, M) grids of P and P' over all cells.
+def dense_scan(ys: np.ndarray, P: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(crossing, audit) masks of (B, M) grids of P and P' over all cells of
+    one period.
 
-    The right-hand end values of every cell are built as whole shifted
-    grids (the closing value at n pi summed exactly, with the exact (-1)^i
-    phases, for the half window), and the dip test is evaluated
-    everywhere: a cell is audited when P keeps its sign, P' changes sign,
-    and min |P| < (h/2) max |P'| over its two ends.  Exact zeros join the +
-    side.
+    The right-hand end values of every cell are built as whole grids rolled
+    by one node, and the dip test is evaluated everywhere: a cell is audited
+    when P keeps its sign, P' changes sign, and min |P| < (h/2) max |P'|
+    over its two ends.  Exact zeros join the + side.
     """
     n, M = ys.shape[1], P.shape[1]
-    h = window.length(n) / M
-    if window.circular:
-        Pr, Qr = np.roll(P, -1, axis=1), np.roll(Q, -1, axis=1)
-    else:
-        i = np.arange(1, n + 1)
-        alt = (-1.0) ** i  # cos(i pi); sin(i pi) = 0
-        p_end = np.array([fsum(r) for r in ys[:, :, 0] * alt]) / math.sqrt(n)
-        q_end = np.array([fsum(r) for r in ys[:, :, 1] * (alt * i / n)]) / math.sqrt(n)
-        Pr = np.concatenate([P[:, 1:], p_end[:, None]], axis=1)
-        Qr = np.concatenate([Q[:, 1:], q_end[:, None]], axis=1)
+    h = 2.0 * n * math.pi / M
+    Pr, Qr = np.roll(P, -1, axis=1), np.roll(Q, -1, axis=1)
 
     def signs(x):
         return np.where(x >= 0.0, 1.0, -1.0)

@@ -7,7 +7,7 @@ from pathlib import Path
 import trigroots
 from trigroots import mcstats, rootcount
 from trigroots.ensemble import gaussian, sample
-from trigroots.polyeval import FULL, grid_size, pass_rows
+from trigroots.polyeval import grid_size, pass_rows
 
 _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -51,7 +51,7 @@ def test_grid_spans_are_the_passes():
     batches = [s["id"] for s in tracer.spans if s["name"] == "rootcount.count_batch"]
     grids = [s["parent"] for s in tracer.spans if s["name"] == "polyeval.eval_grid_batch"]
     assert len(batches) == 1
-    passes = -(-37 // pass_rows(1024, FULL, grid_size(1024)))
+    passes = -(-37 // pass_rows(1024, grid_size(1024)))
     assert passes == 3 and grids == batches * passes
 
 

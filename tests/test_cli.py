@@ -13,7 +13,6 @@ from trigroots import cli
 from trigroots.cli import main
 from trigroots.ensemble import gaussian, rademacher, sample
 from trigroots.mcstats import run_experiment
-from trigroots.polyeval import FULL, HALF
 from trigroots.rootcount import count_roots
 
 
@@ -88,7 +87,7 @@ class TestSweep:
         assert run_cli(["sweep", "--dist", "gaussian", "--n", "8",
                         "--trials", "20", "--out", str(out)]) == 0
         header = [l for l in out.read_text().splitlines() if not l.startswith("#")][0]
-        assert header == ("dist,window,n,trials,flagged_trial_count,unreliable,"
+        assert header == ("dist,n,trials,flagged_trial_count,unreliable,"
                           "mean,se_mean,variance,se_variance,var_over_n,se,var_over_n2")
 
     def test_var_over_n2(self, tmp_path):
@@ -101,15 +100,15 @@ class TestSweep:
             assert float(r["var_over_n2"]) == float(r["variance"]) / int(r["n"])**2
 
     def test_row_carries_window_and_flags(self, tmp_path):
-        # seed 3 flags some of these trials, which the row must show
-        out = tmp_path / "half.csv"
+        # seed 3 flags 11 of these trials, which the row must show; the one
+        # window is not a column
+        out = tmp_path / "flags.csv"
         assert run_cli(["sweep", "--dist", "rademacher", "--n", "16",
-                        "--trials", "2000", "--seed", "3", "--window", "half",
-                        "--out", str(out)]) == 0
+                        "--trials", "2000", "--seed", "3", "--out", str(out)]) == 0
         (row,) = csv_rows(out)
-        rec = run_experiment(rademacher(), 16, HALF, 2000, 3)
-        assert rec.flagged_trial_count > 0
-        assert row["window"] == "half"
+        rec = run_experiment(rademacher(), 16, 2000, 3)
+        assert rec.flagged_trial_count == 11
+        assert "window" not in row
         assert int(row["flagged_trial_count"]) == rec.flagged_trial_count
         assert row["unreliable"] == str(rec.unreliable)
 
@@ -225,7 +224,7 @@ class TestOtherCommands:
         rows = list(csv.DictReader(lines))
         expected = []
         for trial in range(4):
-            r = count_roots(sample(gaussian(), 16, 5, trial), FULL)
+            r = count_roots(sample(gaussian(), 16, 5, trial))
             assert len(r.roots) == len(r.residuals) == r.count
             expected.extend((trial, float(t), float(e)) for t, e in zip(r.roots, r.residuals))
         assert [(int(r["trial_index"]), float(r["root"]), float(r["residual"]))
@@ -424,9 +423,9 @@ class TestErrors:
     @pytest.mark.parametrize("command, value, flag", [
         ("simulate", {"trials": "5"}, "--trials"), ("simulate", {"seed": True}, "--seed"),
         ("simulate", {"trials": True}, "--trials"), ("simulate", {"n": 2.5}, "--n"),
-        ("simulate", {"window": 1}, "--window"), ("conditions", {"tau": "0.05"}, "--tau"),
+        ("simulate", {"dist": 1}, "--dist"), ("conditions", {"tau": "0.05"}, "--tau"),
         ("conditions", {"pair": [500.0]}, "--pair"), ("smallball", {"one_d": 1}, "--one-d"),
-    ], ids=["trials-str", "seed-bool", "trials-bool", "n-float", "window-int", "tau-str",
+    ], ids=["trials-str", "seed-bool", "trials-bool", "n-float", "dist-int", "tau-str",
             "pair-length", "one-d-int"])
     def test_config_value_of_the_wrong_type(self, tmp_path, capsys, command, value, flag):
         """A ``--config`` value has the JSON type its flag's ``type`` reads;
@@ -437,6 +436,19 @@ class TestErrors:
                        if command != "conditions" else
                        [command, "--config", str(bad), "--n", "8"]) == 2
         assert f"does not fit {flag}, which takes" in self._error(capsys, command)
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_window_is_refused(self, tmp_path, capsys, command):
+        """The one window, one period, has no flag: ``--window`` is an
+        unknown flag and a ``window`` key an unknown config key."""
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, "--trials", "2", "--window", "full"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        cfgfile = tmp_path / "window.json"
+        cfgfile.write_text(json.dumps({"window": "full"}))
+        assert run_cli([command, "--config", str(cfgfile), "--trials", "2"]) == 2
+        assert "unknown keys ['window']" in self._error(capsys, command)
 
     @pytest.mark.parametrize("key", ["trails", "command", "config"])
     def test_config_key_that_is_not_a_flag(self, tmp_path, capsys, key):

@@ -16,7 +16,7 @@ from trigroots.mcstats import (
     slope_series,
     theoretical_slope,
 )
-from trigroots.polyeval import FULL, HALF, GridError, grid_size
+from trigroots.polyeval import FULL, GridError, grid_size
 from trigroots.rootcount import count_batch
 
 
@@ -37,31 +37,31 @@ class TestAccumulator:
 
 class TestRunExperiment:
     def test_degree_one_is_deterministic(self):
-        rec = run_experiment(gaussian(), 1, FULL, trials=1000, seed=0)
+        rec = run_experiment(gaussian(), 1, trials=1000, seed=0)
         assert rec.estimate.mean == 2.0
         assert rec.estimate.variance == 0.0
 
     def test_needs_two_trials(self):
         with pytest.raises(ValueError):
-            run_experiment(gaussian(), 4, FULL, trials=1, seed=0)
+            run_experiment(gaussian(), 4, trials=1, seed=0)
 
     def test_refuses_grid_at_2n(self):
         # M = 2n misses roots silently: 2,000 trials read 29 se low, unflagged
         with pytest.raises(GridError):
-            run_experiment(gaussian(), 256, FULL, trials=16, seed=0, M=2 * 256)
+            run_experiment(gaussian(), 256, trials=16, seed=0, M=2 * 256)
 
     def test_refuses_grid_at_n(self):
         with pytest.raises(GridError):
-            run_experiment(gaussian(), 16, FULL, trials=16, seed=0, M=16)
+            run_experiment(gaussian(), 16, trials=16, seed=0, M=16)
 
     def test_refuses_degree_zero(self):
         with pytest.raises(ValueError, match="n must be"):
-            run_experiment(gaussian(), 0, FULL, trials=16, seed=0)
+            run_experiment(gaussian(), 0, trials=16, seed=0)
 
     @pytest.mark.parametrize("parallelism", [0, -3])
     def test_refuses_worker_count_below_one(self, parallelism):
         with pytest.raises(ValueError, match="parallelism"):
-            run_experiment(gaussian(), 4, FULL, trials=16, seed=0,
+            run_experiment(gaussian(), 4, trials=16, seed=0,
                            parallelism=parallelism)
 
     # refused before any work: unrefused, 16.5, 8.5 and 300.5 reach numpy
@@ -73,10 +73,10 @@ class TestRunExperiment:
     def test_refuses_counts_that_are_not_integers(self, name, value):
         kwargs = {"n": 16, "trials": 600, "M": None, "parallelism": 2, name: value}
         with pytest.raises(ValueError, match=f"{name} must be an integer, got {value}"):
-            run_experiment(gaussian(), window=FULL, seed=0, **kwargs)
+            run_experiment(gaussian(), seed=0, **kwargs)
 
     def test_parallel_determinism(self):
-        recs = [run_experiment(rademacher(), 32, FULL, trials=600, seed=5,
+        recs = [run_experiment(rademacher(), 32, trials=600, seed=5,
                                parallelism=p) for p in (1, 4, 16)]
         payloads = [json.dumps(r.canonical_dict(), sort_keys=True) for r in recs]
         assert payloads[0] == payloads[1] == payloads[2]
@@ -85,80 +85,68 @@ class TestRunExperiment:
         payloads = set()
         for chunk in (7, 100, 256):
             monkeypatch.setattr(mcstats, "CHUNK_SIZE", chunk)
-            rec = run_experiment(rademacher(), 32, FULL, trials=1000, seed=5)
+            rec = run_experiment(rademacher(), 32, trials=1000, seed=5)
             payloads.add(json.dumps(rec.canonical_dict(), sort_keys=True))
         assert len(payloads) == 1
 
     def test_estimate_is_the_exact_moments_of_the_counts(self):
         # correctly rounded: the float nearest the exact Fraction, both laws
-        # and both windows (rademacher n = 32 half window was 2.7 ulp off
-        # when the moments were summed in floats)
         for law in (gaussian(), rademacher()):
-            for window in (FULL, HALF):
-                rec = run_experiment(law, 32, window, trials=1000, seed=5)
-                counts, _ = count_batch(draw_trials(law, 32, 5, 0, 1000), 32,
-                                        window, grid_size(32))
-                acc = MomentAccumulator.from_values(counts)
-                counts = [int(c) for c in counts]
-                mean = Fraction(sum(counts), len(counts))
-                exact = {"mean": mean,
-                         "variance": sum((c - mean) ** 2 for c in counts) / (len(counts) - 1),
-                         "m3": sum((c - mean) ** 3 for c in counts),
-                         "m4": sum((c - mean) ** 4 for c in counts)}
-                assert (rec.estimate.mean, rec.estimate.variance) == \
-                    (float(exact["mean"]), float(exact["variance"]))
-                assert {k: getattr(acc, k) for k in exact} == \
-                    {k: float(v) for k, v in exact.items()}
+            rec = run_experiment(law, 32, trials=1000, seed=5)
+            counts, _ = count_batch(draw_trials(law, 32, 5, 0, 1000), 32, FULL, grid_size(32))
+            acc = MomentAccumulator.from_values(counts)
+            counts = [int(c) for c in counts]
+            mean = Fraction(sum(counts), len(counts))
+            exact = {"mean": mean,
+                     "variance": sum((c - mean) ** 2 for c in counts) / (len(counts) - 1),
+                     "m3": sum((c - mean) ** 3 for c in counts),
+                     "m4": sum((c - mean) ** 4 for c in counts)}
+            assert (rec.estimate.mean, rec.estimate.variance) == \
+                (float(exact["mean"]), float(exact["variance"]))
+            assert {k: getattr(acc, k) for k in exact} == \
+                {k: float(v) for k, v in exact.items()}
 
     def test_record_roundtrips_and_excludes_timing(self):
-        rec = run_experiment(gaussian(), 8, FULL, trials=50, seed=9)
+        rec = run_experiment(gaussian(), 8, trials=50, seed=9)
         d = rec.to_dict()
         assert "wall_time" in d
         assert "wall_time" not in rec.canonical_dict()
-        assert not {"chunk_size", "tol"} & d.keys()
+        assert not {"chunk_size", "tol", "window"} & d.keys()
         assert d["seed"] == 9 and d["distribution"] == "gaussian"
 
     def test_se_variance_shrinks_like_sqrt_trials(self):
-        small = run_experiment(gaussian(), 32, FULL, trials=2000, seed=3)
-        large = run_experiment(gaussian(), 32, FULL, trials=8000, seed=3)
+        small = run_experiment(gaussian(), 32, trials=2000, seed=3)
+        large = run_experiment(gaussian(), 32, trials=8000, seed=3)
         ratio = large.estimate.se_variance / small.estimate.se_variance
         assert 0.5 * 0.7 <= ratio <= 0.5 * 1.3
 
     def test_ensembles_separate_at_moderate_n(self):
-        g = run_experiment(gaussian(), 64, FULL, trials=2000, seed=8)
-        r = run_experiment(rademacher(), 64, FULL, trials=2000, seed=9)
+        g = run_experiment(gaussian(), 64, trials=2000, seed=8)
+        r = run_experiment(rademacher(), 64, trials=2000, seed=9)
         sep = g.estimate.var_over_n - r.estimate.var_over_n
         se = math.hypot(g.estimate.se_variance, r.estimate.se_variance) / 64
         assert sep >= 3 * se
-
-    def test_half_window_mean(self):
-        from trigroots.rootcount import gaussian_expectation_exact
-        rec = run_experiment(gaussian(), 40, HALF, trials=1500, seed=12)
-        exact = gaussian_expectation_exact(40, HALF)
-        assert abs(rec.estimate.mean - exact) <= 4 * rec.estimate.se_mean
 
     def test_mean_is_universal_across_ensembles(self):
         # non-Gaussian ensembles share the Gaussian mean asymptotics
         from trigroots.rootcount import gaussian_expectation_exact
         exact = gaussian_expectation_exact(64)
         for dist, seed in ((rademacher(), 77), (uniform(), 78)):
-            rec = run_experiment(dist, 64, FULL, trials=4000, seed=seed)
+            rec = run_experiment(dist, 64, trials=4000, seed=seed)
             assert abs(rec.estimate.mean - exact) <= 4 * rec.estimate.se_mean
 
     def test_count_shape_smoke_report(self):
         # normalized counts should look roughly normal at moderate n: the
         # skewness/kurtosis fields are a smoke report, not an acceptance
-        rec = run_experiment(gaussian(), 128, FULL, trials=4000, seed=21)
+        rec = run_experiment(gaussian(), 128, trials=4000, seed=21)
         assert abs(rec.estimate.skewness) <= 0.5
         assert abs(rec.estimate.kurtosis_excess) <= 1.0
 
     def test_record_determines_rerun(self):
         from trigroots.ensemble import parse_distribution
-        from trigroots.polyeval import WindowSpec
-        rec = run_experiment(rademacher(), 24, FULL, trials=300, seed=33)
-        replay = run_experiment(parse_distribution(rec.distribution), rec.n,
-                                WindowSpec(rec.window), rec.trials, rec.seed,
-                                M=rec.M)
+        rec = run_experiment(rademacher(), 24, trials=300, seed=33)
+        replay = run_experiment(parse_distribution(rec.distribution), rec.n, rec.trials,
+                                rec.seed, M=rec.M)
         assert json.dumps(replay.canonical_dict(), sort_keys=True) == \
             json.dumps(rec.canonical_dict(), sort_keys=True)
 
@@ -166,10 +154,10 @@ class TestRunExperiment:
 class TestSlopes:
     def test_gaussian_full_is_cg(self):
         assert GAUSSIAN_SLOPE == 0.55826
-        assert theoretical_slope(gaussian(), FULL) == GAUSSIAN_SLOPE
+        assert theoretical_slope(gaussian()) == GAUSSIAN_SLOPE
 
     def test_rademacher_full(self):
-        v = theoretical_slope(rademacher(), FULL)
+        v = theoretical_slope(rademacher())
         assert v == pytest.approx(GAUSSIAN_SLOPE - 4 / 15, abs=1e-12)
         assert v == pytest.approx(0.29159, abs=1e-5)
 
@@ -177,10 +165,10 @@ class TestSlopes:
         d = discrete([(-math.sqrt(3), 1 / 6), (0.0, 4 / 6), (math.sqrt(3), 1 / 6)])
         from trigroots.ensemble import moments
         assert moments(d).m4 == pytest.approx(3.0, abs=1e-12)
-        assert theoretical_slope(d, FULL) == pytest.approx(GAUSSIAN_SLOPE)
+        assert theoretical_slope(d) == pytest.approx(GAUSSIAN_SLOPE)
 
     def test_uniform_slope_uses_kurtosis(self):
-        v = theoretical_slope(uniform(), FULL)
+        v = theoretical_slope(uniform())
         assert v == pytest.approx(GAUSSIAN_SLOPE + (2 / 15) * (-6 / 5), abs=1e-12)
 
     @pytest.mark.parametrize("dist,m4", [
@@ -188,15 +176,12 @@ class TestSlopes:
         (discrete([(-2.0, 0.125), (0.0, 0.75), (2.0, 0.125)]), 4.0)],
         ids=["gaussian", "rademacher", "uniform", "discrete"])
     def test_record_carries_the_law_for_each_builtin(self, dist, m4):
-        # m4 written out; the full-window record gets the law, the half
-        # window has no Gaussian baseline and gets None
+        # m4 written out
         assert KURTOSIS_COEFF == 2 / 15
         expected = GAUSSIAN_SLOPE + KURTOSIS_COEFF * (m4 - 3.0)
-        assert theoretical_slope(dist, FULL) == pytest.approx(expected, abs=1e-15)
-        rec = run_experiment(dist, 4, FULL, trials=2, seed=0)
-        assert rec.theoretical_slope == theoretical_slope(dist, FULL)
-        assert theoretical_slope(dist, HALF) is None
-        assert run_experiment(dist, 4, HALF, trials=2, seed=0).theoretical_slope is None
+        assert theoretical_slope(dist) == pytest.approx(expected, abs=1e-15)
+        rec = run_experiment(dist, 4, trials=2, seed=0)
+        assert rec.theoretical_slope == theoretical_slope(dist)
 
 
 class TestSeries:
@@ -210,16 +195,15 @@ class TestSeries:
             slope_series(gaussian(), [32, 32], 10, seed=0)
 
     def test_slope_rows_are_the_records(self):
-        recs = slope_series(rademacher(), [16, 32], 100, seed=2, window=HALF)
+        recs = slope_series(rademacher(), [16, 32], 100, seed=2)
         rows = slope_rows(recs)
         assert [list(r) for r in rows] == [[
-            "dist", "window", "n", "trials", "flagged_trial_count", "unreliable",
+            "dist", "n", "trials", "flagged_trial_count", "unreliable",
             "mean", "se_mean", "variance", "se_variance", "var_over_n", "se",
             "var_over_n2"]] * 2
         for row, rec in zip(rows, recs):
             est = rec.estimate
-            assert (row["dist"], row["window"], row["n"], row["trials"]) == (
-                "rademacher", "half", rec.n, 100)
+            assert (row["dist"], row["n"], row["trials"]) == ("rademacher", rec.n, 100)
             assert (row["flagged_trial_count"], row["unreliable"]) == (
                 rec.flagged_trial_count, rec.unreliable)
             assert (row["mean"], row["se_mean"], row["variance"],
@@ -234,12 +218,3 @@ class TestSeries:
             se = rec.estimate.se_variance / rec.n
             # each point sits within 3 se of a value at or below 0.65
             assert rec.estimate.var_over_n - 3 * se <= 0.65
-
-    def test_half_window_kurtosis_coefficient(self):
-        # the ensembles' half-window slopes differ by (1/30) * delta(m4):
-        # 1/15 for gaussian-vs-rademacher, measured end to end
-        g = run_experiment(gaussian(), 128, HALF, trials=12000, seed=41)
-        r = run_experiment(rademacher(), 128, HALF, trials=12000, seed=42)
-        diff = g.estimate.var_over_n - r.estimate.var_over_n
-        se = math.hypot(g.estimate.se_variance, r.estimate.se_variance) / 128
-        assert abs(diff - 1 / 15) <= 3 * se + 0.01

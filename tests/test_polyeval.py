@@ -12,8 +12,6 @@ from trigroots.charprobe import _point_rows, exponent_bound, log_abs_charfn
 from trigroots.edgeworth import c_n_alpha
 from trigroots.ensemble import CoefficientSample, gaussian, rademacher, sample
 from trigroots.polyeval import (
-    FULL,
-    HALF,
     GridError,
     cell_expansions,
     coefficient_columns,
@@ -22,9 +20,13 @@ from trigroots.polyeval import (
     eval_grid,
     eval_grid_batch,
     eval_points,
+    grid_spacing,
     taylor_eval,
 )
 from trigroots.rootcount import _scan
+
+#: keeps the test ids of the cases that once also ran on the half window
+FULL_ID = pytest.mark.parametrize((), [()], ids=["full"])
 
 
 def _manual_sample(y):
@@ -78,7 +80,7 @@ class TestEvalPoint:
         # blocks of min(32, n) terms: one block of 1, 31 or 32 terms, a
         # second block holding one term and 31 zeros, and 32 full blocks
         s = sample(gaussian(), n, seed=n + 3)
-        g = eval_grid(s, FULL)
+        g = eval_grid(s)
         ts = np.concatenate([TestLocalEvaluator._points(g),
                              np.random.default_rng(n).uniform(-n * math.pi, n * math.pi, 40)])
         P, Q = eval_points(s, ts)
@@ -91,7 +93,7 @@ class TestEvalPoint:
 class TestEvalGrid:
     def test_spot_check_against_eval_point(self, rng):
         s = sample(gaussian(), 24, seed=2)
-        g = eval_grid(s, FULL)
+        g = eval_grid(s)
         ks = rng.integers(0, g.M, size=32)
         scale = 1.0 + float(np.max(np.abs(g.P)))
         for k in ks:
@@ -102,38 +104,36 @@ class TestEvalGrid:
 
     def test_cosine_has_two_sign_changes(self):
         s = _manual_sample([[1.0, 0.0]])
-        g = eval_grid(s, FULL)
+        g = eval_grid(s)
         signs = np.sign(g.P)
         changes = int(np.sum(signs * np.roll(signs, -1) < 0))
         assert changes == 2
 
     def test_zero_sample_gives_zero_grid(self):
         s = _manual_sample(np.zeros((4, 2)))
-        g = eval_grid(s, FULL)
+        g = eval_grid(s)
         assert not g.P.any() and not g.Pprime.any()
 
     def test_refuses_small_M(self):
         s = sample(gaussian(), 16, seed=0)
         with pytest.raises(GridError):
-            eval_grid(s, FULL, M=64)
+            eval_grid(s, M=64)
 
-    def test_half_window_matches_points(self, rng):
-        s = sample(rademacher(), 10, seed=3)
-        g = eval_grid(s, HALF)
-        assert g.spacing == pytest.approx(10 * math.pi / g.M)
-        for k in rng.integers(0, g.M, size=16):
-            p, q = eval_point(s, g.start + k * g.spacing)
-            assert g.P[k] == pytest.approx(p, abs=1e-11)
-            assert g.Pprime[k] == pytest.approx(q, abs=1e-11)
+    @pytest.mark.parametrize("M", [200.0, True, np.float64(512)])
+    def test_refuses_non_integer_M(self, M):
+        s = sample(gaussian(), 16, seed=0)
+        with pytest.raises(ValueError, match="M must be an integer"):
+            eval_grid(s, M=M)
+        with pytest.raises(ValueError, match="M must be an integer"):
+            eval_grid_batch(s.y[None], 16, M)
 
     def test_fft_vs_direct_equivalence_100_tuples(self, rng):
-        # oversampled grids at many (n, window, M) against the direct path
+        # oversampled grids at many (n, M) against the direct path
         for _ in range(100):
             n = int(rng.integers(1, 65))
-            window = FULL if rng.integers(2) else HALF
             M = 16 * n * int(rng.integers(1, 3))
             s = sample(gaussian(), n, seed=int(rng.integers(2**31)))
-            g = eval_grid(s, window, M=M)
+            g = eval_grid(s, M=M)
             ks = rng.integers(0, M, size=8)
             ts = g.start + ks * g.spacing
             P, _ = eval_points(s, ts)
@@ -157,19 +157,19 @@ class TestEvalGrid:
             # second-order error: quartering plus rounding slack
             assert e2 <= e1 / 3.0 + 1e-9
 
-    DERIVS_DIGEST = "e5631a13d0538d7fcbbb6b5431a234fdd25d8c39ae8df5c2c1eabdd60ab7bb7c"
+    DERIVS_DIGEST = "fe1b00d4b6f7855b7c4b204de244be4ef0662bda47974aa63f55ece69edba137"
 
     def test_derivative_stack_is_pinned(self):
-        """``derivs`` bytes of the one-FFT stack, pinned by a sha256 taken
-        when each pair of orders had an FFT call of its own."""
+        """``derivs`` bytes of the one-FFT stack, pinned by a sha256 of the
+        stacks as they were when each pair of orders had an FFT call of its
+        own."""
         digest = hashlib.sha256()
         for law in (gaussian(), rademacher()):
-            for window in (FULL, HALF):
-                for n in (1, 2, 7, 16, 64, 256, 1024):
-                    for t in range(5):
-                        g = eval_grid(sample(law, n, seed=600 + n, trial_index=t), window)
-                        assert g.derivs.shape == (len(g.derivs), 12)
-                        digest.update(g.derivs.tobytes())
+            for n in (1, 2, 7, 16, 64, 256, 1024):
+                for t in range(5):
+                    g = eval_grid(sample(law, n, seed=600 + n, trial_index=t))
+                    assert g.derivs.shape == (g.M, 12)
+                    digest.update(g.derivs.tobytes())
         assert digest.hexdigest() == self.DERIVS_DIGEST
 
 class TestLocalEvaluator:
@@ -183,16 +183,16 @@ class TestLocalEvaluator:
         mids = g.start + h * np.array([0.5, g.M // 2 + 0.5, g.M - 0.5])
         far = np.array([n * math.pi, -n * math.pi, n * math.pi - 1e-9 * n,
                         -n * math.pi + 0.49 * h])
-        outside = np.array([g.start - 0.3 * h, g.start - 2.5 * h,
-                            g.window.end(n) + 0.4 * h, g.window.end(n) + 3.5 * h])
+        end = g.start + g.M * h
+        outside = np.array([g.start - 0.3 * h, g.start - 2.5 * h, end + 0.4 * h, end + 3.5 * h])
         return np.concatenate([nodes, mids, far, outside])
 
     @pytest.mark.parametrize("n", [1, 2, 16, 64, 1024, 10_000])
-    @pytest.mark.parametrize("window", [FULL, HALF], ids=["full", "half"])
+    @FULL_ID
     @pytest.mark.parametrize("oversample", [1, 2])
-    def test_matches_exact_evaluators(self, n, window, oversample):
+    def test_matches_exact_evaluators(self, n, oversample):
         s = sample(gaussian(), n, seed=n + 7)
-        g = eval_grid(s, window, M=16 * n * oversample)
+        g = eval_grid(s, M=16 * n * oversample)
         ts = self._points(g)
         p, q = g.eval_local(ts)
         p_ref, q_ref = eval_points(s, ts)
@@ -202,17 +202,17 @@ class TestLocalEvaluator:
             assert np.max(np.abs(p - ref[0])) <= bound
             assert np.max(np.abs(q - ref[1])) <= bound
 
-    @pytest.mark.parametrize("window", [FULL, HALF], ids=["full", "half"])
-    def test_grid_is_the_batch_of_one(self, window):
+    @FULL_ID
+    def test_grid_is_the_batch_of_one(self):
         for n in (1, 3, 16, 50, 256):
             s = sample(gaussian(), n, seed=n)
             for M in (16 * n, 32 * n):
-                g = eval_grid(s, window, M=M)
-                G = eval_grid_batch(s.y[None], n, window, M)  # one full period
-                assert G.shape == (1, len(g.derivs))
+                g = eval_grid(s, M=M)
+                G = eval_grid_batch(s.y[None], n, M)
+                assert G.shape == (1, M)
                 assert G.real[0].tobytes() == g.derivs[:, 0].tobytes()
                 assert G.imag[0].tobytes() == g.derivs[:, 1].tobytes()
-                assert G.real[0, :M].tobytes() == g.P.tobytes()
+                assert G.real[0].tobytes() == g.P.tobytes()
 
 
 class TestCellExpansions:
@@ -224,13 +224,13 @@ class TestCellExpansions:
     def test_matches_oracle_in_audited_cells(self, n):
         samples = [sample(gaussian(), n, seed=n, trial_index=t) for t in range(4)]
         ys = np.stack([s.y for s in samples])
-        F = eval_grid_batch(ys, n, FULL, 16 * n)
+        F = eval_grid_batch(ys, n, 16 * n)
         P = F.real
-        found = _scan(ys, F, FULL)[-1]
+        found = _scan(ys, F)[-1]
         rows, cells = found.rows[:16], found.cells[:16]
         assert rows.size
-        h = FULL.length(n) / P.shape[1]
-        t_left = FULL.start(n) + h * cells
+        h = grid_spacing(n, P.shape[1])
+        t_left = -n * math.pi + h * cells
         slope, coef = cell_expansions(ys, rows, t_left, h)
         bound = max(1e-14, 1e-15 * n) * float(np.max(np.abs(P)))
         for k, (r, t) in enumerate(zip(rows, t_left)):

@@ -12,11 +12,11 @@ from trigroots import rootcount
 from trigroots.ensemble import CoefficientSample, gaussian, rademacher, sample
 from trigroots.polyeval import (
     FULL,
-    HALF,
     eval_grid,
     eval_grid_batch,
     eval_points,
     grid_size,
+    grid_spacing,
     pass_rows,
 )
 from trigroots.rootcount import (
@@ -30,14 +30,17 @@ from trigroots.rootcount import (
     gaussian_expectation_exact,
 )
 
+#: keeps the test ids of the cases that once also ran on the half window
+FULL_ID = pytest.mark.parametrize((), [()], ids=["full"])
+
 
 def _manual(y):
     y = np.asarray(y, dtype=float)
     return CoefficientSample(n=y.shape[0], y=y, seed=0, trial_index=0)
 
 
-def _dense_scan_count(s, window, points=2_000_001):
-    ts = np.linspace(window.start(s.n), window.end(s.n), points)
+def _dense_scan_count(s, points=2_000_001):
+    ts = np.linspace(-s.n * math.pi, s.n * math.pi, points)
     P, _ = eval_points(s, ts)
     sg = np.where(P >= 0.0, 1.0, -1.0)  # exact zeros join the + side
     return int(np.sum(sg[:-1] * sg[1:] < 0))
@@ -47,39 +50,32 @@ class TestCountRoots:
     def test_degree_one_always_two_roots(self, rng):
         for _ in range(10):
             a, b = rng.standard_normal(2)
-            r = count_roots(_manual([[a, b]]), FULL)
+            r = count_roots(_manual([[a, b]]))
             assert r.count == 2
 
     def test_against_dense_scan_oracle(self):
         s = sample(gaussian(), 4, seed=99)
-        r = count_roots(s, FULL)
-        assert r.count == _dense_scan_count(s, FULL)
+        r = count_roots(s)
+        assert r.count == _dense_scan_count(s)
 
     def test_dense_scan_oracle_more_sizes(self, rng):
         for n in (2, 5, 9, 16):
             s = sample(rademacher(), n, seed=int(rng.integers(2**31)))
-            r = count_roots(s, FULL)
-            assert r.count == _dense_scan_count(s, FULL), n
-
-    def test_half_window_against_dense_scan(self, rng):
-        for n in (3, 8, 13):
-            s = sample(gaussian(), n, seed=int(rng.integers(2**31)))
-            r = count_roots(s, HALF)
-            assert r.count == _dense_scan_count(s, HALF)
+            r = count_roots(s)
+            assert r.count == _dense_scan_count(s), n
 
     def test_mean_count_matches_exact_formula(self):
         n, trials = 50, 500
         counts = []
         for trial in range(trials):
-            counts.append(count_roots(sample(gaussian(), n, seed=31, trial_index=trial),
-                                      FULL).count)
+            counts.append(count_roots(sample(gaussian(), n, seed=31, trial_index=trial)).count)
         counts = np.array(counts, dtype=float)
         se = counts.std(ddof=1) / math.sqrt(trials)
         assert abs(counts.mean() - gaussian_expectation_exact(n)) <= 3 * se
 
     def test_residuals_tiny(self):
         s = sample(gaussian(), 32, seed=4)
-        r = count_roots(s, FULL)
+        r = count_roots(s)
         tol = r.tol
         bound = 1e-10 * (1.0 + np.abs(r.derivatives) * tol)
         assert np.all(r.residuals <= bound)
@@ -87,14 +83,14 @@ class TestCountRoots:
     def test_root_stability_under_tol_halving(self):
         s = sample(gaussian(), 16, seed=8)
         tol = 1e-10
-        r1 = count_roots(s, FULL, tol=tol)
-        r2 = count_roots(s, FULL, tol=tol / 2)
+        r1 = count_roots(s, tol=tol)
+        r2 = count_roots(s, tol=tol / 2)
         assert r1.count == r2.count
         assert np.max(np.abs(r1.roots - r2.roots)) < 2 * tol
 
     def test_roots_sorted_and_within_window(self):
         s = sample(rademacher(), 20, seed=3)
-        r = count_roots(s, FULL)
+        r = count_roots(s)
         assert np.all(np.diff(r.roots) > 0)
         assert r.roots[0] > -20 * math.pi - 1e-9
         assert r.roots[-1] <= 20 * math.pi + 1e-9
@@ -110,7 +106,7 @@ class TestCountRoots:
             assert np.all(counts[~uncertain] % 2 == 0)
 
     def test_zero_sample_is_degenerate(self):
-        r = count_roots(_manual(np.zeros((3, 2))), FULL)
+        r = count_roots(_manual(np.zeros((3, 2))))
         assert r.count == 0 and r.uncertain
 
     def test_batch_matches_single(self, rng):
@@ -119,17 +115,7 @@ class TestCountRoots:
         counts, _ = count_batch(ys, 18, FULL, 16 * 18)
         for j in range(60):
             y = ys[j].copy()
-            assert count_roots(_manual(y), FULL).count == counts[j]
-        # half window, Rademacher: P(0) or P(n pi) can be exactly 0, so the
-        # window closure must be the same in both paths; at t = n pi the
-        # +-1 terms cancel exactly in trial 11, leaving no rounding residue
-        ss = [sample(rademacher(), 32, seed=5, trial_index=t) for t in range(100)]
-        counts, uncertain = count_batch(np.stack([s.y for s in ss]), 32, HALF, 16 * 32)
-        for s, c, u in zip(ss, counts, uncertain):
-            r = count_roots(s, HALF)
-            assert (r.count, r.uncertain) == (c, u), s.trial_index
-            if s.trial_index == 11:
-                assert r.end_value == 0.0
+            assert count_roots(_manual(y)).count == counts[j]
 
     def test_double_root_on_a_node_stays_flagged(self):
         # the oracle counts 80 roots with multiplicity, two of them a double
@@ -140,7 +126,7 @@ class TestCountRoots:
         k = int(np.argmin(np.diff(roots)))
         assert roots[k + 1] - roots[k] < 1e-6
         assert abs(roots[k] + 32 * math.pi) < 1e-6
-        r = count_roots(s, FULL)
+        r = count_roots(s)
         counts, uncertain = count_batch(s.y[None], 64, FULL, 16 * 64)
         assert (r.count, r.uncertain) == (78, True)
         assert (counts[0], uncertain[0]) == (78, True)
@@ -151,17 +137,16 @@ class TestLeanScan:
     all-cells formula of ``oracles.dense_scan``."""
 
     @pytest.mark.parametrize("law", [gaussian(), rademacher()], ids=str)
-    @pytest.mark.parametrize("window", [FULL, HALF], ids=["full", "half"])
+    @FULL_ID
     @pytest.mark.parametrize("n", [16, 64])
-    def test_matches_dense_formula(self, law, window, n):
-        seed = {16: 32, 64: 33}[n]  # Rademacher zeros on nodes in both windows
+    def test_matches_dense_formula(self, law, n):
+        seed = {16: 32, 64: 33}[n]  # Rademacher zeros on nodes
         ys = np.stack([sample(law, n, seed=seed, trial_index=t).y for t in range(128)])
-        G = eval_grid_batch(ys, n, window, 16 * n)
-        F = G[:, :16 * n]  # the window's nodes
+        G = eval_grid_batch(ys, n, 16 * n)
         if law.kind == "rademacher":  # the +-1 sums vanish exactly at some nodes
-            assert np.any(F.real == 0.0)
-        crossing, audit = dense_scan(ys, F.real, F.imag, window)
-        scanned, _, _, _, found = _scan(ys, G, window)  # G is scratch to the scan
+            assert np.any(G.real == 0.0)
+        crossing, audit = dense_scan(ys, G.real.copy(), G.imag.copy())
+        scanned, _, _, found = _scan(ys, G)  # G is scratch to the scan
         rows, cells = np.nonzero(audit)
         assert rows.size
         assert np.array_equal(scanned, crossing)
@@ -185,33 +170,30 @@ class TestHermiteScreen:
     ``count_batch`` audits, as ``_scan`` hands them to ``_audit``."""
 
     # Rademacher seed 7016 holds tangencies and node zeros at n = 16
-    CASES = [(law, window, n) for law in (gaussian(), rademacher())
-             for window in (FULL, HALF) for n in (16, 64, 256)]
+    CASES = [(law, n) for law in (gaussian(), rademacher()) for n in (16, 64, 256)]
+    IDS = [f"{law}-full-{n}" for law, n in CASES]  # the ids of FULL_ID's cases
     TRIALS = {16: 1024, 64: 128, 256: 32}
 
-    def _run(self, law, window, n):
+    def _run(self, law, n):
         """(samples, coefficients, period grids, audited cells, status, t_star)"""
         ss = [sample(law, n, seed=7000 + n, trial_index=t) for t in range(self.TRIALS[n])]
         ys = np.stack([s.y for s in ss])
-        G = eval_grid_batch(ys, n, window, 16 * n)
-        _, _, counts, uncertain, found = _scan(ys, G, window)
-        cells, status, t_star = _audit(ys, window, 16 * n, [found], counts, uncertain)
+        G = eval_grid_batch(ys, n, 16 * n)
+        _, counts, uncertain, found = _scan(ys, G)
+        cells, status, t_star = _audit(ys, 16 * n, [found], counts, uncertain)
         assert cells.rows.size
         return ss, ys, G, cells, status, t_star
 
-    @pytest.mark.parametrize("law, window, n", CASES,
-                             ids=[f"{c[0]}-{c[1].kind}-{c[2]}" for c in CASES])
-    def test_interpolant_within_bound(self, law, window, n):
-        ss, _, G, (rows, cells, p0, p1, q0, q1, _, peak), _, _ = self._run(law, window, n)
-        h = window.length(n) / (16 * n)
-        t_left = window.start(n) + h * cells
-        S = np.abs(G.real).max(axis=1)  # max |P| over one full period
-        assert np.array_equal(peak, S[rows])
+    @pytest.mark.parametrize("law, n", CASES, ids=IDS)
+    def test_interpolant_within_bound(self, law, n):
+        ss, _, G, (rows, cells, p0, p1, q0, q1, scale), _, _ = self._run(law, n)
+        h = grid_spacing(n, 16 * n)
+        t_left = -n * math.pi + h * cells
+        S = np.abs(G.real).max(axis=1)  # max |P| over one period
+        assert np.array_equal(scale, S[rows])
         audited = np.unique(rows)
         assert S[audited].tobytes() == np.array(
-            [np.abs(eval_grid(ss[r], window).derivs[:, 0]).max() for r in audited]).tobytes()
-        if not window.circular:  # the kept half alone is not the period's maximum
-            assert np.any(np.abs(G.real[:, :16 * n]).max(axis=1) < S)
+            [np.abs(eval_grid(ss[r]).derivs[:, 0]).max() for r in audited]).tobytes()
         x = np.linspace(0.0, 1.0, 33)
         H = _hermite(p0, p1, q0, q1, h, x)
         bound = h ** 4 / 384.0 / (1.0 - h * h / 8.0) * S[rows]
@@ -221,14 +203,13 @@ class TestHermiteScreen:
             err = np.abs(H[k] - exact.reshape(-1, x.size)).max(axis=1)
             assert np.all(err <= bound[k]), (r, err.max(), bound[k].min())
 
-    @pytest.mark.parametrize("law, window, n", CASES,
-                             ids=[f"{c[0]}-{c[1].kind}-{c[2]}" for c in CASES])
-    def test_screen_agrees_with_exact_search(self, monkeypatch, law, window, n):
-        ss, ys, _, cells, status, t_star = self._run(law, window, n)
+    @pytest.mark.parametrize("law, n", CASES, ids=IDS)
+    def test_screen_agrees_with_exact_search(self, monkeypatch, law, n):
+        ss, ys, _, cells, status, t_star = self._run(law, n)
         # every cell through Newton: no interpolant extremum screens any cell
         monkeypatch.setattr(rootcount, "_hermite_extremum",
                             lambda p0, *_: (np.full_like(p0, np.nan), np.zeros_like(p0)))
-        _, exact, _ = _audit(ys, window, 16 * n, [cells], np.zeros(len(ys), dtype=np.intp),
+        _, exact, _ = _audit(ys, 16 * n, [cells], np.zeros(len(ys), dtype=np.intp),
                              np.zeros(len(ys), dtype=bool))
         assert np.array_equal(status, exact)
         # a double cell's t_star splits it into two brackets for count_roots
@@ -239,38 +220,37 @@ class TestHermiteScreen:
 
 class TestCountsPinned:
     """``count_batch`` counts and flags on a seeded set, pinned by a sha256
-    taken before the screen bound and the word scan: any change to the scan
-    or the audit that moves a count or a flag shows here."""
+    of the counts as they were before the screen bound and the word scan:
+    any change to the scan or the audit that moves a count or a flag shows
+    here."""
 
-    DIGEST = "6c17a25ca09f30664f1d04fb3c46170e987abde07f43861fa8bb2482955397f9"
+    DIGEST = "3623e4e4f6daa08bac6f0a86df0bd23cc5799758c86e34ea19b539e85483e219"
 
     def test_counts_and_flags_unchanged(self):
         from trigroots.ensemble import draw_trials
-        cases = [(law, 64, 7064, 2000, window)
-                 for law in (gaussian(), rademacher()) for window in (FULL, HALF)]
-        cases.append((rademacher(), 16, 902, 4000, FULL))
+        cases = [(gaussian(), 64, 7064, 2000), (rademacher(), 64, 7064, 2000),
+                 (rademacher(), 16, 902, 4000)]
         digest = hashlib.sha256()
-        for law, n, seed, trials, window in cases:
-            counts, uncertain = count_batch(draw_trials(law, n, seed, 0, trials), n, window,
+        for law, n, seed, trials in cases:
+            counts, uncertain = count_batch(draw_trials(law, n, seed, 0, trials), n, FULL,
                                             16 * n)
             digest.update(counts.astype("<i8").tobytes())
             digest.update(uncertain.tobytes())
         assert digest.hexdigest() == self.DIGEST
 
-    #: taken while every pass had an audit of its own
-    MANY_PASS_DIGEST = "f194c5e2b0cd01bf3498a182dc89c7deae0c6c6da46289991fa15ce5452c8c71"
+    #: of the counts as they were while every pass had an audit of its own
+    MANY_PASS_DIGEST = "8ba55a8d0cf09c8f62793a0b5901cb975387b4005525d7a736587a3e262399f9"
 
     def test_many_pass_counts_unchanged(self):
         """n = 256 and 1024 chunks run 4 to 8 passes and audit many cells."""
         from trigroots.ensemble import draw_trials
         digest = hashlib.sha256()
         for law in (gaussian(), rademacher()):
-            for window in (FULL, HALF):
-                for n, trials, seed in ((256, 256, 8256), (1024, 64, 81024)):
-                    counts, uncertain = count_batch(draw_trials(law, n, seed, 0, trials), n,
-                                                    window, 16 * n)
-                    digest.update(counts.astype("<i8").tobytes())
-                    digest.update(uncertain.tobytes())
+            for n, trials, seed in ((256, 256, 8256), (1024, 64, 81024)):
+                counts, uncertain = count_batch(draw_trials(law, n, seed, 0, trials), n,
+                                                FULL, 16 * n)
+                digest.update(counts.astype("<i8").tobytes())
+                digest.update(uncertain.tobytes())
         assert digest.hexdigest() == self.MANY_PASS_DIGEST
 
 
@@ -279,10 +259,11 @@ class TestSingleSamplePinned:
     sha256 of every field they compute: a change to the single-sample path
     that moves a root, a residual, a tangency or a flag shows here."""
 
-    #: retaken when ``_newton`` began to probe the far bracket end: five
-    #: Rademacher full-window roots moved by 2-43 ulps, with one residual
-    #: and derivative; counts, flags, tangencies and Kac-Rice values did not
-    DIGEST = "ae47ac88ae26316b9ccc2c2e4aed9526d3f7da2e01b762219e295e505019278c"
+    #: of the results as they were once ``_newton`` began to probe the far
+    #: bracket end: five Rademacher roots moved by 2-43 ulps then, with one
+    #: residual and derivative; counts, flags, tangencies and Kac-Rice values
+    #: did not
+    DIGEST = "62ffe87b6c374940ed97ea29a7baa829b9e8763ffc76d3765596ebe6caf0c01c"
     # Rademacher trials 120 and 351 at n = 16 end in tangencies
     TRIALS = {16: [*range(48), 120, 351], 64: range(12), 256: range(4)}
 
@@ -290,18 +271,17 @@ class TestSingleSamplePinned:
         digest = hashlib.sha256()
         tangent = flagged = 0
         for law in (gaussian(), rademacher()):
-            for window in (FULL, HALF):
-                for n, trials in self.TRIALS.items():
-                    for t in trials:
-                        s = sample(law, n, seed=7000 + n, trial_index=t)
-                        r = count_roots(s, window)
-                        for a in (r.roots, r.residuals, r.derivatives, r.tangencies):
-                            digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
-                        digest.update(f"{r.count} {r.uncertain} {r.end_value.hex()}".encode())
-                        kr = count_kacrice(s, window)
-                        digest.update(f"{kr.value.hex()} {kr.flagged}".encode())
-                        tangent += r.tangencies.size > 0
-                        flagged += kr.flagged
+            for n, trials in self.TRIALS.items():
+                for t in trials:
+                    s = sample(law, n, seed=7000 + n, trial_index=t)
+                    r = count_roots(s)
+                    for a in (r.roots, r.residuals, r.derivatives, r.tangencies):
+                        digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+                    digest.update(f"{r.count} {r.uncertain} {float(r.grid.P[0]).hex()}".encode())
+                    kr = count_kacrice(s)
+                    digest.update(f"{kr.value.hex()} {kr.flagged}".encode())
+                    tangent += r.tangencies.size > 0
+                    flagged += kr.flagged
         assert tangent and flagged  # the pin covers tangencies and flags
         assert digest.hexdigest() == self.DIGEST
 
@@ -312,17 +292,43 @@ class TestNonFinite:
         assert uncertain.tolist() == [True]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("window", [FULL, HALF], ids=["full", "half"])
-    def test_only_the_bad_row_is_flagged(self, bad, window):
+    @FULL_ID
+    def test_only_the_bad_row_is_flagged(self, bad):
         ys = np.stack([sample(gaussian(), 8, seed=3, trial_index=t).y for t in range(3)])
-        good_counts, good_uncertain = count_batch(ys, 8, window, 128)
+        good_counts, good_uncertain = count_batch(ys, 8, FULL, 128)
         ys[1, 4, 0] = bad
         ys[1, 5, 1] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            counts, uncertain = count_batch(ys, 8, window, 128)
+            counts, uncertain = count_batch(ys, 8, FULL, 128)
         assert uncertain.tolist() == [bool(good_uncertain[0]), True, bool(good_uncertain[2])]
         assert counts[[0, 2]].tolist() == good_counts[[0, 2]].tolist()
+
+
+class TestBatchArguments:
+    """``count_batch`` refuses bad arguments by name, before any numpy call."""
+
+    def test_refuses_a_degree_not_the_samples(self):
+        s = sample(gaussian(), 8, seed=0)
+        with pytest.raises(ValueError, match=r"ys must have shape \(B, 9, 2\)"):
+            count_batch(s.y[None], 9, FULL, 144)
+
+    def test_refuses_a_two_dimensional_batch(self):
+        s = sample(gaussian(), 8, seed=0)
+        with pytest.raises(ValueError, match="ys must have shape"):
+            count_batch(s.y, 8, FULL, 128)
+
+    @pytest.mark.parametrize("M", [128.0, True])
+    def test_refuses_a_non_integer_M(self, M):
+        s = sample(gaussian(), 8, seed=0)
+        with pytest.raises(ValueError, match="M must be an integer"):
+            count_batch(s.y[None], 8, FULL, M)
+
+    @pytest.mark.parametrize("window", ["half", None, 0])
+    def test_refuses_a_window_not_the_one(self, window):
+        s = sample(gaussian(), 8, seed=0)
+        with pytest.raises(ValueError, match="window must be 'full'"):
+            count_batch(s.y[None], 8, window, 128)
 
 
 class TestPasses:
@@ -331,25 +337,23 @@ class TestPasses:
 
     def test_pass_rule(self):
         for n, rows in ((64, 256), (256, 64), (1024, 16), (4096, 4)):
-            assert pass_rows(n, FULL, grid_size(n)) == rows
-            assert pass_rows(n, HALF, grid_size(n)) == rows // 2
-        assert pass_rows(4096, FULL, 1 << 40) == 1
-        assert pass_rows(1, HALF, 1 << 40) == 1
+            assert pass_rows(n, grid_size(n)) == rows
+        assert pass_rows(4096, 1 << 40) == 1
 
-    @pytest.mark.parametrize("window", [FULL, HALF], ids=["full", "half"])
+    @FULL_ID
     # (1024, 37, 2, 20): the non-finite row is in the first block, and a
     # finite row of the next block reuses its slot of the pass buffer
     @pytest.mark.parametrize("n, trials, bad, zero", [(64, 300, 290, 7), (1024, 37, 30, 3),
                                                       (1024, 37, 2, 20)])
-    def test_blocks_are_the_rows(self, window, n, trials, bad, zero):
+    def test_blocks_are_the_rows(self, n, trials, bad, zero):
         M = 16 * n
-        step = pass_rows(n, window, M)
+        step = pass_rows(n, M)
         assert trials % step and bad // step != zero // step
         ys = np.stack([sample(gaussian(), n, seed=41, trial_index=t).y for t in range(trials)])
         ys[bad, 5, 0] = np.inf
         ys[zero] = 0.0
-        counts, uncertain = count_batch(ys, n, window, M)
-        rows = [count_batch(ys[k:k + 1], n, window, M) for k in range(trials)]
+        counts, uncertain = count_batch(ys, n, FULL, M)
+        rows = [count_batch(ys[k:k + 1], n, FULL, M) for k in range(trials)]
         assert counts.tolist() == [int(c[0]) for c, _ in rows]
         assert uncertain.tolist() == [bool(u[0]) for _, u in rows]
         assert uncertain[bad] and uncertain[zero] and not uncertain.all()
@@ -362,12 +366,12 @@ class TestPasses:
         monkeypatch.setattr(rootcount, "_audit", lambda *a: seen.append(audit(*a)) or seen[-1])
         ys = np.stack([sample(gaussian(), 1024, seed=41, trial_index=t).y for t in range(37)])
         count_batch(ys, 1024, FULL, grid_size(1024))
-        step = pass_rows(1024, FULL, grid_size(1024))
+        step = pass_rows(1024, grid_size(1024))
         assert len(seen) == 1 and -(-37 // step) == 3
         assert set(seen[0][0].rows // step) == {0, 1, 2}
 
-    @pytest.mark.parametrize("window", [FULL, HALF], ids=["full", "half"])
-    def test_no_audit_without_candidates(self, monkeypatch, window):
+    @FULL_ID
+    def test_no_audit_without_candidates(self, monkeypatch):
         """A batch with no candidate cell never reaches the audit's screen:
         degree one (a sinusoid dips only at its sign changes), all zeros, and
         an all-NaN batch of several passes."""
@@ -376,14 +380,13 @@ class TestPasses:
         def refuse(*a):
             raise AssertionError("audit screen run without candidates")
         monkeypatch.setattr(rootcount, "_hermite_extremum", refuse)
-        roots = 2 if window.circular else 1
         for law in (gaussian(), rademacher()):
-            counts, uncertain = count_batch(draw_trials(law, 1, 3, 0, 300), 1, window, 16)
-            assert counts.tolist() == [roots] * 300 and not uncertain.any()
-        counts, uncertain = count_batch(np.zeros((300, 64, 2)), 64, window, 1024)
+            counts, uncertain = count_batch(draw_trials(law, 1, 3, 0, 300), 1, FULL, 16)
+            assert counts.tolist() == [2] * 300 and not uncertain.any()
+        counts, uncertain = count_batch(np.zeros((300, 64, 2)), 64, FULL, 1024)
         assert not counts.any() and uncertain.all()
-        assert 37 > pass_rows(1024, window, grid_size(1024))
-        counts, uncertain = count_batch(np.full((37, 1024, 2), np.nan), 1024, window,
+        assert 37 > pass_rows(1024, grid_size(1024))
+        counts, uncertain = count_batch(np.full((37, 1024, 2), np.nan), 1024, FULL,
                                         grid_size(1024))
         assert not counts.any() and uncertain.all()
 
@@ -426,14 +429,15 @@ class TestExactExpectation:
             ratio = gaussian_expectation_exact(n) / (2 * n / math.sqrt(3))
             assert ratio == pytest.approx(1.0, abs=1.0 / n)
 
-    def test_half_window_is_half(self):
-        assert gaussian_expectation_exact(9, HALF) == \
-            pytest.approx(gaussian_expectation_exact(9) / 2)
+    @pytest.mark.parametrize("n", [2.5, True, np.float64(4.0), 0])
+    def test_refuses_n_not_an_integer_at_least_one(self, n):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            gaussian_expectation_exact(n)
 
 
 class TestKacRice:
     def test_pure_cosine(self):
-        r = count_kacrice(_manual([[1.0, 0.0]]), FULL, delta=1e-6)
+        r = count_kacrice(_manual([[1.0, 0.0]]), delta=1e-6)
         assert r.value == pytest.approx(2.0, rel=1e-6)
         assert not r.flagged
 
@@ -441,7 +445,7 @@ class TestKacRice:
         s = sample(gaussian(), 32, seed=1)
         for delta in (math.nan, math.inf, 0.0, -1e-6):
             with pytest.raises(ValueError):
-                count_kacrice(s, FULL, delta=delta)
+                count_kacrice(s, delta=delta)
 
     def test_agreement_study(self):
         agree = 0
@@ -449,7 +453,7 @@ class TestKacRice:
         trials = 100
         for trial in range(trials):
             s = sample(gaussian(), 64, seed=13, trial_index=trial)
-            kr = count_kacrice(s, FULL, delta=1e-6)
+            kr = count_kacrice(s, delta=1e-6)
             if abs(kr.value - kr.root_count) < 1e-3:
                 agree += 1
             elif not kr.flagged:
@@ -461,22 +465,22 @@ class TestKacRice:
         # delta well below the local linearization scale reproduces the count
         for _ in range(20):
             s = sample(gaussian(), 16, seed=int(rng.integers(2**31)))
-            rr = count_roots(s, FULL)
+            rr = count_roots(s)
             gap = np.min(np.diff(np.concatenate([rr.roots,
                                                  [rr.roots[0] + 32 * math.pi]])))
             delta = 1e-3 * gap * np.min(np.abs(rr.derivatives))
-            kr = count_kacrice(s, FULL, delta=float(delta))
+            kr = count_kacrice(s, delta=float(delta))
             assert abs(kr.value - rr.count) < 1e-6
 
     def test_oversized_delta_is_flagged(self):
         s = sample(gaussian(), 8, seed=21)
-        kr = count_kacrice(s, FULL, delta=1e-6)
-        big = count_kacrice(s, FULL, delta=2.0 * kr.safe_delta_estimate)
+        kr = count_kacrice(s, delta=1e-6)
+        big = count_kacrice(s, delta=2.0 * kr.safe_delta_estimate)
         assert big.flagged
 
     def test_delta_must_be_positive(self):
         with pytest.raises(ValueError):
-            count_kacrice(sample(gaussian(), 4, seed=0), FULL, delta=0.0)
+            count_kacrice(sample(gaussian(), 4, seed=0), delta=0.0)
 
     def test_joined_delta_intervals_are_flagged(self):
         # root pairs 0.0042, 0.00041 and 0.0029 apart whose |P| < delta sets
@@ -484,8 +488,7 @@ class TestKacRice:
         for law, n, seed, trial, count in ((gaussian(), 64, 1733000000, 84, 72),
                                            (rademacher(), 64, 1669000000, 77, 74),
                                            (gaussian(), 256, 4822000000, 13, 274)):
-            kr = count_kacrice(sample(law, n, seed=seed, trial_index=trial), FULL,
-                               delta=1e-6)
+            kr = count_kacrice(sample(law, n, seed=seed, trial_index=trial), delta=1e-6)
             assert kr.root_count == count
             assert abs(kr.value - count) > 1e-3
             assert kr.flagged
@@ -527,25 +530,25 @@ def _tangent_sample(offset=0.0):
 class TestEngineeredTangency:
     def test_double_root_is_flagged_not_counted(self):
         s = _tangent_sample()
-        r = count_roots(s, FULL)
+        r = count_roots(s)
         assert r.uncertain
         assert r.tangencies.size == 1
         assert abs(r.tangencies[0] - 1.0) < 1e-9  # the audit's t*
         assert r.count == 2  # the two transversal roots only
 
-    @pytest.mark.parametrize("window", [FULL, HALF], ids=["full", "half"])
-    def test_double_root_is_flagged_on_fine_grids(self, window):
+    @FULL_ID
+    def test_double_root_is_flagged_on_fine_grids(self):
         # at M = 2^16 the Hermite error bound is ~1e-18 of scale, so only the
         # tangency floor of the screen's margin sends the cell to Newton
         s = _tangent_sample()
         for M in (32, 2**10, 2**16):
-            counts, uncertain = count_batch(s.y[None], 2, window, M)
+            counts, uncertain = count_batch(s.y[None], 2, FULL, M)
             assert uncertain[0], M
 
     def test_kacrice_sees_the_tangency_mass(self):
         # the |P| < delta dip of an exact double root integrates to 1
         s = _tangent_sample()
-        kr = count_kacrice(s, FULL, delta=1e-6)
+        kr = count_kacrice(s, delta=1e-6)
         assert kr.flagged
         assert kr.value == pytest.approx(3.0, abs=1e-6)
 
@@ -554,10 +557,10 @@ class TestEngineeredTangency:
         base = _tangent_sample()
         side = np.sign(eval_point(base, 0.95)[0])
         split = _tangent_sample(offset=-side * 1e-4)
-        r = count_roots(split, FULL)
+        r = count_roots(split)
         assert not r.uncertain
         assert r.count == 4
-        kr = count_kacrice(split, FULL, delta=1e-7)
+        kr = count_kacrice(split, delta=1e-7)
         assert not kr.flagged
         assert kr.value == pytest.approx(4.0, abs=1e-5)
 
@@ -571,10 +574,10 @@ class TestEngineeredTangency:
             for j in range(64):
                 y = ys[j].copy()
                 y.setflags(write=False)
-                r = count_roots(CoefficientSample(8, y, 0, 0), FULL)
+                r = count_roots(CoefficientSample(8, y, 0, 0))
                 F = np.empty((1, r.grid.M), dtype=complex)
                 F.real, F.imag = r.grid.P, r.grid.Pprime
-                if _scan(y[None], F, FULL)[-1].cells.size:
+                if _scan(y[None], F)[-1].cells.size:
                     hits += 1
                     assert counts[j] == r.count
                     assert bool(uncertain[j]) == r.uncertain
@@ -675,10 +678,10 @@ class TestNewton:
         assert x.tolist() == [1.0, -1.0]
         assert len(calls) <= 3
 
-    @pytest.mark.parametrize("window", [FULL, HALF], ids=["full", "half"])
-    def test_polish_needs_no_halving_on_lattice_samples(self, monkeypatch, window):
+    @FULL_ID
+    def test_polish_needs_no_halving_on_lattice_samples(self, monkeypatch):
         # Rademacher roots on grid nodes once took 20-35 evaluations a call
-        # (37 calls of 200 at n = 64 in the full window); the polish is the
+        # (37 calls of 200 at n = 64); the polish is the
         # only eval_local caller in count_roots.  n = 16 trial 120 is left
         # out: a root pair 1.3e-7 apart straddles t = 8 pi, where Newton is
         # linear near a double root (25 evaluations).
@@ -695,7 +698,7 @@ class TestNewton:
                 if (n, k) == (16, 120):
                     continue
                 calls.clear()
-                count_roots(sample(rademacher(), n, seed=7000 + n, trial_index=k), window)
+                count_roots(sample(rademacher(), n, seed=7000 + n, trial_index=k))
                 if len(calls) >= 15:
                     slow.append((n, k, len(calls)))
         assert not slow
