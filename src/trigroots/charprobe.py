@@ -120,7 +120,8 @@ def decay_scan(n: int, t: float, dist: DistributionSpec, tau: float = 0.05,
 
     Each radius stacks its directions' projections into (directions, n)
     arrays and takes one characteristic-function and one xi-norm call on
-    each, so memory stays at a few (directions, n) arrays for any n.
+    each, so memory stays at a few (directions, n) arrays for any n: the
+    Gaussian xi-norm sums its series in blocks of a few thousand entries.
     Points failing the non-resonance condition are scanned anyway but the
     report carries ``condition_ok=False`` (decay is not guaranteed there).
     """

@@ -8,8 +8,8 @@ bad-pair sweep), ``charfn`` (decay scan), ``smallball`` (ball-probability
 scan), ``verify`` (the acceptance suite; ``--only 6,7`` gives the Edgeworth
 corrector limits).  Every artifact embeds the package version, the seed,
 and a hash of the resolved configuration; records are JSON, tables are
-CSV.  Bad input, including a bad ``--config`` file or thread count, ends
-in one JSON error line on stderr and exit code 2.
+CSV.  Bad input, including an unknown flag or a bad ``--config`` file or
+thread count, ends in one JSON error line on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -122,8 +122,17 @@ def _add_common(p):
                    help="JSON file of defaults, overridden by flags")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors (an unknown or abbreviated flag, a flag value of the
+    wrong type) raise, so ``main`` reports them as any other bad input;
+    ``--help`` still prints and exits 0.  Subcommand parsers share the class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="trigroots",
         description="Monte Carlo and quadrature laboratory for real roots "
                     "of random trigonometric polynomials")
@@ -411,13 +420,15 @@ _COMMANDS = {
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    command = argv[0] if argv and argv[0] in parser.commands else None
     try:
+        args = parser.parse_args(argv)
         cfg = _resolve(args, list(argv))
         return _COMMANDS[args.command](cfg)
     except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(json.dumps({"error": str(exc) or type(exc).__name__,
-                          "command": args.command}), file=sys.stderr)
+                          "command": command}), file=sys.stderr)
         return 2
 
 

@@ -31,8 +31,12 @@ SQRT3 = math.sqrt(3.0)
 
 _NORMALIZATION_TOL = 1e-12
 
-#: series cutoff for the Gaussian xi-norm (see ``xi_norm_sq``)
-_GAUSS_SMALL_W = 0.02
+#: Gaussian xi-norm: 2 w^2 at and below this |w|, within 2.5e-19 (see
+#: ``_xi_norm_sq_gaussian``; 0.041 would give 1.7e-18, above the series'
+#: 1e-18 truncation)
+_GAUSS_SMALL_W = 0.04
+#: entries a Gaussian series block: a (32, 4096) term table is 1 MiB
+_GAUSS_BLOCK = 4096
 
 #: numpy's seed-sequence hash (see ``philox_keys``): pool size and uint32
 #: constants
@@ -367,11 +371,13 @@ def xi_norm_sq(dist: DistributionSpec, w):
 
         ||x||^2 = 1/12 + sum_m (-1)^m cos(2 pi m x) / (pi m)^2,
 
-    whose expectation only needs |charfn(2 pi m w)|^2 (see
-    ``_xi_norm_sq_gaussian`` for the per-entry truncation, below 1e-18).
-    The test suite cross-checks both continuous laws against a slower
-    density-based quadrature.  Accepts scalars or arrays of w; a
-    non-finite w is refused.
+    whose expectation only needs |charfn(2 pi m w)|^2.  The series is
+    summed only where it can move the float: the value is 1/12 from
+    |w| = 1 up (the sum is below half an ulp of 1/12) and 2 w^2, within
+    2.5e-19, for |w| <= 0.04; between, each entry is truncated below 1e-18
+    (proofs in ``_xi_norm_sq_gaussian``).  The test suite cross-checks both
+    continuous laws against a slower density-based quadrature.  Accepts
+    scalars or arrays of w; a non-finite w is refused.
     """
     w = np.asarray(w, dtype=float)
     scalar = w.ndim == 0
@@ -400,38 +406,48 @@ def _xi_norm_sq_gaussian(w: np.ndarray) -> np.ndarray:
         E||w (xi1 - xi2)||^2 = 1/12 + sum_m (-1)^m exp(-4 pi^2 m^2 w^2) / (pi m)^2.
 
     The terms alternate and shrink, so the dropped tail is below the first
-    dropped term.  An entry with 1/(T - 1) <= |w| sums T terms, at least
+    dropped term.  An entry with 1/(T - 1) <= |w| < 1 sums T terms, at least
     N(w) = ceil(1/|w|) + 1: its first dropped term has m = T + 1 and
-    m |w| > 1, so it is below e^{-4 pi^2} / pi^2 < 1e-18.  T runs over the
-    powers of two 2, 4, 8, ... until 1/(T - 1) passes ``_GAUSS_SMALL_W``,
-    one array a tier, and each entry's value depends only on its own w.
+    m |w| > 1, so it is below e^{-4 pi^2} / pi^2 = 7.3e-19 < 1e-18.  T runs
+    over the powers of two 4, 8, 16, 32 until 1/(T - 1) passes
+    ``_GAUSS_SMALL_W``, one tier each; each entry's value depends only on
+    its own w.  Two ends need no series:
+
+    * |w| >= 1 is 1/12.  The sum is below its first term,
+      e^{-4 pi^2 w^2} / pi^2 <= 7.3e-19, under half an ulp of 1/12
+      (6.9e-18), so 1/12 + sum rounds to 1/12, as the summed series did.
+    * |w| <= ``_GAUSS_SMALL_W`` is 2 w^2 = E X^2 for X = w (xi1 - xi2).
+      ||X||^2 = X^2 unless |X| > 1/2, so the error is at most
+      E[X^2 1{|X| > 1/2}] = 2 s^2 (z phi(z) + Q(z)) with s^2 = 2 w^2,
+      z = 1/(2 s), phi the normal density and Q its upper tail:
+      2.5e-19 at the cutoff, below the series' truncation.
     """
-    out = np.empty_like(w)
-    aw = np.abs(w)
+    aw = np.abs(w).ravel()
+    out = np.full(aw.size, 1.0 / 12.0)
     small = aw <= _GAUSS_SMALL_W
-    # |w (xi1-xi2)| <= 1/2 except with probability P(|N(0, 2)| > 25) =
-    # erfc(12.5) ~ 6.2e-70: E||.||^2 = 2 w^2
-    out[small] = 2.0 * w[small] ** 2
-    nterms, upper = 2, np.inf
+    out[small] = 2.0 * aw[small] ** 2
+    nterms, upper = 4, 1.0
     while upper > _GAUSS_SMALL_W:
         lower = 1.0 / (nterms - 1)
-        tier = (aw >= lower) & (aw < upper) & ~small
-        if tier.any():
-            out[tier] = _gaussian_series(aw[tier], nterms)
+        tier = np.flatnonzero((aw >= lower) & (aw < upper) & ~small)
+        for lo in range(0, tier.size, _GAUSS_BLOCK):
+            block = tier[lo:lo + _GAUSS_BLOCK]
+            out[block] = _gaussian_series(aw[block], nterms)
         nterms, upper = 2 * nterms, lower
-    return out
+    return out.reshape(w.shape)
 
 
 def _gaussian_series(aw: np.ndarray, nterms: int) -> np.ndarray:
     """The first nterms terms of the Gaussian series, summed from the
-    smallest term up, the same way for every entry."""
-    m = np.arange(1.0, nterms + 1.0)
-    terms = np.exp(np.multiply.outer(-4.0 * math.pi**2 * m**2, aw**2))
+    smallest term up, the same way for every entry: one axis-0 sum of the
+    (nterms, k) term table, smallest m first, adds its rows in order for
+    k >= 2.  numpy sums a lone column pairwise, so one entry takes a twin."""
+    m = np.arange(nterms, 0.0, -1.0)
+    sq = np.broadcast_to(aw**2, (max(aw.size, 2),))
+    terms = np.multiply.outer(-4.0 * math.pi**2 * m**2, sq)
+    np.exp(terms, out=terms)
     terms *= (np.where(m % 2 == 0, 1.0, -1.0) / (math.pi**2 * m**2))[:, None]
-    total = terms[-1]
-    for row in terms[-2::-1]:
-        total += row
-    return 1.0 / 12.0 + total
+    return 1.0 / 12.0 + terms.sum(axis=0)[:aw.size]
 
 
 def _xi_norm_sq_uniform(w: np.ndarray) -> np.ndarray:

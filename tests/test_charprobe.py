@@ -165,6 +165,21 @@ class TestDecayScan:
                          directions_per_radius=4, seed=2)
         assert rep.regime_flags.all()
 
+    # one Gaussian term table a tier peaked at 6.7 MiB at n = 500; at
+    # n = 5000, 10 MiB is eight (32, n) arrays, where one table a tier
+    # peaks at 19.9 MiB
+    @pytest.mark.parametrize("n, mib", [(500, 3.05), (5000, 10.0)])
+    def test_gaussian_peak_memory(self, n, mib):
+        t = good_t(n)
+        decay_scan(n, t, gaussian())
+        tracemalloc.start()
+        try:
+            decay_scan(n, t, gaussian())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= mib * 2**20, peak / 2**20
+
 
 class TestDecayScanMatchesLoop:
     """The batched scan gives the direction-at-a-time loop's report."""

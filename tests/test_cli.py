@@ -162,14 +162,17 @@ class TestConfig:
             payloads.append(json.loads(out.read_text()))
         assert payloads[0] == payloads[1] and "pair" in payloads[0]
 
-    def test_abbreviated_flag_is_refused(self, tmp_path):
+    def test_abbreviated_flag_is_refused(self, tmp_path, capsys):
         """A prefix of a flag would win over the file in argparse but not in
-        the merge, so flags must be given in full."""
+        the merge, so flags must be given in full; the refusal is the one
+        JSON error line of any bad input."""
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"trials": 7}))
-        with pytest.raises(SystemExit) as exc:
-            run_cli(["simulate", "--config", str(cfgfile), "--n", "4", "--tri", "5"])
-        assert exc.value.code == 2
+        assert run_cli(["simulate", "--config", str(cfgfile), "--n", "4", "--tri", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "unrecognized arguments: --tri 5",
+                                            "command": "simulate"}
 
 
 class TestConditions:
@@ -254,6 +257,21 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["command"] == command
         return err["error"]
+
+    @pytest.mark.parametrize("argv, command, message", [
+        (["simulate", "--n", "abc"], "simulate", "argument --n: invalid int value: 'abc'"),
+        (["nosuch"], None, "argument command: invalid choice: 'nosuch'"),
+        ([], None, "the following arguments are required: command"),
+    ], ids=["bad-int", "unknown-command", "no-command"])
+    def test_usage_error_is_a_json_line(self, capsys, argv, command, message):
+        assert run_cli(argv) == 2
+        assert self._error(capsys, command).startswith(message)
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["simulate", "--help"])
+        assert exc.value.code == 0
+        assert "--trials" in capsys.readouterr().out
 
     @pytest.mark.parametrize("delta", ["nan", "inf", "0"])
     def test_kacrice_audit_bad_delta(self, capsys, delta):
@@ -441,10 +459,8 @@ class TestErrors:
     def test_window_is_refused(self, tmp_path, capsys, command):
         """The one window, one period, has no flag: ``--window`` is an
         unknown flag and a ``window`` key an unknown config key."""
-        with pytest.raises(SystemExit) as exc:
-            run_cli([command, "--trials", "2", "--window", "full"])
-        assert exc.value.code == 2
-        capsys.readouterr()
+        assert run_cli([command, "--trials", "2", "--window", "full"]) == 2
+        assert self._error(capsys, command) == "unrecognized arguments: --window full"
         cfgfile = tmp_path / "window.json"
         cfgfile.write_text(json.dumps({"window": "full"}))
         assert run_cli([command, "--config", str(cfgfile), "--trials", "2"]) == 2

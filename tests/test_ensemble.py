@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from trigroots import ensemble
 from trigroots.ensemble import (
     _GAUSS_SMALL_W,
     SQRT3,
@@ -32,8 +33,9 @@ from oracles import rademacher_signs_reference, rng_for_trial, xi_norm_sq_quadra
 ALL_DISTS = [gaussian(), rademacher(), uniform(),
              discrete([(-2.0, 0.125), (0.0, 0.75), (2.0, 0.125)])]
 
-#: |w| = 1/(T - 1), where the Gaussian xi-norm series steps from T/2 to T terms
-GAUSS_TIER_EDGES = [1.0, 1 / 3, 1 / 7, 1 / 15, 1 / 31]
+#: |w| = 1/(T - 1), where the Gaussian xi-norm series steps from T/2 to T
+#: terms; at and above 1 the value is 1/12, with no series
+GAUSS_TIER_EDGES = [1.0, 1 / 3, 1 / 7, 1 / 15]
 
 
 class TestMoments:
@@ -274,12 +276,13 @@ class TestXiNorm:
         slow = xi_norm_sq_quadrature(dist, w)
         assert fast == pytest.approx(slow, abs=1e-9)
 
-    # each side of the Gaussian series' tier boundaries |w| = 1/(T - 1) and
-    # of its small-w cutoff, and points inside the tiers
+    # each side of the Gaussian series' tier boundaries |w| = 1/(T - 1), of
+    # its small-w cutoff and of 0.02 and 1/31 inside the 2 w^2 band, and
+    # points inside the tiers
     @pytest.mark.parametrize("w", [
-        float(x) for edge in GAUSS_TIER_EDGES + [_GAUSS_SMALL_W]
+        float(x) for edge in GAUSS_TIER_EDGES + [_GAUSS_SMALL_W, 0.02, 1 / 31]
         for x in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0))
-    ] + [0.0201, 0.05, 0.3, 1.0, 11.0, 200.0, -0.05, -11.0])
+    ] + [0.0201, 0.0401, 0.05, 0.3, 1.0, 11.0, 200.0, -0.05, -11.0])
     def test_gaussian_tiers_match_quadrature_oracle(self, w):
         assert xi_norm_sq(gaussian(), w) == \
             pytest.approx(xi_norm_sq_quadrature(gaussian(), w), abs=1e-9)
@@ -295,6 +298,64 @@ class TestXiNorm:
                     (-1) ** m * mp.exp(-4 * mp.pi**2 * m**2 * mp.mpf(x) ** 2)
                     / (mp.pi * m) ** 2 for m in range(1, int(6 / x) + 2))
                 assert abs(xi_norm_sq(gaussian(), float(x)) - float(ref)) <= 5e-17
+
+    def test_gaussian_is_one_twelfth_from_one_up(self):
+        # the series' first two terms, summed smallest first, round to 1/12
+        # there, so 1/12 is the summed series' float value
+        w = np.concatenate([np.geomspace(1.0, 1e6, 500), [np.nextafter(1.0, 0.0)]])
+        w = np.concatenate([w, -w])
+        m = np.array([2.0, 1.0])
+        terms = (np.exp(np.multiply.outer(-4.0 * math.pi**2 * m**2, w**2))
+                 * (np.array([1.0, -1.0]) / (math.pi**2 * m**2))[:, None])
+        two_terms = 1.0 / 12.0 + (terms[0] + terms[1])
+        assert (two_terms == 1.0 / 12.0).all()
+        assert (xi_norm_sq(gaussian(), w) == 1.0 / 12.0).all()
+        assert all(xi_norm_sq(gaussian(), float(x)) == 1.0 / 12.0 for x in w[::25])
+
+    def test_gaussian_cutoff_error_bound(self):
+        # E[X^2 1{|X| > 1/2}] for X ~ N(0, 2 w^2), what 2 w^2 can miss
+        def bound(w):
+            sigma = math.sqrt(2.0) * w
+            z = 1.0 / (2.0 * sigma)
+            phi = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+            return 2.0 * sigma**2 * (z * phi + 0.5 * math.erfc(z / math.sqrt(2.0)))
+        assert bound(_GAUSS_SMALL_W) <= 1e-18
+        assert bound(0.041) > 1e-18
+
+    def test_gaussian_small_w_within_1e_18_of_the_series(self):
+        # 2 w^2 on the band the cutoff took from the series, against the
+        # series at 30 digits: the cutoff bound plus the rounding of 2 w^2
+        w = np.concatenate([np.linspace(0.02, _GAUSS_SMALL_W, 21)[1:],
+                            [np.nextafter(0.02, 1.0), np.nextafter(_GAUSS_SMALL_W, 0.0)]])
+        with mp.workdps(30):
+            for x in w:
+                ref = mp.mpf(1) / 12 + mp.fsum(
+                    (-1) ** m * mp.exp(-4 * mp.pi**2 * m**2 * mp.mpf(x) ** 2)
+                    / (mp.pi * m) ** 2 for m in range(1, int(6 / x) + 2))
+                got = xi_norm_sq(gaussian(), float(x))
+                assert got == 2.0 * x**2
+                assert abs(mp.mpf(got) - ref) <= 1e-18 + np.spacing(got), x
+
+    #: sha256 of xi_norm_sq(gaussian(), w) on ``_pinned_w``, taken before
+    #: the 1/12 end, the summed tiers and the raised cutoff
+    XI_DIGEST = "942d5a76f618dbedaa8b15d6736df91897e78b9f53dd5337cb5679cd4eeb757e"
+
+    @staticmethod
+    def _pinned_w():
+        rng = np.random.default_rng(2026)
+        edges = np.array(GAUSS_TIER_EDGES)
+        w = np.concatenate([rng.uniform(0.04, 1.0, 20_000), rng.uniform(1.0, 50.0, 2_000),
+                            np.nextafter(edges, 0.0), edges, np.nextafter(edges, 1.0),
+                            [np.nextafter(0.04, 1.0)]])
+        assert (w > 0.04).all()
+        return w * rng.choice([-1.0, 1.0], w.size)
+
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    def test_gaussian_values_above_the_cutoff_are_pinned(self, monkeypatch, block):
+        # blocks of one entry sum each entry's table alone
+        monkeypatch.setattr(ensemble, "_GAUSS_BLOCK", block)
+        out = xi_norm_sq(gaussian(), self._pinned_w())
+        assert hashlib.sha256(out.tobytes()).hexdigest() == self.XI_DIGEST
 
     def test_vectorized_matches_scalar(self, rng):
         # the Gaussian series is sized per entry, so a mixed array gives
