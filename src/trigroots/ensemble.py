@@ -344,11 +344,17 @@ def charfn_scalar(dist: DistributionSpec, theta):
 
 
 def log_abs_charfn_scalar(dist: DistributionSpec, theta) -> np.ndarray:
-    """log |E exp(i theta xi)|, elementwise; -inf where the factor vanishes."""
+    """log |E exp(i theta xi)|, elementwise; -inf where the factor vanishes.
+    The rademacher and uniform factors are real, so they skip the complex
+    cast of ``charfn_scalar`` (|complex(x, 0)| = |x|: the same bits)."""
     theta = np.asarray(theta, dtype=float)
     if dist.kind == "gaussian":
         return -0.5 * theta**2
     with np.errstate(divide="ignore"):
+        if dist.kind == "rademacher":
+            return np.log(np.abs(np.cos(theta)))
+        if dist.kind == "uniform":
+            return np.log(np.abs(np.sinc(SQRT3 * theta / np.pi)))
         return np.log(np.abs(charfn_scalar(dist, theta)))
 
 

@@ -21,11 +21,12 @@ A single-sample grid also carries the derivatives P^(0) .. P^(K+1) over one
 full period, two orders to each spectrum times (i j/n)^k, one FFT call
 for all.  Its ``eval_local`` method reads (P, P') at any t from the Taylor
 series at the nearest node, in O(K) per point.  ``eval_points`` stays the
-exact evaluator: all n terms, from a blocked phase table of 32 + n/32
-complex exponentials per point and one matrix product.  ``cell_expansions``
-builds the same series at the midpoints of arbitrary cells (the batch
-audit's, rows gathered a chunk at a time), in O(n K) per cell from one
-cos/sin table, and ``taylor_eval`` is the one Horner loop that reads both.
+exact evaluator: all n terms, from a blocked phase table that two cos/sin
+pairs a point build by doubling (``_powers``), and one matrix product.
+``cell_expansions`` builds the same series at the midpoints of arbitrary
+cells (the batch audit's, rows gathered a chunk at a time), in O(n K) per
+cell from one cos/sin table, and ``taylor_eval`` is the one Horner loop
+that reads both.
 """
 
 from __future__ import annotations
@@ -188,15 +189,37 @@ def _cis(theta: np.ndarray) -> np.ndarray:
     return out
 
 
+def _powers(w: np.ndarray, m: int) -> np.ndarray:
+    """w^0 .. w^(m-1) along a new first axis, by doubling: entry k is the
+    product of the squares w^(2^j) over the set bits j of k, so of at most
+    ceil(log2 m) earlier entries.  Each square carries twice the rounding
+    of the one before, so entry k is within (k - 1) sqrt(2) gamma_2 |w|^k
+    of w^k to first order (Higham 2002, lemma 3.5): the order of the
+    rounding of w itself, which w^k carries k times.  Exact for w in
+    {1, -1, i, -i}."""
+    out = np.empty((m,) + w.shape, dtype=complex)
+    out[0] = 1.0
+    L, sq = 1, w
+    while L < m:
+        np.multiply(out[:min(L, m - L)], sq, out=out[L:2 * L])
+        L, sq = 2 * L, sq * sq
+    return out
+
+
 def eval_points(sample: CoefficientSample, ts: np.ndarray) -> tuple:
-    """Vectorized (P, P') at arbitrary points, in chunks.  In blocks
-    of b = min(32, n), frequency j = 1 + b a + k has the phase
-    e^{i t b a/n} e^{i t (k+1)/n}: b + n/b complex exponentials a point, and
-    one (R, b) @ (b, 2A) product over the A blocks sums P and P'."""
+    """Vectorized (P, P') at arbitrary points, in chunks.  In blocks of b
+    terms, frequency j = 1 + b a + k has the phase e^{i t b a/n} e^{i t (k+1)/n}:
+    two cis calls a point, w = e^{i t/n} and W = e^{i t b/n}, raised to
+    their powers by ``_powers``, and one (R, b) @ (b, 2A) product over the
+    A blocks sums P and P'.  b = min(32, n) up to n = 1,024 and the
+    power of two at or above sqrt(n) beyond, so neither table has more than
+    ~2 sqrt(n) powers.  Where n is not a power of two, t/n is rounded, and
+    w and W are turned by what it lost (Dekker's split makes t - n fl(t/n)
+    exact for n < 2^26)."""
     n = sample.n
     ts = np.asarray(ts, dtype=float)
-    b = min(32, n)
-    A = -(-n // b)
+    b = min(n, max(32, 1 << (math.isqrt(n) - 1).bit_length()))
+    A = -(-n // b)  # b is a power of two when A > 1, so t/n * b is exact
     z = np.zeros((2, A * b), dtype=complex)  # Re z e^{ith} = y1 cos + y2 sin, -Im = y2 cos - y1 sin
     z[0, :n] = sample.y[:, 0] - 1j * sample.y[:, 1]
     z[1, :n] = z[0, :n] * (np.arange(1, n + 1) / n)
@@ -205,9 +228,17 @@ def eval_points(sample: CoefficientSample, ts: np.ndarray) -> tuple:
     P, Q = np.empty_like(ts), np.empty_like(ts)
     chunk = max(1, 65536 // (b + 2 * A))  # a chunk's tables stay in cache
     for lo in range(0, ts.size, chunk):
-        tn = ts[lo:lo + chunk, None] / n
-        sums = (_cis(tn * np.arange(1, b + 1)) @ Z).reshape(-1, 2, A)
-        sums = (sums * _cis(tn * (b * np.arange(A)))[:, None]).sum(axis=2)
+        t = ts[lo:lo + chunk]
+        tn = t / n
+        w, W = _cis(tn), _cis(tn * b)
+        if n & (n - 1):
+            c = 134217729.0 * tn  # 2^27 + 1: hi holds the top 26 bits of tn
+            hi = c - (c - tn)
+            r = ((t - hi * n) - (tn - hi) * n) / n  # t/n - tn
+            w += w * (1j * r)
+            W += W * (1j * (b * r))
+        sums = (_powers(w, b + 1)[1:].T @ Z).reshape(-1, 2, A)
+        sums = (sums * _powers(W, A).T[:, None]).sum(axis=2)
         P[lo:lo + chunk] = sums[:, 0].real * inv
         Q[lo:lo + chunk] = -sums[:, 1].imag * inv
     return P, Q

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -44,15 +45,23 @@ class TestLogAbsCharfn:
                     + math.log(abs(math.cos((Up @ x).item()))))
         assert log_abs_charfn(1, 2.0, rademacher(), x) == pytest.approx(expected)
 
-    def test_rademacher_factor_is_the_charfn_route(self, rng):
-        theta = np.concatenate([rng.uniform(-60.0, 60.0, 20_000),
-                                [0.0, -0.0, math.pi / 2, 3 * math.pi / 2, 1e300]])
+    @pytest.mark.parametrize("dist", [rademacher(), uniform()], ids=str)
+    def test_real_factor_is_the_charfn_route(self, dist, rng):
+        # seeded angles with the factors' zeros as rounded to floats (odd
+        # multiples of pi/2, multiples of pi/sqrt(3)), signed zeros, the
+        # least subnormal and huge angles: the bits of the complex route,
+        # without a warning
+        k = np.arange(-40.0, 41.0)
+        theta = np.concatenate([rng.uniform(-60.0, 60.0, 20_000), (k + 0.5) * math.pi,
+                                k * math.pi / math.sqrt(3), [0.0, -0.0, 5e-324, 1e300, -1e300]])
         with np.errstate(divide="ignore"):
-            ref = np.log(np.abs(ensemble.charfn_scalar(rademacher(), theta)))
-        got = ensemble.log_abs_charfn_scalar(rademacher(), theta)
+            ref = np.log(np.abs(ensemble.charfn_scalar(dist, theta)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ensemble.log_abs_charfn_scalar(dist, theta)
+            one = ensemble.log_abs_charfn_scalar(dist, 0.3)
         assert got.tobytes() == ref.tobytes()
-        assert (ensemble.log_abs_charfn_scalar(rademacher(), 0.3)
-                == np.log(np.abs(ensemble.charfn_scalar(rademacher(), 0.3))))
+        assert one == np.log(np.abs(ensemble.charfn_scalar(dist, 0.3)))
 
     def test_gaussian_quadratic_identity(self, rng):
         for _ in range(10):

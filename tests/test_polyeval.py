@@ -13,6 +13,7 @@ from trigroots.edgeworth import c_n_alpha
 from trigroots.ensemble import CoefficientSample, gaussian, rademacher, sample
 from trigroots.polyeval import (
     GridError,
+    _powers,
     cell_expansions,
     coefficient_columns,
     coefficient_matrices,
@@ -23,7 +24,7 @@ from trigroots.polyeval import (
     grid_spacing,
     taylor_eval,
 )
-from trigroots.rootcount import _scan
+from trigroots.rootcount import _scan, count_roots
 
 #: keeps the test ids of the cases that once also ran on the half window
 FULL_ID = pytest.mark.parametrize((), [()], ids=["full"])
@@ -88,6 +89,56 @@ class TestEvalPoint:
         bound = max(1e-14, 1e-15 * n) * float(np.max(np.abs(g.P)))
         assert np.max(np.abs(P - oracle[:, 0])) <= bound
         assert np.max(np.abs(Q - oracle[:, 1])) <= bound
+
+    @pytest.mark.parametrize("n", [256, 1000, 1024, 10_000])
+    def test_eval_points_within_1e_14_of_the_oracle(self, n):
+        # at 100 roots of a gaussian sample, the grid's edge and outside
+        # points and 60 uniform points of the period; 1000 and 10,000 are
+        # not powers of two, so t/n is rounded there, and 10,000 takes
+        # blocks of 128
+        s = sample(gaussian(), n, seed=n + 11)
+        r = count_roots(s)
+        rng = np.random.default_rng(n)
+        ts = np.concatenate([rng.choice(r.roots, 100, replace=False),
+                             TestLocalEvaluator._points(r.grid),
+                             rng.uniform(-n * math.pi, n * math.pi, 60)])
+        P, Q = eval_points(s, ts)
+        oracle = np.array([eval_point(s, t) for t in ts])
+        bound = 1e-14 * float(np.max(np.abs(r.grid.P)))
+        assert np.max(np.abs(P - oracle[:, 0])) <= bound
+        assert np.max(np.abs(Q - oracle[:, 1])) <= bound
+
+
+class TestPowers:
+    """``_powers``, the doubling table of ``eval_points``."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 32, 33])
+    def test_exact_on_the_fourth_roots_of_unity(self, m):
+        # so t = 0 (w = 1) keeps exact phases
+        cycle = np.array([[1, 1, 1, 1], [1, -1, 1j, -1j], [1, 1, -1, -1], [1, -1, -1j, 1j]])
+        table = _powers(cycle[1], m)
+        assert table.shape == (m, 4)
+        assert np.array_equal(table, cycle[np.arange(m) % 4])
+        assert np.array_equal(table.imag[:, 0], np.zeros(m))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 32, 33, 1024])
+    def test_within_the_product_bound_of_mpmath(self, m):
+        # entry k takes k - 1 rounded complex products, each within
+        # sqrt(2) gamma_2 of the exact one (Higham 2002, lemma 3.5), so it
+        # is within ((1 + sqrt(2) gamma_2)^(k - 1) - 1) |w|^k of w^k.
+        # That bound grows with k, not with log2 m: each square doubles
+        # the rounding of the square before it.
+        w = np.exp(1j * np.random.default_rng(m).uniform(-math.pi, math.pi, 8))
+        table = _powers(w, m)
+        with mp.workdps(40):
+            u = mp.mpf(2) ** -53
+            delta = mp.sqrt(2) * 2 * u / (1 - 2 * u)
+            for row, x in zip(table.T, w.tolist()):
+                exact = mp.mpc(1)
+                for k, got in enumerate(row.tolist()):
+                    bound = ((1 + delta) ** max(k - 1, 0) - 1) * abs(exact)
+                    assert abs(mp.mpc(got) - exact) <= bound, (m, k)
+                    exact *= mp.mpc(x)
 
 
 class TestEvalGrid:

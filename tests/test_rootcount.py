@@ -255,35 +255,51 @@ class TestCountsPinned:
 
 
 class TestSingleSamplePinned:
-    """``count_roots`` and ``count_kacrice`` on a seeded set, pinned by a
-    sha256 of every field they compute: a change to the single-sample path
-    that moves a root, a residual, a tangency or a flag shows here."""
+    """``count_roots`` and ``count_kacrice`` on a seeded set, pinned by two
+    sha256 digests.  ``RESULTS`` covers what the count decides: roots,
+    tangencies, count, ``uncertain``, ``grid.P[0]``, the Kac-Rice value and
+    flag.  ``CHECKS`` covers the residuals and derivatives of the exact
+    ``eval_points`` check at the roots.  A change to the single-sample path
+    that moves a root, a tangency or a flag shows in the first; a change to
+    the exact evaluator alone shows only in the second."""
 
     #: of the results as they were once ``_newton`` began to probe the far
-    #: bracket end: five Rademacher roots moved by 2-43 ulps then, with one
-    #: residual and derivative; counts, flags, tangencies and Kac-Rice values
-    #: did not
-    DIGEST = "62ffe87b6c374940ed97ea29a7baa829b9e8763ffc76d3765596ebe6caf0c01c"
+    #: bracket end (five Rademacher roots moved by 2-43 ulps then; counts,
+    #: flags, tangencies and Kac-Rice values did not), computed on the tree
+    #: before ``eval_points`` built its phases by doubling
+    RESULTS = "ada4edbd4b431a37d93d173c75295b4faaaf8b56f7b157b0e0f5ae20ba0121d7"
+    #: of the residuals and derivatives once ``eval_points`` built its phases
+    #: by doubling: they moved by at most 7.3e-14 and 6.7e-14
+    CHECKS = "78a428dab0e902eae339805379fbdd51db4c7b15632a4c076abf6bc5cd93975b"
     # Rademacher trials 120 and 351 at n = 16 end in tangencies
     TRIALS = {16: [*range(48), 120, 351], 64: range(12), 256: range(4)}
 
-    def test_results_unchanged(self):
-        digest = hashlib.sha256()
+    @pytest.fixture(scope="class")
+    def digests(self):
+        results, checks = hashlib.sha256(), hashlib.sha256()
         tangent = flagged = 0
         for law in (gaussian(), rademacher()):
             for n, trials in self.TRIALS.items():
                 for t in trials:
                     s = sample(law, n, seed=7000 + n, trial_index=t)
                     r = count_roots(s)
-                    for a in (r.roots, r.residuals, r.derivatives, r.tangencies):
-                        digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
-                    digest.update(f"{r.count} {r.uncertain} {float(r.grid.P[0]).hex()}".encode())
+                    for a in (r.roots, r.tangencies):
+                        results.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+                    for a in (r.residuals, r.derivatives):
+                        checks.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+                    results.update(f"{r.count} {r.uncertain} {float(r.grid.P[0]).hex()}".encode())
                     kr = count_kacrice(s)
-                    digest.update(f"{kr.value.hex()} {kr.flagged}".encode())
+                    results.update(f"{kr.value.hex()} {kr.flagged}".encode())
                     tangent += r.tangencies.size > 0
                     flagged += kr.flagged
         assert tangent and flagged  # the pin covers tangencies and flags
-        assert digest.hexdigest() == self.DIGEST
+        return results.hexdigest(), checks.hexdigest()
+
+    def test_results_unchanged(self, digests):
+        assert digests[0] == self.RESULTS
+
+    def test_residuals_and_derivatives_unchanged(self, digests):
+        assert digests[1] == self.CHECKS
 
 
 class TestNonFinite:
