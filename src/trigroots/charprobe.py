@@ -216,8 +216,7 @@ def small_ball_mc(n: int, t: float, dist: DistributionSpec, center, delta: float
     hits, and a singular covariance is refused; ``force`` skips that
     estimate altogether."""
     check_delta(delta)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = ensemble.check_integer("trials", trials, 1)
     center = np.asarray(center, dtype=float)
     d = 2 if s is None else 4
     if center.shape != (d,):
@@ -268,8 +267,7 @@ def smallball_1d_scan(n: int, t: float, dist: DistributionSpec, delta: float,
                       trials: int, seed: int = 0) -> OneDScanResult:
     """Max over 20 centers a in [-2, 2] of P(|P_n(t) - a| < delta) at fixed t."""
     check_delta(delta)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = ensemble.check_integer("trials", trials, 1)
     centers = np.linspace(-2.0, 2.0, 20)
     expect = trials * 2.0 * delta * 0.4
     if expect < 10:

@@ -311,8 +311,7 @@ def _cmd_sweep(cfg):
 def _cmd_kacrice_audit(cfg):
     dist = parse_distribution(cfg["dist"])
     check_delta(cfg["delta"])
-    if cfg["trials"] < 1:
-        raise ValueError(f"trials must be >= 1, got {cfg['trials']}")
+    ensemble.check_integer("trials", cfg["trials"], 1)
     agree = flagged = 0
     root_rows = []
     for trial in range(cfg["trials"]):

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from trigroots.ensemble import check_integer
+
 #: conservative interval inflation against rounding in the box images
 _FP_SLACK = 1e-12
 #: rows added to each side of a band's row window against rounding
@@ -39,10 +41,7 @@ class ConditionReport:
 
 
 def _params(n: int, tau: float, *points: float) -> tuple[float, int]:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValueError(f"n must be an integer, got {n}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = check_integer("n", n, 1)
     if not 0.0 < tau < 0.125:
         raise ValueError("tau must lie in (0, 1/8)")
     if not all(math.isfinite(p) for p in points):

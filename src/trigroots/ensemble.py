@@ -184,11 +184,19 @@ class CoefficientSample:
             raise ValueError("coefficients must be finite")
 
 
+def check_integer(name: str, value, low: int) -> int:
+    """``value`` as an int, refused unless an integer (not a bool) >= low."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return int(value)
+
+
 def sample(dist: DistributionSpec, n: int, seed: int, trial_index: int = 0) -> CoefficientSample:
     """Draw the 2n iid coefficients of one polynomial: trial ``trial_index``
     of ``draw_trials``."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = check_integer("n", n, 1)
     y = draw_trials(dist, n, seed, trial_index, trial_index + 1)[0]
     y.setflags(write=False)
     return CoefficientSample(n=n, y=y, seed=int(seed), trial_index=int(trial_index))
@@ -202,9 +210,7 @@ def draw_trials(dist: DistributionSpec, n: int, seed: int, lo: int, hi: int) -> 
     chunk it is drawn in.  One bit generator serves the chunk: its state
     is set to each trial's key in turn, with the output buffer empty.
     """
-    lo, hi = int(lo), int(hi)
-    if lo < 0:
-        raise ValueError(f"trial index must be a non-negative integer, got {lo}")
+    lo, hi = _index("trial index", lo), _index("trial index", hi)
     if hi > 2**64:
         raise ValueError(f"trial index must be below 2**64, got {hi - 1}")
     keys = philox_keys(seed, np.arange(lo, hi, dtype=np.uint64))
@@ -240,9 +246,7 @@ def philox_keys(seed: int, trials) -> np.ndarray:
     trial mixes in its one word (below 2**32) or two (below 2**64) and
     hashes the pool out.
     """
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    seed = _index("seed", seed)
     trials = np.asarray(trials)
     if trials.ndim != 1 or trials.dtype.kind not in "iu":
         raise ValueError("trial indices must be a 1-d integer array, got "
@@ -276,6 +280,14 @@ def philox_keys(seed: int, trials) -> np.ndarray:
     c = np.array([next(out_consts) for _ in range(_POOL_SIZE)], dtype=np.uint32)
     out = _hashmix(pool, c, _MULT_B).astype(np.uint64)
     return out[:, 0::2] | out[:, 1::2] << 32
+
+
+def _index(name: str, value) -> int:
+    """A seed or trial index as an int; a float or bool, which int() would
+    truncate to another seed or trial, is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value}")
+    return int(value)
 
 
 def _hash_consts(const: int, mult: int):

@@ -5,7 +5,7 @@ stream, so a trial's count never depends on scheduling.  Trials are drawn
 and counted in fixed-size chunks (one ``ensemble.draw_trials`` call each),
 serially or by worker processes; the counts are joined in trial order and
 their moments taken in one pass, so a record is a function of (law, n,
-M, seed, trials) alone, whatever the chunk size or worker count.
+seed, trials) alone, whatever the chunk size or worker count.
 """
 
 from __future__ import annotations
@@ -108,46 +108,35 @@ class ExperimentRecord:
     unreliable: bool
     wall_time: float
 
-    def to_dict(self, include_timing: bool = True) -> dict:
-        d = asdict(self)
-        if not include_timing:
-            d.pop("wall_time")
-        return d
+    def to_dict(self) -> dict:
+        return asdict(self)
 
     def canonical_dict(self) -> dict:
         """Deterministic payload: identical bytes for identical (seed, config)."""
-        return self.to_dict(include_timing=False)
+        return {k: v for k, v in asdict(self).items() if k != "wall_time"}
 
 
-def _chunk_counts(dist: DistributionSpec, n: int, M: int, seed: int, lo: int, hi: int):
+def _chunk_counts(dist: DistributionSpec, n: int, seed: int, lo: int, hi: int):
     """Counts and uncertainty flags for trials [lo, hi)."""
-    return count_batch(ensemble.draw_trials(dist, n, seed, lo, hi), n, FULL, M)
+    return count_batch(ensemble.draw_trials(dist, n, seed, lo, hi), n, FULL, grid_size(n))
 
 
 def run_experiment(dist: DistributionSpec, n: int, trials: int = 1000, seed: int = 0,
-                   parallelism: int = 1, M: int | None = None) -> ExperimentRecord:
+                   parallelism: int = 1) -> ExperimentRecord:
     """Estimate mean and variance of the root count over seeded trials.
 
-    Counts come from the grid scan with the stationary-point audit (root
-    positions are not refined; the count is unaffected).  The result is
-    bit-identical for any ``parallelism`` and ``CHUNK_SIZE``.  A grid below
-    the root-capture bound raises ``GridError``.  The record carries
-    ``theoretical_slope``.  A non-integer n, trials, M or parallelism is refused.
+    Counts come from the grid scan with the stationary-point audit on the
+    ``grid_size(n)`` grid (roots are not refined; the count is unaffected).
+    The result is bit-identical for any ``parallelism`` and ``CHUNK_SIZE``.
+    The record carries ``theoretical_slope``.  A non-integer n, trials or
+    parallelism is refused, and so is a seed that is not one >= 0.
     """
-    if M is None:
-        M = grid_size(n)
-    for name, value in (("n", n), ("trials", trials), ("M", M), ("parallelism", parallelism)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if trials < 2:
-        raise ValueError("need at least 2 trials")
-    if parallelism < 1:
-        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
+    n = ensemble.check_integer("n", n, 1)
+    trials = ensemble.check_integer("trials", trials, 2)
+    parallelism = ensemble.check_integer("parallelism", parallelism, 1)
     t0 = time.perf_counter()
     edges = list(range(0, trials, CHUNK_SIZE)) + [trials]
-    jobs = [(dist, n, M, seed, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    jobs = [(dist, n, seed, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
     if parallelism > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
             results = list(pool.map(_chunk_counts, *zip(*jobs), chunksize=1))
@@ -159,7 +148,7 @@ def run_experiment(dist: DistributionSpec, n: int, trials: int = 1000, seed: int
     est = VarianceEstimate.from_accumulator(MomentAccumulator.from_values(counts), n)
     wall = time.perf_counter() - t0
     return ExperimentRecord(
-        distribution=dist.label(), n=n, M=M,
+        distribution=dist.label(), n=n, M=grid_size(n),
         seed=int(seed), trials=trials, estimate=est,
         theoretical_slope=theoretical_slope(dist),
         flagged_trial_count=flagged,

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from trigroots.ensemble import CoefficientSample
+from trigroots.ensemble import CoefficientSample, check_integer
 
 DEFAULT_OVERSAMPLE = 8
 
@@ -80,7 +80,7 @@ class EvaluationGrid:
 
     @property
     def start(self) -> float:
-        return -self.n * math.pi
+        return grid_start(self.n)
 
     def t_values(self) -> np.ndarray:
         return self.start + self.spacing * np.arange(self.M)
@@ -162,9 +162,19 @@ def grid_size(n: int) -> int:
     return 2 * n * DEFAULT_OVERSAMPLE
 
 
+def grid_start(n: int) -> float:
+    """t of every grid's first node: the period starts at -n pi."""
+    return -n * math.pi
+
+
+def period(n: int) -> float:
+    """Length 2 pi n of the one period."""
+    return 2.0 * n * math.pi
+
+
 def grid_spacing(n: int, M: int) -> float:
     """Spacing of an M-point grid of one period."""
-    return 2.0 * n * math.pi / M
+    return period(n) / M
 
 
 def pass_rows(n: int, M: int) -> int:
@@ -174,9 +184,7 @@ def pass_rows(n: int, M: int) -> int:
 
 def check_grid(n: int, M: int) -> int:
     """M, refused unless an integer of at least ``grid_size(n)``."""
-    if isinstance(M, bool) or not isinstance(M, (int, np.integer)):
-        raise ValueError(f"M must be an integer, got {M!r}")
-    if M < grid_size(n):
+    if check_integer("M", M, 1) < grid_size(n):
         raise GridError(f"M={M} below root-capture bound {grid_size(n)}")
     return M
 
@@ -274,15 +282,15 @@ def _packed_ifft(y: np.ndarray, n: int, M: int, pairs: int = 1,
     return np.fft.ifft(spec, axis=-1, out=spec)
 
 
-def eval_grid(sample: CoefficientSample, M: int | None = None) -> EvaluationGrid:
-    """P and P' on the M-point grid of one period, M defaulting to the
-    root-capture bound, with the derivative stack.
+def eval_grid(sample: CoefficientSample) -> EvaluationGrid:
+    """P and P' on the ``grid_size(n)``-point grid of one period, with the
+    derivative stack.
 
     P and P' are those of ``eval_grid_batch`` on a batch of one; the pairs
     of orders (m, m+1) share one FFT call.
     """
     n = sample.n
-    M = check_grid(n, grid_size(n) if M is None else M)
+    M = grid_size(n)
     F = _packed_ifft(sample.y, n, M, (TAYLOR_ORDER + 2) // 2)
     derivs = np.ascontiguousarray(F.T).view(float)  # pair k: columns 2k, 2k + 1
     P, Q = derivs[:, 0].copy(), derivs[:, 1].copy()

@@ -25,7 +25,7 @@ series), the root polish of ``count_roots`` and the |P| = delta crossings.  The
 single-sample searches read P and P' from the grid's local Taylor
 evaluator (``EvaluationGrid.eval_local``, O(1) in n per point); one exact
 ``eval_points`` call at the roots gives the reported residuals and
-derivatives, an independent check on every root.
+derivatives, an independent check on every root that no computation reads.
 
 ``count_kacrice`` evaluates (1/2 delta) * int |P'| 1_{|P| < delta} dt from
 the two crossings around each root (to one ulp) and 15-node Gauss-Legendre
@@ -53,7 +53,9 @@ from trigroots.polyeval import (
     eval_grid_batch,
     eval_points,
     grid_spacing,
+    grid_start,
     pass_rows,
+    period,
     taylor_eval,
 )
 
@@ -103,10 +105,6 @@ class KacRiceResult:
     @property
     def agrees(self) -> bool:  # the delta-integral is within 1e-3 of the count
         return abs(self.value - self.root_count) < 1e-3
-
-
-def default_tol(n: int) -> float:
-    return 1e-12 * n
 
 
 def gaussian_expectation_exact(n: int) -> float:
@@ -249,7 +247,7 @@ def _audit(ys, M, found, counts, uncertain):
     status, t_star = np.zeros(c.rows.size, dtype=int), np.empty(c.rows.size)
     if c.rows.size:
         h = grid_spacing(n, M)
-        t_left = -n * math.pi + h * c.cells
+        t_left = grid_start(n) + h * c.cells
         x, val = _hermite_extremum(c.p0, c.p1, c.q0, c.q1, h)
         bound = h ** 4 / 384.0 / (1.0 - h * h / 8.0) * c.scale
         needs = np.isnan(x) | (np.abs(val) <= _HERMITE_SLACK * np.maximum(
@@ -275,16 +273,12 @@ def _audit(ys, M, found, counts, uncertain):
     return c, status, t_star
 
 
-def count_roots(sample: CoefficientSample, tol: float | None = None) -> RootCountResult:
+def count_roots(sample: CoefficientSample) -> RootCountResult:
     """Count and refine the real roots in one period: ``_scan`` and ``_audit``
-    on a batch of one, then Newton from the middle of every bracket, to tol."""
-    n = sample.n
-    if tol is None:
-        tol = default_tol(n)
+    on a batch of one, then Newton from the middle of every bracket, to 1e-12 n."""
+    tol = 1e-12 * sample.n
     grid = eval_grid(sample)
     h = grid.spacing
-    if not 0.0 < tol < h:
-        raise ValueError(f"tol={tol} outside (0, grid spacing {h})")
     G = grid.derivs[:, :2].copy().view(complex).reshape(1, -1)  # one period of P + i P'
     crossing, counts, uncertain, found = _scan(sample.y[None], G)
     cells, status, t_star = _audit(sample.y[None], grid.M, [found], counts, uncertain)
@@ -347,13 +341,13 @@ def count_kacrice(sample: CoefficientSample, delta: float = 1e-6) -> KacRiceResu
     """Approximate-integral root count (1/2 delta) int |P'| 1_{|P|<delta}.
 
     Around each refined root the two |P| = delta crossings are located by
-    Newton and |P'| is integrated with 15-node Gauss-Legendre between
-    them; the |P| < delta dips at the audit's unresolved tangencies add
-    their own mass.  The sample is flagged when delta exceeds the grid's
-    safe estimate (min of |P| + |P'| on the grid and |P| at the window's
-    start), when the count is uncertain, or when the delta-intervals of two
-    roots overlap: then the |P| < delta set joins them and the integral
-    cannot equal the count.
+    Newton, from widths set by the grid's P' at the root, and |P'| is
+    integrated with 15-node Gauss-Legendre between them; the |P| < delta
+    dips at the audit's unresolved tangencies add their own mass.  The
+    sample is flagged when delta exceeds the grid's safe estimate (min of
+    |P| + |P'| on the grid and |P| at the window's start), when the count
+    is uncertain, or when the delta-intervals of two roots overlap: then
+    the |P| < delta set joins them and the integral cannot equal the count.
     """
     check_delta(delta)
     rr = count_roots(sample)
@@ -363,9 +357,9 @@ def count_kacrice(sample: CoefficientSample, delta: float = 1e-6) -> KacRiceResu
 
     total = 0.0
     if rr.count:
-        t_lo, t_hi = _find_level_crossing(grid, rr.roots, rr.derivatives, delta)
+        t_lo, t_hi = _find_level_crossing(grid, rr.roots, grid.eval_local(rr.roots)[1], delta)
         flagged |= bool(np.any(t_lo[1:] <= t_hi[:-1]))
-        flagged |= bool(t_lo[0] + 2.0 * sample.n * math.pi <= t_hi[-1])  # across the period's end
+        flagged |= bool(t_lo[0] + period(sample.n) <= t_hi[-1])  # across the period's end
         mid = 0.5 * (t_hi + t_lo)
         half = 0.5 * (t_hi - t_lo)
         nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]

@@ -1,22 +1,46 @@
-"""The benchmark's tracer wraps program attributes by name; they must exist."""
+"""The benchmark's tracer wraps program attributes by name, and its
+workloads call the program by signature; both must still fit."""
 
 import importlib.util
 import time
 from pathlib import Path
+
+import pytest
 
 import trigroots
 from trigroots import mcstats, rootcount
 from trigroots.ensemble import gaussian, sample
 from trigroots.polyeval import grid_size, pass_rows
 
-_TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", _TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", _PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_tracing():
+    return _load("tracing")
+
+
+@pytest.mark.parametrize("law", ["gaussian", "rademacher"])
+def test_workloads_call_the_program(monkeypatch, law):
+    """The benchmark's warm-up and single-sample check, on one n = 16
+    sample, with ``perfbench/workloads.py`` loaded as it stands: a
+    signature change that would break the benchmark fails here first."""
+    monkeypatch.syspath_prepend(str(_PERFBENCH))  # for its ``import measure``
+    workloads = _load("workloads")
+    dist = workloads.LAWS[law]()
+    workloads.warm_up(dist)
+    s = sample(dist, 16, seed=16, trial_index=0)
+    rr = rootcount.count_roots(s)
+    kr = rootcount.count_kacrice(s, delta=workloads.KACRICE_DELTA)
+    res = workloads.Results()
+    workloads.check_single(s, rr, kr, res)
+    assert res.check_failures == [] and res.attempted == 1
 
 
 def test_layer_spans_install_and_record():

@@ -277,7 +277,16 @@ class TestWalkOracle:
         assert est.trials == 200_000 and est.hits > 0
 
 
+#: trial counts refused by name: 2000.5 once ended in a TypeError from range
+NOT_COUNTS = pytest.mark.parametrize("trials", [2000.5, np.float64(2000.0), True])
+
+
 class TestSmallBall:
+    @NOT_COUNTS
+    def test_refuses_a_trial_count_not_an_integer(self, trials):
+        with pytest.raises(ValueError, match=f"trials must be an integer, got {trials}"):
+            small_ball_mc(16, 5.0, rademacher(), np.zeros(2), 50.0, trials, force=True)
+
     def test_whole_space_ball(self):
         # rademacher coefficients keep |(P, P')| under 2 sqrt(n) + 2
         n = 16
@@ -346,6 +355,11 @@ class TestSmallBall:
 
 
 class TestOneDScan:
+    @NOT_COUNTS
+    def test_refuses_a_trial_count_not_an_integer(self, trials):
+        with pytest.raises(ValueError, match=f"trials must be an integer, got {trials}"):
+            smallball_1d_scan(16, 5.0, rademacher(), 0.5, trials)
+
     def test_huge_delta_probability_one(self):
         res = smallball_1d_scan(20, 7.0, rademacher(), delta=10.0,
                                 trials=2000, seed=1)

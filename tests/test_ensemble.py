@@ -180,7 +180,19 @@ class TestTrialKeys:
         (lambda: draw_trials(gaussian(), 4, 5, -3, 2), "trial index must be a non-negative integer, got -3"),
         (lambda: sample(gaussian(), 4, -7), "seed must be a non-negative integer, got -7"),
         (lambda: sample(gaussian(), 4, 1, trial_index=2**64), "below 2\\*\\*64, got 18446744073709551616"),
-    ], ids=["seed", "trial", "float-trial", "chunk-start", "sample-seed", "trial-2^64"])
+        # int() once truncated these: seed 2.5 drew seed 2's coefficients,
+        # trial 1.9 gave trial 1, and n = 2.0 ended in a bare TypeError
+        (lambda: sample(gaussian(), 4, seed=2.5), "seed must be a non-negative integer, got 2.5"),
+        (lambda: sample(gaussian(), 4, seed=True), "seed must be a non-negative integer, got True"),
+        (lambda: philox_keys(np.float64(3.0), np.arange(3)), "seed must be a non-negative integer, got 3.0"),
+        (lambda: sample(gaussian(), 4, 1, trial_index=1.9), "trial index must be a non-negative integer, got 1.9"),
+        (lambda: sample(gaussian(), 4, 1, trial_index=True), "trial index must be a non-negative integer, got True"),
+        (lambda: draw_trials(gaussian(), 4, 5, 0, 2.5), "trial index must be a non-negative integer, got 2.5"),
+        (lambda: sample(gaussian(), 2.0, 1), "n must be an integer, got 2.0"),
+        (lambda: sample(gaussian(), True, 1), "n must be an integer, got True"),
+    ], ids=["seed", "trial", "float-trial", "chunk-start", "sample-seed", "trial-2^64",
+            "float-seed", "bool-seed", "numpy-float-seed", "float-trial-index",
+            "bool-trial-index", "float-chunk-end", "float-n", "bool-n"])
     def test_refuses_bad_indices(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()

@@ -16,7 +16,7 @@ from trigroots.mcstats import (
     slope_series,
     theoretical_slope,
 )
-from trigroots.polyeval import FULL, GridError, grid_size
+from trigroots.polyeval import FULL, GridError, eval_grid_batch, grid_size
 from trigroots.rootcount import count_batch
 
 
@@ -45,14 +45,22 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(gaussian(), 4, trials=1, seed=0)
 
+    # run_experiment counts on the grid_size(n) grid; the Monte Carlo
+    # engine's grid and batch counter still take M, and refuse a coarse one
     def test_refuses_grid_at_2n(self):
         # M = 2n misses roots silently: 2,000 trials read 29 se low, unflagged
+        ys = draw_trials(gaussian(), 256, 0, 0, 16)
         with pytest.raises(GridError):
-            run_experiment(gaussian(), 256, trials=16, seed=0, M=2 * 256)
+            count_batch(ys, 256, FULL, 2 * 256)
+        with pytest.raises(GridError):
+            eval_grid_batch(ys, 256, 2 * 256)
 
     def test_refuses_grid_at_n(self):
+        ys = draw_trials(gaussian(), 16, 0, 0, 16)
         with pytest.raises(GridError):
-            run_experiment(gaussian(), 16, trials=16, seed=0, M=16)
+            count_batch(ys, 16, FULL, 16)
+        with pytest.raises(GridError):
+            eval_grid_batch(ys, 16, 16)
 
     def test_refuses_degree_zero(self):
         with pytest.raises(ValueError, match="n must be"):
@@ -64,16 +72,22 @@ class TestRunExperiment:
             run_experiment(gaussian(), 4, trials=16, seed=0,
                            parallelism=parallelism)
 
-    # refused before any work: unrefused, 16.5, 8.5 and 300.5 reach numpy
-    # and a fractional parallelism concurrent.futures as TypeErrors, and
-    # True runs as 1
+    # refused before any work: unrefused, 16.5 and 8.5 reach numpy and a
+    # fractional parallelism concurrent.futures as TypeErrors, and True
+    # runs as 1
     @pytest.mark.parametrize("name, value", [
         ("n", 16.5), ("n", True), ("trials", 8.5), ("trials", np.float64(16.0)),
-        ("M", 300.5), ("M", True), ("parallelism", 1.5), ("parallelism", True)])
+        ("parallelism", 1.5), ("parallelism", True)])
     def test_refuses_counts_that_are_not_integers(self, name, value):
-        kwargs = {"n": 16, "trials": 600, "M": None, "parallelism": 2, name: value}
+        kwargs = {"n": 16, "trials": 600, "parallelism": 2, name: value}
         with pytest.raises(ValueError, match=f"{name} must be an integer, got {value}"):
             run_experiment(gaussian(), seed=0, **kwargs)
+
+    @pytest.mark.parametrize("seed", [2.5, True])
+    def test_refuses_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        # 2.5 once ran seed 2 and recorded "seed": 2
+        with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed}"):
+            run_experiment(gaussian(), 16, trials=16, seed=seed)
 
     def test_parallel_determinism(self):
         recs = [run_experiment(rademacher(), 32, trials=600, seed=5,
@@ -109,8 +123,8 @@ class TestRunExperiment:
     def test_record_roundtrips_and_excludes_timing(self):
         rec = run_experiment(gaussian(), 8, trials=50, seed=9)
         d = rec.to_dict()
-        assert "wall_time" in d
-        assert "wall_time" not in rec.canonical_dict()
+        assert "wall_time" in d and d["M"] == grid_size(8)
+        assert rec.canonical_dict() == {k: v for k, v in d.items() if k != "wall_time"}
         assert not {"chunk_size", "tol", "window"} & d.keys()
         assert d["seed"] == 9 and d["distribution"] == "gaussian"
 
@@ -146,7 +160,7 @@ class TestRunExperiment:
         from trigroots.ensemble import parse_distribution
         rec = run_experiment(rademacher(), 24, trials=300, seed=33)
         replay = run_experiment(parse_distribution(rec.distribution), rec.n, rec.trials,
-                                rec.seed, M=rec.M)
+                                rec.seed)
         assert json.dumps(replay.canonical_dict(), sort_keys=True) == \
             json.dumps(rec.canonical_dict(), sort_keys=True)
 

@@ -21,13 +21,17 @@ from trigroots.polyeval import (
     eval_grid,
     eval_grid_batch,
     eval_points,
+    grid_size,
     grid_spacing,
+    grid_start,
     taylor_eval,
 )
 from trigroots.rootcount import _scan, count_roots
 
 #: keeps the test ids of the cases that once also ran on the half window
 FULL_ID = pytest.mark.parametrize((), [()], ids=["full"])
+#: keeps the test ids of the cases that once also ran on a grid twice as fine
+ONE_GRID = pytest.mark.parametrize((), [()], ids=["1"])
 
 
 def _manual_sample(y):
@@ -168,28 +172,26 @@ class TestEvalGrid:
     def test_refuses_small_M(self):
         s = sample(gaussian(), 16, seed=0)
         with pytest.raises(GridError):
-            eval_grid(s, M=64)
+            eval_grid_batch(s.y[None], 16, 64)
 
     @pytest.mark.parametrize("M", [200.0, True, np.float64(512)])
     def test_refuses_non_integer_M(self, M):
         s = sample(gaussian(), 16, seed=0)
         with pytest.raises(ValueError, match="M must be an integer"):
-            eval_grid(s, M=M)
-        with pytest.raises(ValueError, match="M must be an integer"):
             eval_grid_batch(s.y[None], 16, M)
 
     def test_fft_vs_direct_equivalence_100_tuples(self, rng):
-        # oversampled grids at many (n, M) against the direct path
+        # oversampled batch grids at many (n, M) against the direct path
         for _ in range(100):
             n = int(rng.integers(1, 65))
             M = 16 * n * int(rng.integers(1, 3))
             s = sample(gaussian(), n, seed=int(rng.integers(2**31)))
-            g = eval_grid(s, M=M)
+            G = eval_grid_batch(s.y[None], n, M)[0].real
             ks = rng.integers(0, M, size=8)
-            ts = g.start + ks * g.spacing
+            ts = grid_start(n) + ks * grid_spacing(n, M)
             P, _ = eval_points(s, ts)
-            bound = 1e-9 * (1.0 + float(np.max(np.abs(g.P))))
-            assert np.max(np.abs(g.P[ks] - P)) <= bound
+            bound = 1e-9 * (1.0 + float(np.max(np.abs(G))))
+            assert np.max(np.abs(G[ks] - P)) <= bound
 
     def test_derivative_by_finite_differences_with_richardson(self, rng):
         for _ in range(10):
@@ -240,10 +242,10 @@ class TestLocalEvaluator:
 
     @pytest.mark.parametrize("n", [1, 2, 16, 64, 1024, 10_000])
     @FULL_ID
-    @pytest.mark.parametrize("oversample", [1, 2])
-    def test_matches_exact_evaluators(self, n, oversample):
+    @ONE_GRID
+    def test_matches_exact_evaluators(self, n):
         s = sample(gaussian(), n, seed=n + 7)
-        g = eval_grid(s, M=16 * n * oversample)
+        g = eval_grid(s)
         ts = self._points(g)
         p, q = g.eval_local(ts)
         p_ref, q_ref = eval_points(s, ts)
@@ -257,13 +259,12 @@ class TestLocalEvaluator:
     def test_grid_is_the_batch_of_one(self):
         for n in (1, 3, 16, 50, 256):
             s = sample(gaussian(), n, seed=n)
-            for M in (16 * n, 32 * n):
-                g = eval_grid(s, M=M)
-                G = eval_grid_batch(s.y[None], n, M)
-                assert G.shape == (1, M)
-                assert G.real[0].tobytes() == g.derivs[:, 0].tobytes()
-                assert G.imag[0].tobytes() == g.derivs[:, 1].tobytes()
-                assert G.real[0].tobytes() == g.P.tobytes()
+            g = eval_grid(s)
+            G = eval_grid_batch(s.y[None], n, grid_size(n))
+            assert G.shape == (1, g.M)
+            assert G.real[0].tobytes() == g.derivs[:, 0].tobytes()
+            assert G.imag[0].tobytes() == g.derivs[:, 1].tobytes()
+            assert G.real[0].tobytes() == g.P.tobytes()
 
 
 class TestCellExpansions:
