@@ -33,6 +33,8 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial import polynomial as P
 
+from trigroots.ensemble import check_finite, check_positive
+
 SQRT3 = math.sqrt(3.0)
 
 
@@ -90,10 +92,10 @@ class CgQuadratureConfig:
     max_refinements: int = 200
 
     def __post_init__(self):
+        check_finite("tail_start", self.tail_start)
         if not 0.0 < self.t0 < 1.0 < self.tail_start:
             raise ValueError("require 0 < t0 < 1 < tail_start")
-        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
-            raise ValueError(f"abs_tol must be finite and > 0, got {self.abs_tol}")
+        check_positive("abs_tol", self.abs_tol)
 
 
 @dataclass(frozen=True)

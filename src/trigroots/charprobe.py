@@ -29,9 +29,9 @@ import numpy as np
 
 from trigroots import ensemble
 from trigroots.diophantine import check_condition_t, check_condition_st
-from trigroots.ensemble import DistributionSpec, log_abs_charfn_scalar, xi_norm_sq
+from trigroots.ensemble import (DistributionSpec, check_finite, check_integer, check_positive,
+                                log_abs_charfn_scalar, xi_norm_sq)
 from trigroots.polyeval import coefficient_columns, covariance_V
-from trigroots.rootcount import check_delta
 
 TWO_PI = 2.0 * math.pi
 
@@ -61,7 +61,7 @@ def _point_rows(n: int, t: float, s: float | None):
 def _projections(rows, x: np.ndarray):
     """<u_i, x> and <u_i', x> (plus <v_i, x>, <v_i', x> when s is given)."""
     (U, Up), *more = rows
-    if x.shape != (2 + 2 * len(more),):
+    if np.shape(x) != (2 + 2 * len(more),):
         raise ValueError("x must be 4-dimensional with s" if more
                          else "x must be 2-dimensional without s")
     pu, pup = U @ x[:2], Up @ x[:2]
@@ -83,24 +83,16 @@ def _bound(dist: DistributionSpec, pu, pup):
     return -0.5 * total
 
 
-def _point(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    finite = np.isfinite(x)
-    if not finite.all():
-        raise ValueError(f"frequency x must be finite, got {float(x[~finite][0])}")
-    return x
-
-
 def log_abs_charfn(n: int, t: float, dist: DistributionSpec, x,
                    s: float | None = None) -> float:
     """log of the absolute characteristic-function product at frequency x."""
-    return float(_log_abs(dist, *_projections(_point_rows(n, t, s), _point(x))))
+    return float(_log_abs(dist, *_projections(_point_rows(n, t, s), check_finite("x", x))))
 
 
 def exponent_bound(n: int, t: float, dist: DistributionSpec, x,
                    s: float | None = None) -> float:
     """The xi-norm upper bound for log |phi|; always >= the exact value."""
-    return float(_bound(dist, *_projections(_point_rows(n, t, s), _point(x))))
+    return float(_bound(dist, *_projections(_point_rows(n, t, s), check_finite("x", x))))
 
 
 @dataclass(frozen=True)
@@ -125,11 +117,9 @@ def decay_scan(n: int, t: float, dist: DistributionSpec, tau: float = 0.05,
     Points failing the non-resonance condition are scanned anyway but the
     report carries ``condition_ok=False`` (decay is not guaranteed there).
     """
-    if radii_count < 1 or directions_per_radius < 1:
-        raise ValueError("decay scan needs at least one radius and one "
-                         f"direction, got {radii_count} and {directions_per_radius}")
-    if not math.isfinite(c_star):
-        raise ValueError(f"c_star must be finite, got {c_star}")
+    radii_count = check_integer("radii_count", radii_count, 1)
+    directions_per_radius = check_integer("directions_per_radius", directions_per_radius, 1)
+    check_finite("c_star", c_star)
     report = check_condition_t(n, t, tau) if s is None else check_condition_st(n, s, t, tau)
     condition_ok = bool(report.satisfied)
     if not condition_ok:
@@ -145,10 +135,7 @@ def decay_scan(n: int, t: float, dist: DistributionSpec, tau: float = 0.05,
                          f"for n = {n}; it must be finite and > 0")
     if radii is None:
         radii = np.geomspace(lo, hi, radii_count)
-    radii = np.asarray(radii, dtype=float)
-    bad = ~(np.isfinite(radii) & (radii > 0.0))
-    if bad.any():
-        raise ValueError(f"decay scan radii must be finite and > 0, got {float(radii[bad][0])}")
+    radii = check_positive("radii", radii)
     rows = _point_rows(n, t, s)
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((directions_per_radius, 2 * len(rows)))
@@ -174,8 +161,8 @@ class SmallBallEstimate:
     trials: int
 
 
-def _walk_values(n, t, dist, s, trials, seed, chunk=WALK_CHUNK):
-    """S_n/sqrt(n) samples, shape (trials, d): one (chunk, 2n) @ (2n, d)
+def _walk_values(n, t, dist, s, trials, seed):
+    """S_n/sqrt(n) samples, shape (trials, d): one (WALK_CHUNK, 2n) @ (2n, d)
     product W a chunk, with W[2k + l] = C[k, :, l] for coefficient (k, l).
     The chunks continue one stream: trial 0's under ``seed``.  Chunks of
     2,000 give criterion 10's walks of 20,000 exactly; 1,000 do not."""
@@ -184,8 +171,8 @@ def _walk_values(n, t, dist, s, trials, seed, chunk=WALK_CHUNK):
     key = ensemble.philox_keys(seed, np.zeros(1, dtype=np.uint64))[0]
     rng = np.random.Generator(np.random.Philox(key=key))
     out = np.empty((trials, W.shape[1]))
-    for lo in range(0, trials, chunk):
-        hi = min(lo + chunk, trials)
+    for lo in range(0, trials, WALK_CHUNK):
+        hi = min(lo + WALK_CHUNK, trials)
         # y stays bound across the next draw, else malloc trims and refaults it
         y = ensemble._draw(dist, rng, (hi - lo, 2 * n))
         out[lo:hi] = (y @ W) * inv
@@ -215,12 +202,13 @@ def small_ball_mc(n: int, t: float, dist: DistributionSpec, center, delta: float
     Unless ``force`` is set, the Gaussian proxy must expect at least 10
     hits, and a singular covariance is refused; ``force`` skips that
     estimate altogether."""
-    check_delta(delta)
-    trials = ensemble.check_integer("trials", trials, 1)
+    check_positive("delta", delta)
+    trials = check_integer("trials", trials, 1)
     center = np.asarray(center, dtype=float)
     d = 2 if s is None else 4
     if center.shape != (d,):
         raise ValueError(f"center must have shape ({d},), got {center.shape}")
+    check_finite("center", center)
     if not force:
         expect, p_est = _gaussian_ball_feasibility(n, t, s, center, delta, trials)
         if expect < 10:
@@ -266,8 +254,8 @@ class OneDScanResult:
 def smallball_1d_scan(n: int, t: float, dist: DistributionSpec, delta: float,
                       trials: int, seed: int = 0) -> OneDScanResult:
     """Max over 20 centers a in [-2, 2] of P(|P_n(t) - a| < delta) at fixed t."""
-    check_delta(delta)
-    trials = ensemble.check_integer("trials", trials, 1)
+    check_positive("delta", delta)
+    trials = check_integer("trials", trials, 1)
     centers = np.linspace(-2.0, 2.0, 20)
     expect = trials * 2.0 * delta * 0.4
     if expect < 10:

@@ -37,7 +37,7 @@ from trigroots.diophantine import (
 )
 from trigroots.ensemble import parse_distribution
 from trigroots.mcstats import run_experiment, slope_rows, slope_series
-from trigroots.rootcount import AGREEMENT_SHARE, check_delta, count_kacrice
+from trigroots.rootcount import AGREEMENT_SHARE, count_kacrice
 
 ENV_THREADS = "TRIGROOTS_THREADS"
 
@@ -310,7 +310,7 @@ def _cmd_sweep(cfg):
 
 def _cmd_kacrice_audit(cfg):
     dist = parse_distribution(cfg["dist"])
-    check_delta(cfg["delta"])
+    ensemble.check_positive("delta", cfg["delta"])
     ensemble.check_integer("trials", cfg["trials"], 1)
     agree = flagged = 0
     root_rows = []

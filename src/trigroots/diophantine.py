@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from trigroots.ensemble import check_integer
+from trigroots.ensemble import check_finite, check_integer, check_positive
 
 #: conservative interval inflation against rounding in the box images
 _FP_SLACK = 1e-12
@@ -44,8 +44,7 @@ def _params(n: int, tau: float, *points: float) -> tuple[float, int]:
     n = check_integer("n", n, 1)
     if not 0.0 < tau < 0.125:
         raise ValueError("tau must lie in (0, 1/8)")
-    if not all(math.isfinite(p) for p in points):
-        raise ValueError(f"evaluation points must be finite, got {points}")
+    check_finite("evaluation points", points)
     return float(n) ** (-1.0 + 8.0 * tau), int(math.floor(float(n) ** tau))
 
 
@@ -167,8 +166,7 @@ def build_D(n: int, epsilon: float, tau: float = 0.05) -> DRegion:
     crosses a row, so the blocks' merged ranges, joined in row order, are
     those of one merge over all rows, bit for bit.
     """
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+    check_positive("epsilon", epsilon)
     threshold, l_max = _params(n, tau)
     npi = math.pi * n
     k_min = int(math.ceil(-npi / epsilon - 1e-12))

@@ -34,9 +34,8 @@ import numbers
 
 import numpy as np
 
-from trigroots.ensemble import DistributionSpec, moments
+from trigroots.ensemble import DistributionSpec, check_integer, check_positive, moments
 from trigroots.polyeval import coefficient_columns
-from trigroots.rootcount import check_delta
 
 LAMBDA_2 = (1.0, 1.0 / 3.0)
 LAMBDA_4 = (1.0, 1.0 / 3.0, 1.0, 1.0 / 3.0)
@@ -44,8 +43,7 @@ LAMBDA_4 = (1.0, 1.0 / 3.0, 1.0, 1.0 / 3.0)
 
 def hermite(k: int, x):
     """Probabilists' Hermite polynomial h_k via the three-term recurrence."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    k = check_integer("k", k, 0)
     x = np.asarray(x, dtype=float)
     h_prev, h = np.zeros_like(x), np.ones_like(x)  # h_{-1} = 0, h_0 = 1
     for j in range(k):
@@ -132,7 +130,7 @@ def gauss_expect_psi_H(alpha, delta: float | None = None) -> float:
     coordinate gives 0 exactly by parity.
     """
     if delta is not None:
-        check_delta(delta)
+        check_positive("delta", delta)
     mult = multiplicities(alpha, 4)
     if any(m % 2 for m in mult):
         return 0.0

@@ -193,6 +193,29 @@ def check_integer(name: str, value, low: int) -> int:
     return int(value)
 
 
+def check_finite(name: str, x):
+    """``x`` as a float, or a float array, refused unless finite everywhere."""
+    return _check_real(name, x, "finite", np.isfinite)
+
+
+def check_positive(name: str, x):
+    """``x`` as a float, or a float array, refused unless finite and > 0 everywhere."""
+    return _check_real(name, x, "finite and > 0", lambda a: np.isfinite(a) & (a > 0.0))
+
+
+def _check_real(name: str, x, rule: str, holds):
+    """``x`` as a float or float array where ``holds`` is true of every
+    entry; a bool or a non-numeric value breaks the rule as well."""
+    a = np.asarray(x)
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be {rule}, got {x}")
+    a = a.astype(float, copy=False)
+    ok = holds(a)
+    if not ok.all():
+        raise ValueError(f"{name} must be {rule}, got {a[~ok][0]}")
+    return a if a.ndim else float(a)
+
+
 def sample(dist: DistributionSpec, n: int, seed: int, trial_index: int = 0) -> CoefficientSample:
     """Draw the 2n iid coefficients of one polynomial: trial ``trial_index``
     of ``draw_trials``."""
@@ -210,7 +233,7 @@ def draw_trials(dist: DistributionSpec, n: int, seed: int, lo: int, hi: int) -> 
     chunk it is drawn in.  One bit generator serves the chunk: its state
     is set to each trial's key in turn, with the output buffer empty.
     """
-    lo, hi = _index("trial index", lo), _index("trial index", hi)
+    lo, hi = check_integer("trial index", lo, 0), check_integer("trial index", hi, 0)
     if hi > 2**64:
         raise ValueError(f"trial index must be below 2**64, got {hi - 1}")
     keys = philox_keys(seed, np.arange(lo, hi, dtype=np.uint64))
@@ -246,13 +269,13 @@ def philox_keys(seed: int, trials) -> np.ndarray:
     trial mixes in its one word (below 2**32) or two (below 2**64) and
     hashes the pool out.
     """
-    seed = _index("seed", seed)
+    seed = check_integer("seed", seed, 0)
     trials = np.asarray(trials)
     if trials.ndim != 1 or trials.dtype.kind not in "iu":
         raise ValueError("trial indices must be a 1-d integer array, got "
                          f"{trials.dtype} of shape {trials.shape}")
-    if trials.size and trials.min() < 0:
-        raise ValueError(f"trial index must be a non-negative integer, got {trials.min()}")
+    if trials.size:
+        check_integer("trial index", trials.min(), 0)
     trials = trials.astype(np.uint64)
     words = [seed >> b & _MASK32 for b in range(0, max(seed.bit_length(), 1), 32)]
     words += [0] * (_POOL_SIZE - len(words))
@@ -280,14 +303,6 @@ def philox_keys(seed: int, trials) -> np.ndarray:
     c = np.array([next(out_consts) for _ in range(_POOL_SIZE)], dtype=np.uint32)
     out = _hashmix(pool, c, _MULT_B).astype(np.uint64)
     return out[:, 0::2] | out[:, 1::2] << 32
-
-
-def _index(name: str, value) -> int:
-    """A seed or trial index as an int; a float or bool, which int() would
-    truncate to another seed or trial, is refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {value}")
-    return int(value)
 
 
 def _hash_consts(const: int, mult: int):
@@ -397,12 +412,9 @@ def xi_norm_sq(dist: DistributionSpec, w):
     continuous laws against a slower density-based quadrature.  Accepts
     scalars or arrays of w; a non-finite w is refused.
     """
-    w = np.asarray(w, dtype=float)
+    w = np.asarray(check_finite("w", w))
     scalar = w.ndim == 0
     w = np.atleast_1d(w)
-    finite = np.isfinite(w)
-    if not finite.all():
-        raise ValueError(f"xi_norm_sq needs finite w, got {float(w[~finite][0])}")
     if dist.is_discrete:
         out = np.zeros_like(w)
         for v, p in zip(*_difference_atoms(dist)):

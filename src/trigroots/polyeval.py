@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from trigroots.ensemble import CoefficientSample, check_integer
+from trigroots.ensemble import CoefficientSample, check_finite, check_integer
 
 DEFAULT_OVERSAMPLE = 8
 
@@ -319,11 +319,9 @@ def coefficient_columns(n: int, t: float, s: float | None = None, only=None) -> 
     are None.  Refuses an n that is not an integer >= 1 and a non-finite t or
     s.  A point's phases are one angle-addition table: k = b a + j,
     b = isqrt(n), so cos and sin run on b + n/b angles."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n}")
+    n = check_integer("n", n, 1)
     pts = (t,) if s is None else (t, s)
-    if not all(math.isfinite(p) for p in pts):
-        raise ValueError(f"evaluation points must be finite, got {pts}")
+    check_finite("evaluation points", pts)
     need = set(range(2 * len(pts)) if only is None else only)
     b, w, rows = math.isqrt(n), np.arange(1, n + 1) / n if need & {1, 3} else None, []
     for i, p in enumerate(pts):

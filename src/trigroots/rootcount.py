@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from trigroots.ensemble import CoefficientSample
+from trigroots.ensemble import CoefficientSample, check_integer, check_positive
 from trigroots.polyeval import (
     FULL,
     EvaluationGrid,
@@ -110,8 +110,7 @@ class KacRiceResult:
 def gaussian_expectation_exact(n: int) -> float:
     """Mean root count of the Gaussian ensemble over one period, exact at
     every n; refuses an n that is not an integer >= 1."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    n = check_integer("n", n, 1)
     return 2.0 * math.sqrt((2 * n + 1) * (n + 1) / 6.0)
 
 
@@ -331,12 +330,6 @@ def count_batch(ys: np.ndarray, n: int, window: str, M: int):
     return counts, uncertain
 
 
-def check_delta(delta: float) -> None:
-    """Refuse a delta that is not finite and > 0."""
-    if not 0.0 < delta < math.inf:
-        raise ValueError(f"delta must be finite and > 0, got {delta}")
-
-
 def count_kacrice(sample: CoefficientSample, delta: float = 1e-6) -> KacRiceResult:
     """Approximate-integral root count (1/2 delta) int |P'| 1_{|P|<delta}.
 
@@ -349,7 +342,7 @@ def count_kacrice(sample: CoefficientSample, delta: float = 1e-6) -> KacRiceResu
     is uncertain, or when the delta-intervals of two roots overlap: then
     the |P| < delta set joins them and the integral cannot equal the count.
     """
-    check_delta(delta)
+    check_positive("delta", delta)
     rr = count_roots(sample)
     grid = rr.grid
     safe = min(float(np.min(np.abs(grid.P) + np.abs(grid.Pprime))), abs(float(grid.P[0])))

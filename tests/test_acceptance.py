@@ -6,6 +6,7 @@ seeds, and tolerances live in trigroots.acceptance so the CLI ``verify``
 command runs the exact same checks.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -13,6 +14,10 @@ import pytest
 from trigroots import acceptance
 
 SEED = 2026
+
+#: sha256 of ``report.to_json()`` at SEED, the same with one BLAS thread and
+#: with the default count: a changed number anywhere in the report moves it
+REPORT_SHA256 = "f410c0f764f812542e9412e55b841efc6c1bdf0627b73e84461ae7598aad0e0d"
 
 
 @pytest.fixture(scope="session")
@@ -92,3 +97,7 @@ def test_report_serialization_is_deterministic(report):
     b = report.to_json()
     assert a == b
     assert "runtime" not in json.loads(a)["criteria"][0]
+
+
+def test_report_bytes_are_pinned(report):
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == REPORT_SHA256

@@ -179,6 +179,8 @@ class TestComputeCg:
         for tol in (math.nan, math.inf, -1.0, 0.0):
             with pytest.raises(ValueError, match="abs_tol"):
                 CgQuadratureConfig(abs_tol=tol)
+        with pytest.raises(ValueError, match="tail_start must be finite, got inf"):
+            CgQuadratureConfig(tail_start=math.inf)
 
 
 

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from trigroots import ensemble
+from trigroots import charprobe, ensemble
 from trigroots.charprobe import (
     FeasibilityError,
     _walk_values,
@@ -216,6 +216,15 @@ class TestDecayScanMatchesLoop:
         with pytest.raises(ValueError, match=f"finite and > 0, got {radius}"):
             decay_scan(50, good_t(50), gaussian(), radii=[1.0, radius])
 
+    # 2.5 once ended in a TypeError from numpy, and True ran one radius
+    @pytest.mark.parametrize("name", ["radii_count", "directions_per_radius"])
+    @pytest.mark.parametrize("count, rule", [(0, ">= 1"), (2.5, "an integer"),
+                                             (True, "an integer")],
+                             ids=["zero", "fraction", "bool"])
+    def test_refuses_counts_that_are_not_positive_integers(self, name, count, rule):
+        with pytest.raises(ValueError, match=f"{name} must be {rule}, got {count}"):
+            decay_scan(50, good_t(50), gaussian(), **{name: count})
+
     def test_refuses_non_finite_c_star(self):
         with pytest.raises(ValueError, match="c_star must be finite, got inf"):
             decay_scan(50, good_t(50), gaussian(), c_star=math.inf)
@@ -235,9 +244,10 @@ class TestWalkValues:
     @pytest.mark.parametrize("s", [None, -41.5], ids=["d2", "d4"])
     @pytest.mark.parametrize("dist", [gaussian(), rademacher()],
                              ids=["gaussian", "rademacher"])
-    def test_rows_are_p_and_p_prime(self, dist, s, n):
+    def test_rows_are_p_and_p_prime(self, dist, s, n, monkeypatch):
         t, trials, chunk, seed = 13.25, 23, 5, 9
-        walk = _walk_values(n, t, dist, s, trials, seed, chunk=chunk)
+        monkeypatch.setattr(charprobe, "WALK_CHUNK", chunk)
+        walk = _walk_values(n, t, dist, s, trials, seed)
         rng = rng_for_trial(seed, 0)
         ys = np.concatenate([ensemble._draw(dist, rng, (min(chunk, trials - lo), n, 2))
                              for lo in range(0, trials, chunk)])
@@ -324,6 +334,13 @@ class TestSmallBall:
                 with pytest.raises(ValueError):
                     small_ball_mc(50, 3.0, gaussian(), np.zeros(2), delta,
                                   trials=1000, seed=0, force=force)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("force", [False, True])
+    def test_refuses_a_non_finite_center(self, bad, force):
+        # a NaN or inf center once gave probability 0.0 with se 1e-151
+        with pytest.raises(ValueError, match=f"center must be finite, got {bad}"):
+            small_ball_mc(5, 1.0, rademacher(), np.array([bad, 0.0]), 0.5, 100, force=force)
 
     @pytest.mark.parametrize("center, s", [
         ([0.3], None), (0.3, None), ([0.3, 0.0, 0.0], None), (np.zeros((2, 1)), None),

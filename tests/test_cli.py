@@ -300,10 +300,12 @@ class TestErrors:
         assert run_cli([command, "--n", "0"]) == 2
         assert "n must be >= 1" in self._error(capsys, command)
 
-    @pytest.mark.parametrize("flag", ["--radii", "--directions"])
-    def test_charfn_needs_a_radius_and_a_direction(self, capsys, flag):
+    @pytest.mark.parametrize("flag, name", [("--radii", "radii_count"),
+                                            ("--directions", "directions_per_radius")],
+                             ids=["--radii", "--directions"])
+    def test_charfn_needs_a_radius_and_a_direction(self, capsys, flag, name):
         assert run_cli(["charfn", "--n", "50", flag, "0"]) == 2
-        assert "at least one radius" in self._error(capsys, "charfn")
+        assert f"{name} must be >= 1, got 0" in self._error(capsys, "charfn")
 
     @pytest.mark.parametrize("cstar, message", [
         ("nan", "c_star must be finite, got nan"),
@@ -321,7 +323,7 @@ class TestErrors:
     def test_simulate_negative_seed(self, capsys, threads):
         assert run_cli(["simulate", "--n", "8", "--trials", "300", "--seed", "-1",
                         "--threads", threads]) == 2
-        assert ("seed must be a non-negative integer, got -1"
+        assert ("seed must be >= 0, got -1"
                 in self._error(capsys, "simulate"))
 
     @pytest.mark.parametrize("law", ["discrete:nan:1", "discrete:1:nan"],
@@ -360,6 +362,12 @@ class TestErrors:
     def test_cg_bad_tolerance(self, capsys, tol):
         assert run_cli(["cg", "--tol", tol]) == 2
         assert "abs_tol" in self._error(capsys, "cg")
+
+    def test_cg_infinite_tail(self, capsys):
+        # once accepted, then compute_cg failed in numpy with "Maximum
+        # allowed size exceeded"
+        assert run_cli(["cg", "--tmax", "inf"]) == 2
+        assert self._error(capsys, "cg") == "tail_start must be finite, got inf"
 
     @pytest.mark.parametrize("command", ["sweep"])
     def test_n_list_must_increase(self, tmp_path, capsys, command):

@@ -51,6 +51,14 @@ class TestHermite:
     def test_h3_closed_form(self):
         assert hermite(3, 2.0) == 2.0  # x^3 - 3x at 2
 
+    # 2.5 once ended in a TypeError from range, and True gave h_1
+    @pytest.mark.parametrize("k, rule", [(-1, ">= 0"), (2.5, "an integer"),
+                                         (True, "an integer")],
+                             ids=["negative", "fraction", "bool"])
+    def test_refuses_k_not_a_non_negative_integer(self, k, rule):
+        with pytest.raises(ValueError, match=f"k must be {rule}, got {k}"):
+            hermite(k, 0.5)
+
     @given(k=st.integers(0, 8), x=st.floats(-5, 5))
     @settings(max_examples=200, deadline=None)
     def test_matches_numpy_hermite_e(self, k, x):

@@ -174,20 +174,20 @@ class TestTrialKeys:
         assert hashlib.sha256(ys.tobytes()).hexdigest() == self.DRAW_DIGESTS[kind]
 
     @pytest.mark.parametrize("call, message", [
-        (lambda: philox_keys(-1, np.arange(3)), "seed must be a non-negative integer, got -1"),
-        (lambda: philox_keys(5, np.array([3, -2])), "trial index must be a non-negative integer, got -2"),
+        (lambda: philox_keys(-1, np.arange(3)), "seed must be >= 0, got -1"),
+        (lambda: philox_keys(5, np.array([3, -2])), "trial index must be >= 0, got -2"),
         (lambda: philox_keys(5, np.array([1.5])), "1-d integer array, got float64"),
-        (lambda: draw_trials(gaussian(), 4, 5, -3, 2), "trial index must be a non-negative integer, got -3"),
-        (lambda: sample(gaussian(), 4, -7), "seed must be a non-negative integer, got -7"),
+        (lambda: draw_trials(gaussian(), 4, 5, -3, 2), "trial index must be >= 0, got -3"),
+        (lambda: sample(gaussian(), 4, -7), "seed must be >= 0, got -7"),
         (lambda: sample(gaussian(), 4, 1, trial_index=2**64), "below 2\\*\\*64, got 18446744073709551616"),
         # int() once truncated these: seed 2.5 drew seed 2's coefficients,
         # trial 1.9 gave trial 1, and n = 2.0 ended in a bare TypeError
-        (lambda: sample(gaussian(), 4, seed=2.5), "seed must be a non-negative integer, got 2.5"),
-        (lambda: sample(gaussian(), 4, seed=True), "seed must be a non-negative integer, got True"),
-        (lambda: philox_keys(np.float64(3.0), np.arange(3)), "seed must be a non-negative integer, got 3.0"),
-        (lambda: sample(gaussian(), 4, 1, trial_index=1.9), "trial index must be a non-negative integer, got 1.9"),
-        (lambda: sample(gaussian(), 4, 1, trial_index=True), "trial index must be a non-negative integer, got True"),
-        (lambda: draw_trials(gaussian(), 4, 5, 0, 2.5), "trial index must be a non-negative integer, got 2.5"),
+        (lambda: sample(gaussian(), 4, seed=2.5), "seed must be an integer, got 2.5"),
+        (lambda: sample(gaussian(), 4, seed=True), "seed must be an integer, got True"),
+        (lambda: philox_keys(np.float64(3.0), np.arange(3)), "seed must be an integer, got 3.0"),
+        (lambda: sample(gaussian(), 4, 1, trial_index=1.9), "trial index must be an integer, got 1.9"),
+        (lambda: sample(gaussian(), 4, 1, trial_index=True), "trial index must be an integer, got True"),
+        (lambda: draw_trials(gaussian(), 4, 5, 0, 2.5), "trial index must be an integer, got 2.5"),
         (lambda: sample(gaussian(), 2.0, 1), "n must be an integer, got 2.0"),
         (lambda: sample(gaussian(), True, 1), "n must be an integer, got True"),
     ], ids=["seed", "trial", "float-trial", "chunk-start", "sample-seed", "trial-2^64",
@@ -386,9 +386,9 @@ class TestXiNorm:
                              ids=["gaussian", "rademacher", "uniform", "discrete"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_refuses_non_finite_w(self, dist, bad):
-        with pytest.raises(ValueError, match=f"finite w, got {bad}"):
+        with pytest.raises(ValueError, match=f"w must be finite, got {bad}"):
             xi_norm_sq(dist, bad)
-        with pytest.raises(ValueError, match=f"finite w, got {bad}"):
+        with pytest.raises(ValueError, match=f"w must be finite, got {bad}"):
             xi_norm_sq(dist, np.array([[0.5, 1.0], [bad, 0.0]]))
 
     def test_large_w_approaches_uniform_mean(self):

@@ -439,7 +439,8 @@ class TestExactExpectation:
 
     @pytest.mark.parametrize("n", [2.5, True, np.float64(4.0), 0])
     def test_refuses_n_not_an_integer_at_least_one(self, n):
-        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+        rule = "an integer" if n != 0 else ">= 1"
+        with pytest.raises(ValueError, match=f"n must be {rule}, got {n}"):
             gaussian_expectation_exact(n)
 
 
@@ -451,8 +452,8 @@ class TestKacRice:
 
     def test_rejects_delta_not_finite_and_positive(self):
         s = sample(gaussian(), 32, seed=1)
-        for delta in (math.nan, math.inf, 0.0, -1e-6):
-            with pytest.raises(ValueError):
+        for delta in (math.nan, math.inf, 0.0, -1e-6, True):
+            with pytest.raises(ValueError, match=f"delta must be finite and > 0, got {delta}"):
                 count_kacrice(s, delta=delta)
 
     def test_reads_nothing_of_the_exact_check(self, monkeypatch):
