@@ -18,7 +18,7 @@ from itertools import permutations
 import numpy as np
 
 from trigroots import ensemble
-from trigroots.cganalytic import compute_cg, CgQuadratureConfig
+from trigroots.cganalytic import compute_cg
 from trigroots.charprobe import (
     exponent_bound,
     gaussian_ball_probability,
@@ -27,7 +27,7 @@ from trigroots.charprobe import (
 )
 from trigroots.diophantine import build_D, good_pair, good_t
 from trigroots.edgeworth import LAMBDA_2, LAMBDA_4, c_n_alpha, gauss_expect_psi_H
-from trigroots.ensemble import discrete, gaussian, rademacher, uniform
+from trigroots.ensemble import discrete, gaussian, moments, rademacher, uniform
 from trigroots.mcstats import (
     GAUSSIAN_SLOPE,
     run_experiment,
@@ -73,7 +73,7 @@ def _heavy_discrete():
 
 
 def criterion_1_cg(ctx) -> CriterionResult:
-    res = compute_cg(CgQuadratureConfig())
+    res = compute_cg()
     err = abs(res.value - GAUSSIAN_SLOPE)
     return CriterionResult(
         1, "Gaussian slope quadrature within 5e-4", err <= 5e-4,
@@ -160,9 +160,9 @@ def criterion_6_cn_limits(ctx) -> CriterionResult:
     s_arg = math.pi * (math.sqrt(3) - 1.0) * n
     rows = []
     worst = 0.0
-    for dist, m4 in ((rademacher(), 1.0), (uniform(), 9.0 / 5.0)):
+    for dist in (rademacher(), uniform()):
         for (i, j) in _MIXED_CLASSES:
-            target = CN_CLASS_TARGET[(i, j)] * (m4 - 3.0)
+            target = CN_CLASS_TARGET[(i, j)] * moments(dist).excess_kurtosis
             for alpha in sorted(set(permutations((i, i, j, j)))):
                 v = c_n_alpha(n, t_arg, dist, alpha, s=s_arg)
                 err = abs(v - target)

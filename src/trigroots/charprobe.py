@@ -135,6 +135,8 @@ def decay_scan(n: int, t: float, dist: DistributionSpec, tau: float = 0.05,
                          f"for n = {n}; it must be finite and > 0")
     if radii is None:
         radii = np.geomspace(lo, hi, radii_count)
+    elif np.ndim(radii) != 1 or np.size(radii) == 0:
+        raise ValueError(f"radii must be a 1-d array of at least one radius, got {radii!r}")
     radii = check_positive("radii", radii)
     rows = _point_rows(n, t, s)
     rng = np.random.default_rng(seed)
@@ -228,7 +230,11 @@ def gaussian_ball_probability(V: np.ndarray, center, delta: float) -> float:
     Gauss-Legendre x trapezoid quadrature of the density."""
     if V.shape != (2, 2):
         raise ValueError("oracle implemented for dimension 2")
+    check_positive("delta", delta)
     center = np.asarray(center, dtype=float)
+    if center.shape != (2,):
+        raise ValueError(f"center must have shape (2,), got {center.shape}")
+    check_finite("center", center)
     r_nodes, r_weights = np.polynomial.legendre.leggauss(_ORACLE_RADIAL_NODES)
     r = 0.5 * delta * (r_nodes + 1.0)
     wr = 0.5 * delta * r_weights

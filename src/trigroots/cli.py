@@ -27,7 +27,7 @@ import numpy as np
 
 import trigroots
 from trigroots import acceptance, ensemble
-from trigroots.cganalytic import CgQuadratureConfig, compute_cg
+from trigroots.cganalytic import compute_cg
 from trigroots.charprobe import decay_scan, small_ball_mc, smallball_1d_scan
 from trigroots.diophantine import (
     build_D,
@@ -141,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cg", help="slope constant by adaptive quadrature")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--tmax", type=float, default=1e4)
-    p.add_argument("--t0", type=float, default=0.05)
     _add_common(p)
 
     p = sub.add_parser("simulate", help="one Monte Carlo experiment")
@@ -276,8 +275,7 @@ def _list_flag(cfg: dict, key: str) -> list:
 
 
 def _cmd_cg(cfg):
-    res = compute_cg(CgQuadratureConfig(t0=cfg["t0"], tail_start=cfg["tmax"],
-                                        abs_tol=cfg["tol"]))
+    res = compute_cg(abs_tol=cfg["tol"], tail_start=cfg["tmax"])
     _emit_json({"meta": _meta(cfg), "value": res.value,
                 "error_estimate": res.error_estimate,
                 "panels": res.panels, "evaluations": res.evaluations,

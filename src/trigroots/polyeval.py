@@ -144,17 +144,7 @@ def cell_expansions(ys: np.ndarray, rows: np.ndarray, t_left: np.ndarray, h: flo
 class CovarianceMatrix:
     """Symmetric PSD average covariance of the normalized walk."""
 
-    dim: int
     entries: np.ndarray
-
-    def __post_init__(self):
-        e = self.entries
-        if e.shape != (self.dim, self.dim):
-            raise ValueError("covariance shape mismatch")
-        if not np.allclose(e, e.T, atol=1e-12):
-            raise ValueError("covariance not symmetric")
-        if np.linalg.eigvalsh(e).min() < -1e-10:
-            raise ValueError("covariance not positive semidefinite")
 
 
 def grid_size(n: int) -> int:
@@ -345,4 +335,4 @@ def covariance_V(n: int, t: float, s: float | None = None) -> CovarianceMatrix:
     C = coefficient_matrices(n, t, s)
     V = np.einsum("kil,kjl->ij", C, C) / n
     V = 0.5 * (V + V.T)
-    return CovarianceMatrix(dim=V.shape[0], entries=V)
+    return CovarianceMatrix(V)

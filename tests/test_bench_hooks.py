@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import trigroots
-from trigroots import mcstats, rootcount
+from trigroots import charprobe, mcstats, rootcount
 from trigroots.ensemble import gaussian, sample
 from trigroots.polyeval import grid_size, pass_rows
 
@@ -41,6 +41,24 @@ def test_workloads_call_the_program(monkeypatch, law):
     res = workloads.Results()
     workloads.check_single(s, rr, kr, res)
     assert res.check_failures == [] and res.attempted == 1
+
+
+@pytest.mark.parametrize("law", ["gaussian", "rademacher"])
+def test_analytic_pass_passes_its_checks(monkeypatch, law):
+    """The benchmark's analytic pass and its checks, and for gaussian the
+    small-ball oracle on the pooled hits of one seeded walk, with
+    ``perfbench/workloads.py`` loaded as it stands."""
+    monkeypatch.syspath_prepend(str(_PERFBENCH))
+    workloads = _load("workloads")
+    inp = workloads.Inputs(law, 1)
+    res = workloads.Results()
+    workloads.check_analytic(inp, workloads.analytic_pass(inp, 0, workloads._null_span), res)
+    if law == "gaussian":
+        est = charprobe.small_ball_mc(workloads.SB_N, inp.sb_t, inp.law, inp.center[2],
+                                      workloads.SB_DELTA[2], 50_000, seed=1)
+        res.gauss_hits, res.gauss_walks = est.hits, est.trials
+        assert workloads.check_gaussian_oracle(inp, res) is not None
+    assert res.check_failures == [] and (res.attempted, res.failed) == (1, 0)
 
 
 def test_layer_spans_install_and_record():

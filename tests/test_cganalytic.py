@@ -5,13 +5,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from trigroots import cganalytic
 from trigroots.cganalytic import (
     ONE_MINUS_G2_SERIES,
     PREFACTOR_NUM_SERIES,
     RSTAR_DEN_SERIES,
     RSTAR_NUM_SERIES,
     CgConvergenceError,
-    CgQuadratureConfig,
     _g_arrays,
     _kernel_parts,
     cg_integrand,
@@ -46,8 +46,8 @@ def g_at(t):
     return tuple(float(v[0]) for v in _g_arrays(np.array([float(t)])))
 
 
-def rstar(t, t0=0.05):
-    _, _, num, den = _kernel_parts(np.atleast_1d(np.asarray(t, dtype=float)), t0)
+def rstar(t):
+    _, _, num, den = _kernel_parts(np.atleast_1d(np.asarray(t, dtype=float)))
     r = num / den
     return float(r[0]) if np.ndim(t) == 0 else r
 
@@ -88,9 +88,10 @@ class TestRstar:
     def test_reference_value_at_one(self):
         assert rstar(1.0) == pytest.approx(float(_mp_rstar(1.0)), rel=1e-12)
 
-    def test_series_branch_against_high_precision(self):
+    def test_series_branch_against_high_precision(self, monkeypatch):
+        monkeypatch.setattr(cganalytic, "_T0", 0.6)
         for t in (0.2, 0.35, 0.5):
-            assert rstar(t, t0=0.6) == pytest.approx(float(_mp_rstar(t)), rel=1e-11)
+            assert rstar(t) == pytest.approx(float(_mp_rstar(t)), rel=1e-11)
 
     def test_asymptotic_along_half_integer_multiples(self):
         t = 318 * math.pi + math.pi / 2
@@ -150,37 +151,38 @@ class TestComputeCg:
         assert res.value - 2 / math.sqrt(3) == pytest.approx(-0.59644, abs=1e-3)
 
     def test_doubling_tail_start_is_stable(self):
-        base = compute_cg(CgQuadratureConfig())
-        double = compute_cg(CgQuadratureConfig(tail_start=2e4))
+        base = compute_cg()
+        double = compute_cg(tail_start=2e4)
         assert abs(double.value - base.value) < 1e-8 * 10
 
-    def test_t0_stability(self):
-        vals = [compute_cg(CgQuadratureConfig(t0=t0)).value
-                for t0 in (0.02, 0.05, 0.1)]
+    def test_t0_stability(self, monkeypatch):
+        vals = []
+        for t0 in (0.02, 0.05, 0.1):
+            monkeypatch.setattr(cganalytic, "_T0", t0)
+            vals.append(compute_cg().value)
         assert max(vals) - min(vals) < 1e-6
 
-    def test_error_estimate_bounds_spreads(self):
+    def test_error_estimate_bounds_spreads(self, monkeypatch):
         base = compute_cg()
-        spread_T = abs(compute_cg(CgQuadratureConfig(tail_start=2e4)).value
-                       - base.value)
-        spread_t0 = abs(compute_cg(CgQuadratureConfig(t0=0.02)).value
-                        - base.value)
+        spread_T = abs(compute_cg(tail_start=2e4).value - base.value)
+        monkeypatch.setattr(cganalytic, "_T0", 0.02)
+        spread_t0 = abs(compute_cg().value - base.value)
         assert max(spread_T, spread_t0) <= base.error_estimate
 
-    def test_nonconvergence_raises_with_partial(self):
-        cfg = CgQuadratureConfig(abs_tol=1e-15, max_refinements=2)
+    def test_nonconvergence_raises_with_partial(self, monkeypatch):
+        monkeypatch.setattr(cganalytic, "_MAX_REFINEMENTS", 2)
         with pytest.raises(CgConvergenceError) as err:
-            compute_cg(cfg)
+            compute_cg(abs_tol=1e-15)
         assert abs(err.value.partial - 0.558) < 0.05
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            CgQuadratureConfig(t0=1.5)
         for tol in (math.nan, math.inf, -1.0, 0.0):
             with pytest.raises(ValueError, match="abs_tol"):
-                CgQuadratureConfig(abs_tol=tol)
+                compute_cg(abs_tol=tol)
         with pytest.raises(ValueError, match="tail_start must be finite, got inf"):
-            CgQuadratureConfig(tail_start=math.inf)
+            compute_cg(tail_start=math.inf)
+        with pytest.raises(ValueError, match="tail_start must be > 1, got 0.5"):
+            compute_cg(tail_start=0.5)
 
 
 
@@ -203,9 +205,10 @@ class TestCgPinned:
         assert (res.evaluations, res.panels) == (48000, 3192)
 
     @pytest.mark.parametrize("t0", sorted(INTEGRAND_DIGESTS))
-    def test_integrand_unchanged(self, t0):
+    def test_integrand_unchanged(self, t0, monkeypatch):
         """t = 0, both sides of every switchover, and the quadrature's range."""
+        monkeypatch.setattr(cganalytic, "_T0", t0)
         t = np.concatenate([[0.0], np.geomspace(1e-8, 0.6, 200001),
                             np.linspace(0.6, 1e4, 100001)])
-        f = cg_integrand(t, t0).astype("<f8")
+        f = cg_integrand(t).astype("<f8")
         assert hashlib.sha256(f.tobytes()).hexdigest() == self.INTEGRAND_DIGESTS[t0]

@@ -211,10 +211,15 @@ class TestDecayScanMatchesLoop:
             else:
                 np.testing.assert_array_equal(rep.bound_log, bound)
 
-    @pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf])
-    def test_refuses_bad_radii(self, radius):
-        with pytest.raises(ValueError, match=f"finite and > 0, got {radius}"):
-            decay_scan(50, good_t(50), gaussian(), radii=[1.0, radius])
+    # a scalar once ended in an AttributeError
+    @pytest.mark.parametrize("radii, message", [
+        *(([1.0, r], f"radii must be finite and > 0, got {r}")
+          for r in (-1.0, 0.0, math.nan, math.inf)),
+        *((r, "radii must be a 1-d array of at least one radius") for r in (1.0, [[1.0]], [])),
+    ], ids=["-1.0", "0.0", "nan", "inf", "scalar", "2-d", "empty"])
+    def test_refuses_bad_radii(self, radii, message):
+        with pytest.raises(ValueError, match=message):
+            decay_scan(50, good_t(50), gaussian(), radii=radii)
 
     # 2.5 once ended in a TypeError from numpy, and True ran one radius
     @pytest.mark.parametrize("name", ["radii_count", "directions_per_radius"])
@@ -341,6 +346,21 @@ class TestSmallBall:
         # a NaN or inf center once gave probability 0.0 with se 1e-151
         with pytest.raises(ValueError, match=f"center must be finite, got {bad}"):
             small_ball_mc(5, 1.0, rademacher(), np.array([bad, 0.0]), 0.5, 100, force=force)
+
+    # delta -0.5 once gave the probability at +0.5, and NaN gave NaN
+    @pytest.mark.parametrize("center, delta, message", [
+        (np.zeros(2), -0.5, "delta must be finite and > 0, got -0.5"),
+        (np.zeros(2), 0.0, "delta must be finite and > 0, got 0.0"),
+        (np.zeros(2), math.nan, "delta must be finite and > 0, got nan"),
+        (np.array([math.nan, 0.0]), 0.5, "center must be finite, got nan"),
+        (np.array([0.0, math.inf]), 0.5, "center must be finite, got inf"),
+        (np.zeros(3), 0.5, r"center must have shape \(2,\), got \(3,\)"),
+        (0.0, 0.5, r"center must have shape \(2,\), got \(\)"),
+    ], ids=["negative-delta", "zero-delta", "nan-delta", "nan-center",
+            "inf-center", "3-d-center", "scalar-center"])
+    def test_oracle_refuses_bad_inputs(self, center, delta, message):
+        with pytest.raises(ValueError, match=message):
+            gaussian_ball_probability(np.eye(2), center, delta)
 
     @pytest.mark.parametrize("center, s", [
         ([0.3], None), (0.3, None), ([0.3, 0.0, 0.0], None), (np.zeros((2, 1)), None),

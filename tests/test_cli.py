@@ -262,7 +262,9 @@ class TestErrors:
         (["simulate", "--n", "abc"], "simulate", "argument --n: invalid int value: 'abc'"),
         (["nosuch"], None, "argument command: invalid choice: 'nosuch'"),
         ([], None, "the following arguments are required: command"),
-    ], ids=["bad-int", "unknown-command", "no-command"])
+        # the series switch is a module constant, not an option
+        (["cg", "--t0", "0.1"], "cg", "unrecognized arguments: --t0 0.1"),
+    ], ids=["bad-int", "unknown-command", "no-command", "cg-t0"])
     def test_usage_error_is_a_json_line(self, capsys, argv, command, message):
         assert run_cli(argv) == 2
         assert self._error(capsys, command).startswith(message)

@@ -28,6 +28,7 @@ from trigroots.ensemble import (
     charfn_scalar,
     xi_norm_sq,
 )
+from trigroots.mcstats import theoretical_slope
 from oracles import rademacher_signs_reference, rng_for_trial, xi_norm_sq_quadrature
 
 ALL_DISTS = [gaussian(), rademacher(), uniform(),
@@ -61,6 +62,14 @@ class TestMoments:
         m = moments(d)
         assert m.m3 == pytest.approx(0.0, abs=1e-15)
         assert m.m4 == pytest.approx(16 * 0.125 * 2, abs=1e-15)
+
+    def test_every_law_the_spec_accepts(self):
+        # variance 1 - 0.9e-12 is within the spec's 1e-12 and m4 = 1 - 1.8e-12;
+        # it once raised "fourth moment below Cauchy-Schwarz bound 1"
+        a = math.sqrt(1.0 - 0.9e-12)
+        d = discrete([(-a, 0.5), (a, 0.5)])
+        assert moments(d).m4 == a**4
+        assert math.isfinite(theoretical_slope(d))
 
     def test_monte_carlo_moments_within_5_se(self):
         n_draws = 10**6
