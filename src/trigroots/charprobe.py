@@ -16,7 +16,10 @@ Every probe reads u_i, u_i' from ``polyeval.coefficient_columns``: a
 decay scan pairs them once into (n, 2) arrays and evaluates each radius's
 directions as one (directions, n) array, and the walk stacks them into
 one (2000, 2n) @ (2n, d) product per ``WALK_CHUNK`` of draws, a size its
-bits depend on (BLAS rounds a row by its block size).
+bits depend on (BLAS rounds a row by its block size).  The walk yields
+its chunks, drawn in turn into one reused buffer, and the small-ball
+probes count their hits chunk by chunk: a call holds one chunk's draws,
+never the whole walk.
 """
 
 from __future__ import annotations
@@ -35,7 +38,9 @@ from trigroots.polyeval import coefficient_columns, covariance_V
 
 TWO_PI = 2.0 * math.pi
 
-#: walks a ``_walk_values`` chunk (a 6 MiB draw at n = 200): part of the bits
+#: walks a ``_walk_values`` chunk: part of the bits.  At n = 200 its draw
+#: buffer is 6.1 MiB, and a 200,000-walk ``small_ball_mc`` call peaks at
+#: 6.3 MiB traced (gaussian) or 9.3 MiB (rademacher: the chunk's raw words)
 WALK_CHUNK = 2000
 
 #: radial Gauss-Legendre and angular trapezoid nodes of the planar oracle
@@ -164,21 +169,20 @@ class SmallBallEstimate:
 
 
 def _walk_values(n, t, dist, s, trials, seed):
-    """S_n/sqrt(n) samples, shape (trials, d): one (WALK_CHUNK, 2n) @ (2n, d)
-    product W a chunk, with W[2k + l] = C[k, :, l] for coefficient (k, l).
-    The chunks continue one stream: trial 0's under ``seed``.  Chunks of
-    2,000 give criterion 10's walks of 20,000 exactly; 1,000 do not."""
+    """S_n/sqrt(n) samples, (rows, d) a chunk of up to ``WALK_CHUNK`` walks:
+    one (rows, 2n) @ (2n, d) product W, with W[2k + l] = C[k, :, l] for
+    coefficient (k, l).  Every chunk draws into the leading rows of one
+    (WALK_CHUNK, 2n) buffer, and the chunks continue one stream: trial 0's
+    under ``seed``.  Chunks of 2,000 give criterion 10's walks of 20,000
+    exactly; 1,000 do not."""
     W = np.stack([np.stack(row, axis=1).ravel() for row in coefficient_columns(n, t, s)], axis=1)
     inv = 1.0 / math.sqrt(n)
     key = ensemble.philox_keys(seed, np.zeros(1, dtype=np.uint64))[0]
     rng = np.random.Generator(np.random.Philox(key=key))
-    out = np.empty((trials, W.shape[1]))
+    buf = np.empty((min(WALK_CHUNK, trials), 2 * n))
     for lo in range(0, trials, WALK_CHUNK):
-        hi = min(lo + WALK_CHUNK, trials)
-        # y stays bound across the next draw, else malloc trims and refaults it
-        y = ensemble._draw(dist, rng, (hi - lo, 2 * n))
-        out[lo:hi] = (y @ W) * inv
-    return out
+        y = buf[:trials - lo]  # the last chunk's rows may be fewer
+        yield (ensemble._draw(dist, rng, y.shape, out=y) @ W) * inv
 
 
 def _gaussian_ball_feasibility(n, t, s, center, delta, trials):
@@ -218,8 +222,8 @@ def small_ball_mc(n: int, t: float, dist: DistributionSpec, center, delta: float
             raise FeasibilityError(
                 f"expected hits {expect:.2f} < 10 at delta={delta}; "
                 f"need about {need} trials", required_trials=need)
-    S = _walk_values(n, t, dist, s, trials, seed)
-    hits = int(np.sum(np.sum((S - center) ** 2, axis=1) < delta**2))
+    hits = sum(int(np.count_nonzero(np.sum((S - center) ** 2, axis=1) < delta**2))
+               for S in _walk_values(n, t, dist, s, trials, seed))
     p = hits / trials
     se = math.sqrt(max(p * (1 - p), 1e-300) / trials)
     return SmallBallEstimate(probability=p, se=se, hits=hits, trials=trials)
@@ -268,8 +272,10 @@ def smallball_1d_scan(n: int, t: float, dist: DistributionSpec, delta: float,
         raise FeasibilityError(
             f"expected hits {expect:.1f} < 10; increase trials or delta",
             required_trials=int(math.ceil(10 / (2 * delta * 0.4))))
-    vals = _walk_values(n, t, dist, None, trials, seed)[:, 0]
-    probs = np.array([(np.abs(vals - a) < delta).mean() for a in centers])
+    hits = np.zeros(centers.size, dtype=np.int64)
+    for S in _walk_values(n, t, dist, None, trials, seed):
+        hits += [np.count_nonzero(np.abs(S[:, 0] - a) < delta) for a in centers]
+    probs = hits / trials
     ses = np.sqrt(np.maximum(probs * (1 - probs), 1e-300) / trials)
     return OneDScanResult(centers=centers, probabilities=probs, ses=ses,
                           max_probability=float(probs.max()), delta=delta)

@@ -239,18 +239,19 @@ def draw_trials(dist: DistributionSpec, n: int, seed: int, lo: int, hi: int) -> 
              "state": {"counter": np.zeros(4, np.uint64), "key": None},
              "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
-    signs = dist.kind == "rademacher"  # raw words, decoded once a chunk
-    out = np.empty((len(keys), n) if signs else (len(keys), n, 2), np.uint64 if signs else float)
-    for row, key in zip(out, keys):
+    out = np.empty((len(keys), n, 2))
+    signs = dist.kind == "rademacher"  # raw words, decoded once a chunk into out
+    words = np.empty((len(keys), n), np.uint64) if signs else None
+    for i, key in enumerate(keys):
         state["state"]["key"] = key
         bitgen.state = state
         if signs:
-            row[:] = bitgen.random_raw(n)
-        elif dist.kind == "gaussian":
-            rng.standard_normal(out=row)
+            words[i] = bitgen.random_raw(n)
         else:
-            row[...] = _draw(dist, rng, (n, 2))
-    return _signs(out).reshape(len(keys), n, 2) if signs else out
+            _draw(dist, rng, (n, 2), out=out[i])
+    if signs:
+        _signs(words, out=out)
+    return out
 
 
 def philox_keys(seed: int, trials) -> np.ndarray:
@@ -322,30 +323,43 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
-def _draw(dist: DistributionSpec, rng: np.random.Generator, shape) -> np.ndarray:
-    """``shape`` iid coefficients of ``dist``.  Rademacher signs are read off
-    the raw words (see the module docstring): their count must be even (a
-    buffered half could not be continued), and the bit generator one that
-    halves its 64-bit words, low half first (Philox, PCG64, SFC64; not MT19937)."""
+def _draw(dist: DistributionSpec, rng: np.random.Generator, shape,
+          out: np.ndarray | None = None) -> np.ndarray:
+    """``shape`` iid coefficients of ``dist``, written into ``out`` (of that
+    shape) when given.  Rademacher signs are read off the raw words (see the
+    module docstring): their count must be even (a buffered half could not
+    be continued), and the bit generator one that halves its 64-bit words,
+    low half first (Philox, PCG64, SFC64; not MT19937)."""
     if dist.kind == "gaussian":
-        return rng.standard_normal(shape)
+        return rng.standard_normal(shape, out=out)
     if dist.kind == "rademacher":
         k, bitgen = math.prod(shape), rng.bit_generator
         if k % 2 or not isinstance(bitgen, (np.random.Philox, np.random.PCG64, np.random.SFC64)):
             raise ValueError(f"Rademacher signs need an even count from a Philox, PCG64 "
                              f"or SFC64 generator, got {k} from {type(bitgen).__name__}")
-        return _signs(bitgen.random_raw(k // 2)).reshape(shape)
+        return _signs(bitgen.random_raw(k // 2), out=out).reshape(shape)
     if dist.kind == "uniform":
-        return rng.uniform(-SQRT3, SQRT3, size=shape)
-    values, probs = _atom_arrays(dist.atoms)
-    # p / p.sum() removes the <=1e-12 normalization slack
-    return values[rng.choice(len(values), size=shape, p=probs / probs.sum())]
+        y = rng.uniform(-SQRT3, SQRT3, size=shape)
+    else:
+        values, probs = _atom_arrays(dist.atoms)
+        # p / p.sum() removes the <=1e-12 normalization slack
+        y = values[rng.choice(len(values), size=shape, p=probs / probs.sum())]
+    if out is None:
+        return y
+    out[...] = y
+    return out
 
 
-def _signs(words: np.ndarray) -> np.ndarray:
+def _signs(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """+/-1.0 from the top bit of each 32-bit half of the raw 64-bit words,
-    low half first: shape (..., 2 k) from (..., k) words."""
-    return 2.0 * (words.astype("<u8", copy=False).view("<u4") >> 31) - 1.0
+    low half first: the 2 k signs of k words in order, of shape (..., 2 k)
+    from (..., k) words or written into ``out``.  The words are shifted in
+    place, so no copy of them is made."""
+    halves = words.astype("<u8", copy=False).view("<u4")
+    halves >>= 31
+    out = np.multiply(halves if out is None else halves.reshape(out.shape), 2.0, out=out)
+    out -= 1.0
+    return out
 
 
 def charfn_scalar(dist: DistributionSpec, theta):

@@ -326,6 +326,7 @@ def count_batch(ys: np.ndarray, n: int, window: str, M: int):
             G = eval_grid_batch(block, n, M, out=buf[:len(block)])
         _, counts[lo:lo + step], uncertain[lo:lo + step], cells = _scan(block, G)
         found.append(cells._replace(rows=cells.rows + lo))
+    buf = G = None  # the audit's tables need not share the peak with the pass buffer
     _audit(ys, M, found, counts, uncertain)
     return counts, uncertain
 

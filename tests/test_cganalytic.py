@@ -129,11 +129,22 @@ class TestIntegrand:
     def test_decay_at_large_t(self):
         assert abs(cg_integrand(1e3)) <= 1e-5
 
-    def test_continuous_across_switchover(self):
-        for t0 in (0.02, 0.05, 0.1):
+    def test_continuous_across_switchover(self, monkeypatch):
+        for t0 in (0.05, 0.1):
+            monkeypatch.setattr(cganalytic, "_T0", t0)
             lo = cg_integrand(t0 - 1e-12)
             hi = cg_integrand(t0 + 1e-12)
             assert lo == pytest.approx(hi, abs=1e-10)
+
+    def test_closed_forms_lose_digits_below_the_switch(self, monkeypatch):
+        """Why the switch is at 0.05: switched at 0.02, the series below it
+        is exact, and the closed forms above it lose digits to cancellation:
+        6e-10 off, a jump past the continuity tolerance."""
+        t0 = 0.02
+        monkeypatch.setattr(cganalytic, "_T0", t0)
+        lo, hi = t0 - 1e-12, t0 + 1e-12
+        assert cg_integrand(lo) == pytest.approx(float(_mp_integrand(lo)), rel=0.0, abs=1e-15)
+        assert 1e-10 < abs(cg_integrand(hi) - float(_mp_integrand(hi))) < 1e-9
 
     def test_against_high_precision_on_mid_range(self):
         for t in (0.2, 0.7, 1.5, 3.0, 7.7):

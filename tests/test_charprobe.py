@@ -252,7 +252,7 @@ class TestWalkValues:
     def test_rows_are_p_and_p_prime(self, dist, s, n, monkeypatch):
         t, trials, chunk, seed = 13.25, 23, 5, 9
         monkeypatch.setattr(charprobe, "WALK_CHUNK", chunk)
-        walk = _walk_values(n, t, dist, s, trials, seed)
+        walk = np.concatenate(list(_walk_values(n, t, dist, s, trials, seed)))
         rng = rng_for_trial(seed, 0)
         ys = np.concatenate([ensemble._draw(dist, rng, (min(chunk, trials - lo), n, 2))
                              for lo in range(0, trials, chunk)])
@@ -265,31 +265,70 @@ class TestWalkValues:
                                    atol=1e-13 * np.abs(ref[:, ::2]).max())
 
 
+def _walk_point(dim):
+    """(s, t) of criterion 10's walks in R^dim (s is None in the plane)."""
+    return good_pair(200) if dim == 4 else (None, good_t(200, anchor=math.sqrt(5) * 0.5 - 0.8))
+
+
+def _small_ball_peak(dist, dim):
+    """Traced peak of one criterion-10-sized ``small_ball_mc`` call at 0."""
+    s, t = _walk_point(dim)
+    tracemalloc.start()
+    try:
+        est = small_ball_mc(200, t, dist, np.zeros(dim), 0.15, 200_000, seed=2136, s=s,
+                            force=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.trials == 200_000 and est.hits > 0
+    return peak
+
+
+# criterion 10's three kinds of walk, each under its first call's seed, with
+# the reference walk built once for the tests that read it
+@pytest.fixture(scope="class", params=[(rademacher(), 2, 2036), (rademacher(), 4, 2136),
+                                       (gaussian(), 2, 2236)],
+                ids=["rademacher-r2", "rademacher-r4", "gaussian-r2"])
+def criterion_10_walk(request):
+    dist, dim, seed = request.param
+    s, t = _walk_point(dim)
+    return dist, dim, seed, walk_values_reference(200, t, dist, s, 200_000, seed)
+
+
 class TestWalkOracle:
     """Criterion 10's walks at full size: the raw-word signs and the
     2,000-walk chunks give the integer-sampler walk's exact values."""
 
-    @pytest.mark.parametrize("dist, dim, seed", [(rademacher(), 2, 2036), (rademacher(), 4, 2136),
-                                                 (gaussian(), 2, 2236)],
-                             ids=["rademacher-r2", "rademacher-r4", "gaussian-r2"])
-    def test_walk_is_the_reference_walk(self, dist, dim, seed):
+    def test_walk_is_the_reference_walk(self, criterion_10_walk):
+        dist, dim, seed, ref = criterion_10_walk
         n, trials = 200, 200_000
-        s, t = good_pair(n) if dim == 4 else (None, good_t(n, anchor=math.sqrt(5) * 0.5 - 0.8))
-        walk = _walk_values(n, t, dist, s, trials, seed)
+        s, t = _walk_point(dim)
+        walk = np.concatenate(list(_walk_values(n, t, dist, s, trials, seed)))
         assert walk.shape == (trials, dim)
-        assert np.array_equal(walk, walk_values_reference(n, t, dist, s, trials, seed))
+        assert np.array_equal(walk, ref)
 
+    def test_hits_are_the_reference_walks_hits(self, criterion_10_walk):
+        """Hits counted chunk by chunk are the whole walk's, bit for bit, at
+        criterion 10's first center and radius of each kind."""
+        dist, dim, seed, ref = criterion_10_walk
+        s, t = _walk_point(dim)
+        center, delta = ((np.random.default_rng(2036).uniform(-0.5, 0.5, 4), 0.15) if dim == 4
+                         else (np.zeros(2), 0.05) if dist.kind == "gaussian"
+                         else (np.array([-1.0, -0.6]), 0.05))
+        hits = int(np.sum(np.sum((ref - center) ** 2, axis=1) < delta**2))
+        est = small_ball_mc(200, t, dist, center, delta, 200_000, seed=seed, s=s, force=True)
+        assert est.hits == hits > 0
+
+    # the draw buffer is (2000, 400) doubles, 6.1 MiB; a Rademacher chunk's
+    # raw words add 3.05 MiB while they are decoded into it
     def test_walk_fits_in_memory(self):
-        s, t = good_pair(200)
-        tracemalloc.start()
-        try:
-            est = small_ball_mc(200, t, rademacher(), np.zeros(4), 0.15, 200_000, seed=2136,
-                                s=s, force=True)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 48 * 2**20
-        assert est.trials == 200_000 and est.hits > 0
+        assert _small_ball_peak(rademacher(), 4) < 10 * 2**20
+
+    @pytest.mark.parametrize("dist, dim, mib", [(rademacher(), 2, 10.0), (gaussian(), 2, 7.0),
+                                                (gaussian(), 4, 7.0)],
+                             ids=["rademacher-r2", "gaussian-r2", "gaussian-r4"])
+    def test_every_walk_fits_in_memory(self, dist, dim, mib):
+        assert _small_ball_peak(dist, dim) < mib * 2**20
 
 
 #: trial counts refused by name: 2000.5 once ended in a TypeError from range

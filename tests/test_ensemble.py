@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -227,6 +228,18 @@ class TestRademacherSigns:
                    for trial in range(lo, hi)]
             ys = draw_trials(rademacher(), n, seed, lo, hi)
             assert ys.shape == (hi - lo, n, 2) and ys.tobytes() == np.array(ref).tobytes()
+
+    def test_chunk_draw_fits_in_memory(self):
+        """A chunk decodes its (256, 1024) words, 2 MiB, straight into the
+        4 MiB output: no shifted or float copy of them."""
+        draw_trials(rademacher(), 1024, 5, 0, 256)
+        tracemalloc.start()
+        try:
+            draw_trials(rademacher(), 1024, 5, 0, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.5 * 2**20
 
     @pytest.mark.parametrize("bitgen, shape, got", [
         (np.random.Philox, (3, 5), "got 15 from Philox"),

@@ -412,6 +412,20 @@ class TestPasses:
         assert peak < 24 * 2**20
         assert counts.shape == (256,) and not uncertain.any()
 
+    def test_n1024_chunk_fits_in_memory(self):
+        """The pass buffer (16 rows of the 16n-point grid, 4 MiB) is let go
+        before the audit builds its Taylor tables."""
+        from trigroots.ensemble import draw_trials
+        ys = draw_trials(gaussian(), 1024, 5, 0, 256)
+        tracemalloc.start()
+        try:
+            counts, uncertain = count_batch(ys, 1024, FULL, grid_size(1024))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8.5 * 2**20
+        assert counts.shape == (256,) and not uncertain.any()
+
     def test_n4096_chunk_fits_in_memory(self):
         ys = np.stack([sample(gaussian(), 4096, seed=5, trial_index=t).y for t in range(64)])
         tracemalloc.start()
