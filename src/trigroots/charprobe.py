@@ -250,32 +250,3 @@ def gaussian_ball_probability(V: np.ndarray, center, delta: float) -> float:
     dens = np.exp(-0.5 * q) / (TWO_PI * math.sqrt(np.linalg.det(V)))
     inner = dens.sum(axis=1) * (TWO_PI / _ORACLE_ANGULAR_NODES)
     return float(np.sum(wr * r * inner))
-
-
-@dataclass(frozen=True)
-class OneDScanResult:
-    centers: np.ndarray
-    probabilities: np.ndarray
-    ses: np.ndarray
-    max_probability: float
-    delta: float
-
-
-def smallball_1d_scan(n: int, t: float, dist: DistributionSpec, delta: float,
-                      trials: int, seed: int = 0) -> OneDScanResult:
-    """Max over 20 centers a in [-2, 2] of P(|P_n(t) - a| < delta) at fixed t."""
-    check_positive("delta", delta)
-    trials = check_integer("trials", trials, 1)
-    centers = np.linspace(-2.0, 2.0, 20)
-    expect = trials * 2.0 * delta * 0.4
-    if expect < 10:
-        raise FeasibilityError(
-            f"expected hits {expect:.1f} < 10; increase trials or delta",
-            required_trials=int(math.ceil(10 / (2 * delta * 0.4))))
-    hits = np.zeros(centers.size, dtype=np.int64)
-    for S in _walk_values(n, t, dist, None, trials, seed):
-        hits += [np.count_nonzero(np.abs(S[:, 0] - a) < delta) for a in centers]
-    probs = hits / trials
-    ses = np.sqrt(np.maximum(probs * (1 - probs), 1e-300) / trials)
-    return OneDScanResult(centers=centers, probabilities=probs, ses=ses,
-                          max_probability=float(probs.max()), delta=delta)

@@ -2,7 +2,7 @@
 
 Commands mirror the package layout: ``cg`` (slope quadrature), ``simulate``
 (one Monte Carlo experiment), ``sweep`` (the Monte Carlo table of
-``mcstats.slope_rows`` over laws and n, CSV/SVG), ``kacrice-audit`` (scan
+``mcstats.slope_rows`` over laws and n, as CSV), ``kacrice-audit`` (scan
 vs delta-integral agreement), ``conditions`` (non-resonance reports and the
 bad-pair sweep), ``charfn`` (decay scan), ``smallball`` (ball-probability
 scan), ``verify`` (the acceptance suite; ``--only 6,7`` gives the Edgeworth
@@ -28,7 +28,7 @@ import numpy as np
 import trigroots
 from trigroots import acceptance, ensemble
 from trigroots.cganalytic import compute_cg
-from trigroots.charprobe import decay_scan, small_ball_mc, smallball_1d_scan
+from trigroots.charprobe import decay_scan, small_ball_mc
 from trigroots.diophantine import (
     build_D,
     check_condition_st,
@@ -43,7 +43,7 @@ ENV_THREADS = "TRIGROOTS_THREADS"
 
 
 #: keys with no effect on computed results, excluded from the config hash
-_VOLATILE_KEYS = {"threads", "out", "svg", "roots_csv"}
+_VOLATILE_KEYS = {"threads", "out", "roots_csv"}
 
 
 def _config_hash(cfg: dict) -> str:
@@ -80,37 +80,6 @@ def _emit_csv(rows: list[dict], path: str | None, cfg: dict):
         Path(path).write_text(text)
     else:
         sys.stdout.write(text)
-
-
-def write_sweep_svg(rows: list[dict], path: str):
-    """Minimal line chart of var/n against n, one polyline per ensemble."""
-    series: dict[str, list] = {}
-    for r in rows:
-        series.setdefault(r["dist"], []).append((r["n"], r["var_over_n"]))
-    W, H, pad = 640, 400, 50
-    xs = [n for pts in series.values() for n, _ in pts]
-    ys = [v for pts in series.values() for _, v in pts]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys) * 0.9, max(ys) * 1.1
-
-    def sx(x):
-        return pad + (W - 2 * pad) * (x - x0) / max(x1 - x0, 1e-12)
-
-    def sy(y):
-        return H - pad - (H - 2 * pad) * (y - y0) / max(y1 - y0, 1e-12)
-
-    colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd"]
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}">',
-             f'<rect width="{W}" height="{H}" fill="white"/>']
-    for i, (name, pts) in enumerate(sorted(series.items())):
-        pl = " ".join(f"{sx(n):.1f},{sy(v):.1f}" for n, v in pts)
-        c = colors[i % len(colors)]
-        parts.append(f'<polyline points="{pl}" fill="none" stroke="{c}" stroke-width="2"/>')
-        parts.append(f'<text x="{pad}" y="{pad + 16 * i}" fill="{c}" font-size="13">{name}</text>')
-    parts.append(f'<text x="{W/2:.0f}" y="{H - 12}" font-size="12" text-anchor="middle">n</text>')
-    parts.append(f'<text x="14" y="{H/2:.0f}" font-size="12" transform="rotate(-90 14 {H/2:.0f})">variance / n</text>')
-    parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
 
 
 def _add_common(p):
@@ -150,14 +119,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser(
-        "sweep", help="Monte Carlo table over laws and n (CSV/SVG)",
+        "sweep", help="Monte Carlo table over laws and n (CSV)",
         epilog="CSV columns: dist, n, trials, flagged_trial_count, unreliable, mean, "
                "se_mean, variance, se_variance, var_over_n, se, var_over_n2")
     p.add_argument("--dist", type=str, default="gaussian,rademacher",
                    help="comma-separated ensemble list")
     p.add_argument("--n", type=str, default="64,128,256", help="comma-separated n list")
     p.add_argument("--trials", type=int, default=2000)
-    p.add_argument("--svg", type=str, default=None, help="also write an SVG chart")
     _add_common(p)
 
     p = sub.add_parser(
@@ -199,13 +167,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "smallball", help="ball-probability Monte Carlo scan",
-        epilog="CSV columns: center, probability, se[, p_over_delta2]")
+        epilog="CSV columns: center, probability, se, p_over_delta2")
     p.add_argument("--dist", type=str, default="rademacher")
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--trials", type=int, default=100000)
-    p.add_argument("--one-d", action="store_true", help="scan P_n(t) alone")
     _add_common(p)
 
     p = sub.add_parser("verify", help="run the acceptance suite")
@@ -227,10 +194,10 @@ _LIST_FLAGS = {("sweep", "dist"): str, ("sweep", "n"): int,
 def _config_value(command: str, action, value):
     """A ``--config`` value as its flag reads it: null where the default is,
     anything for a list flag (``_list_flag`` checks it), else the JSON type of
-    its ``type`` (an int is a float, a bool only a switch), ``nargs`` in a list."""
+    its ``type`` (an int is a float; a bool fits no flag), ``nargs`` in a list."""
     if value is None and action.default is None or (command, action.dest) in _LIST_FLAGS:
         return value
-    kind = bool if action.nargs == 0 else action.type or str
+    kind = action.type
     items = value if action.nargs and isinstance(value, list) else [value]
     if len(items) != (action.nargs or 1) or not all(
             type(x) in ((int, float) if kind is float else (kind,)) for x in items):
@@ -301,8 +268,6 @@ def _cmd_sweep(cfg):
                             parallelism=cfg["threads"])
         rows.extend(slope_rows(recs))
     _emit_csv(rows, cfg.get("out"), cfg)
-    if cfg.get("svg"):
-        write_sweep_svg(rows, cfg["svg"])
     return 0
 
 
@@ -329,6 +294,8 @@ def _cmd_kacrice_audit(cfg):
 
 
 def _cmd_conditions(cfg):
+    if cfg.get("sweep") and (cfg.get("t") is not None or cfg.get("pair") is not None):
+        raise ValueError("--sweep prints the bad-fraction CSV alone; it takes no --t or --pair")
     payload = {"meta": _meta(cfg), "n": cfg["n"], "tau": cfg["tau"]}
     if cfg.get("t") is not None:
         r = check_condition_t(cfg["n"], cfg["t"], cfg["tau"])
@@ -376,18 +343,13 @@ def _cmd_smallball(cfg):
     dist = parse_distribution(cfg["dist"])
     n = cfg["n"]
     t = cfg["t"] if cfg.get("t") is not None else good_t(n)
-    if cfg.get("one_d"):
-        res = smallball_1d_scan(n, t, dist, cfg["delta"], cfg["trials"], cfg["seed"])
-        rows = [{"center": float(c), "probability": float(p), "se": float(s)}
-                for c, p, s in zip(res.centers, res.probabilities, res.ses)]
-    else:
-        rows = []
-        for a in np.linspace(-1.0, 1.0, 9):
-            est = small_ball_mc(n, t, dist, np.array([a, 0.0]), cfg["delta"],
-                                cfg["trials"], cfg["seed"], force=True)
-            rows.append({"center": float(a), "probability": est.probability,
-                         "se": est.se,
-                         "p_over_delta2": est.probability / cfg["delta"]**2})
+    rows = []
+    for a in np.linspace(-1.0, 1.0, 9):
+        est = small_ball_mc(n, t, dist, np.array([a, 0.0]), cfg["delta"],
+                            cfg["trials"], cfg["seed"], force=True)
+        rows.append({"center": float(a), "probability": est.probability,
+                     "se": est.se,
+                     "p_over_delta2": est.probability / cfg["delta"]**2})
     _emit_csv(rows, cfg.get("out"), cfg)
     return 0
 

@@ -138,7 +138,7 @@ def run_experiment(dist: DistributionSpec, n: int, trials: int = 1000, seed: int
     edges = list(range(0, trials, CHUNK_SIZE)) + [trials]
     jobs = [(dist, n, seed, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
     if parallelism > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+        with ProcessPoolExecutor(max_workers=min(parallelism, len(jobs))) as pool:
             results = list(pool.map(_chunk_counts, *zip(*jobs), chunksize=1))
     else:
         results = list(map(_chunk_counts, *zip(*jobs)))

@@ -5,8 +5,7 @@ compensated extended-precision point sums for the FFT grid and the
 vectorized evaluator, the roots of an algebraic polynomial for the root
 count, the dense all-cells formula for the engine's sign scan and audit
 selection, density quadrature for the xi-norm, a direction-at-a-time loop
-for the batched decay scan, the normal CDF for the one-dimensional
-small-ball scan, a SeedSequence per trial for the chunk-keyed coefficient
+for the batched decay scan, a SeedSequence per trial for the chunk-keyed coefficient
 draw, numpy's integer sampler for the Rademacher signs and the walk
 built on it in 20,000-walk chunks, and the full 2^m-term moment expansion
 for the pure-moment c_n, the full-row band sweep with a lexsort and
@@ -205,14 +204,6 @@ def decay_scan_loop(n: int, t: float, dist: DistributionSpec, radii,
             bound[i] = max(bound[i], -0.5 * float(np.sum(xi_norm_sq(dist, pu / TWO_PI))
                                                   + np.sum(xi_norm_sq(dist, pup / TWO_PI))))
     return worst, bound
-
-
-def normal_interval_probability(variance: float, center: float, delta: float) -> float:
-    """P(|Z - center| < delta) for Z ~ N(0, variance)."""
-    sd = math.sqrt(variance)
-    a = (center - delta) / sd
-    b = (center + delta) / sd
-    return 0.5 * (math.erf(b / math.sqrt(2)) - math.erf(a / math.sqrt(2)))
 
 
 def H_alpha(alpha, x):

@@ -14,11 +14,9 @@ from trigroots.charprobe import (
     gaussian_ball_probability,
     log_abs_charfn,
     small_ball_mc,
-    smallball_1d_scan,
 )
 from oracles import (
     decay_scan_loop,
-    normal_interval_probability,
     rng_for_trial,
     walk_values_reference,
 )
@@ -428,41 +426,3 @@ class TestSmallBall:
         est = small_ball_mc(n, t, rademacher(), np.zeros(4), 0.2,
                             trials=100000, seed=5, s=s, force=True)
         assert est.probability / 0.2**4 <= 500.0
-
-
-class TestOneDScan:
-    @NOT_COUNTS
-    def test_refuses_a_trial_count_not_an_integer(self, trials):
-        with pytest.raises(ValueError, match=f"trials must be an integer, got {trials}"):
-            smallball_1d_scan(16, 5.0, rademacher(), 0.5, trials)
-
-    def test_huge_delta_probability_one(self):
-        res = smallball_1d_scan(20, 7.0, rademacher(), delta=10.0,
-                                trials=2000, seed=1)
-        assert res.max_probability == 1.0
-
-    def test_capped_by_fractional_power(self):
-        n = 200
-        t = good_t(n)
-        res = smallball_1d_scan(n, t, rademacher(), delta=0.05,
-                                trials=40000, seed=2)
-        assert res.max_probability <= 0.5 * 0.05 ** (4 / 5) * 20.0
-
-    def test_gaussian_matches_normal_cdf(self):
-        n = 150
-        t = good_t(n)
-        res = smallball_1d_scan(n, t, gaussian(), delta=0.1,
-                                trials=100000, seed=3)
-        V = covariance_V(n, t).entries
-        for c, p, se in zip(res.centers, res.probabilities, res.ses):
-            ref = normal_interval_probability(V[0, 0], float(c), 0.1)
-            assert abs(p - ref) <= 3 * se + 1e-4
-
-    def test_infeasible_refused(self):
-        with pytest.raises(FeasibilityError):
-            smallball_1d_scan(50, 3.0, gaussian(), delta=1e-6, trials=100, seed=0)
-
-    def test_rejects_delta_not_finite_and_positive(self):
-        for delta in (math.nan, math.inf, 0.0):
-            with pytest.raises(ValueError):
-                smallball_1d_scan(50, 3.0, gaussian(), delta, trials=1000, seed=0)

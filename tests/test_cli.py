@@ -7,10 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from trigroots import cli
+from trigroots.charprobe import small_ball_mc
 from trigroots.cli import main
+from trigroots.diophantine import good_t
 from trigroots.ensemble import gaussian, rademacher, sample
 from trigroots.mcstats import run_experiment
 from trigroots.rootcount import count_roots
@@ -56,10 +59,9 @@ class TestSimulate:
 class TestSweep:
     def test_rows_and_ordering(self, tmp_path):
         out = tmp_path / "sweep.csv"
-        svg = tmp_path / "sweep.svg"
         code = run_cli(["sweep", "--dist", "gaussian,rademacher",
                         "--n", "24,48", "--trials", "400",
-                        "--out", str(out), "--svg", str(svg)])
+                        "--out", str(out)])
         assert code == 0
         lines = [l for l in out.read_text().splitlines() if l and not l.startswith("#")]
         header, rows = lines[0].split(","), lines[1:]
@@ -70,7 +72,6 @@ class TestSweep:
             table[(d["dist"], int(d["n"]))] = float(d["var_over_n"])
         for n in (24, 48):
             assert table[("gaussian", n)] > table[("rademacher", n)]
-        assert svg.read_text().startswith("<svg")
 
     def test_config_file_merge(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
@@ -241,12 +242,19 @@ class TestOtherCommands:
         body = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert len(body) == 5
 
-    def test_smallball_1d(self, tmp_path):
+    def test_smallball_scan(self, tmp_path):
+        """Nine centers (a, 0), a in [-1, 1], each ``small_ball_mc``'s estimate."""
         out = tmp_path / "sb.csv"
         assert run_cli(["smallball", "--dist", "gaussian", "--n", "50",
-                        "--delta", "0.2", "--trials", "5000",
-                        "--one-d", "--out", str(out)]) == 0
-        assert out.exists()
+                        "--delta", "0.2", "--trials", "5000", "--out", str(out)]) == 0
+        rows = csv_rows(out)
+        assert [float(r["center"]) for r in rows] == np.linspace(-1.0, 1.0, 9).tolist()
+        t = good_t(50)
+        for r in rows:
+            est = small_ball_mc(50, t, gaussian(), np.array([float(r["center"]), 0.0]),
+                                0.2, 5000, 2026, force=True)
+            assert (float(r["probability"]), float(r["se"])) == (est.probability, est.se)
+            assert float(r["p_over_delta2"]) == est.probability / 0.2**2
 
 
 class TestErrors:
@@ -290,9 +298,8 @@ class TestErrors:
         assert run_cli(["kacrice-audit", "--trials", trials]) == 2
         assert "trials" in self._error(capsys, "kacrice-audit")
 
-    @pytest.mark.parametrize("args", [["--trials", "0"], ["--trials", "-5"],
-                                      ["--one-d", "--trials", "0"]],
-                             ids=["zero", "negative", "one-d"])
+    @pytest.mark.parametrize("args", [["--trials", "0"], ["--trials", "-5"]],
+                             ids=["zero", "negative"])
     def test_smallball_needs_a_trial(self, capsys, args):
         assert run_cli(["smallball"] + args) == 2
         assert "trials must be >= 1" in self._error(capsys, "smallball")
@@ -342,17 +349,31 @@ class TestErrors:
     @pytest.mark.parametrize("args", [
         ["charfn", "--n", "50", "--t", "nan"],
         ["charfn", "--n", "50", "--s", "inf"],
-        ["smallball", "--n", "50", "--delta", "0.05", "--trials", "1000",
-         "--t", "nan", "--one-d"],
+        ["smallball", "--n", "50", "--delta", "0.05", "--trials", "1000", "--t", "nan"],
         ["smallball", "--n", "50", "--delta", "0.05", "--trials", "1000", "--t", "inf"],
         ["conditions", "--n", "50", "--t", "nan"],
         ["conditions", "--n", "50", "--pair", "nan", "1.0"],
-    ], ids=["charfn-t", "charfn-s", "smallball-1d", "smallball-2d",
+    ], ids=["charfn-t", "charfn-s", "smallball-2d-nan", "smallball-2d",
             "conditions-point", "conditions-pair"])
     def test_non_finite_point(self, capsys, args):
         assert run_cli(args) == 2
         error = self._error(capsys, args[0])
         assert "finite" in error and "np.float64" not in error
+
+    @pytest.mark.parametrize("point", [["--t", "1.5"], ["--pair", "1.0", "2.0"]],
+                             ids=["t", "pair"])
+    def test_conditions_sweep_takes_no_point(self, capsys, monkeypatch, point):
+        """``--sweep`` prints its CSV alone, so a point it would drop is
+        refused before anything is computed."""
+        def computed(*args):
+            raise AssertionError("computed before the refusal")
+        for name in ("build_D", "check_condition_t", "check_condition_st"):
+            monkeypatch.setattr(cli, name, computed)
+        assert run_cli(["conditions", "--n", "100", *point, "--sweep", "100,200"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err) == {
+            "error": "--sweep prints the bad-fraction CSV alone; it takes no --t or --pair",
+            "command": "conditions"}
 
     @pytest.mark.parametrize("eps", ["nan", "inf"])
     def test_conditions_non_finite_epsilon(self, capsys, eps):
@@ -452,12 +473,12 @@ class TestErrors:
         ("simulate", {"trials": "5"}, "--trials"), ("simulate", {"seed": True}, "--seed"),
         ("simulate", {"trials": True}, "--trials"), ("simulate", {"n": 2.5}, "--n"),
         ("simulate", {"dist": 1}, "--dist"), ("conditions", {"tau": "0.05"}, "--tau"),
-        ("conditions", {"pair": [500.0]}, "--pair"), ("smallball", {"one_d": 1}, "--one-d"),
+        ("conditions", {"pair": [500.0]}, "--pair"),
     ], ids=["trials-str", "seed-bool", "trials-bool", "n-float", "dist-int", "tau-str",
-            "pair-length", "one-d-int"])
+            "pair-length"])
     def test_config_value_of_the_wrong_type(self, tmp_path, capsys, command, value, flag):
         """A ``--config`` value has the JSON type its flag's ``type`` reads;
-        a bool passes for a switch alone."""
+        a bool is no number."""
         bad = tmp_path / "typed.json"
         bad.write_text(json.dumps(value))
         assert run_cli([command, "--config", str(bad), "--trials", "2"]

@@ -95,6 +95,34 @@ class TestRunExperiment:
         payloads = [json.dumps(r.canonical_dict(), sort_keys=True) for r in recs]
         assert payloads[0] == payloads[1] == payloads[2]
 
+    @pytest.mark.parametrize("parallelism, trials, workers", [
+        (8, 1000, 4), (5000, 512, 2), (2, 4096, 2)])
+    def test_pool_has_no_more_workers_than_chunks(self, monkeypatch, parallelism,
+                                                   trials, workers):
+        """A fork pool starts every worker on its first submit, so the pool
+        is as large as the chunk count at most; the record does not move."""
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        serial = run_experiment(rademacher(), 8, trials=trials, seed=5)
+        monkeypatch.setattr(mcstats, "ProcessPoolExecutor", SerialPool)
+        rec = run_experiment(rademacher(), 8, trials=trials, seed=5,
+                             parallelism=parallelism)
+        assert started == [workers]
+        assert rec.canonical_dict() == serial.canonical_dict()
+
     def test_record_bytes_independent_of_chunk_size(self, monkeypatch):
         payloads = set()
         for chunk in (7, 100, 256):

@@ -246,6 +246,40 @@ class TestCountsPinned:
         assert digest.hexdigest() == self.MANY_PASS_DIGEST
 
 
+class TestOneTermPin:
+    """Every one-term polynomial +-a cos(jt/n) or +-a sin(jt/n), j = 1 .. n,
+    has exactly 2j simple roots in the one period: the engine must count
+    each of them, and flag none."""
+
+    @staticmethod
+    def _one_terms(n, amplitudes, signs):
+        """(polynomials, 2j each): ``y[j - 1, c]`` set to one amplitude."""
+        ys, want = [], []
+        for a in amplitudes:
+            for sign in signs:
+                for c in (0, 1):
+                    for j in range(1, n + 1):
+                        y = np.zeros((n, 2))
+                        y[j - 1, c] = sign * a
+                        ys.append(y)
+                        want.append(2 * j)
+        return np.array(ys), np.array(want)
+
+    def test_count_batch_counts_every_one_term(self):
+        for n in range(1, 65):
+            ys, want = self._one_terms(n, (1.0, 10.0), (1.0, -1.0))
+            counts, uncertain = count_batch(ys, n, FULL, grid_size(n))
+            np.testing.assert_array_equal(counts, want, err_msg=f"n={n}")
+            assert not uncertain.any(), f"n={n}"
+
+    def test_count_roots_counts_every_one_term(self):
+        for n in (1, 2, 3, 5, 8, 16, 31, 64):
+            ys, want = self._one_terms(n, (1.0,), (1.0,))
+            for y, roots in zip(ys, want):
+                r = count_roots(_manual(y))
+                assert (r.count, r.uncertain) == (roots, False), f"n={n}"
+
+
 class TestSingleSamplePinned:
     """``count_roots`` and ``count_kacrice`` on a seeded set, pinned by two
     sha256 digests.  ``RESULTS`` covers what the count decides: roots,
