@@ -6,10 +6,12 @@ Commands mirror the package layout: ``cg`` (slope quadrature), ``simulate``
 vs delta-integral agreement), ``conditions`` (non-resonance reports and the
 bad-pair sweep), ``charfn`` (decay scan), ``smallball`` (ball-probability
 scan), ``verify`` (the acceptance suite; ``--only 6,7`` gives the Edgeworth
-corrector limits).  Every artifact embeds the package version, the seed,
-and a hash of the resolved configuration; records are JSON, tables are
-CSV.  Bad input, including an unknown flag or a bad ``--config`` file or
-thread count, ends in one JSON error line on stderr and exit code 2.
+corrector limits).  A command has ``--seed`` only if it draws and
+``--threads`` only if it runs worker processes.  Every artifact embeds the
+package version, the seed (null for ``cg`` and ``conditions``) and a hash of
+the resolved configuration; records are JSON, tables are CSV.  Bad input,
+including an unknown flag or a bad ``--config`` file or thread count, ends
+in one JSON error line on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import csv
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -36,11 +37,14 @@ from trigroots.diophantine import (
     good_t,
 )
 from trigroots.ensemble import parse_distribution
-from trigroots.mcstats import run_experiment, slope_rows, slope_series
+from trigroots.mcstats import TABLE_COLUMNS, run_experiment, slope_rows, slope_series
 from trigroots.rootcount import AGREEMENT_SHARE, count_kacrice
 
-ENV_THREADS = "TRIGROOTS_THREADS"
-
+#: the CSV columns of each table but ``sweep``'s (``mcstats.TABLE_COLUMNS``)
+ROOT_COLUMNS = ("trial_index", "root", "residual")
+BAD_FRACTION_COLUMNS = ("n", "eps", "tau", "intervals", "bad_fraction")
+DECAY_COLUMNS = ("radius", "worst_log_abs", "bound_log", "in_regime")
+SMALLBALL_COLUMNS = ("center", "probability", "se", "p_over_delta2")
 
 #: keys with no effect on computed results, excluded from the config hash
 _VOLATILE_KEYS = {"threads", "out", "roots_csv"}
@@ -65,27 +69,26 @@ def _emit_json(payload: dict, path: str | None):
     print(text)
 
 
-def _emit_csv(rows: list[dict], path: str | None, cfg: dict):
-    if not rows:
-        return
-    cols = list(rows[0].keys())
+def _emit_csv(rows: list, columns: tuple, path: str | None, cfg: dict):
+    """The ``#`` meta line, the header, then one line a row of values in column order."""
     meta = _meta(cfg)
-    lines = [f"# build={meta['build']} seed={meta['seed']} config_hash={meta['config_hash']}"]
-    out = [",".join(cols)]
-    for r in rows:
-        out.append(",".join(repr(r[c]) if isinstance(r[c], float) else str(r[c])
-                            for c in cols))
-    text = "\n".join(lines + out) + "\n"
+    lines = [f"# build={meta['build']} seed={json.dumps(meta['seed'])} "
+             f"config_hash={meta['config_hash']}", ",".join(columns)]
+    lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in r)
+              for r in rows]
+    text = "\n".join(lines) + "\n"
     if path:
         Path(path).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=2026)
-    p.add_argument("--threads", type=int, default=None,
-                   help=f"worker processes (default ${ENV_THREADS} or 1)")
+def _add_common(p, seed=False, threads=False):
+    if seed:
+        p.add_argument("--seed", type=int, default=2026)
+    if threads:
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker processes; the output is the same at any count")
     p.add_argument("--out", type=str, default=None, help="output file path")
     p.add_argument("--config", type=str, default=None,
                    help="JSON file of defaults, overridden by flags")
@@ -116,35 +119,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", type=str, default="gaussian")
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--trials", type=int, default=1000)
-    _add_common(p)
+    _add_common(p, seed=True, threads=True)
 
     p = sub.add_parser(
         "sweep", help="Monte Carlo table over laws and n (CSV)",
-        epilog="CSV columns: dist, n, trials, flagged_trial_count, unreliable, mean, "
-               "se_mean, variance, se_variance, var_over_n, se, var_over_n2")
+        epilog="CSV columns: " + ", ".join(TABLE_COLUMNS))
     p.add_argument("--dist", type=str, default="gaussian,rademacher",
                    help="comma-separated ensemble list")
     p.add_argument("--n", type=str, default="64,128,256", help="comma-separated n list")
     p.add_argument("--trials", type=int, default=2000)
-    _add_common(p)
+    _add_common(p, seed=True, threads=True)
 
     p = sub.add_parser(
         "kacrice-audit", help="scan vs delta-integral agreement",
-        epilog="roots CSV columns: trial_index, root, residual")
+        epilog="roots CSV columns: " + ", ".join(ROOT_COLUMNS))
     p.add_argument("--dist", type=str, default="gaussian")
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--delta", type=float, default=1e-6)
     p.add_argument("--roots-csv", type=str, default=None,
                    help="dump per-sample refined roots to CSV")
-    _add_common(p)
+    _add_common(p, seed=True)
 
     p = sub.add_parser(
         "conditions", help="non-resonance checks / bad-pair sweep",
-        epilog="sweep CSV columns: n, eps, tau, intervals, bad_fraction")
+        epilog="sweep CSV columns: " + ", ".join(BAD_FRACTION_COLUMNS))
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--tau", type=float, default=0.05)
-    p.add_argument("--eps", type=float, default=1.0)
+    p.add_argument("--eps", type=float, default=None,
+                   help="interval width of the region and --sweep (default 1.0)")
     p.add_argument("--pair", type=float, nargs=2, default=None,
                    metavar=("S", "T"), help="check one (s, t) pair")
     p.add_argument("--t", type=float, default=None, help="check one point")
@@ -154,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "charfn", help="characteristic-function decay scan",
-        epilog="CSV columns: radius, worst_log_abs, bound_log, in_regime")
+        epilog="CSV columns: " + ", ".join(DECAY_COLUMNS))
     p.add_argument("--dist", type=str, default="rademacher")
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--t", type=float, default=None)
@@ -163,22 +166,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cstar", type=float, default=1.0)
     p.add_argument("--radii", type=int, default=12)
     p.add_argument("--directions", type=int, default=32)
-    _add_common(p)
+    _add_common(p, seed=True)
 
     p = sub.add_parser(
         "smallball", help="ball-probability Monte Carlo scan",
-        epilog="CSV columns: center, probability, se, p_over_delta2")
+        epilog="CSV columns: " + ", ".join(SMALLBALL_COLUMNS))
     p.add_argument("--dist", type=str, default="rademacher")
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--trials", type=int, default=100000)
-    _add_common(p)
+    _add_common(p, seed=True)
 
     p = sub.add_parser("verify", help="run the acceptance suite")
     p.add_argument("--only", type=str, default=None,
                    help="comma-separated criterion ids")
-    _add_common(p)
+    _add_common(p, seed=True, threads=True)
     # exact flags only, so that _resolve's argv scan sees every explicit one
     for p in sub.choices.values():
         p.allow_abbrev = False
@@ -221,8 +224,6 @@ def _resolve(args, argv) -> dict:
             v, flag = _config_value(args.command, actions[k], v), actions[k].option_strings[0]
             if not any(a == flag or a.startswith(flag + "=") for a in argv):
                 cfg[k] = v
-    if cfg.get("threads") is None:
-        cfg["threads"] = int(os.environ.get(ENV_THREADS, "1"))
     return cfg
 
 
@@ -266,8 +267,8 @@ def _cmd_sweep(cfg):
         dist = parse_distribution(name)
         recs = slope_series(dist, n_list, cfg["trials"], cfg["seed"],
                             parallelism=cfg["threads"])
-        rows.extend(slope_rows(recs))
-    _emit_csv(rows, cfg.get("out"), cfg)
+        rows.extend([r[c] for c in TABLE_COLUMNS] for r in slope_rows(recs))
+    _emit_csv(rows, TABLE_COLUMNS, cfg.get("out"), cfg)
     return 0
 
 
@@ -284,18 +285,23 @@ def _cmd_kacrice_audit(cfg):
         flagged += kr.flagged
         if cfg.get("roots_csv"):
             rr = kr.root_result
-            root_rows.extend({"trial_index": trial, "root": float(r), "residual": float(e)}
+            root_rows.extend((trial, float(r), float(e))
                              for r, e in zip(rr.roots, rr.residuals))
     if cfg.get("roots_csv"):
-        _emit_csv(root_rows, cfg["roots_csv"], cfg)
+        _emit_csv(root_rows, ROOT_COLUMNS, cfg["roots_csv"], cfg)
     _emit_json({"meta": _meta(cfg), "trials": cfg["trials"], "agree": agree,
                 "flagged": flagged, "delta": cfg["delta"]}, cfg.get("out"))
     return 0 if agree >= AGREEMENT_SHARE * cfg["trials"] else 1
 
 
 def _cmd_conditions(cfg):
-    if cfg.get("sweep") and (cfg.get("t") is not None or cfg.get("pair") is not None):
+    point = cfg.get("t") is not None or cfg.get("pair") is not None
+    if point and cfg.get("sweep"):
         raise ValueError("--sweep prints the bad-fraction CSV alone; it takes no --t or --pair")
+    if point and cfg["eps"] is not None:
+        raise ValueError("--eps sets the region and --sweep intervals; it takes no --t or --pair")
+    if not point and cfg["eps"] is None:
+        cfg["eps"] = 1.0
     payload = {"meta": _meta(cfg), "n": cfg["n"], "tau": cfg["tau"]}
     if cfg.get("t") is not None:
         r = check_condition_t(cfg["n"], cfg["t"], cfg["tau"])
@@ -308,12 +314,10 @@ def _cmd_conditions(cfg):
         rows = []
         for n in _list_flag(cfg, "sweep"):
             D = build_D(n, cfg["eps"], cfg["tau"])
-            rows.append({"n": n, "eps": cfg["eps"], "tau": cfg["tau"],
-                         "intervals": D.interval_count,
-                         "bad_fraction": D.bad_fraction})
-        _emit_csv(rows, cfg.get("out"), cfg)
+            rows.append((n, cfg["eps"], cfg["tau"], D.interval_count, D.bad_fraction))
+        _emit_csv(rows, BAD_FRACTION_COLUMNS, cfg.get("out"), cfg)
         return 0
-    if "point" not in payload and "pair" not in payload:
+    if not point:
         D = build_D(cfg["n"], cfg["eps"], cfg["tau"])
         payload["region"] = {"intervals": D.interval_count,
                              "total_pairs": D.total_pairs,
@@ -331,11 +335,10 @@ def _cmd_charfn(cfg):
                      radii_count=cfg["radii"],
                      directions_per_radius=cfg["directions"],
                      seed=cfg["seed"], s=cfg.get("s"))
-    rows = [{"radius": float(r), "worst_log_abs": float(w),
-             "bound_log": float(b), "in_regime": bool(f)}
+    rows = [(float(r), float(w), float(b), bool(f))
             for r, w, b, f in zip(rep.radii, rep.worst_log_abs,
                                   rep.bound_log, rep.regime_flags)]
-    _emit_csv(rows, cfg.get("out"), cfg)
+    _emit_csv(rows, DECAY_COLUMNS, cfg.get("out"), cfg)
     return 0
 
 
@@ -347,10 +350,9 @@ def _cmd_smallball(cfg):
     for a in np.linspace(-1.0, 1.0, 9):
         est = small_ball_mc(n, t, dist, np.array([a, 0.0]), cfg["delta"],
                             cfg["trials"], cfg["seed"], force=True)
-        rows.append({"center": float(a), "probability": est.probability,
-                     "se": est.se,
-                     "p_over_delta2": est.probability / cfg["delta"]**2})
-    _emit_csv(rows, cfg.get("out"), cfg)
+        rows.append((float(a), est.probability, est.se,
+                     est.probability / cfg["delta"]**2))
+    _emit_csv(rows, SMALLBALL_COLUMNS, cfg.get("out"), cfg)
     return 0
 
 

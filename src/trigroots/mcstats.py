@@ -33,6 +33,11 @@ CHUNK_SIZE = 256
 GAUSSIAN_SLOPE = 0.55826
 KURTOSIS_COEFF = 2.0 / 15.0
 
+#: the Monte Carlo table's columns, in order: ``slope_rows``' keys and the
+#: ``sweep`` CSV header
+TABLE_COLUMNS = ("dist", "n", "trials", "flagged_trial_count", "unreliable", "mean",
+                 "se_mean", "variance", "se_variance", "var_over_n", "se", "var_over_n2")
+
 
 @dataclass
 class MomentAccumulator:
@@ -174,19 +179,11 @@ def slope_series(dist: DistributionSpec, n_list, trials_per_n: int, seed: int,
 
 
 def slope_rows(records: list[ExperimentRecord]) -> list[dict]:
-    """The Monte Carlo table, one row per record, which ``sweep`` prints and
-    criterion 12 reads; ``se`` is the standard error of ``var_over_n``."""
-    return [{
-        "dist": r.distribution,
-        "n": r.n,
-        "trials": r.trials,
-        "flagged_trial_count": r.flagged_trial_count,
-        "unreliable": r.unreliable,
-        "mean": r.estimate.mean,
-        "se_mean": r.estimate.se_mean,
-        "variance": r.estimate.variance,
-        "se_variance": r.estimate.se_variance,
-        "var_over_n": r.estimate.var_over_n,
-        "se": r.estimate.se_variance / r.n,
-        "var_over_n2": r.estimate.variance / r.n**2,
-    } for r in records]
+    """The Monte Carlo table that ``sweep`` prints and criterion 12 reads, one
+    row a record; ``se`` is the standard error of ``var_over_n``."""
+    return [dict(zip(TABLE_COLUMNS, (
+        r.distribution, r.n, r.trials, r.flagged_trial_count, r.unreliable,
+        r.estimate.mean, r.estimate.se_mean, r.estimate.variance,
+        r.estimate.se_variance, r.estimate.var_over_n,
+        r.estimate.se_variance / r.n, r.estimate.variance / r.n**2)))
+        for r in records]

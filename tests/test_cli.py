@@ -154,14 +154,16 @@ class TestConfig:
         """An int for a float flag and a JSON list for a two-value flag are
         converted as argparse converts the flags: same payload, same hash."""
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"pair": [500, 500], "t": 1571, "eps": 1, "seed": 5}))
-        payloads = []
-        for args in (["--config", str(cfgfile)],
-                     ["--pair", "500", "500", "--t", "1571", "--eps", "1", "--seed", "5"]):
-            out = tmp_path / "out.json"
-            assert run_cli(["conditions", "--n", "1000", *args, "--out", str(out)]) == 0
-            payloads.append(json.loads(out.read_text()))
-        assert payloads[0] == payloads[1] and "pair" in payloads[0]
+        for values, flags, key in [
+                ({"pair": [500, 500], "t": 1571}, ["--pair", "500", "500", "--t", "1571"], "pair"),
+                ({"eps": 2}, ["--eps", "2"], "region")]:
+            cfgfile.write_text(json.dumps(values))
+            payloads = []
+            for args in (["--config", str(cfgfile)], flags):
+                out = tmp_path / "out.json"
+                assert run_cli(["conditions", "--n", "1000", *args, "--out", str(out)]) == 0
+                payloads.append(json.loads(out.read_text()))
+            assert payloads[0] == payloads[1] and key in payloads[0]
 
     def test_abbreviated_flag_is_refused(self, tmp_path, capsys):
         """A prefix of a flag would win over the file in argparse but not in
@@ -375,6 +377,20 @@ class TestErrors:
             "error": "--sweep prints the bad-fraction CSV alone; it takes no --t or --pair",
             "command": "conditions"}
 
+    @pytest.mark.parametrize("point", [["--t", "1.5"], ["--pair", "1.0", "2.0"]],
+                             ids=["t", "pair"])
+    def test_conditions_point_takes_no_epsilon(self, tmp_path, capsys, point):
+        """``--eps`` is the width of the region's and the sweep's intervals,
+        which a point or pair check does not build, as a flag or a key."""
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"eps": 1.0}))
+        for args in (["--eps", "2"], ["--config", str(cfgfile)]):
+            assert run_cli(["conditions", "--n", "100", *point, *args]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and json.loads(err) == {
+                "error": "--eps sets the region and --sweep intervals; it takes no --t or --pair",
+                "command": "conditions"}
+
     @pytest.mark.parametrize("eps", ["nan", "inf"])
     def test_conditions_non_finite_epsilon(self, capsys, eps):
         assert run_cli(["conditions", "--n", "50", "--eps", eps]) == 2
@@ -441,11 +457,6 @@ class TestErrors:
         assert run_cli(["conditions", "--n", "100", "--eps", "1e-9"]) == 2
         assert self._error(capsys, "conditions") == (message or "MemoryError")
 
-    def test_bad_thread_count_in_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("TRIGROOTS_THREADS", "abc")
-        assert run_cli(["simulate", "--n", "4", "--trials", "10"]) == 2
-        assert "abc" in self._error(capsys, "simulate")
-
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_bad_thread_count(self, capsys, threads):
         assert run_cli(["simulate", "--n", "4", "--trials", "10",
@@ -503,6 +514,113 @@ class TestErrors:
         bad.write_text(json.dumps({key: 5}))
         assert run_cli(["simulate", "--config", str(bad)]) == 2
         assert f"unknown keys ['{key}']" in self._error(capsys, "simulate")
+
+
+class TestFlags:
+    """Each command has the flags it reads and no other."""
+
+    @staticmethod
+    def _modes(tmp_path):
+        """One small run per mode of each command."""
+        return {
+            "cg": [["--tol", "1e-4"]],
+            "simulate": [["--n", "4", "--trials", "20"]],
+            "sweep": [["--dist", "gaussian", "--n", "4", "--trials", "20"]],
+            "kacrice-audit": [["--n", "4", "--trials", "2",
+                               "--roots-csv", str(tmp_path / "roots.csv")]],
+            "conditions": [["--n", "50", "--t", "1.5"], ["--n", "50", "--pair", "1.0", "2.0"],
+                           ["--n", "50"], ["--sweep", "50,100"]],
+            "charfn": [["--n", "20", "--radii", "2", "--directions", "2"]],
+            "smallball": [["--n", "20", "--trials", "50"]],
+            "verify": [["--only", "7"]],
+        }
+
+    @pytest.mark.parametrize("command", sorted(cli.build_parser().commands))
+    def test_every_flag_is_read(self, tmp_path, monkeypatch, capsys, command):
+        """Across the command's modes, every flag but ``--out`` and
+        ``--config`` is read from the resolved configuration.  ``_meta``
+        reads every key for the hash, so it is stubbed; so is the suite."""
+        read = set()
+
+        class Reads(dict):
+            def __getitem__(self, key):
+                read.add(key)
+                return super().__getitem__(key)
+
+            def get(self, key, default=None):
+                read.add(key)
+                return super().get(key, default)
+
+        class Report:
+            all_passed = True
+
+            def to_json(self):
+                return "{}"
+
+        resolve = cli._resolve
+        monkeypatch.setattr(cli, "_resolve", lambda args, argv: Reads(resolve(args, argv)))
+        monkeypatch.setattr(cli, "_meta", lambda cfg: {"build": "b", "seed": None,
+                                                       "config_hash": "h"})
+        monkeypatch.setattr(cli.acceptance, "run_all", lambda **kwargs: Report())
+        for args in self._modes(tmp_path)[command]:
+            assert run_cli([command, *args]) == 0
+        flags = {a.dest for a in cli.build_parser().commands[command]._actions
+                 if a.option_strings and a.dest not in ("help", "out", "config")}
+        assert flags - read == set()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("cg", "threads"), ("cg", "seed"), ("conditions", "seed"), ("conditions", "threads"),
+        ("kacrice-audit", "threads"), ("charfn", "threads"), ("smallball", "threads"),
+    ])
+    def test_unread_flag_is_refused(self, tmp_path, capsys, command, flag):
+        """``--seed`` is a flag of the commands that draw and ``--threads`` of
+        those that run worker processes; elsewhere each is unknown, as a
+        flag and as a ``--config`` key."""
+        assert run_cli([command, f"--{flag}", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err) == {
+            "error": f"unrecognized arguments: --{flag} 2", "command": command}
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({flag: 2}))
+        assert run_cli([command, "--config", str(cfgfile)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == (
+            f"--config has unknown keys ['{flag}']: not flags of {command}")
+
+    def test_environment_sets_no_thread_count(self, capsys, monkeypatch):
+        """The thread count has one input, its flag or config key; the
+        environment is not read."""
+        monkeypatch.setenv("TRIGROOTS_THREADS", "abc")
+        assert run_cli(["conditions", "--n", "100", "--t", "1.5"]) == 0
+        assert json.loads(capsys.readouterr().out)["meta"]["seed"] is None
+        assert run_cli(["simulate", "--n", "4", "--trials", "10"]) == 0
+
+
+class TestCsv:
+    @pytest.mark.parametrize("args", [
+        ["sweep", "--dist", "gaussian", "--n", "4", "--trials", "20"],
+        ["conditions", "--sweep", "50,100"],
+        ["charfn", "--n", "20", "--radii", "2", "--directions", "2"],
+        ["smallball", "--n", "20", "--trials", "50"],
+    ], ids=lambda args: args[0])
+    def test_header_is_the_help_columns(self, tmp_path, args):
+        out = tmp_path / "table.csv"
+        assert run_cli([*args, "--out", str(out)]) == 0
+        header = out.read_text().splitlines()[1]
+        epilog = cli.build_parser().commands[args[0]].epilog
+        assert epilog.endswith("CSV columns: " + header.replace(",", ", "))
+
+    def test_rootless_audit_still_writes_its_csv(self, tmp_path):
+        """A sample of this law at n = 1 has no roots (seed 1); the roots CSV
+        is then its ``#`` line and its header, in place of a stale file."""
+        roots = tmp_path / "roots.csv"
+        roots.write_text("stale\n")
+        assert run_cli(["kacrice-audit", "--dist", "discrete:-2:0.125,0:0.75,2:0.125",
+                        "--n", "1", "--trials", "1", "--seed", "1",
+                        "--roots-csv", str(roots)]) == 0
+        lines = roots.read_text().splitlines()
+        assert len(lines) == 2 and lines[0].startswith("# build=trigroots-")
+        epilog = cli.build_parser().commands["kacrice-audit"].epilog
+        assert epilog == "roots CSV columns: " + lines[1].replace(",", ", ")
 
 
 class TestVerify:
