@@ -105,15 +105,15 @@ class DecayReport:
     radii: np.ndarray
     worst_log_abs: np.ndarray   # per radius, max over directions
     bound_log: np.ndarray       # per radius, max of the exponent bound
-    regime_flags: np.ndarray    # radius within [n^{5 tau - 1/2}, n^{c_star}]
     condition_ok: bool
 
 
 def decay_scan(n: int, t: float, dist: DistributionSpec, tau: float = 0.05,
                c_star: float = 1.0, radii_count: int = 12,
                directions_per_radius: int = 32, seed: int = 0,
-               s: float | None = None, radii=None) -> DecayReport:
-    """Worst-case |phi| over random directions at log-spaced radii.
+               s: float | None = None) -> DecayReport:
+    """Worst-case |phi| over random directions at radii log-spaced over
+    the decay window [n^(5 tau - 1/2), n^c_star], which must not be empty.
 
     Each radius stacks its directions' projections into (directions, n)
     arrays and takes one characteristic-function and one xi-norm call on
@@ -126,10 +126,6 @@ def decay_scan(n: int, t: float, dist: DistributionSpec, tau: float = 0.05,
     directions_per_radius = check_integer("directions_per_radius", directions_per_radius, 1)
     check_finite("c_star", c_star)
     report = check_condition_t(n, t, tau) if s is None else check_condition_st(n, s, t, tau)
-    condition_ok = bool(report.satisfied)
-    if not condition_ok:
-        warnings.warn("scan point fails the non-resonance condition; "
-                      "decay is not guaranteed", stacklevel=2)
     lo = float(n) ** (5.0 * tau - 0.5)  # tau < 1/8, refused otherwise above
     try:
         hi = float(n) ** c_star
@@ -138,11 +134,14 @@ def decay_scan(n: int, t: float, dist: DistributionSpec, tau: float = 0.05,
     if not (math.isfinite(hi) and hi > 0.0):
         raise ValueError(f"c_star = {c_star} puts the radius bound n^c_star at {hi:g} "
                          f"for n = {n}; it must be finite and > 0")
-    if radii is None:
-        radii = np.geomspace(lo, hi, radii_count)
-    elif np.ndim(radii) != 1 or np.size(radii) == 0:
-        raise ValueError(f"radii must be a 1-d array of at least one radius, got {radii!r}")
-    radii = check_positive("radii", radii)
+    if hi < lo:
+        raise ValueError(f"c_star = {c_star} puts n^c_star = {hi:g} below n^(5 tau - 1/2) "
+                         f"= {lo:g} for n = {n}: the radius window is empty")
+    condition_ok = bool(report.satisfied)
+    if not condition_ok:
+        warnings.warn("scan point fails the non-resonance condition; "
+                      "decay is not guaranteed", stacklevel=2)
+    radii = np.geomspace(lo, hi, radii_count)
     rows = _point_rows(n, t, s)
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((directions_per_radius, 2 * len(rows)))
@@ -155,9 +154,8 @@ def decay_scan(n: int, t: float, dist: DistributionSpec, tau: float = 0.05,
         pu, pup = map(np.array, zip(*(_projections(rows, r * e) for e in dirs)))
         worst[i] = _log_abs(dist, pu, pup).max()
         bound[i] = _bound(dist, pu, pup).max()
-    flags = (radii >= lo * (1 - 1e-12)) & (radii <= hi * (1 + 1e-12))
     return DecayReport(radii=radii, worst_log_abs=worst, bound_log=bound,
-                       regime_flags=flags, condition_ok=condition_ok)
+                       condition_ok=condition_ok)
 
 
 @dataclass(frozen=True)

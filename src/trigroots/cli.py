@@ -3,13 +3,14 @@
 Commands mirror the package layout: ``cg`` (slope quadrature), ``simulate``
 (one Monte Carlo experiment), ``sweep`` (the Monte Carlo table of
 ``mcstats.slope_rows`` over laws and n, as CSV), ``kacrice-audit`` (scan
-vs delta-integral agreement), ``conditions`` (non-resonance reports and the
-bad-pair sweep), ``charfn`` (decay scan), ``smallball`` (ball-probability
-scan), ``verify`` (the acceptance suite; ``--only 6,7`` gives the Edgeworth
-corrector limits).  A command has ``--seed`` only if it draws and
-``--threads`` only if it runs worker processes.  Every artifact embeds the
-package version, the seed (null for ``cg`` and ``conditions``) and a hash of
-the resolved configuration; records are JSON, tables are CSV.  Bad input,
+vs delta-integral agreement), ``conditions`` (the bad-fraction CSV over an
+n list, or the non-resonance report of one point or pair at one n),
+``charfn`` (decay scan over the radius window), ``smallball``
+(ball-probability scan), ``verify`` (the acceptance suite; ``--only 6,7``
+gives the Edgeworth corrector limits).  A command has ``--seed`` only if it
+draws and ``--threads`` only if it runs worker processes.  Every artifact
+embeds the package version, the seed (null for ``cg`` and ``conditions``) and
+a hash of the resolved configuration; records are JSON, tables are CSV.  Bad input,
 including an unknown flag or a bad ``--config`` file or thread count, ends
 in one JSON error line on stderr and exit code 2.
 """
@@ -20,6 +21,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -42,8 +44,8 @@ from trigroots.rootcount import AGREEMENT_SHARE, count_kacrice
 
 #: the CSV columns of each table but ``sweep``'s (``mcstats.TABLE_COLUMNS``)
 ROOT_COLUMNS = ("trial_index", "root", "residual")
-BAD_FRACTION_COLUMNS = ("n", "eps", "tau", "intervals", "bad_fraction")
-DECAY_COLUMNS = ("radius", "worst_log_abs", "bound_log", "in_regime")
+BAD_FRACTION_COLUMNS = ("n", "eps", "tau", "intervals", "bad_pairs", "bad_fraction")
+DECAY_COLUMNS = ("radius", "worst_log_abs", "bound_log")
 SMALLBALL_COLUMNS = ("center", "probability", "se", "p_over_delta2")
 
 #: keys with no effect on computed results, excluded from the config hash
@@ -70,13 +72,16 @@ def _emit_json(payload: dict, path: str | None):
 
 
 def _emit_csv(rows: list, columns: tuple, path: str | None, cfg: dict):
-    """The ``#`` meta line, the header, then one line a row of values in column order."""
+    """The ``#`` meta line, the header, then one line a row of values in
+    column order, a cell quoted where it holds a comma or a quote."""
     meta = _meta(cfg)
-    lines = [f"# build={meta['build']} seed={json.dumps(meta['seed'])} "
-             f"config_hash={meta['config_hash']}", ",".join(columns)]
-    lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in r)
-              for r in rows]
-    text = "\n".join(lines) + "\n"
+    buf = io.StringIO()
+    buf.write(f"# build={meta['build']} seed={json.dumps(meta['seed'])} "
+              f"config_hash={meta['config_hash']}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    text = buf.getvalue()
     if path:
         Path(path).write_text(text)
     else:
@@ -142,22 +147,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, seed=True)
 
     p = sub.add_parser(
-        "conditions", help="non-resonance checks / bad-pair sweep",
-        epilog="sweep CSV columns: " + ", ".join(BAD_FRACTION_COLUMNS))
-    p.add_argument("--n", type=int, default=1000)
+        "conditions", help="bad-fraction CSV over n / one point or pair check",
+        epilog="without --t and --pair, a CSV row per n; CSV columns: "
+               + ", ".join(BAD_FRACTION_COLUMNS))
+    p.add_argument("--n", type=str, default="1000",
+                   help="comma-separated n list; --t and --pair take one n")
     p.add_argument("--tau", type=float, default=0.05)
     p.add_argument("--eps", type=float, default=None,
-                   help="interval width of the region and --sweep (default 1.0)")
+                   help="interval width of the bad-fraction CSV (default 1.0)")
     p.add_argument("--pair", type=float, nargs=2, default=None,
                    metavar=("S", "T"), help="check one (s, t) pair")
     p.add_argument("--t", type=float, default=None, help="check one point")
-    p.add_argument("--sweep", type=str, default=None,
-                   help="comma-separated n list for a bad-fraction CSV")
     _add_common(p)
 
     p = sub.add_parser(
         "charfn", help="characteristic-function decay scan",
-        epilog="CSV columns: " + ", ".join(DECAY_COLUMNS))
+        epilog="radii log-spaced over [n^(5 tau - 1/2), n^cstar], which must not "
+               "be empty; CSV columns: " + ", ".join(DECAY_COLUMNS))
     p.add_argument("--dist", type=str, default="rademacher")
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--t", type=float, default=None)
@@ -191,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 #: the list flags, read by ``_list_flag`` with their item type
 _LIST_FLAGS = {("sweep", "dist"): str, ("sweep", "n"): int,
-               ("conditions", "sweep"): int, ("verify", "only"): int}
+               ("conditions", "n"): int, ("verify", "only"): int}
 
 
 def _config_value(command: str, action, value):
@@ -295,34 +301,30 @@ def _cmd_kacrice_audit(cfg):
 
 
 def _cmd_conditions(cfg):
-    point = cfg.get("t") is not None or cfg.get("pair") is not None
-    if point and cfg.get("sweep"):
-        raise ValueError("--sweep prints the bad-fraction CSV alone; it takes no --t or --pair")
-    if point and cfg["eps"] is not None:
-        raise ValueError("--eps sets the region and --sweep intervals; it takes no --t or --pair")
-    if not point and cfg["eps"] is None:
-        cfg["eps"] = 1.0
-    payload = {"meta": _meta(cfg), "n": cfg["n"], "tau": cfg["tau"]}
+    n_list = _list_flag(cfg, "n")
+    if cfg.get("t") is None and cfg.get("pair") is None:
+        if cfg["eps"] is None:
+            cfg["eps"] = 1.0
+        rows = []
+        for n in n_list:
+            D = build_D(n, cfg["eps"], cfg["tau"])
+            rows.append((n, cfg["eps"], cfg["tau"], D.interval_count, D.bad_pairs,
+                         D.bad_fraction))
+        _emit_csv(rows, BAD_FRACTION_COLUMNS, cfg.get("out"), cfg)
+        return 0
+    if cfg["eps"] is not None:
+        raise ValueError("--eps sets the bad-fraction intervals; it takes no --t or --pair")
+    if len(n_list) != 1:
+        raise ValueError(f"--t and --pair take one n, got {len(n_list)}: {n_list}")
+    (n,) = n_list
+    payload = {"meta": _meta(cfg), "n": n, "tau": cfg["tau"]}
     if cfg.get("t") is not None:
-        r = check_condition_t(cfg["n"], cfg["t"], cfg["tau"])
+        r = check_condition_t(n, cfg["t"], cfg["tau"])
         payload["point"] = dataclasses.asdict(r)
     if cfg.get("pair") is not None:
         s, t = cfg["pair"]
-        r = check_condition_st(cfg["n"], s, t, cfg["tau"])
+        r = check_condition_st(n, s, t, cfg["tau"])
         payload["pair"] = dataclasses.asdict(r)
-    if cfg.get("sweep"):
-        rows = []
-        for n in _list_flag(cfg, "sweep"):
-            D = build_D(n, cfg["eps"], cfg["tau"])
-            rows.append((n, cfg["eps"], cfg["tau"], D.interval_count, D.bad_fraction))
-        _emit_csv(rows, BAD_FRACTION_COLUMNS, cfg.get("out"), cfg)
-        return 0
-    if not point:
-        D = build_D(cfg["n"], cfg["eps"], cfg["tau"])
-        payload["region"] = {"intervals": D.interval_count,
-                             "total_pairs": D.total_pairs,
-                             "bad_pairs": D.bad_pairs,
-                             "bad_fraction": D.bad_fraction}
     _emit_json(payload, cfg.get("out"))
     return 0
 
@@ -335,9 +337,8 @@ def _cmd_charfn(cfg):
                      radii_count=cfg["radii"],
                      directions_per_radius=cfg["directions"],
                      seed=cfg["seed"], s=cfg.get("s"))
-    rows = [(float(r), float(w), float(b), bool(f))
-            for r, w, b, f in zip(rep.radii, rep.worst_log_abs,
-                                  rep.bound_log, rep.regime_flags)]
+    rows = [(float(r), float(w), float(b))
+            for r, w, b in zip(rep.radii, rep.worst_log_abs, rep.bound_log)]
     _emit_csv(rows, DECAY_COLUMNS, cfg.get("out"), cfg)
     return 0
 

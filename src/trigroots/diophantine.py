@@ -99,14 +99,14 @@ def good_t(n: int, tau: float = 0.05, anchor: float = math.sqrt(2) - 1.0) -> flo
     raise RuntimeError("no non-resonant point found")
 
 
-def good_pair(n: int, tau: float = 0.05) -> tuple[float, float]:
-    """A pair passing the pair condition, from three irrational anchors."""
+def good_pair(n: int) -> tuple[float, float]:
+    """A pair passing the pair condition (default tau), from three irrational anchors."""
     anchors = [(math.sqrt(2) - 1.0, math.sqrt(3) - 1.0),
                (math.sqrt(5) - 2.0, math.sqrt(7) - 2.0),
                (math.pi / 8.0, math.e / 4.0)]
     for a, b in anchors:
         s, t = a * math.pi * n, b * math.pi * n
-        if check_condition_st(n, s, t, tau).satisfied:
+        if check_condition_st(n, s, t).satisfied:
             return s, t
     raise RuntimeError("no non-resonant pair found")
 

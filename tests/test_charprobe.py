@@ -120,12 +120,13 @@ class TestExponentBound:
 
 class TestDecayScan:
     def test_decay_at_unit_radius(self):
+        # c_star = 0 ends the window at radius n^0 = 1 exactly
         n = 500
         t = good_t(n)
-        rep = decay_scan(n, t, rademacher(), radii=np.array([1.0]),
+        rep = decay_scan(n, t, rademacher(), c_star=0.0, radii_count=2,
                          directions_per_radius=40, seed=6)
-        assert rep.condition_ok
-        assert rep.worst_log_abs[0] <= -5.0
+        assert rep.condition_ok and rep.radii[-1] == 1.0
+        assert rep.worst_log_abs[-1] <= -5.0
         assert np.all(rep.worst_log_abs <= 0.0)
         assert np.all(rep.bound_log <= 0.0)
 
@@ -140,17 +141,18 @@ class TestDecayScan:
             x = np.array([math.cos(a), math.sin(a)])
             worst = max(worst, log_abs_charfn(n, t, rademacher(), x))
         assert worst <= -1.0
-        rep = decay_scan(n, t, rademacher(), radii=np.array([1.0]),
+        rep = decay_scan(n, t, rademacher(), c_star=0.0, radii_count=2,
                          directions_per_radius=64, seed=9)
-        assert rep.worst_log_abs[0] <= -1.0
+        assert rep.radii[-1] == 1.0 and rep.worst_log_abs[-1] <= -1.0
 
-    def test_tiny_radius_allows_no_decay(self):
+    def test_tiny_radius_allows_no_decay(self, rng):
+        # radius 1e-3 lies below the scan's window, which starts at
+        # 500^(-1/4) = 0.21
         n = 500
         t = good_t(n)
-        rep = decay_scan(n, t, rademacher(), radii=np.array([1e-3]),
-                         directions_per_radius=8, seed=1)
-        assert rep.worst_log_abs[0] > -0.5
-        assert not rep.regime_flags[0]  # below the decay regime
+        for _ in range(8):
+            x = rng.standard_normal(2)
+            assert log_abs_charfn(n, t, rademacher(), 1e-3 * x / np.linalg.norm(x)) > -0.5
 
     def test_resonant_point_defeats_decay(self):
         # at t = pi n / 2 the projections are integer multiples of 2 pi
@@ -160,17 +162,9 @@ class TestDecayScan:
         x = np.array([2 * math.pi, 0.0])
         assert log_abs_charfn(n, t, rademacher(), x) == pytest.approx(0.0, abs=1e-9)
         with pytest.warns(UserWarning):
-            rep = decay_scan(n, t, rademacher(), tau=0.12,
-                             radii=np.array([2 * math.pi]),
+            rep = decay_scan(n, t, rademacher(), tau=0.12, radii_count=1,
                              directions_per_radius=4, seed=0)
         assert not rep.condition_ok
-
-    def test_regime_flags(self):
-        n = 200
-        t = good_t(n)
-        rep = decay_scan(n, t, rademacher(), radii_count=6,
-                         directions_per_radius=4, seed=2)
-        assert rep.regime_flags.all()
 
     # one Gaussian term table a tier peaked at 6.7 MiB at n = 500; at
     # n = 5000, 10 MiB is eight (32, n) arrays, where one table a tier
@@ -209,15 +203,16 @@ class TestDecayScanMatchesLoop:
             else:
                 np.testing.assert_array_equal(rep.bound_log, bound)
 
-    # a scalar once ended in an AttributeError
-    @pytest.mark.parametrize("radii, message", [
-        *(([1.0, r], f"radii must be finite and > 0, got {r}")
-          for r in (-1.0, 0.0, math.nan, math.inf)),
-        *((r, "radii must be a 1-d array of at least one radius") for r in (1.0, [[1.0]], [])),
-    ], ids=["-1.0", "0.0", "nan", "inf", "scalar", "2-d", "empty"])
-    def test_refuses_bad_radii(self, radii, message):
+    @pytest.mark.parametrize("c_star", [-1.0, 0.0, math.nan, math.inf])
+    def test_refuses_bad_radii(self, c_star):
+        """The radii span [n^(5 tau - 1/2), n^c_star]: at n = 50 and
+        tau = 0.12 that is empty for c_star = -1 and 0 (50^0.1 > 1), and
+        without a finite end for nan and inf.  The refusal comes before the
+        non-resonance warning this point would raise."""
+        message = (f"c_star must be finite, got {c_star}" if not math.isfinite(c_star)
+                   else "the radius window is empty")
         with pytest.raises(ValueError, match=message):
-            decay_scan(50, good_t(50), gaussian(), radii=radii)
+            decay_scan(50, good_t(50), gaussian(), tau=0.12, c_star=c_star)
 
     # 2.5 once ended in a TypeError from numpy, and True ran one radius
     @pytest.mark.parametrize("name", ["radii_count", "directions_per_radius"])

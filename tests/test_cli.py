@@ -15,7 +15,8 @@ from trigroots.charprobe import small_ball_mc
 from trigroots.cli import main
 from trigroots.diophantine import good_t
 from trigroots.ensemble import gaussian, rademacher, sample
-from trigroots.mcstats import run_experiment
+from trigroots.diophantine import build_D
+from trigroots.mcstats import TABLE_COLUMNS, run_experiment, slope_rows, slope_series
 from trigroots.rootcount import count_roots
 
 
@@ -113,6 +114,28 @@ class TestSweep:
         assert int(row["flagged_trial_count"]) == rec.flagged_trial_count
         assert row["unreliable"] == str(rec.unreliable)
 
+    def test_discrete_label_is_one_cell(self, tmp_path):
+        """A discrete law's label holds commas; the row quotes it, so it reads
+        back as the header's twelve cells."""
+        law = "discrete:-2:0.125,0:0.75,2:0.125"
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"dist": [law], "n": [4], "trials": 20}))
+        out = tmp_path / "s.csv"
+        assert run_cli(["sweep", "--config", str(cfgfile), "--out", str(out)]) == 0
+        header, row = csv.reader(out.read_text().splitlines()[1:])
+        assert len(header) == len(row) == 12
+        assert row[0] == "discrete:-2.0:0.125,0.0:0.75,2.0:0.125"
+
+    def test_plain_cells_are_not_quoted(self, tmp_path):
+        """Cells without a comma are written as before: str of each value,
+        a float's shortest repr, no quotes."""
+        out = tmp_path / "s.csv"
+        assert run_cli(["sweep", "--dist", "gaussian", "--n", "8,16", "--trials", "50",
+                        "--seed", "4", "--out", str(out)]) == 0
+        rows = slope_rows(slope_series(gaussian(), [8, 16], 50, 4))
+        assert out.read_text().splitlines()[2:] == [
+            ",".join(str(r[c]) for c in TABLE_COLUMNS) for r in rows]
+
 
 class TestConfig:
     def test_equals_form_flags_win_over_config(self, tmp_path):
@@ -133,7 +156,7 @@ class TestConfig:
         ("sweep", {"dist": ["gaussian", "rademacher"], "n": [8, 16]},
          ["--dist", "gaussian,rademacher", "--n", "8,16"]),
         ("sweep", {"n": [8, 16]}, ["--n", "8,16"]),
-        ("conditions", {"sweep": [100, 200]}, ["--sweep", "100,200"]),
+        ("conditions", {"n": [100, 200]}, ["--n", "100,200"]),
         ("verify", {"only": [8, 11]}, ["--only", "8,11"]),
     ])
     def test_json_lists_read_as_comma_strings(self, tmp_path, command, lists, flags):
@@ -152,18 +175,19 @@ class TestConfig:
 
     def test_config_values_read_as_their_flags(self, tmp_path):
         """An int for a float flag and a JSON list for a two-value flag are
-        converted as argparse converts the flags: same payload, same hash."""
+        converted as argparse converts the flags: same output, same hash."""
         cfgfile = tmp_path / "cfg.json"
         for values, flags, key in [
-                ({"pair": [500, 500], "t": 1571}, ["--pair", "500", "500", "--t", "1571"], "pair"),
-                ({"eps": 2}, ["--eps", "2"], "region")]:
+                ({"pair": [500, 500], "t": 1571}, ["--pair", "500", "500", "--t", "1571"],
+                 '"pair"'),
+                ({"eps": 2}, ["--eps", "2"], "1000,2.0,0.05,")]:
             cfgfile.write_text(json.dumps(values))
-            payloads = []
+            outputs = []
             for args in (["--config", str(cfgfile)], flags):
-                out = tmp_path / "out.json"
+                out = tmp_path / "out.txt"
                 assert run_cli(["conditions", "--n", "1000", *args, "--out", str(out)]) == 0
-                payloads.append(json.loads(out.read_text()))
-            assert payloads[0] == payloads[1] and key in payloads[0]
+                outputs.append(out.read_text())
+            assert outputs[0] == outputs[1] and key in outputs[0]
 
     def test_abbreviated_flag_is_refused(self, tmp_path, capsys):
         """A prefix of a flag would win over the file in argparse but not in
@@ -192,11 +216,17 @@ class TestConditions:
             assert set(report) == {"satisfied", "witness", "tau", "threshold", "l_max"}
 
     def test_region_summary(self, tmp_path):
-        out = tmp_path / "region.json"
-        assert run_cli(["conditions", "--n", "100", "--eps", "1.0",
+        """Without --t and --pair, one CSV row a region, ``build_D``'s counts."""
+        out = tmp_path / "region.csv"
+        assert run_cli(["conditions", "--n", "100,200", "--eps", "1.0",
                         "--out", str(out)]) == 0
-        region = json.loads(out.read_text())["region"]
-        assert 0 < region["bad_fraction"] < 1
+        rows = csv_rows(out)
+        assert [int(r["n"]) for r in rows] == [100, 200]
+        for r in rows:
+            D = build_D(int(r["n"]), 1.0, 0.05)
+            assert (int(r["intervals"]), int(r["bad_pairs"]), float(r["bad_fraction"])) == (
+                D.interval_count, D.bad_pairs, D.bad_fraction)
+            assert 0 < D.bad_fraction < 1 and (r["eps"], r["tau"]) == ("1.0", "0.05")
 
 
 class TestDependencies:
@@ -330,6 +360,13 @@ class TestErrors:
         assert run_cli(["charfn", "--n", "500", "--cstar", "1000"]) == 2
         assert "c_star = 1000.0 puts the radius bound" in self._error(capsys, "charfn")
 
+    def test_charfn_empty_window(self, capsys):
+        assert run_cli(["charfn", "--n", "50", "--cstar", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err) == {
+            "error": "c_star = -1.0 puts n^c_star = 0.02 below n^(5 tau - 1/2) = 0.37606 "
+                     "for n = 50: the radius window is empty", "command": "charfn"}
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_simulate_negative_seed(self, capsys, threads):
         assert run_cli(["simulate", "--n", "8", "--trials", "300", "--seed", "-1",
@@ -364,31 +401,30 @@ class TestErrors:
 
     @pytest.mark.parametrize("point", [["--t", "1.5"], ["--pair", "1.0", "2.0"]],
                              ids=["t", "pair"])
-    def test_conditions_sweep_takes_no_point(self, capsys, monkeypatch, point):
-        """``--sweep`` prints its CSV alone, so a point it would drop is
-        refused before anything is computed."""
+    def test_conditions_point_takes_one_n(self, capsys, monkeypatch, point):
+        """A point or pair is checked at one n, so an n list is refused
+        before anything is computed."""
         def computed(*args):
             raise AssertionError("computed before the refusal")
         for name in ("build_D", "check_condition_t", "check_condition_st"):
             monkeypatch.setattr(cli, name, computed)
-        assert run_cli(["conditions", "--n", "100", *point, "--sweep", "100,200"]) == 2
+        assert run_cli(["conditions", "--n", "100,200", *point]) == 2
         out, err = capsys.readouterr()
         assert out == "" and json.loads(err) == {
-            "error": "--sweep prints the bad-fraction CSV alone; it takes no --t or --pair",
-            "command": "conditions"}
+            "error": "--t and --pair take one n, got 2: [100, 200]", "command": "conditions"}
 
     @pytest.mark.parametrize("point", [["--t", "1.5"], ["--pair", "1.0", "2.0"]],
                              ids=["t", "pair"])
     def test_conditions_point_takes_no_epsilon(self, tmp_path, capsys, point):
-        """``--eps`` is the width of the region's and the sweep's intervals,
-        which a point or pair check does not build, as a flag or a key."""
+        """``--eps`` is the width of the bad-fraction CSV's intervals, which
+        a point or pair check does not build, as a flag or a key."""
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"eps": 1.0}))
         for args in (["--eps", "2"], ["--config", str(cfgfile)]):
             assert run_cli(["conditions", "--n", "100", *point, *args]) == 2
             out, err = capsys.readouterr()
             assert out == "" and json.loads(err) == {
-                "error": "--eps sets the region and --sweep intervals; it takes no --t or --pair",
+                "error": "--eps sets the bad-fraction intervals; it takes no --t or --pair",
                 "command": "conditions"}
 
     @pytest.mark.parametrize("eps", ["nan", "inf"])
@@ -432,8 +468,8 @@ class TestErrors:
     @pytest.mark.parametrize("command, flag, value", [
         ("sweep", "--n", "8,abc"), ("sweep", "--n", [8, "abc"]),
         ("sweep", "--dist", ["gaussian", 3]), ("sweep", "--n", "8,16.5"),
-        ("sweep", "--n", [8, 16.5]), ("conditions", "--sweep", "100,1e3"),
-        ("conditions", "--sweep", ["100"]), ("verify", "--only", "abc"),
+        ("sweep", "--n", [8, 16.5]), ("conditions", "--n", "100,1e3"),
+        ("conditions", "--n", ["100"]), ("verify", "--only", "abc"),
         ("verify", "--only", [8.0]),
     ])
     def test_list_flag_error_names_the_flag(self, tmp_path, capsys, command, flag, value):
@@ -529,7 +565,7 @@ class TestFlags:
             "kacrice-audit": [["--n", "4", "--trials", "2",
                                "--roots-csv", str(tmp_path / "roots.csv")]],
             "conditions": [["--n", "50", "--t", "1.5"], ["--n", "50", "--pair", "1.0", "2.0"],
-                           ["--n", "50"], ["--sweep", "50,100"]],
+                           ["--n", "50,100", "--eps", "2", "--tau", "0.1"]],
             "charfn": [["--n", "20", "--radii", "2", "--directions", "2"]],
             "smallball": [["--n", "20", "--trials", "50"]],
             "verify": [["--only", "7"]],
@@ -537,9 +573,14 @@ class TestFlags:
 
     @pytest.mark.parametrize("command", sorted(cli.build_parser().commands))
     def test_every_flag_is_read(self, tmp_path, monkeypatch, capsys, command):
-        """Across the command's modes, every flag but ``--out`` and
-        ``--config`` is read from the resolved configuration.  ``_meta``
-        reads every key for the hash, so it is stubbed; so is the suite."""
+        """Each mode's run reads every flag set on its command line, and each
+        such flag that enters the results (all but ``cli._VOLATILE_KEYS``)
+        changes the run's output when it is dropped: a value looked up and
+        then thrown away is not read.  Across the modes every flag but
+        ``--out`` and ``--config`` is read from the resolved configuration.
+        The output is stdout and the CSV files written.  ``_meta`` reads
+        every key for the hash, so it is stubbed; so is the suite, which
+        reports the criteria it was asked for."""
         read = set()
 
         class Reads(dict):
@@ -554,28 +595,49 @@ class TestFlags:
         class Report:
             all_passed = True
 
+            def __init__(self, only, **kwargs):
+                self.only = only
+
             def to_json(self):
-                return "{}"
+                return json.dumps({"only": sorted(self.only or ())})
 
         resolve = cli._resolve
         monkeypatch.setattr(cli, "_resolve", lambda args, argv: Reads(resolve(args, argv)))
         monkeypatch.setattr(cli, "_meta", lambda cfg: {"build": "b", "seed": None,
                                                        "config_hash": "h"})
-        monkeypatch.setattr(cli.acceptance, "run_all", lambda **kwargs: Report())
-        for args in self._modes(tmp_path)[command]:
+        monkeypatch.setattr(cli.acceptance, "run_all", Report)
+        actions = {a.option_strings[0]: a for a in cli.build_parser().commands[command]._actions
+                   if a.option_strings and a.dest not in ("help", "out", "config")}
+
+        def run(args):
+            """The run's stdout and the CSV files it wrote."""
+            read.clear()
+            for f in tmp_path.glob("*.csv"):
+                f.unlink()
             assert run_cli([command, *args]) == 0
-        flags = {a.dest for a in cli.build_parser().commands[command]._actions
-                 if a.option_strings and a.dest not in ("help", "out", "config")}
-        assert flags - read == set()
+            return [capsys.readouterr().out, *(f.read_text() for f in tmp_path.glob("*.csv"))]
+
+        read_by_any = set()
+        for args in self._modes(tmp_path)[command]:
+            out, read_here = run(args), set(read)
+            assert {actions[a].dest for a in args if a in actions} - read_here == set(), args
+            read_by_any |= read_here
+            for i, a in enumerate(args):
+                if a in actions and actions[a].dest not in cli._VOLATILE_KEYS:
+                    dropped = args[:i] + args[i + 1 + (actions[a].nargs or 1):]
+                    assert run(dropped) != out, (args, a)
+        assert {a.dest for a in actions.values()} - read_by_any == set()
 
     @pytest.mark.parametrize("command, flag", [
         ("cg", "threads"), ("cg", "seed"), ("conditions", "seed"), ("conditions", "threads"),
         ("kacrice-audit", "threads"), ("charfn", "threads"), ("smallball", "threads"),
+        ("conditions", "sweep"),
     ])
     def test_unread_flag_is_refused(self, tmp_path, capsys, command, flag):
         """``--seed`` is a flag of the commands that draw and ``--threads`` of
         those that run worker processes; elsewhere each is unknown, as a
-        flag and as a ``--config`` key."""
+        flag and as a ``--config`` key.  So is ``conditions --sweep``, whose
+        n list is ``--n``."""
         assert run_cli([command, f"--{flag}", "2"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and json.loads(err) == {
@@ -598,7 +660,7 @@ class TestFlags:
 class TestCsv:
     @pytest.mark.parametrize("args", [
         ["sweep", "--dist", "gaussian", "--n", "4", "--trials", "20"],
-        ["conditions", "--sweep", "50,100"],
+        ["conditions", "--n", "50,100"],
         ["charfn", "--n", "20", "--radii", "2", "--directions", "2"],
         ["smallball", "--n", "20", "--trials", "50"],
     ], ids=lambda args: args[0])
