@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from trigroots import ensemble
-from trigroots.diophantine import check_condition_t, check_condition_st
+from trigroots.diophantine import TAU, check_condition_t, check_condition_st
 from trigroots.ensemble import (DistributionSpec, check_finite, check_integer, check_positive,
                                 log_abs_charfn_scalar, xi_norm_sq)
 from trigroots.polyeval import coefficient_columns, covariance_V
@@ -108,7 +108,7 @@ class DecayReport:
     condition_ok: bool
 
 
-def decay_scan(n: int, t: float, dist: DistributionSpec, tau: float = 0.05,
+def decay_scan(n: int, t: float, dist: DistributionSpec, tau: float = TAU,
                c_star: float = 1.0, radii_count: int = 12,
                directions_per_radius: int = 32, seed: int = 0,
                s: float | None = None) -> DecayReport:

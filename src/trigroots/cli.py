@@ -6,9 +6,11 @@ Commands mirror the package layout: ``cg`` (slope quadrature), ``simulate``
 vs delta-integral agreement), ``conditions`` (the bad-fraction CSV over an
 n list, or the non-resonance report of one point or pair at one n),
 ``charfn`` (decay scan over the radius window), ``smallball``
-(ball-probability scan), ``verify`` (the acceptance suite; ``--only 6,7``
+(ball-probability scan), ``verify`` (the acceptance suite; ``--only 6 7``
 gives the Edgeworth corrector limits).  A command has ``--seed`` only if it
-draws and ``--threads`` only if it runs worker processes.  Every artifact
+draws and ``--threads`` only if it runs worker processes.  List flags take
+space-separated values; a ``--config`` file's values become the command's
+parser defaults, so argparse lets an explicit flag win.  Every artifact
 embeds the package version, the seed (null for ``cg`` and ``conditions``) and
 a hash of the resolved configuration; records are JSON, tables are CSV.  Bad input,
 including an unknown flag or a bad ``--config`` file or thread count, ends
@@ -33,6 +35,7 @@ from trigroots import acceptance, ensemble
 from trigroots.cganalytic import compute_cg
 from trigroots.charprobe import decay_scan, small_ball_mc
 from trigroots.diophantine import (
+    TAU,
     build_D,
     check_condition_st,
     check_condition_t,
@@ -96,7 +99,7 @@ def _add_common(p, seed=False, threads=False):
                        help="worker processes; the output is the same at any count")
     p.add_argument("--out", type=str, default=None, help="output file path")
     p.add_argument("--config", type=str, default=None,
-                   help="JSON file of defaults, overridden by flags")
+                   help="JSON object of flag values, overridden by flags")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -129,9 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "sweep", help="Monte Carlo table over laws and n (CSV)",
         epilog="CSV columns: " + ", ".join(TABLE_COLUMNS))
-    p.add_argument("--dist", type=str, default="gaussian,rademacher",
-                   help="comma-separated ensemble list")
-    p.add_argument("--n", type=str, default="64,128,256", help="comma-separated n list")
+    p.add_argument("--dist", type=str, nargs="+", default=["gaussian", "rademacher"],
+                   help="ensemble list")
+    p.add_argument("--n", type=int, nargs="+", default=[64, 128, 256], help="n list")
     p.add_argument("--trials", type=int, default=2000)
     _add_common(p, seed=True, threads=True)
 
@@ -150,9 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
         "conditions", help="bad-fraction CSV over n / one point or pair check",
         epilog="without --t and --pair, a CSV row per n; CSV columns: "
                + ", ".join(BAD_FRACTION_COLUMNS))
-    p.add_argument("--n", type=str, default="1000",
-                   help="comma-separated n list; --t and --pair take one n")
-    p.add_argument("--tau", type=float, default=0.05)
+    p.add_argument("--n", type=int, nargs="+", default=[1000],
+                   help="n list; --t and --pair take one n")
+    p.add_argument("--tau", type=float, default=TAU)
     p.add_argument("--eps", type=float, default=None,
                    help="interval width of the bad-fraction CSV (default 1.0)")
     p.add_argument("--pair", type=float, nargs=2, default=None,
@@ -168,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--s", type=float, default=None)
-    p.add_argument("--tau", type=float, default=0.05)
+    p.add_argument("--tau", type=float, default=TAU)
     p.add_argument("--cstar", type=float, default=1.0)
     p.add_argument("--radii", type=int, default=12)
     p.add_argument("--directions", type=int, default=32)
@@ -185,67 +188,49 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, seed=True)
 
     p = sub.add_parser("verify", help="run the acceptance suite")
-    p.add_argument("--only", type=str, default=None,
-                   help="comma-separated criterion ids")
+    p.add_argument("--only", type=int, nargs="+", default=None, help="criterion ids")
     _add_common(p, seed=True, threads=True)
-    # exact flags only, so that _resolve's argv scan sees every explicit one
+    # exact flags only: a prefix would change meaning when a flag is added
     for p in sub.choices.values():
         p.allow_abbrev = False
     ap.commands = sub.choices
     return ap
 
 
-#: the list flags, read by ``_list_flag`` with their item type
-_LIST_FLAGS = {("sweep", "dist"): str, ("sweep", "n"): int,
-               ("conditions", "n"): int, ("verify", "only"): int}
-
-
-def _config_value(command: str, action, value):
+def _config_value(action, value):
     """A ``--config`` value as its flag reads it: null where the default is,
-    anything for a list flag (``_list_flag`` checks it), else the JSON type of
-    its ``type`` (an int is a float; a bool fits no flag), ``nargs`` in a list."""
-    if value is None and action.default is None or (command, action.dest) in _LIST_FLAGS:
+    else the JSON type of its ``type`` (an int is a float; a bool fits no
+    flag), a multi-value flag's values in a JSON list of its length."""
+    if value is None and action.default is None:
         return value
-    kind = action.type
-    items = value if action.nargs and isinstance(value, list) else [value]
-    if len(items) != (action.nargs or 1) or not all(
-            type(x) in ((int, float) if kind is float else (kind,)) for x in items):
+    kind, many = action.type, action.nargs is not None
+    items = value if many else [value]
+    fits = isinstance(items, list) and (
+        len(items) == action.nargs if type(action.nargs) is int else len(items) > 0)
+    if not fits or not all(type(x) in ((int, float) if kind is float else (kind,))
+                           for x in items):
+        what = f"a JSON list of {kind.__name__}" if many else kind.__name__
         raise ValueError(f"--config value {json.dumps(value)} does not fit "
-                         f"{action.option_strings[0]}, which takes {kind.__name__}")
-    return [kind(x) for x in items] if action.nargs else kind(value)
+                         f"{action.option_strings[0]}, which takes {what}")
+    return [kind(x) for x in items] if many else kind(value)
 
 
-def _resolve(args, argv) -> dict:
-    """Merge precedence: parser defaults < config file < explicit flags; the
-    config file is a JSON object of the command's flags (``_config_value``)."""
-    cfg = {k: v for k, v in vars(args).items() if k != "config"}
-    if getattr(args, "config", None):
+def _resolve(parser, argv) -> dict:
+    """Parse ``argv``; a ``--config`` file, a JSON object of the command's
+    flags (``_config_value``), sets the command's parser defaults and the
+    line is parsed again, so argparse puts explicit flags over the file."""
+    args = parser.parse_args(argv)
+    if args.config:
         loaded = json.loads(Path(args.config).read_text())
         if not isinstance(loaded, dict):
             raise ValueError(f"--config must hold a JSON object, got a {type(loaded).__name__}")
-        if unknown := sorted(k for k in loaded if k not in cfg or k == "command"):
+        command = parser.commands[args.command]
+        actions = {a.dest: a for a in command._actions if a.dest not in ("help", "config")}
+        if unknown := sorted(k for k in loaded if k not in actions):
             raise ValueError(f"--config has unknown keys {unknown}: not flags of {args.command}")
-        actions = {a.dest: a for a in build_parser().commands[args.command]._actions}
-        for k, v in loaded.items():
-            v, flag = _config_value(args.command, actions[k], v), actions[k].option_strings[0]
-            if not any(a == flag or a.startswith(flag + "=") for a in argv):
-                cfg[k] = v
-    return cfg
-
-
-def _list_flag(cfg: dict, key: str) -> list:
-    """The items of a list flag, given as a comma string or, in ``--config``,
-    as a JSON list of its item type; a bad item is refused with the flag's name."""
-    value, item = cfg[key], _LIST_FLAGS[cfg["command"], key]
-    try:
-        items = value if isinstance(value, list) else [
-            item(x.strip()) for x in str(value).split(",")]
-        if all(type(x) is item for x in items):
-            return items
-    except ValueError:
-        pass
-    raise ValueError(f"--{key} takes a comma-separated list or a JSON list of "
-                     f"{item.__name__} items, got {value!r}")
+        command.set_defaults(**{k: _config_value(actions[k], v) for k, v in loaded.items()})
+        args = parser.parse_args(argv)
+    return {k: v for k, v in vars(args).items() if k != "config"}
 
 
 def _cmd_cg(cfg):
@@ -267,11 +252,10 @@ def _cmd_simulate(cfg):
 
 
 def _cmd_sweep(cfg):
-    n_list = _list_flag(cfg, "n")
     rows = []
-    for name in _list_flag(cfg, "dist"):
+    for name in cfg["dist"]:
         dist = parse_distribution(name)
-        recs = slope_series(dist, n_list, cfg["trials"], cfg["seed"],
+        recs = slope_series(dist, cfg["n"], cfg["trials"], cfg["seed"],
                             parallelism=cfg["threads"])
         rows.extend([r[c] for c in TABLE_COLUMNS] for r in slope_rows(recs))
     _emit_csv(rows, TABLE_COLUMNS, cfg.get("out"), cfg)
@@ -295,18 +279,18 @@ def _cmd_kacrice_audit(cfg):
                              for r, e in zip(rr.roots, rr.residuals))
     if cfg.get("roots_csv"):
         _emit_csv(root_rows, ROOT_COLUMNS, cfg["roots_csv"], cfg)
-    _emit_json({"meta": _meta(cfg), "trials": cfg["trials"], "agree": agree,
-                "flagged": flagged, "delta": cfg["delta"]}, cfg.get("out"))
+    _emit_json({"meta": _meta(cfg), "distribution": dist.label(), "n": cfg["n"],
+                "trials": cfg["trials"], "agree": agree, "flagged": flagged,
+                "delta": cfg["delta"]}, cfg.get("out"))
     return 0 if agree >= AGREEMENT_SHARE * cfg["trials"] else 1
 
 
 def _cmd_conditions(cfg):
-    n_list = _list_flag(cfg, "n")
     if cfg.get("t") is None and cfg.get("pair") is None:
         if cfg["eps"] is None:
             cfg["eps"] = 1.0
         rows = []
-        for n in n_list:
+        for n in cfg["n"]:
             D = build_D(n, cfg["eps"], cfg["tau"])
             rows.append((n, cfg["eps"], cfg["tau"], D.interval_count, D.bad_pairs,
                          D.bad_fraction))
@@ -314,9 +298,9 @@ def _cmd_conditions(cfg):
         return 0
     if cfg["eps"] is not None:
         raise ValueError("--eps sets the bad-fraction intervals; it takes no --t or --pair")
-    if len(n_list) != 1:
-        raise ValueError(f"--t and --pair take one n, got {len(n_list)}: {n_list}")
-    (n,) = n_list
+    if len(cfg["n"]) != 1:
+        raise ValueError(f"--t and --pair take one n, got {len(cfg['n'])}: {cfg['n']}")
+    (n,) = cfg["n"]
     payload = {"meta": _meta(cfg), "n": n, "tau": cfg["tau"]}
     if cfg.get("t") is not None:
         r = check_condition_t(n, cfg["t"], cfg["tau"])
@@ -358,7 +342,7 @@ def _cmd_smallball(cfg):
 
 
 def _cmd_verify(cfg):
-    only = set(_list_flag(cfg, "only")) if cfg.get("only") else None
+    only = set(cfg["only"]) if cfg.get("only") else None
     report = acceptance.run_all(seed=cfg["seed"], parallelism=cfg["threads"],
                                 only=only, progress=print)
     payload = json.loads(report.to_json())
@@ -380,14 +364,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     command = argv[0] if argv and argv[0] in parser.commands else None
     try:
-        args = parser.parse_args(argv)
-        cfg = _resolve(args, list(argv))
-        return _COMMANDS[args.command](cfg)
+        cfg = _resolve(parser, argv)
+        return _COMMANDS[cfg["command"]](cfg)
     except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(json.dumps({"error": str(exc) or type(exc).__name__,
                           "command": command}), file=sys.stderr)

@@ -23,6 +23,9 @@ import numpy as np
 
 from trigroots.ensemble import check_finite, check_integer, check_positive
 
+#: the default non-resonance exponent tau of the conditions, ``good_t``,
+#: ``build_D`` and ``charprobe.decay_scan``
+TAU = 0.05
 #: conservative interval inflation against rounding in the box images
 _FP_SLACK = 1e-12
 #: rows added to each side of a band's row window against rounding
@@ -53,7 +56,7 @@ def _nearest_int_distance(x) -> np.ndarray:
     return np.abs(x - np.round(x))
 
 
-def check_condition_t(n: int, t: float, tau: float = 0.05) -> ConditionReport:
+def check_condition_t(n: int, t: float, tau: float = TAU) -> ConditionReport:
     """Single-point non-resonance: no l with 1 <= |l| <= n^tau puts
     l t/(pi n) within n^{-1+8 tau} of an integer."""
     threshold, l_max = _params(n, tau, t)
@@ -78,7 +81,7 @@ def _canonical_pairs(l_max: int):
     return out
 
 
-def check_condition_st(n: int, s: float, t: float, tau: float = 0.05) -> ConditionReport:
+def check_condition_st(n: int, s: float, t: float, tau: float = TAU) -> ConditionReport:
     """Pair non-resonance over all (k, l) in the box, not both zero."""
     threshold, l_max = _params(n, tau, s, t)
     rs = s / (math.pi * n)
@@ -90,7 +93,7 @@ def check_condition_st(n: int, s: float, t: float, tau: float = 0.05) -> Conditi
     return ConditionReport(True, None, tau, threshold, l_max)
 
 
-def good_t(n: int, tau: float = 0.05, anchor: float = math.sqrt(2) - 1.0) -> float:
+def good_t(n: int, tau: float = TAU, anchor: float = math.sqrt(2) - 1.0) -> float:
     """A window point passing the single-point condition, near anchor*pi*n."""
     for shift in np.linspace(0.0, 0.1, 41).tolist():
         t = (anchor + shift) * math.pi * n
@@ -153,7 +156,7 @@ class DRegion:
         return not (j >= 0 and p <= his[j])
 
 
-def build_D(n: int, epsilon: float, tau: float = 0.05) -> DRegion:
+def build_D(n: int, epsilon: float, tau: float = TAU) -> DRegion:
     """Decide the pair condition uniformly over every interval pair.
 
     Intervals are I_k = [k eps, (k+1) eps] inside (-n pi, n pi); rows are

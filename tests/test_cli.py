@@ -60,8 +60,8 @@ class TestSimulate:
 class TestSweep:
     def test_rows_and_ordering(self, tmp_path):
         out = tmp_path / "sweep.csv"
-        code = run_cli(["sweep", "--dist", "gaussian,rademacher",
-                        "--n", "24,48", "--trials", "400",
+        code = run_cli(["sweep", "--dist", "gaussian", "rademacher",
+                        "--n", "24", "48", "--trials", "400",
                         "--out", str(out)])
         assert code == 0
         lines = [l for l in out.read_text().splitlines() if l and not l.startswith("#")]
@@ -76,7 +76,7 @@ class TestSweep:
 
     def test_config_file_merge(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"trials": 120, "dist": "gaussian"}))
+        cfgfile.write_text(json.dumps({"trials": 120, "dist": ["gaussian"]}))
         out = tmp_path / "s.csv"
         code = run_cli(["sweep", "--config", str(cfgfile), "--n", "16",
                         "--out", str(out)])
@@ -94,7 +94,7 @@ class TestSweep:
 
     def test_var_over_n2(self, tmp_path):
         out = tmp_path / "scale.csv"
-        assert run_cli(["sweep", "--dist", "rademacher", "--n", "16,32",
+        assert run_cli(["sweep", "--dist", "rademacher", "--n", "16", "32",
                         "--trials", "200", "--out", str(out)]) == 0
         rows = csv_rows(out)
         assert [int(r["n"]) for r in rows] == [16, 32]
@@ -130,7 +130,7 @@ class TestSweep:
         """Cells without a comma are written as before: str of each value,
         a float's shortest repr, no quotes."""
         out = tmp_path / "s.csv"
-        assert run_cli(["sweep", "--dist", "gaussian", "--n", "8,16", "--trials", "50",
+        assert run_cli(["sweep", "--dist", "gaussian", "--n", "8", "16", "--trials", "50",
                         "--seed", "4", "--out", str(out)]) == 0
         rows = slope_rows(slope_series(gaussian(), [8, 16], 50, 4))
         assert out.read_text().splitlines()[2:] == [
@@ -154,24 +154,26 @@ class TestConfig:
 
     @pytest.mark.parametrize("command, lists, flags", [
         ("sweep", {"dist": ["gaussian", "rademacher"], "n": [8, 16]},
-         ["--dist", "gaussian,rademacher", "--n", "8,16"]),
-        ("sweep", {"n": [8, 16]}, ["--n", "8,16"]),
-        ("conditions", {"n": [100, 200]}, ["--n", "100,200"]),
-        ("verify", {"only": [8, 11]}, ["--only", "8,11"]),
+         ["--dist", "gaussian", "rademacher", "--n", "8", "16"]),
+        ("sweep", {"n": [8, 16]}, ["--n", "8", "16"]),
+        ("conditions", {"n": [100, 200]}, ["--n", "100", "200"]),
+        ("verify", {"only": [8, 11]}, ["--only", "8", "11"]),
+        # a discrete law's label holds commas, and is one item of the list
+        ("sweep", {"dist": ["gaussian", "discrete:-2:0.125,0:0.75,2:0.125"], "n": [16]},
+         ["--dist", "gaussian", "discrete:-2:0.125,0:0.75,2:0.125", "--n", "16"]),
     ])
     def test_json_lists_read_as_comma_strings(self, tmp_path, command, lists, flags):
         """A list flag reads the same from a JSON list in ``--config`` as
-        from a comma string; the config hash alone tells them apart."""
+        from its space-separated values: the same bytes, config hash included."""
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps(lists))
         trials = ["--trials", "20"] if command == "sweep" else []
-        bodies = []
+        outputs = []
         for args in (["--config", str(cfgfile)], flags):
             out = tmp_path / "out.txt"
             assert run_cli([command, *args, *trials, "--out", str(out)]) == 0
-            bodies.append([line for line in out.read_text().splitlines()
-                           if "config_hash" not in line])
-        assert bodies[0] == bodies[1] and len(bodies[0]) >= 3  # a header and two rows
+            outputs.append(out.read_text())
+        assert outputs[0] == outputs[1] and outputs[0].count("\n") >= 3  # a header and two rows
 
     def test_config_values_read_as_their_flags(self, tmp_path):
         """An int for a float flag and a JSON list for a two-value flag are
@@ -190,9 +192,9 @@ class TestConfig:
             assert outputs[0] == outputs[1] and key in outputs[0]
 
     def test_abbreviated_flag_is_refused(self, tmp_path, capsys):
-        """A prefix of a flag would win over the file in argparse but not in
-        the merge, so flags must be given in full; the refusal is the one
-        JSON error line of any bad input."""
+        """Flags are matched in full, since a prefix would change meaning
+        when a flag is added; the refusal is the one JSON error line of any
+        bad input."""
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"trials": 7}))
         assert run_cli(["simulate", "--config", str(cfgfile), "--n", "4", "--tri", "5"]) == 2
@@ -218,7 +220,7 @@ class TestConditions:
     def test_region_summary(self, tmp_path):
         """Without --t and --pair, one CSV row a region, ``build_D``'s counts."""
         out = tmp_path / "region.csv"
-        assert run_cli(["conditions", "--n", "100,200", "--eps", "1.0",
+        assert run_cli(["conditions", "--n", "100", "200", "--eps", "1.0",
                         "--out", str(out)]) == 0
         rows = csv_rows(out)
         assert [int(r["n"]) for r in rows] == [100, 200]
@@ -249,6 +251,18 @@ class TestOtherCommands:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["agree"] >= 19
+
+    def test_kacrice_audit_names_its_law_and_degree(self, capsys):
+        """The audit's record names its law and n, as ``simulate``'s does: two
+        audits of other laws and degrees differ in these fields alone."""
+        records = []
+        for args in (["--n", "4"], ["--n", "64", "--dist", "rademacher"]):
+            assert run_cli(["kacrice-audit", *args, "--trials", "2"]) == 0
+            records.append(json.loads(capsys.readouterr().out))
+            del records[-1]["meta"]
+        assert {k for k in records[0] if records[0][k] != records[1][k]} == {"distribution", "n"}
+        assert [(r["distribution"], r["n"]) for r in records] == [("gaussian", 4),
+                                                                 ("rademacher", 64)]
 
     def test_kacrice_audit_roots_csv_is_the_count(self, tmp_path):
         # the CSV comes from the roots count_kacrice refined, which are
@@ -304,7 +318,10 @@ class TestErrors:
         ([], None, "the following arguments are required: command"),
         # the series switch is a module constant, not an option
         (["cg", "--t0", "0.1"], "cg", "unrecognized arguments: --t0 0.1"),
-    ], ids=["bad-int", "unknown-command", "no-command", "cg-t0"])
+        # list values are space-separated; a comma string is one bad item
+        (["sweep", "--n", "64,128,256"], "sweep",
+         "argument --n: invalid int value: '64,128,256'"),
+    ], ids=["bad-int", "unknown-command", "no-command", "cg-t0", "comma-list"])
     def test_usage_error_is_a_json_line(self, capsys, argv, command, message):
         assert run_cli(argv) == 2
         assert self._error(capsys, command).startswith(message)
@@ -408,7 +425,7 @@ class TestErrors:
             raise AssertionError("computed before the refusal")
         for name in ("build_D", "check_condition_t", "check_condition_st"):
             monkeypatch.setattr(cli, name, computed)
-        assert run_cli(["conditions", "--n", "100,200", *point]) == 2
+        assert run_cli(["conditions", "--n", "100", "200", *point]) == 2
         out, err = capsys.readouterr()
         assert out == "" and json.loads(err) == {
             "error": "--t and --pair take one n, got 2: [100, 200]", "command": "conditions"}
@@ -447,7 +464,7 @@ class TestErrors:
     @pytest.mark.parametrize("command", ["sweep"])
     def test_n_list_must_increase(self, tmp_path, capsys, command):
         out = tmp_path / "table.csv"
-        assert run_cli([command, "--n", "128,32", "--trials", "10",
+        assert run_cli([command, "--n", "128", "32", "--trials", "10",
                         "--out", str(out)]) == 2
         assert "strictly increasing" in self._error(capsys, command)
         assert not out.exists()
@@ -460,7 +477,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("only", ["99", "7,0,14"])
     def test_verify_unknown_criterion(self, capsys, only):
-        assert run_cli(["verify", "--only", only]) == 2
+        assert run_cli(["verify", "--only", *only.split(",")]) == 2
         unknown = sorted(int(x) for x in only.split(",") if x != "7")
         assert (f"unknown criterion ids {unknown}: criteria are 1-13"
                 in self._error(capsys, "verify"))
@@ -473,16 +490,19 @@ class TestErrors:
         ("verify", "--only", [8.0]),
     ])
     def test_list_flag_error_names_the_flag(self, tmp_path, capsys, command, flag, value):
-        """A bad item of a list flag, comma string or JSON list in
-        ``--config``, is refused with the flag's name."""
+        """A bad item of a list flag, given as flag values (the comma-joined
+        parameter split) or as a JSON list in ``--config``, is refused with
+        the flag's name."""
         if isinstance(value, list):
             cfgfile = tmp_path / "cfg.json"
             cfgfile.write_text(json.dumps({flag[2:]: value}))
-            args = ["--config", str(cfgfile)]
+            assert run_cli([command, "--config", str(cfgfile)]) == 2
+            assert self._error(capsys, command).startswith(
+                f"--config value {json.dumps(value)} does not fit {flag}, "
+                "which takes a JSON list of")
         else:
-            args = [flag, value]
-        assert run_cli([command, *args]) == 2
-        assert self._error(capsys, command).startswith(f"{flag} takes a comma-separated list")
+            assert run_cli([command, flag, *value.split(",")]) == 2
+            assert self._error(capsys, command).startswith(f"argument {flag}: invalid")
 
     @pytest.mark.parametrize("message", ["Unable to allocate 4.57 TiB for an array", ""])
     def test_memory_error(self, capsys, monkeypatch, message):
@@ -521,11 +541,14 @@ class TestErrors:
         ("simulate", {"trials": True}, "--trials"), ("simulate", {"n": 2.5}, "--n"),
         ("simulate", {"dist": 1}, "--dist"), ("conditions", {"tau": "0.05"}, "--tau"),
         ("conditions", {"pair": [500.0]}, "--pair"),
+        ("sweep", {"dist": "gaussian,rademacher"}, "--dist"),
+        ("sweep", {"n": []}, "--n"),
     ], ids=["trials-str", "seed-bool", "trials-bool", "n-float", "dist-int", "tau-str",
-            "pair-length"])
+            "pair-length", "list-comma-string", "list-empty"])
     def test_config_value_of_the_wrong_type(self, tmp_path, capsys, command, value, flag):
         """A ``--config`` value has the JSON type its flag's ``type`` reads;
-        a bool is no number."""
+        a bool is no number, and a multi-value flag takes a JSON list of as
+        many values as its flag does, at least one."""
         bad = tmp_path / "typed.json"
         bad.write_text(json.dumps(value))
         assert run_cli([command, "--config", str(bad), "--trials", "2"]
@@ -565,7 +588,7 @@ class TestFlags:
             "kacrice-audit": [["--n", "4", "--trials", "2",
                                "--roots-csv", str(tmp_path / "roots.csv")]],
             "conditions": [["--n", "50", "--t", "1.5"], ["--n", "50", "--pair", "1.0", "2.0"],
-                           ["--n", "50,100", "--eps", "2", "--tau", "0.1"]],
+                           ["--n", "50", "100", "--eps", "2", "--tau", "0.1"]],
             "charfn": [["--n", "20", "--radii", "2", "--directions", "2"]],
             "smallball": [["--n", "20", "--trials", "50"]],
             "verify": [["--only", "7"]],
@@ -602,7 +625,7 @@ class TestFlags:
                 return json.dumps({"only": sorted(self.only or ())})
 
         resolve = cli._resolve
-        monkeypatch.setattr(cli, "_resolve", lambda args, argv: Reads(resolve(args, argv)))
+        monkeypatch.setattr(cli, "_resolve", lambda parser, argv: Reads(resolve(parser, argv)))
         monkeypatch.setattr(cli, "_meta", lambda cfg: {"build": "b", "seed": None,
                                                        "config_hash": "h"})
         monkeypatch.setattr(cli.acceptance, "run_all", Report)
@@ -624,7 +647,10 @@ class TestFlags:
             read_by_any |= read_here
             for i, a in enumerate(args):
                 if a in actions and actions[a].dest not in cli._VOLATILE_KEYS:
-                    dropped = args[:i] + args[i + 1 + (actions[a].nargs or 1):]
+                    # the flag and its values, up to the next flag
+                    end = next((j for j in range(i + 1, len(args)) if args[j] in actions),
+                               len(args))
+                    dropped = args[:i] + args[end:]
                     assert run(dropped) != out, (args, a)
         assert {a.dest for a in actions.values()} - read_by_any == set()
 
@@ -660,7 +686,7 @@ class TestFlags:
 class TestCsv:
     @pytest.mark.parametrize("args", [
         ["sweep", "--dist", "gaussian", "--n", "4", "--trials", "20"],
-        ["conditions", "--n", "50,100"],
+        ["conditions", "--n", "50", "100"],
         ["charfn", "--n", "20", "--radii", "2", "--directions", "2"],
         ["smallball", "--n", "20", "--trials", "50"],
     ], ids=lambda args: args[0])
@@ -689,7 +715,7 @@ class TestVerify:
     def test_subset_deterministic_reruns(self, tmp_path):
         out1 = tmp_path / "r1.json"
         out2 = tmp_path / "r2.json"
-        args = ["verify", "--only", "7,11", "--seed", "99"]
+        args = ["verify", "--only", "7", "11", "--seed", "99"]
         assert run_cli(args + ["--out", str(out1)]) == 0
         assert run_cli(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()

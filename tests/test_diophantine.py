@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 
@@ -5,14 +6,27 @@ import numpy as np
 import pytest
 
 from oracles import build_D_sweep
-from trigroots import diophantine
+from trigroots import cli, diophantine
+from trigroots.charprobe import decay_scan
 from trigroots.diophantine import (
+    TAU,
     build_D,
     check_condition_st,
     check_condition_t,
     good_pair,
     good_t,
 )
+
+
+def test_one_default_tau():
+    """Every default non-resonance exponent, of the library and of the
+    ``conditions`` and ``charfn`` flags, is ``TAU`` itself."""
+    for f in (check_condition_t, check_condition_st, good_t, build_D, decay_scan):
+        assert inspect.signature(f).parameters["tau"].default is TAU
+    for command in ("conditions", "charfn"):
+        (tau,) = [a for a in cli.build_parser().commands[command]._actions if a.dest == "tau"]
+        assert tau.default is TAU
+    assert TAU == 0.05
 
 
 def _brute_force_point(n, t, tau):
