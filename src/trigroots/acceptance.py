@@ -356,6 +356,8 @@ class AcceptanceReport:
 
 def run_all(seed: int = 2026, parallelism: int = 1, only=None,
             progress=None) -> AcceptanceReport:
+    seed = ensemble.check_integer("seed", seed, 0)
+    parallelism = ensemble.check_integer("parallelism", parallelism, 1)
     ids = [int(fn.__name__.split("_")[1]) for fn in ALL_CRITERIA]
     unknown = sorted(set(only or ()) - set(ids))
     if unknown:

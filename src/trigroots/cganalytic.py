@@ -17,21 +17,26 @@ Everything in f cancels violently at 0: 1 - g^2 vanishes to second order,
 the R* numerator and denominator both to fourth (the denominator is
 t^4/135 + ...), so below ``_T0`` every ingredient comes from its Taylor
 series, derived exactly from g's at import and rounded once to double.
-Series and closed forms agree to ~1e-12 at the switch.  f(0+) = -1 and f
-decays like (1 - 4 cos 2t)/t^2, which the tail handler exploits: panels of
-length pi up to ``tail_start``, then an envelope fit A + B cos 2t +
-C sin 2t of t^2 f(t) integrated in closed form (plus integration-by-parts
-boundary terms for the oscillatory part), leaving an O(T^-2) residual.
+Series and closed forms agree to ~1e-12 at the switch.  f(0+) = -1, and
+for large t f has an exact expansion in u = 1/t whose coefficients are
+trigonometric polynomials,
+
+    f = (1 - 4 cos 2t) u^2 + 12 sin 2t u^3
+        + (3/4 + 33/2 cos 2t + 3/4 cos 4t) u^4
+        + (79/4 + 30 cos 2t + 93/20 cos 4t - 2/5 cos 6t) u^6 + ...,
+
+with no u^5 term (``_TAIL_SERIES`` holds it through u^10).  ``compute_cg``
+integrates panels of length pi up to ``tail_start`` and the series past it
+in closed form: a mean term u^m gives T^(1-m)/(m-1), an e^(iwt) u^m term
+its integration-by-parts series.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from trigroots.ensemble import SQRT3, check_finite, check_positive
 
@@ -39,16 +44,29 @@ from trigroots.ensemble import SQRT3, check_finite, check_positive
 def _sinc_series():
     """Taylor coefficients in t^2 of (1 - g^2) / t^2 (10 terms) and, over t^4
     (9 terms each), of 1 - g^2 - 3 g'^2, the R* numerator and the R*
-    denominator: exact rationals from g to t^22, rounded once to double."""
-    g = np.zeros(23, dtype=object)
-    g[::2] = [Fraction((-1) ** k, math.factorial(2 * k + 1)) for k in range(12)]
-    gp = P.polyder(g)
-    gp2 = P.polymul(gp, gp)
-    omg2 = P.polysub([1], P.polymul(g, g))
-    num = P.polyadd(P.polymul(P.polyder(gp), omg2), P.polymul(g, gp2))
-    den = P.polysub(omg2 / 3, gp2)
-    return tuple([float(c) for c in series]
-                 for series in (omg2[2:21:2], 3 * den[4:21:2], num[4:21:2], den[4:21:2]))
+    denominator: exact from g to t^22 in integers over D = 23!, and rounded
+    once to double by Python's correctly rounded int / int."""
+    D = math.factorial(23)
+    g = [0] * 23
+    g[::2] = [(-1) ** k * D // math.factorial(2 * k + 1) for k in range(12)]
+
+    def der(p):
+        return [i * c for i, c in enumerate(p)][1:]
+
+    def mul(p, q):  # the t^0 ... t^20 coefficients of p q
+        out = [0] * 21
+        for i, a in enumerate(p[:21]):
+            for j, b in enumerate(q[:21 - i]):
+                out[i + j] += a * b
+        return out
+
+    gp = der(g)
+    gp2 = mul(gp, gp)
+    omg2 = [(i == 0) * D * D - c for i, c in enumerate(mul(g, g))]  # over D^2
+    pnum = [a - 3 * b for a, b in zip(omg2, gp2)]  # 3 x the R* denominator, over D^2
+    num = [a + b for a, b in zip(mul(der(gp), omg2), mul(g, gp2))]  # over D^3
+    return ([c / D**2 for c in omg2[2:21:2]], [c / D**2 for c in pnum[4:21:2]],
+            [c / D**3 for c in num[4:21:2]], [c / (3 * D**2) for c in pnum[4:21:2]])
 
 
 ONE_MINUS_G2_SERIES, PREFACTOR_NUM_SERIES, RSTAR_NUM_SERIES, RSTAR_DEN_SERIES = _sinc_series()
@@ -72,8 +90,24 @@ _WG = np.array([
     0.129484966168870])
 _IG = [1, 3, 5, 7, 9, 11, 13]
 
-#: the tail residual after the envelope fit is O(T^-_TAIL_ORDER)
-_TAIL_ORDER = 2
+#: f's series in u = 1/t, u^2 ... u^10: row m - 2 holds the a_j of its terms
+#: a_j cos(2jt) u^m (m even) or a_j sin(2jt) u^m (m odd), j = 0, 1, ...; exact
+#: rationals, each rounded once by int / int (the tests' oracle re-derives them)
+_TAIL_SERIES = (
+    (1, -4),
+    (0, 12),
+    (3 / 4, 33 / 2, 3 / 4),
+    (),
+    (79 / 4, 30, 93 / 20, -2 / 5),
+    (0, 0, -27 / 10, 9 / 5),
+    (5617 / 64, 8713 / 80, 215 / 16, 653 / 112, 121 / 2240),
+    (0, 429 / 20, 39 / 5, -1773 / 140, 33 / 140),
+    (26661 / 64, 9867 / 20, 37497 / 560, -7419 / 1120, 3981 / 2240, -9 / 224),
+)
+_TAIL_M, _TAIL_W, _TAIL_A = (np.array(v) for v in zip(*[
+    (m, 2 * j, a) for m, row in enumerate(_TAIL_SERIES, 2) for j, a in enumerate(row) if a]))
+#: terms of each e^(iwt) u^m term's integration-by-parts series
+_PARTS_TERMS = 20
 #: series below, closed forms above; cg moves by at most 2.1e-12 for switches in [0.02, 0.3]
 _T0 = 0.05
 #: refinement rounds before ``compute_cg`` gives up with ``CgConvergenceError``
@@ -94,7 +128,6 @@ class CgResult:
     tail: float
     panels: int
     evaluations: int
-    envelope: tuple[float, float, float]
 
 
 def _poly_even(coeffs, t2):
@@ -153,27 +186,61 @@ def _panel_rule(a: np.ndarray, b: np.ndarray):
     return k15, np.abs(k15 - g7)
 
 
-def compute_cg(abs_tol: float = 1e-8, tail_start: float = 1e4) -> CgResult:
-    """Adaptive Gauss-Kronrod on pi-panels to ``tail_start`` plus the envelope
-    tail estimate, refined until the error estimate is below ``abs_tol``."""
+def _tail_series(t: np.ndarray) -> np.ndarray:
+    """f's u-series through u^10 at each t."""
+    phase = np.multiply.outer(t, _TAIL_W)
+    trig = np.where(_TAIL_M % 2 == 1, np.sin(phase), np.cos(phase))
+    return (_TAIL_A * trig * np.power.outer(t, -_TAIL_M)).sum(axis=-1)
+
+
+def _tail(T: float):
+    """(the u-series integrated over [T, inf), an error estimate: a bound on
+    what the integration-by-parts series leave out plus the series' own
+    remainder, measured at the Kronrod nodes on [T, T + pi])."""
+    mean = _TAIL_W == 0
+    m, a = _TAIL_M[mean], _TAIL_A[mean]
+    total = float((a * T ** (1 - m) / (m - 1)).sum())
+    m, w, a = _TAIL_M[~mean], _TAIL_W[~mean], _TAIL_A[~mean]
+    # int_T^inf e^(iwt) t^-m dt = (i/w) e^(iwT) T^-m sum_k (m)_k (-i / wT)^k
+    k = np.arange(_PARTS_TERMS + 1)
+    ratios = (m[:, None] + k - 1) * (-1j / (w[:, None] * T))
+    ratios[:, 0] = 1.0
+    terms = np.cumprod(ratios, axis=1)
+    z = 1j / w * np.exp(1j * w * T) * T ** -m * terms[:, :-1].sum(axis=1)
+    total += float((a * np.where(m % 2 == 1, z.imag, z.real)).sum())
+    # the k = _PARTS_TERMS remainder is (m)_K / (iw)^K int_T^inf e^(iwt) t^(-m-K) dt
+    left = np.abs(a * terms[:, -1]) * T ** (1 - m) / (m + _PARTS_TERMS - 1)
+    # the series' own remainder is O(t^-11): carried on from [T, T + pi] as (T/t)^11
+    tt = T + 0.5 * math.pi * (1.0 + _XK)
+    gap = np.abs(cg_integrand(tt) - _tail_series(tt)) * (tt / T) ** 11
+    return total, float(left.sum()) + float(gap.max()) * T / 10.0
+
+
+def compute_cg(abs_tol: float = 1e-8, tail_start: float = 16 * math.pi) -> CgResult:
+    """Adaptive Gauss-Kronrod on pi-panels to ``tail_start`` plus the u-series
+    tail in closed form.  The panels are refined until their error estimate
+    is below ``abs_tol`` / 2; ``CgConvergenceError`` (with the value as its
+    ``partial``) if they are not after ``_MAX_REFINEMENTS`` rounds, or if the
+    estimate with the tail's truncation error is above ``abs_tol``."""
     T = check_finite("tail_start", tail_start)
     if T <= 1.0:
         raise ValueError(f"tail_start must be > 1, got {T}")
     tol = check_positive("abs_tol", abs_tol)
+    scale = 4.0 / (3.0 * math.pi)
+    tail, tail_err = _tail(T)
     edges = np.arange(0.0, T, math.pi)
     edges = np.append(edges, T)
     a = edges[:-1].copy()
     b = edges[1:].copy()
     vals, errs = _panel_rule(a, b)
-    neval = 15 * a.size
+    neval = _XK.size + 15 * a.size  # the tail's nodes and the panels'
 
     refinements = 0
     while errs.sum() > 0.5 * tol:
         if refinements >= _MAX_REFINEMENTS:
-            partial = 4.0 / (3.0 * math.pi) * vals.sum() + 2.0 / SQRT3
             raise CgConvergenceError(
                 f"error estimate {errs.sum():.2e} above {tol:.1e} after "
-                f"{refinements} refinements", partial)
+                f"{refinements} refinements", scale * (vals.sum() + tail) + 2.0 / SQRT3)
         worst = np.argsort(errs)[-8:]
         worst = worst[errs[worst] > 0.25 * tol / errs.size]
         if worst.size == 0:
@@ -192,25 +259,11 @@ def compute_cg(abs_tol: float = 1e-8, tail_start: float = 1e4) -> CgResult:
         refinements += 1
 
     integral = float(vals.sum())
-    quad_err = float(errs.sum())
-
-    # Envelope fit of t^2 f(t) on [T/2, T]: the non-oscillatory A/t^2 part
-    # dominates the tail; B, C enter only through O(T^-2) boundary terms.
-    tfit = np.linspace(0.5 * T, T, 4096)
-    ffit = cg_integrand(tfit)
-    design = np.column_stack([np.ones_like(tfit), np.cos(2 * tfit), np.sin(2 * tfit)])
-    target = tfit**2 * ffit
-    coef, *_ = np.linalg.lstsq(design, target, rcond=None)
-    A, B, C = (float(c) for c in coef)
-    resid = float(np.sqrt(np.mean((design @ coef - target) ** 2)))
-    tail = (A / T
-            + B * (-math.sin(2 * T) / (2 * T * T))
-            + C * (math.cos(2 * T) / (2 * T * T)))
-    tail_err = (abs(A) + abs(B) + abs(C) + resid) / T**_TAIL_ORDER
-
-    value = 4.0 / (3.0 * math.pi) * (integral + tail) + 2.0 / SQRT3
-    err = 4.0 / (3.0 * math.pi) * (quad_err + tail_err)
+    value = scale * (integral + tail) + 2.0 / SQRT3
+    err = scale * (float(errs.sum()) + tail_err)
+    if err > tol:
+        raise CgConvergenceError(
+            f"error estimate {err:.2e} above {tol:.1e}, {scale * tail_err:.1e} of it "
+            f"from the u-series tail past tail_start {T:g}", value)
     return CgResult(value=value, error_estimate=err, integral=integral,
-                    tail=tail, panels=a.size, evaluations=neval,
-                    envelope=(A, B, C))
-
+                    tail=tail, panels=a.size, evaluations=neval)

@@ -23,6 +23,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import sys
@@ -119,8 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cg", help="slope constant by adaptive quadrature")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--tmax", type=float, default=1e4)
+    cg_defaults = inspect.signature(compute_cg).parameters
+    p.add_argument("--tol", type=float, default=cg_defaults["abs_tol"].default)
+    p.add_argument("--tmax", type=float, default=cg_defaults["tail_start"].default)
     _add_common(p)
 
     p = sub.add_parser("simulate", help="one Monte Carlo experiment")
@@ -238,8 +240,7 @@ def _cmd_cg(cfg):
     _emit_json({"meta": _meta(cfg), "value": res.value,
                 "error_estimate": res.error_estimate,
                 "panels": res.panels, "evaluations": res.evaluations,
-                "integral": res.integral, "tail": res.tail,
-                "envelope": list(res.envelope)}, cfg.get("out"))
+                "integral": res.integral, "tail": res.tail}, cfg.get("out"))
     return 0
 
 

@@ -9,13 +9,15 @@ for the batched decay scan, a SeedSequence per trial for the chunk-keyed coeffic
 draw, numpy's integer sampler for the Rademacher signs and the walk
 built on it in 20,000-walk chunks, and the full 2^m-term moment expansion
 for the pure-moment c_n, the full-row band sweep with a lexsort and
-a segmented merge for the good-pair region, and 1-D quadratures for the
-closed-form Gaussian kernel factors.  ``edgeworth_q2`` assembles
+a segmented merge for the good-pair region, 1-D quadratures for the
+closed-form Gaussian kernel factors, and exact series arithmetic on
+Fractions for the cg integrand's large-t series.  ``edgeworth_q2`` assembles
 the paper's Edgeworth factor from the program's c_n values.
 """
 
 import math
 from itertools import product
+from fractions import Fraction
 from math import fsum
 from typing import NamedTuple
 
@@ -408,3 +410,90 @@ def _merge_sorted_ranges(rows, los, his):
     # within a merged segment the union is contiguous, so hi = max over it
     out_hi = np.maximum.reduceat(his, np.nonzero(starts)[0])
     return out_rows, out_lo, out_hi
+
+
+def _trig_mul(p, q):
+    """Product of two trigonometric polynomials held as {("c" | "s", k): Fraction}
+    for the terms c cos(kt) and c sin(kt), k >= 0."""
+    out = {}
+    for (kind_a, a), x in p.items():
+        for (kind_b, b), y in q.items():
+            w = x * y / 2
+            if kind_a == kind_b:  # cos cos and sin sin
+                terms = [("c", a - b, w), ("c", a + b, w if kind_a == "c" else -w)]
+            else:  # sin s cos c = (sin(s + c) + sin(s - c)) / 2
+                s, c = (a, b) if kind_a == "s" else (b, a)
+                terms = [("s", s + c, w), ("s", s - c, w)]
+            for kind, k, v in terms:
+                if k < 0:
+                    k, v = -k, (-v if kind == "s" else v)
+                if kind == "c" or k:
+                    out[kind, k] = out.get((kind, k), 0) + v
+    return {key: v for key, v in out.items() if v}
+
+
+def cg_tail_series(order: int) -> list:
+    """f's large-t series in u = 1/t through u^order, derived exactly from
+    g = sin(t) u by truncated power series in u whose coefficients are
+    trigonometric polynomials with Fraction coefficients.  Row m holds the
+    a_j of the terms a_j cos(2jt) u^m (m even) or a_j sin(2jt) u^m (m odd)."""
+
+    def mul(p, q):
+        out = [{} for _ in range(order + 1)]
+        for i, a in enumerate(p):
+            for j, b in enumerate(q[:order + 1 - i]):
+                if a and b:
+                    out[i + j] = add(out[i + j], _trig_mul(a, b))
+        return out
+
+    def add(p, q, scale=1):
+        out = dict(p)
+        for key, v in q.items():
+            out[key] = out.get(key, 0) + scale * v
+        return {key: v for key, v in out.items() if v}
+
+    def series(*terms):  # (power of u, kind, frequency, coefficient)
+        out = [{} for _ in range(order + 1)]
+        for m, kind, k, c in terms:
+            out[m] = add(out[m], {(kind, k): Fraction(c)})
+        return out
+
+    def lin(*pairs):  # sum of scale * series
+        out = series()
+        for scale, p in pairs:
+            out = [add(x, y, scale) for x, y in zip(out, p)]
+        return out
+
+    def power_series(coeffs, x):  # sum_k coeffs[k] x^k, x = O(u)
+        out, xk = series(), series((0, "c", 0, 1))
+        for c in coeffs:
+            out, xk = lin((1, out), (c, xk)), mul(xk, x)
+        return out
+
+    one = series((0, "c", 0, 1))
+    g = series((1, "s", 1, 1))
+    gp = series((1, "c", 1, 1), (2, "s", 1, -1))
+    gpp = series((1, "s", 1, -1), (2, "c", 1, -2), (3, "s", 1, 2))
+    g2, gp2 = mul(g, g), mul(gp, gp)
+    omg2 = lin((1, one), (-1, g2))
+    terms = order // 2 + 1
+    # 1/den = 3/(1 - x) with x = 1 - 3 den = O(u^2)
+    inv_den = power_series([3] * terms, lin((1, one), (-1, omg2), (3, gp2)))
+    rstar = mul(lin((1, mul(gpp, omg2)), (1, mul(g, gp2))), inv_den)
+    # (1 - x)^(-3/2) = sum_k (3/2)_k / k! x^k, with x = g^2
+    binom = [Fraction(1)]
+    for k in range(1, terms):
+        binom.append(binom[-1] * (Fraction(3, 2) + k - 1) / k)
+    # sqrt(1 - R^2) + R arcsin R = 1 + sum_k binom(2k, k) / 4^k R^(2k+2) / ((2k+1)(2k+2))
+    bracket = power_series(
+        [1] + [Fraction(math.comb(2 * k, k), 4**k * (2 * k + 1) * (2 * k + 2))
+               for k in range(terms)], mul(rstar, rstar))
+    f = lin((1, mul(mul(lin((1, omg2), (-3, gp2)), power_series(binom, g2)), bracket)),
+            (-1, one))
+    rows = []
+    for m, coeffs in enumerate(f):
+        kind = "s" if m % 2 else "c"
+        assert all(key[0] == kind and key[1] % 2 == 0 for key in coeffs)
+        top = max((k for _, k in coeffs), default=-2) // 2
+        rows.append(tuple(coeffs.get((kind, 2 * j), Fraction(0)) for j in range(top + 1)))
+    return rows

@@ -17,7 +17,7 @@ SEED = 2026
 
 #: sha256 of ``report.to_json()`` at SEED, the same with one BLAS thread and
 #: with the default count: a changed number anywhere in the report moves it
-REPORT_SHA256 = "f410c0f764f812542e9412e55b841efc6c1bdf0627b73e84461ae7598aad0e0d"
+REPORT_SHA256 = "5e20cb301da60ee6ff5440b748b6098e49be92d2dec4e083c6c7a052d36fb255"
 
 
 @pytest.fixture(scope="session")
@@ -97,6 +97,18 @@ def test_report_serialization_is_deterministic(report):
     b = report.to_json()
     assert a == b
     assert "runtime" not in json.loads(a)["criteria"][0]
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"parallelism": -5, "only": [1]}, "parallelism must be >= 1, got -5"),
+    ({"parallelism": 0, "only": [1, 2]}, "parallelism must be >= 1, got 0"),
+    ({"seed": -1, "only": [1]}, "seed must be >= 0, got -1"),
+], ids=["no-worker-criterion", "before-criterion-1", "seed"])
+def test_run_all_refuses_bad_input_before_any_criterion(kwargs, message):
+    lines = []
+    with pytest.raises(ValueError, match=message):
+        acceptance.run_all(progress=lines.append, **kwargs)
+    assert lines == []
 
 
 def test_report_bytes_are_pinned(report):

@@ -5,8 +5,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from oracles import cg_tail_series
 from trigroots import cganalytic
 from trigroots.cganalytic import (
+    _TAIL_SERIES,
     ONE_MINUS_G2_SERIES,
     PREFACTOR_NUM_SERIES,
     RSTAR_DEN_SERIES,
@@ -14,6 +16,9 @@ from trigroots.cganalytic import (
     CgConvergenceError,
     _g_arrays,
     _kernel_parts,
+    _panel_rule,
+    _tail,
+    _tail_series,
     cg_integrand,
     compute_cg,
 )
@@ -197,6 +202,71 @@ class TestComputeCg:
 
 
 
+def _mp_series(rows, t, lowest=2):
+    """sum_m rows[m - lowest](t) t^-m in mpmath, cos for even m, sin for odd."""
+    t = mp.mpf(t)
+    return mp.fsum((mp.cos if m % 2 == 0 else mp.sin)(2 * j * t)
+                   * mp.fdiv(*a.as_integer_ratio()) / t**m
+                   for m, row in enumerate(rows, lowest) for j, a in enumerate(row)
+                   if a)
+
+
+class TestTailSeries:
+    ORACLE = cg_tail_series(12)
+
+    def test_table_is_the_exact_series(self):
+        """Each entry is the double nearest the oracle's exact rational; the
+        oracle's rows below u^2 are empty, and so is u^5."""
+        assert self.ORACLE[0] == self.ORACLE[1] == self.ORACLE[5] == ()
+        assert [tuple(map(float, row)) for row in self.ORACLE[2:11]] == \
+            [tuple(map(float, row)) for row in _TAIL_SERIES]
+
+    @pytest.mark.parametrize("t", [25, 50, 100, 200])
+    def test_gap_to_the_integrand_falls_like_t_to_the_minus_11(self, t):
+        """f minus the module's u^2 ... u^10 terms, in 50 digits, is the
+        oracle's u^11 term up to less than twice the l1 norm of its u^12 row
+        over t, in units of t^-11."""
+        gap = _mp_integrand(t) - _mp_series(_TAIL_SERIES, t)
+        u11 = _mp_series(self.ORACLE[11:12], t, lowest=11)
+        bound = 2 * sum(abs(float(a)) for a in self.ORACLE[12]) / t
+        assert abs(float((gap - u11) * mp.mpf(t) ** 11)) <= bound
+
+    def test_float_evaluation(self):
+        ts = np.array([8 * math.pi, 30.0, 16 * math.pi, 1e3])
+        exact = [float(_mp_series(_TAIL_SERIES, t)) for t in ts]
+        assert _tail_series(ts) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("T", [12.0, 16.0, 20.0, 25.0])
+    def test_tail_error_estimate_covers_the_tail(self, T):
+        """Against the integral to 64 pi on pi/4-panels plus the tail from
+        there (each ~1e-15 off): from T = 16 on the measured series
+        remainder, not the parts bound, is what covers the error."""
+        far = 64 * math.pi
+        edges = np.linspace(T, far, int((far - T) / (math.pi / 4)) + 1)
+        exact = _panel_rule(edges[:-1], edges[1:])[0].sum() + _tail(far)[0]
+        tail, err = _tail(T)
+        assert abs(tail - exact) <= err
+
+    def test_value_does_not_move_with_tail_start(self):
+        base = compute_cg()
+        spread = max(abs(compute_cg(tail_start=T).value - base.value)
+                     for T in (8 * math.pi, 32 * math.pi, 64 * math.pi, 2e4))
+        assert spread <= 1e-12
+        assert spread <= base.error_estimate <= 1e-8
+
+    @pytest.mark.parametrize("T", [3.0, 6.0, 10.0, 8 * math.pi])
+    def test_short_tail_start_raises_or_bounds_its_error(self, T):
+        """Where the series has not yet converged, the tail's error estimate
+        either takes the total over ``abs_tol`` or covers the value's move."""
+        base = compute_cg().value
+        try:
+            res = compute_cg(tail_start=T)
+        except CgConvergenceError as exc:
+            assert "tail_start" in str(exc)
+            return
+        assert res.error_estimate >= abs(res.value - base)
+
+
 class TestCgPinned:
     """``compute_cg`` and ``cg_integrand`` bits, pinned at the hand-typed
     series tables: any change to the integrand's arithmetic shows here."""
@@ -211,9 +281,9 @@ class TestCgPinned:
 
     def test_compute_cg_unchanged(self):
         res = compute_cg()
-        assert res.value.hex() == "0x1.1dd436b2b13a7p-1"
-        assert res.error_estimate.hex() == "0x1.7f2713252bbdap-26"
-        assert (res.evaluations, res.panels) == (48000, 3192)
+        assert res.value.hex() == "0x1.1dd436b2b3895p-1"
+        assert res.error_estimate.hex() == "0x1.91c6e63793654p-31"
+        assert (res.evaluations, res.panels) == (495, 24)
 
     @pytest.mark.parametrize("t0", sorted(INTEGRAND_DIGESTS))
     def test_integrand_unchanged(self, t0, monkeypatch):

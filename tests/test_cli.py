@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from trigroots import cli
+from trigroots.cganalytic import compute_cg
 from trigroots.charprobe import small_ball_mc
 from trigroots.cli import main
 from trigroots.diophantine import good_t
@@ -38,6 +39,16 @@ class TestCg:
         assert abs(payload["value"] - 0.55826) < 5e-4
         assert payload["meta"]["build"].startswith("trigroots-")
         assert len(payload["meta"]["config_hash"]) == 16
+
+    def test_fields_and_defaults(self, capsys):
+        """The flags' defaults are ``compute_cg``'s, so the command computes
+        what a default call does."""
+        assert run_cli(["cg"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        res = compute_cg()
+        assert sorted(payload) == ["error_estimate", "evaluations", "integral", "meta",
+                                   "panels", "tail", "value"]
+        assert (payload["value"], payload["evaluations"]) == (res.value, res.evaluations)
 
 
 class TestSimulate:
@@ -460,6 +471,19 @@ class TestErrors:
         # allowed size exceeded"
         assert run_cli(["cg", "--tmax", "inf"]) == 2
         assert self._error(capsys, "cg") == "tail_start must be finite, got inf"
+
+    def test_cg_tail_start_short_of_the_series(self, capsys):
+        """At tmax 10 the tail's own error estimate is over --tol: once an
+        exit 0 with an estimate of 2.8e-2."""
+        assert run_cli(["cg", "--tmax", "10"]) == 2
+        assert "from the u-series tail past tail_start 10" in self._error(capsys, "cg")
+
+    def test_verify_refuses_a_bad_thread_count_up_front(self, capsys):
+        """Criterion 1 runs no worker; the count is refused all the same."""
+        assert run_cli(["verify", "--threads", "0", "--only", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err) == {
+            "error": "parallelism must be >= 1, got 0", "command": "verify"}
 
     @pytest.mark.parametrize("command", ["sweep"])
     def test_n_list_must_increase(self, tmp_path, capsys, command):
