@@ -26,9 +26,10 @@ trigonometric polynomials,
         + (79/4 + 30 cos 2t + 93/20 cos 4t - 2/5 cos 6t) u^6 + ...,
 
 with no u^5 term (``_TAIL_SERIES`` holds it through u^10).  ``compute_cg``
-integrates panels of length pi up to ``tail_start`` and the series past it
-in closed form: a mean term u^m gives T^(1-m)/(m-1), an e^(iwt) u^m term
-its integration-by-parts series.
+runs one fixed Gauss-Kronrod rule on 32 panels of width pi/2 up to
+``_TAIL_START`` = 16 pi and integrates the series past it in closed form: a
+mean term u^m gives T^(1-m)/(m-1), an e^(iwt) u^m term its
+integration-by-parts series.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from trigroots.ensemble import SQRT3, check_finite, check_positive
+from trigroots.ensemble import SQRT3
 
 
 def _sinc_series():
@@ -110,14 +111,9 @@ _TAIL_M, _TAIL_W, _TAIL_A = (np.array(v) for v in zip(*[
 _PARTS_TERMS = 20
 #: series below, closed forms above; cg moves by at most 2.1e-12 for switches in [0.02, 0.3]
 _T0 = 0.05
-#: refinement rounds before ``compute_cg`` gives up with ``CgConvergenceError``
-_MAX_REFINEMENTS = 200
-
-
-class CgConvergenceError(RuntimeError):
-    def __init__(self, message, partial):
-        super().__init__(message)
-        self.partial = partial
+#: ``compute_cg``'s panel width, and where its u-series tail takes over
+_PANEL = math.pi / 2
+_TAIL_START = 16 * math.pi
 
 
 @dataclass(frozen=True)
@@ -126,7 +122,6 @@ class CgResult:
     error_estimate: float
     integral: float
     tail: float
-    panels: int
     evaluations: int
 
 
@@ -216,54 +211,15 @@ def _tail(T: float):
     return total, float(left.sum()) + float(gap.max()) * T / 10.0
 
 
-def compute_cg(abs_tol: float = 1e-8, tail_start: float = 16 * math.pi) -> CgResult:
-    """Adaptive Gauss-Kronrod on pi-panels to ``tail_start`` plus the u-series
-    tail in closed form.  The panels are refined until their error estimate
-    is below ``abs_tol`` / 2; ``CgConvergenceError`` (with the value as its
-    ``partial``) if they are not after ``_MAX_REFINEMENTS`` rounds, or if the
-    estimate with the tail's truncation error is above ``abs_tol``."""
-    T = check_finite("tail_start", tail_start)
-    if T <= 1.0:
-        raise ValueError(f"tail_start must be > 1, got {T}")
-    tol = check_positive("abs_tol", abs_tol)
+def compute_cg() -> CgResult:
+    """G7-K15 on equal panels of width <= ``_PANEL`` to ``_TAIL_START``, the u-series
+    tail past it; the error estimate adds the panels' |K15 - G7| to ``_tail``'s."""
+    edges = np.linspace(0.0, _TAIL_START, math.ceil(_TAIL_START / _PANEL) + 1)
+    vals, errs = _panel_rule(edges[:-1], edges[1:])
+    tail, tail_err = _tail(_TAIL_START)
     scale = 4.0 / (3.0 * math.pi)
-    tail, tail_err = _tail(T)
-    edges = np.arange(0.0, T, math.pi)
-    edges = np.append(edges, T)
-    a = edges[:-1].copy()
-    b = edges[1:].copy()
-    vals, errs = _panel_rule(a, b)
-    neval = _XK.size + 15 * a.size  # the tail's nodes and the panels'
-
-    refinements = 0
-    while errs.sum() > 0.5 * tol:
-        if refinements >= _MAX_REFINEMENTS:
-            raise CgConvergenceError(
-                f"error estimate {errs.sum():.2e} above {tol:.1e} after "
-                f"{refinements} refinements", scale * (vals.sum() + tail) + 2.0 / SQRT3)
-        worst = np.argsort(errs)[-8:]
-        worst = worst[errs[worst] > 0.25 * tol / errs.size]
-        if worst.size == 0:
-            worst = np.array([int(np.argmax(errs))])
-        mids = 0.5 * (a[worst] + b[worst])
-        new_a = np.concatenate([a[worst], mids])
-        new_b = np.concatenate([mids, b[worst]])
-        nv, ne = _panel_rule(new_a, new_b)
-        neval += 15 * new_a.size
-        keep = np.ones(a.size, dtype=bool)
-        keep[worst] = False
-        a = np.concatenate([a[keep], new_a])
-        b = np.concatenate([b[keep], new_b])
-        vals = np.concatenate([vals[keep], nv])
-        errs = np.concatenate([errs[keep], ne])
-        refinements += 1
-
     integral = float(vals.sum())
-    value = scale * (integral + tail) + 2.0 / SQRT3
-    err = scale * (float(errs.sum()) + tail_err)
-    if err > tol:
-        raise CgConvergenceError(
-            f"error estimate {err:.2e} above {tol:.1e}, {scale * tail_err:.1e} of it "
-            f"from the u-series tail past tail_start {T:g}", value)
-    return CgResult(value=value, error_estimate=err, integral=integral,
-                    tail=tail, panels=a.size, evaluations=neval)
+    return CgResult(value=scale * (integral + tail) + 2.0 / SQRT3,
+                    error_estimate=scale * (float(errs.sum()) + tail_err),
+                    integral=integral, tail=tail,
+                    evaluations=_XK.size * (vals.size + 1))  # the panels' and the tail's nodes

@@ -23,7 +23,6 @@ import argparse
 import csv
 import dataclasses
 import hashlib
-import inspect
 import io
 import json
 import sys
@@ -119,10 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "of random trigonometric polynomials")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("cg", help="slope constant by adaptive quadrature")
-    cg_defaults = inspect.signature(compute_cg).parameters
-    p.add_argument("--tol", type=float, default=cg_defaults["abs_tol"].default)
-    p.add_argument("--tmax", type=float, default=cg_defaults["tail_start"].default)
+    p = sub.add_parser("cg", help="slope constant by Gauss-Kronrod quadrature")
     _add_common(p)
 
     p = sub.add_parser("simulate", help="one Monte Carlo experiment")
@@ -236,11 +232,8 @@ def _resolve(parser, argv) -> dict:
 
 
 def _cmd_cg(cfg):
-    res = compute_cg(abs_tol=cfg["tol"], tail_start=cfg["tmax"])
-    _emit_json({"meta": _meta(cfg), "value": res.value,
-                "error_estimate": res.error_estimate,
-                "panels": res.panels, "evaluations": res.evaluations,
-                "integral": res.integral, "tail": res.tail}, cfg.get("out"))
+    res = compute_cg()
+    _emit_json({"meta": _meta(cfg), **dataclasses.asdict(res)}, cfg.get("out"))
     return 0
 
 
@@ -371,7 +364,7 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve(parser, argv)
         return _COMMANDS[cfg["command"]](cfg)
-    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
+    except (ValueError, OverflowError, RuntimeError, OSError, MemoryError) as exc:
         print(json.dumps({"error": str(exc) or type(exc).__name__,
                           "command": command}), file=sys.stderr)
         return 2

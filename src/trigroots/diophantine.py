@@ -172,6 +172,9 @@ def build_D(n: int, epsilon: float, tau: float = TAU) -> DRegion:
     check_positive("epsilon", epsilon)
     threshold, l_max = _params(n, tau)
     npi = math.pi * n
+    if not npi / epsilon < 2**30:  # so m + 1 < 2**31 and every key < 2**62 fits int64
+        raise ValueError(f"epsilon {epsilon:g} at n = {n} gives {2 * npi / epsilon:.3g} "
+                         "intervals of (-n pi, n pi); build_D keys at most 2**31 - 2")
     k_min = int(math.ceil(-npi / epsilon - 1e-12))
     k_max = int(math.floor(npi / epsilon + 1e-12)) - 1
     m = k_max - k_min + 1

@@ -1,5 +1,7 @@
 import inspect
 import math
+import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -111,6 +113,13 @@ class TestConditionT:
         with pytest.raises(ValueError, match=f"n must be an integer, got {n}"):
             call(n)
         call(np.int64(100))
+
+    def test_n_past_the_float_range_overflows(self):
+        """A 401-digit n is an integer, but its power n^tau is no float."""
+        n = 10**400
+        for call in (lambda: check_condition_t(n, 1.5), lambda: build_D(n, 1.0)):
+            with pytest.raises(OverflowError):
+                call()
 
 
 class TestConditionSt:
@@ -278,6 +287,18 @@ class TestBuildD:
         with pytest.raises(ValueError,
                            match=f"epsilon must be finite and > 0, got {eps}"):
             build_D(100, eps, 0.05)
+
+    @pytest.mark.parametrize("eps, count", [(1e-300, "6.28e+302"), (1e-13, "6.28e+15")])
+    def test_refuses_epsilon_past_the_key_range(self, eps, count):
+        """m + 1 >= 2**31 intervals would overflow the int64 row range
+        (1e-300) or wrap the packed keys silently (1e-13): refused before
+        anything is allocated."""
+        start = time.perf_counter()
+        message = (f"epsilon {eps:g} at n = 100 gives {count} intervals of (-n pi, n pi); "
+                   "build_D keys at most 2**31 - 2")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_D(100, eps, 0.05)
+        assert time.perf_counter() - start < 1.0
 
     def test_oversized_epsilon_no_crash(self):
         D = build_D(10, 1000.0, 0.05)
