@@ -474,6 +474,26 @@ class TestErrors:
         assert out == "" and len(err.splitlines()) == 1
         assert json.loads(err)["error"].startswith(message)
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0"])
+    def test_cg_bad_tolerance(self, capsys, tol):
+        """``compute_cg`` runs one fixed rule and takes no tolerance: once
+        refused as a bad ``abs_tol``, now as an unknown flag."""
+        assert run_cli(["cg", "--tol", tol]) == 2
+        assert self._error(capsys, "cg") == f"unrecognized arguments: --tol {tol}"
+
+    def test_cg_infinite_tail(self, capsys):
+        # once accepted, then compute_cg failed in numpy with "Maximum
+        # allowed size exceeded"; the tail start is now a module constant
+        assert run_cli(["cg", "--tmax", "inf"]) == 2
+        assert self._error(capsys, "cg") == "unrecognized arguments: --tmax inf"
+
+    def test_cg_tail_start_short_of_the_series(self, capsys):
+        """At tmax 10 the tail's own error estimate was 2.8e-2, once an exit
+        0; a short tail start is now reachable only by moving the module
+        constant (tests/test_cganalytic.py), never from the command line."""
+        assert run_cli(["cg", "--tmax", "10"]) == 2
+        assert self._error(capsys, "cg") == "unrecognized arguments: --tmax 10"
+
     def test_verify_refuses_a_bad_thread_count_up_front(self, capsys):
         """Criterion 1 runs no worker; the count is refused all the same."""
         assert run_cli(["verify", "--threads", "0", "--only", "1"]) == 2
